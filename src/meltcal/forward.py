@@ -327,6 +327,8 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
             dims[key] = float(kv[key])
         except ValueError:
             raise AdapterError(f"output key {key!r} has non-numeric value {kv[key]!r}") from None
+        if not math.isfinite(dims[key]):
+            raise AdapterError(f"output key {key!r} is not finite: {kv[key]!r}")
     melted = dims["length_mm"] > 0 and dims["depth_mm"] > 0
     if not melted:
         return MeltPoolSize(length=0.0, depth=0.0, melted=False)
@@ -370,6 +372,16 @@ def _run_key(design: DesignVars, theta: CalibrationParams) -> tuple:
     return tuple(float(format(v, ".12g")) for v in vals)
 
 
+def _size_from_mm(length_mm: str, depth_mm: str) -> MeltPoolSize:
+    """A pool size from run-table text in mm."""
+    length, depth = float(length_mm) * 1e-3, float(depth_mm) * 1e-3
+    if not (math.isfinite(length) and math.isfinite(depth)):
+        raise AdapterError(f"non-finite pool size: {length_mm!r}, {depth_mm!r}")
+    melted = length > 0 and depth > 0
+    return MeltPoolSize(length=length if melted else 0.0,
+                        depth=depth if melted else 0.0, melted=melted)
+
+
 class RunTable:
     """CSV-backed cache of forward-model evaluations, keyed to 12 digits."""
 
@@ -394,12 +406,11 @@ class RunTable:
                                     pulse_duration=float(rec["pulse_ms"]) * 1e-3)
                 theta = CalibrationParams.from_array(
                     [float(rec[s]) for s in PARAM_SYMBOLS])
-                length = float(rec["length_mm"]) * 1e-3
-                depth = float(rec["depth_mm"]) * 1e-3
-                melted = length > 0 and depth > 0
-                self._rows[_run_key(design, theta)] = MeltPoolSize(
-                    length=length if melted else 0.0,
-                    depth=depth if melted else 0.0, melted=melted)
+                try:
+                    size = _size_from_mm(rec["length_mm"], rec["depth_mm"])
+                except AdapterError as exc:
+                    raise AdapterError(f"{self.path}: row {reader.line_num}: {exc}") from None
+                self._rows[_run_key(design, theta)] = size
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -408,14 +419,21 @@ class RunTable:
         return self._rows.get(_run_key(design, theta))
 
     def store(self, design: DesignVars, theta: CalibrationParams,
-              size: MeltPoolSize) -> None:
+              size: MeltPoolSize) -> MeltPoolSize:
+        """Cache ``size`` at (design, theta); return the cached value.
+
+        A table with a file caches the size as a reload of the file reads
+        it, so a later run that replays the file sees the values this one
+        saw, bit for bit.
+        """
         with self._lock:
-            self._rows[_run_key(design, theta)] = size
             if self.path is not None:
-                self._persist(design, theta, size)
+                size = self._persist(design, theta, size)
+            self._rows[_run_key(design, theta)] = size
+            return size
 
     def _persist(self, design: DesignVars, theta: CalibrationParams,
-                 size: MeltPoolSize) -> None:
+                 size: MeltPoolSize) -> MeltPoolSize:
         new = not self.path.exists()
         with open(self.path, "a", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -425,8 +443,11 @@ class RunTable:
                    format(design.beam_radius * 1e3, ".12g"),
                    format(design.pulse_duration * 1e3, ".12g")]
             row += [format(v, ".12g") for v in theta.as_array()]
-            row += [format(size.length * 1e3, ".12g"), format(size.depth * 1e3, ".12g")]
+            # inputs are keys, rounded to 12 digits anyway; sizes are data,
+            # written with repr so they read back exactly
+            row += [repr(float(size.length * 1e3)), repr(float(size.depth * 1e3))]
             writer.writerow(row)
+        return _size_from_mm(row[-2], row[-1])
 
 
 def lookup_or_evaluate(table: RunTable, fallback: ForwardModel,
@@ -435,9 +456,7 @@ def lookup_or_evaluate(table: RunTable, fallback: ForwardModel,
     hit = table.lookup(design, theta)
     if hit is not None:
         return hit
-    size = fallback(design, theta)
-    table.store(design, theta, size)
-    return size
+    return table.store(design, theta, fallback(design, theta))
 
 
 def table_model(table: RunTable, fallback: ForwardModel) -> ForwardModel:

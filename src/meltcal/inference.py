@@ -25,13 +25,14 @@ from .domain import (
     PriorSpec,
     RandomStream,
 )
-from .surrogate import GpSurrogate
+from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
     "LikelihoodConfig",
     "PosteriorChain",
     "PosteriorSummary",
     "experimental_sigmas",
+    "FixedTerms",
     "log_posterior",
     "make_log_posterior",
     "adaptive_metropolis",
@@ -83,32 +84,58 @@ def _output_columns(cfg: LikelihoodConfig) -> list[int]:
     return {"length": [0], "depth": [1], "both": [0, 1]}[cfg.outputs]
 
 
+@dataclass(frozen=True)
+class FixedTerms:
+    """The parts of the log posterior that do not depend on theta.
+
+    The prior box, and per selected output the GP conditioned on the
+    dataset's designs, the measurements and the experimental variances.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    outputs: tuple[tuple[ConditionedGp, np.ndarray, np.ndarray], ...]
+    code_uncertainty: bool
+
+    @classmethod
+    def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
+              gp_depth: GpSurrogate, cfg: LikelihoodConfig,
+              prior: PriorSpec) -> "FixedTerms":
+        designs = dataset.design_matrix()
+        meas = dataset.measurements()
+        sig2 = experimental_sigmas(dataset, cfg) ** 2
+        gps = (gp_length, gp_depth)
+        outputs = tuple((ConditionedGp.build(gps[c], designs), meas[:, c], sig2[:, c])
+                        for c in _output_columns(cfg))
+        return cls(lower=prior.lower(), upper=prior.upper(), outputs=outputs,
+                   code_uncertainty=cfg.include_code_uncertainty)
+
+
 def log_posterior(theta: np.ndarray, dataset: ExperimentalDataset,
                   gp_length: GpSurrogate, gp_depth: GpSurrogate,
-                  cfg: LikelihoodConfig, prior: PriorSpec) -> float:
+                  cfg: LikelihoodConfig, prior: PriorSpec, *,
+                  fixed: FixedTerms | None = None) -> float:
     """Unnormalized log posterior at an 8-vector (raw units).
 
     -inf outside the prior box; inside, a diagonal Gaussian over the
     stacked residuals with variance sigma_exp^2 + var_GP.  The value does
     not depend on the order of the dataset's rows: each row's terms are
     computed independently of the others and summed exactly.
+
+    ``fixed`` holds the terms that do not depend on theta; it must come
+    from ``FixedTerms.build`` on the same arguments, and is built here
+    when omitted.  ``make_log_posterior`` builds it once per chain.
     """
+    if fixed is None:
+        fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
     theta = np.asarray(theta, float)
-    if np.any(theta < prior.lower()) or np.any(theta > prior.upper()):
+    if np.any(theta < fixed.lower) or np.any(theta > fixed.upper):
         return -np.inf
-    designs = dataset.design_matrix()
-    rows = np.concatenate([designs, np.tile(theta, (designs.shape[0], 1))], axis=1)
-    meas = dataset.measurements()
-    sig = experimental_sigmas(dataset, cfg)
-    cols = _output_columns(cfg)
-    gps = [gp_length, gp_depth]
     terms = []
-    for c in cols:
-        mean, var = gps[c].predict(rows)
-        variance = sig[:, c] ** 2
-        if cfg.include_code_uncertainty:
-            variance = variance + var
-        r = meas[:, c] - mean
+    for cgp, y, s2 in fixed.outputs:
+        mean, var = cgp.predict(theta)
+        variance = s2 + var if fixed.code_uncertainty else s2
+        r = y - mean
         terms.extend(np.log(variance).tolist())
         terms.extend((r**2 / variance).tolist())
     return -0.5 * math.fsum(terms)
@@ -117,8 +144,16 @@ def log_posterior(theta: np.ndarray, dataset: ExperimentalDataset,
 def make_log_posterior(dataset: ExperimentalDataset, gp_length: GpSurrogate,
                        gp_depth: GpSurrogate, cfg: LikelihoodConfig,
                        prior: PriorSpec) -> Callable[[np.ndarray], float]:
+    """``log_posterior`` as a function of theta alone, for sampling.
+
+    The terms that do not depend on theta are computed once, here; each
+    call then goes through ``log_posterior``, so the two are bitwise equal.
+    """
+    fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
+
     def target(theta: np.ndarray) -> float:
-        return log_posterior(theta, dataset, gp_length, gp_depth, cfg, prior)
+        return log_posterior(theta, dataset, gp_length, gp_depth, cfg, prior,
+                             fixed=fixed)
 
     return target
 
@@ -333,8 +368,10 @@ def save_chain(chain: PosteriorChain, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CHAIN_COLUMNS)
         for i in range(chain.steps):
-            row = [str(i)] + [format(v, ".12g") for v in chain.samples[i]]
-            row += [format(chain.log_post[i], ".12g"), str(int(chain.accepted[i]))]
+            # repr round-trips a float exactly, so a reloaded chain
+            # summarizes to the same numbers as the one in memory
+            row = [str(i)] + [repr(v) for v in chain.samples[i].tolist()]
+            row += [repr(float(chain.log_post[i])), str(int(chain.accepted[i]))]
             writer.writerow(row)
     meta = {"adapt_start": chain.adapt_start, "seed": chain.seed,
             "stream_id": chain.stream_id, "burn": chain.burn, "thin": chain.thin}

@@ -21,6 +21,7 @@ import numpy as np
 from . import doe, inference, plots, sensitivity, surrogate
 from .domain import (
     CalibrationParams,
+    DesignVars,
     ExperimentalDataset,
     PARAM_NAMES,
     PriorSpec,
@@ -50,6 +51,10 @@ __all__ = [
     "emit_plots",
     "STAGES",
 ]
+
+# The points (design + theta, raw units) at which the design stage
+# evaluated a table model, in order.
+DESIGN_READS = "design_reads.json"
 
 STAGES = ("design", "train", "validate-surrogate", "sa", "calibrate",
           "validate", "report")
@@ -172,6 +177,11 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _file_digest(path: str | Path) -> str | None:
+    path = Path(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else None
+
+
 def _meta_path(out: Path, stage: str) -> Path:
     return out / f"{stage.replace('-', '_')}.meta.json"
 
@@ -202,16 +212,44 @@ class Pipeline:
         self.dataset: ExperimentalDataset = load_dataset(cfg.dataset_path)
         self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
-        self._dataset_digest = hashlib.sha256(
-            Path(cfg.dataset_path).read_bytes()).hexdigest()[:16]
+        self._dataset_digest = _file_digest(cfg.dataset_path)
 
     # -- digests -----------------------------------------------------------
+
+    def config_digest(self) -> str:
+        """Digest of the scientific configuration.
+
+        The dataset enters by content, not by path; where the artifacts
+        live and how many workers ran do not enter at all.
+        """
+        doc = {k: v for k, v in self.cfg.to_dict().items()
+               if k not in ("dataset_path", "out_dir", "threads")}
+        return _digest("config", doc, self._dataset_digest)
 
     def _design_digest(self) -> str:
         return _digest("design", self._dataset_digest, self.cfg.model,
                        dataclasses.asdict(self.cfg.reduced),
                        dataclasses.asdict(self.cfg.constants),
+                       self.cfg.to_dict()["external"], self.cfg.run_table_path,
+                       self._table_rows_read(),
                        self.cfg.samples_per_condition, self.cfg.seed)
+
+    def _table_rows_read(self) -> list | None:
+        """The run table's current rows at the points the stored design read.
+
+        Later stages and other runs add rows to the table, so the design
+        is keyed on the rows it read, not on the whole file.  None for the
+        other models and before the design has run.
+        """
+        path = self.out / DESIGN_READS
+        if self.cfg.model != "table" or not path.exists():
+            return None
+        table = RunTable(self.cfg.run_table_path)
+        rows = []
+        for x in json.loads(path.read_text(encoding="utf-8")):
+            size = table.lookup(DesignVars(*x[:3]), CalibrationParams.from_array(x[3:]))
+            rows.append(None if size is None else dataclasses.astuple(size))
+        return rows
 
     def _train_digest(self) -> str:
         return _digest("train", self._design_digest(), self.cfg.seed)
@@ -231,18 +269,29 @@ class Pipeline:
 
     def design(self) -> doe.TrainingSet:
         path = self.out / "training_set.csv"
+        reads_path = self.out / DESIGN_READS
+        on_table = self.cfg.model == "table"
         digest = self._design_digest()
-        if _stage_fresh(self.out, "design", digest, [path]):
+        if _stage_fresh(self.out, "design", digest,
+                        [path, reads_path] if on_table else [path]):
             return doe.load_training_set(path)
+        model, reads = self.cfg.forward(), []
+
+        def recorded(design: DesignVars, theta: CalibrationParams):
+            reads.append(design.as_array().tolist() + theta.as_array().tolist())
+            return model(design, theta)
+
         try:
             ts = doe.build_training_set(self.dataset, self.prior,
                                         self.cfg.samples_per_condition,
-                                        self.cfg.forward(),
-                                        self.stream.split(1))
+                                        recorded, self.stream.split(1))
         except Exception as exc:
             raise StageError("design", str(exc)) from exc
         doe.save_training_set(ts, path)
-        _mark_stage(self.out, "design", digest)
+        if on_table:
+            reads_path.write_text(json.dumps(reads) + "\n", encoding="utf-8")
+        # the table now holds every row the design read
+        _mark_stage(self.out, "design", self._design_digest())
         return ts
 
     def train(self) -> tuple[surrogate.GpSurrogate, surrogate.GpSurrogate]:
@@ -284,15 +333,7 @@ class Pipeline:
         csv_path = self.out / "sensitivity.csv"
         digest = self._sa_digest()
         if _stage_fresh(self.out, "sa", digest, [json_path, csv_path]):
-            doc = json.loads(json_path.read_text(encoding="utf-8"))
-            return sensitivity.SensitivityReport(
-                parameters=tuple(doc["parameters"]), outputs=tuple(doc["outputs"]),
-                pcc=np.array(doc["pcc"]), srcc=np.array(doc["srcc"]),
-                sobol_main=np.array(doc["sobol_main"]),
-                sobol_total=np.array(doc["sobol_total"]),
-                sobol_main_se=np.array(doc["sobol_main_se"]),
-                sobol_total_se=np.array(doc["sobol_total_se"]),
-                n_base=doc["n_base"], aggregation=doc["aggregation"])
+            return sensitivity.load_report(json_path)
         gp_l, gp_d = self.train()
         try:
             report = sensitivity.sa_on_surrogate(gp_l, gp_d, self.dataset,
@@ -361,11 +402,6 @@ class Pipeline:
         sa_report = self.sa()
         chain, summary = self.calibrate()
         errors = self.validate()
-        # the digest identifies the scientific configuration; where the
-        # artifacts live and how many workers ran must not change it
-        cfg_doc = {k: v for k, v in self.cfg.to_dict().items()
-                   if k not in ("out_dir", "threads")}
-        cfg_digest = _digest("config", cfg_doc)
         doc = {
             "posterior": summary.to_dict(),
             "posterior_mode": chain.samples[int(np.argmax(chain.log_post))].tolist(),
@@ -380,7 +416,7 @@ class Pipeline:
             "likelihood": dataclasses.asdict(self.cfg.likelihood),
             "provenance": {
                 "seed": self.cfg.seed,
-                "config_digest": cfg_digest,
+                "config_digest": self.config_digest(),
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             },
         }

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .domain import ExperimentalDataset, PARAM_NAMES, PriorSpec, RandomStream
-from .surrogate import GpSurrogate
+from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
     "UndefinedStatisticError",
@@ -29,6 +29,7 @@ __all__ = [
     "sobol_indices",
     "sa_on_surrogate",
     "save_report",
+    "load_report",
 ]
 
 BOOTSTRAP_RESAMPLES = 100
@@ -134,22 +135,12 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
     gps = {"length": gp_length, "depth": gp_depth}
     n_params = len(PARAM_NAMES)
 
-    def make_f(gp: GpSurrogate) -> Callable[[np.ndarray], np.ndarray]:
-        def f(thetas: np.ndarray) -> np.ndarray:
-            n = thetas.shape[0]
-            rows = np.concatenate(
-                [np.repeat(designs, n, axis=0),
-                 np.tile(thetas, (designs.shape[0], 1))], axis=1)
-            mean, _ = gp.predict(rows)
-            return mean.reshape(designs.shape[0], n).mean(axis=0)
-        return f
-
     shape = (n_params, len(gps))
     r_pcc, r_srcc = np.empty(shape), np.empty(shape)
     s_main, s_total = np.empty(shape), np.empty(shape)
     se_main, se_total = np.empty(shape), np.empty(shape)
     for col, (name, gp) in enumerate(gps.items()):
-        f = make_f(gp)
+        f = ConditionedGp.build(gp, designs).averaged_mean
         sub = stream.split(col + 1)
         res = sobol_indices(f, prior.lower(), prior.upper(), n_base, sub)
         s_main[:, col], s_total[:, col] = res.main, res.total
@@ -168,19 +159,18 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
                              n_base=n_base)
 
 
+_ARRAY_FIELDS = ("pcc", "srcc", "sobol_main", "sobol_total",
+                 "sobol_main_se", "sobol_total_se")
+
+
 def save_report(report: SensitivityReport, json_path: str | Path,
                 csv_path: str | Path | None = None) -> None:
     doc = {
         "parameters": list(report.parameters),
         "outputs": list(report.outputs),
-        "pcc": report.pcc.tolist(),
-        "srcc": report.srcc.tolist(),
-        "sobol_main": report.sobol_main.tolist(),
-        "sobol_total": report.sobol_total.tolist(),
-        "sobol_main_se": report.sobol_main_se.tolist(),
-        "sobol_total_se": report.sobol_total_se.tolist(),
         "n_base": report.n_base,
         "aggregation": report.aggregation,
+        **{name: getattr(report, name).tolist() for name in _ARRAY_FIELDS},
     }
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
@@ -200,3 +190,12 @@ def save_report(report: SensitivityReport, json_path: str | Path,
                             format(report.sobol_main[i, j], ".6g"),
                             format(report.sobol_total[i, j], ".6g")]
                 writer.writerow(row)
+
+
+def load_report(json_path: str | Path) -> SensitivityReport:
+    """Inverse of ``save_report`` on its JSON document."""
+    doc = json.loads(Path(json_path).read_text(encoding="utf-8"))
+    return SensitivityReport(
+        parameters=tuple(doc["parameters"]), outputs=tuple(doc["outputs"]),
+        n_base=doc["n_base"], aggregation=doc["aggregation"],
+        **{name: np.array(doc[name]) for name in _ARRAY_FIELDS})

@@ -180,6 +180,12 @@ class TestExternalAdapter:
         with pytest.raises(AdapterError, match="length_mm"):
             evaluate_external(spec, COND1, NOMINAL)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_output_raises(self, tmp_path, value):
+        spec = _stub(tmp_path, f'printf "length_mm={value}\\ndepth_mm=0.2\\n" > "$2"')
+        with pytest.raises(AdapterError, match="length_mm.*not finite"):
+            evaluate_external(spec, COND1, NOMINAL)
+
     def test_missing_output_file(self, tmp_path):
         spec = _stub(tmp_path, "true")
         with pytest.raises(AdapterError, match="no output"):
@@ -238,6 +244,17 @@ class TestRunTable:
             for theta in thetas:
                 lookup_or_evaluate(replay, fresh, row.design, theta)
         assert fresh.calls == 0
+
+    def test_non_finite_row_raises_on_load(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        table = RunTable(path)
+        table.store(COND1, NOMINAL, MeltPoolSize(length=1e-4, depth=5e-5, melted=True))
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[-2] = "nan"
+        path.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
+        with pytest.raises(AdapterError, match="non-finite"):
+            RunTable(path)
 
     @given(st.floats(100.0, 2000.0))
     @settings(max_examples=20, deadline=None)

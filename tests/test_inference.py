@@ -352,7 +352,8 @@ class TestChainSerialization:
         path = tmp_path / "chain.csv"
         save_chain(chain, path)
         back = load_chain(path)
-        np.testing.assert_allclose(back.samples, chain.samples, rtol=1e-11)
+        np.testing.assert_array_equal(back.samples, chain.samples)
+        np.testing.assert_array_equal(back.log_post, chain.log_post)
         np.testing.assert_array_equal(back.accepted, chain.accepted)
         assert back.seed == chain.seed
 
@@ -372,3 +373,10 @@ class TestMakeLogPosterior:
         target = make_log_posterior(dataset, *gps, cfg, PRIOR)
         theta = PRIOR.nominal()
         assert target(theta) == log_posterior(theta, dataset, *gps, cfg, PRIOR)
+
+    def test_non_finite_theta_raises(self, dataset, gps):
+        target = make_log_posterior(dataset, *gps, LikelihoodConfig(), PRIOR)
+        theta = PRIOR.nominal()
+        theta[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            target(theta)

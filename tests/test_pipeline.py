@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from meltcal import doe, inference, pipeline, sensitivity, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
@@ -20,7 +22,7 @@ from meltcal.domain import (
     prior_from_table2,
     write_dataset,
 )
-from meltcal.forward import reduced_model
+from meltcal.forward import ExternalModelSpec, reduced_model
 from meltcal.inference import adaptive_metropolis, burn_thin
 from meltcal.pipeline import (
     McmcConfig,
@@ -137,6 +139,13 @@ class TestRunCalibration:
         b = _report_sans_timestamp(Path(cfg2.out_dir) / "report.json")
         assert a == b
 
+    def test_cached_rerun_reproduces_report(self, tmp_path):
+        cfg = small_config(tmp_path / "twice")
+        run_calibration(cfg)
+        first = _report_sans_timestamp(Path(cfg.out_dir) / "report.json")
+        run_calibration(cfg)  # every stage from cache, the chain reloaded
+        assert _report_sans_timestamp(Path(cfg.out_dir) / "report.json") == first
+
     def test_deleting_chain_reuses_gp_bytes(self, small_run):
         cfg, _ = small_run
         out = Path(cfg.out_dir)
@@ -157,6 +166,80 @@ class TestRunCalibration:
         ts_a = p.design()
         ts_b = Pipeline(small_config(Path(cfg.out_dir))).design()
         assert not np.array_equal(ts_a.inputs_raw, ts_b.inputs_raw)
+
+
+class TestDigests:
+    def test_config_digest_ignores_dataset_location(self, tmp_path):
+        digests = []
+        for sub in ("a", "b/c"):
+            path = tmp_path / sub / "table3.csv"
+            path.parent.mkdir(parents=True)
+            shutil.copyfile(bundled_dataset_path(), path)
+            cfg = small_config(tmp_path / "out", dataset_path=str(path))
+            digests.append(Pipeline(cfg).config_digest())
+        assert digests[0] == digests[1]
+
+        base = load_dataset(bundled_dataset_path())
+        first = dataclasses.replace(base.rows[0], length=base.rows[0].length * 1.01)
+        edited = tmp_path / "edited.csv"
+        write_dataset(ExperimentalDataset(rows=(first,) + base.rows[1:]), edited)
+        cfg = small_config(tmp_path / "out", dataset_path=str(edited))
+        assert Pipeline(cfg).config_digest() != digests[0]
+
+    def test_design_digest_covers_external_spec(self, tmp_path):
+        spec = ExternalModelSpec(command_template="sim {input} {output}",
+                                 working_dir=tmp_path)
+        other = dataclasses.replace(spec, command_template="sim2 {input} {output}")
+        digests = {Pipeline(small_config(tmp_path, external=e))._design_digest()
+                   for e in (None, spec, other)}
+        assert len(digests) == 3
+
+    def test_design_recomputed_when_run_table_changes(self, tmp_path):
+        table = tmp_path / "runs.csv"
+        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        ts_a = Pipeline(cfg).design()
+        training = tmp_path / "out" / "training_set.csv"
+        stamp = training.stat().st_mtime_ns
+        Pipeline(cfg).design()  # the table the design wrote is a cache hit
+        assert training.stat().st_mtime_ns == stamp
+
+        lines = table.read_text().splitlines()
+        col = lines[0].split(",").index("length_mm")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[col] = format(1.5 * float(row[col]), ".12g")
+        table.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        ts_b = Pipeline(cfg).design()
+        np.testing.assert_allclose(ts_b.outputs[:, 0], 1.5 * ts_a.outputs[:, 0],
+                                   rtol=1e-9)
+
+    def test_table_model_rerun_resumes_and_replay_reproduces(self, tmp_path,
+                                                            monkeypatch):
+        table = tmp_path / "runs.csv"
+        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        run_calibration(cfg)
+        first = _report_sans_timestamp(tmp_path / "out" / "report.json")
+        rows = table.read_text().count("\n")
+
+        # validate added rows to the table; no stage may recompute for that
+        def fail(*args, **kwargs):
+            raise AssertionError("stage recomputed")
+
+        with monkeypatch.context() as m:
+            for module, name in ((doe, "build_training_set"), (surrogate, "fit_gp"),
+                                 (sensitivity, "sa_on_surrogate"),
+                                 (inference, "adaptive_metropolis"),
+                                 (pipeline, "validate_at_point")):
+                m.setattr(module, name, fail)
+            run_calibration(cfg)
+        assert _report_sans_timestamp(tmp_path / "out" / "report.json") == first
+
+        # a new output dir replays every evaluation from the table and
+        # sees the values the first run saw
+        replay = dataclasses.replace(cfg, out_dir=str(tmp_path / "replay"))
+        run_calibration(replay)
+        assert table.read_text().count("\n") == rows
+        assert _report_sans_timestamp(tmp_path / "replay" / "report.json") == first
 
 
 class TestEmitPlots:

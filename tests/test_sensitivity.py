@@ -1,5 +1,7 @@
 """Correlation coefficients and Sobol indices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from meltcal.domain import RandomStream, prior_from_table2
 from meltcal.sensitivity import (
     SensitivityReport,
     UndefinedStatisticError,
+    load_report,
     pcc,
     save_report,
     sobol_indices,
@@ -172,3 +175,23 @@ class TestReportSerialization:
         lines = cpath.read_text().splitlines()
         assert lines[0].startswith("parameter,length_pcc,length_srcc")
         assert len(lines) == d + 1
+
+    def test_json_round_trip(self, tmp_path):
+        rng = RandomStream(3).generator()
+        d = 8
+        report = SensitivityReport(
+            parameters=tuple(f"p{i}" for i in range(d)),
+            outputs=("length", "depth"),
+            **{name: rng.random((d, 2)) for name in (
+                "pcc", "srcc", "sobol_main", "sobol_total",
+                "sobol_main_se", "sobol_total_se")},
+            n_base=512, aggregation="mean over conditions")
+        path = tmp_path / "sa.json"
+        save_report(report, path)
+        back = load_report(path)
+        for field in dataclasses.fields(SensitivityReport):
+            a, b = getattr(back, field.name), getattr(report, field.name)
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name

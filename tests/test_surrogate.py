@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from meltcal.doe import AffineMap, TrainingSet, latin_hypercube
-from meltcal.domain import RandomStream
+from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
+from meltcal.domain import (
+    RandomStream,
+    bundled_dataset_path,
+    load_dataset,
+    prior_from_table2,
+)
+from meltcal.forward import reduced_model
 from meltcal.surrogate import (
+    ConditionedGp,
     GpSurrogate,
     _chol_with_escalation,
     _nlml_and_grad,
@@ -132,6 +139,73 @@ class TestBatchLayout:
         for _ in range(5):
             perm = rng.permutation(xs.shape[0])
             assert np.array_equal(gp.predict(xs[perm])[1], var[perm])
+
+
+class TestConditionedGp:
+    """The fast path at fixed design rows against the general ``predict``,
+    on the bundled conditions and GPs fitted as the pipeline fits them."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        prior = prior_from_table2()
+        dataset = load_dataset(bundled_dataset_path())
+        ts = build_training_set(dataset, prior, 10, reduced_model(), RandomStream(0))
+        gps = (fit_gp(ts, "length", RandomStream(1)),
+               fit_gp(ts, "depth", RandomStream(2)))
+        rng = RandomStream(21).generator()
+        thetas = prior.lower() + rng.random((64, 8)) * (prior.upper() - prior.lower())
+        return gps, dataset.design_matrix(), thetas
+
+    @staticmethod
+    def stacked(designs, theta):
+        return np.concatenate([designs, np.tile(theta, (designs.shape[0], 1))], axis=1)
+
+    def test_averaged_mean_matches_predict(self, setup):
+        gps, designs, thetas = setup
+        for gp in gps:
+            fast = ConditionedGp.build(gp, designs).averaged_mean(thetas)
+            ref = np.array([gp.predict(self.stacked(designs, t))[0].mean()
+                            for t in thetas])
+            np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0)
+
+    def test_per_condition_mean_bitwise_and_variance_close(self, setup):
+        gps, designs, thetas = setup
+        for gp in gps:
+            cgp = ConditionedGp.build(gp, designs)
+            for t in thetas:
+                mean, var = cgp.predict(t)
+                ref_mean, ref_var = gp.predict(self.stacked(designs, t))
+                assert np.array_equal(mean, ref_mean)
+                # sf2 - |L^-1 k|^2 cancels to ~1e-7 of sf2 here, so compare
+                # against the prior variance as well as relatively
+                np.testing.assert_allclose(var, ref_var, rtol=1e-6, atol=0)
+                assert np.all(np.abs(var - ref_var) <= 1e-12 * gp.sf2 * gp.y_scale**2)
+
+    def test_independent_of_row_order_and_batch(self, setup):
+        gps, designs, thetas = setup
+        perm = RandomStream(22).generator().permutation(designs.shape[0])
+        for gp in gps:
+            cgp = ConditionedGp.build(gp, designs)
+            permuted = ConditionedGp.build(gp, designs[perm])
+            averaged = cgp.averaged_mean(thetas)
+            assert np.array_equal(permuted.averaged_mean(thetas), averaged)
+            alone = np.array([cgp.averaged_mean(t)[0] for t in thetas])
+            assert np.array_equal(alone, averaged)
+            for t in thetas[:8]:
+                mean, var = cgp.predict(t)
+                p_mean, p_var = permuted.predict(t)
+                assert np.array_equal(p_mean, mean[perm])
+                assert np.array_equal(p_var, var[perm])
+
+    def test_non_finite_theta_rejected(self, setup):
+        gps, designs, thetas = setup
+        cgp = ConditionedGp.build(gps[0], designs)
+        bad = thetas[0].copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cgp.predict(bad)
+        with pytest.raises(ValueError, match="finite"):
+            cgp.averaged_mean(np.vstack([thetas[:2], bad]))
 
 
 class TestGradient:
