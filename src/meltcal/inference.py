@@ -9,7 +9,6 @@ code-uncertainty term).  Model discrepancy is taken as zero.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .domain import (
     PriorSpec,
     RandomStream,
 )
-from .surrogate import ConditionedGp, GpSurrogate
+from .surrogate import ConditionedGp, ConditionedGpStack, GpSurrogate
 
 __all__ = [
     "LikelihoodConfig",
@@ -88,13 +87,16 @@ def _output_columns(cfg: LikelihoodConfig) -> list[int]:
 class FixedTerms:
     """The parts of the log posterior that do not depend on theta.
 
-    The prior box, and per selected output the GP conditioned on the
-    dataset's designs, the measurements and the experimental variances.
+    The prior box, and for the selected outputs the GPs conditioned on the
+    dataset's designs, the measurements and the experimental variances,
+    as (outputs, conditions) arrays.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    outputs: tuple[tuple[ConditionedGp, np.ndarray, np.ndarray], ...]
+    gps: ConditionedGpStack
+    y: np.ndarray
+    s2: np.ndarray
     code_uncertainty: bool
 
     @classmethod
@@ -102,12 +104,13 @@ class FixedTerms:
               gp_depth: GpSurrogate, cfg: LikelihoodConfig,
               prior: PriorSpec) -> "FixedTerms":
         designs = dataset.design_matrix()
-        meas = dataset.measurements()
-        sig2 = experimental_sigmas(dataset, cfg) ** 2
+        cols = _output_columns(cfg)
         gps = (gp_length, gp_depth)
-        outputs = tuple((ConditionedGp.build(gps[c], designs), meas[:, c], sig2[:, c])
-                        for c in _output_columns(cfg))
-        return cls(lower=prior.lower(), upper=prior.upper(), outputs=outputs,
+        stack = ConditionedGpStack.build([ConditionedGp.build(gps[c], designs)
+                                          for c in cols])
+        return cls(lower=prior.lower(), upper=prior.upper(), gps=stack,
+                   y=dataset.measurements().T[cols],
+                   s2=(experimental_sigmas(dataset, cfg) ** 2).T[cols],
                    code_uncertainty=cfg.include_code_uncertainty)
 
 
@@ -129,16 +132,15 @@ def log_posterior(theta: np.ndarray, dataset: ExperimentalDataset,
     if fixed is None:
         fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
     theta = np.asarray(theta, float)
-    if np.any(theta < fixed.lower) or np.any(theta > fixed.upper):
+    # most proposals land outside the box; a NaN passes this test and
+    # raises in predict
+    if (theta < fixed.lower).any() or (theta > fixed.upper).any():
         return -np.inf
-    terms = []
-    for cgp, y, s2 in fixed.outputs:
-        mean, var = cgp.predict(theta)
-        variance = s2 + var if fixed.code_uncertainty else s2
-        r = y - mean
-        terms.extend(np.log(variance).tolist())
-        terms.extend((r**2 / variance).tolist())
-    return -0.5 * math.fsum(terms)
+    mean, var = fixed.gps.predict(theta)
+    variance = fixed.s2 + var if fixed.code_uncertainty else fixed.s2
+    r = fixed.y - mean
+    return -0.5 * math.fsum(np.log(variance).ravel().tolist()
+                            + (r**2 / variance).ravel().tolist())
 
 
 def make_log_posterior(dataset: ExperimentalDataset, gp_length: GpSurrogate,
@@ -205,6 +207,11 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     diag0 = np.asarray(initial_step, float) ** 2
 
     rng = stream.generator()
+    normal, uniform, log = rng.standard_normal, rng.random, np.log
+    cholesky = np.linalg.cholesky
+    sqrt_diag0 = np.sqrt(diag0)
+    scale = AM_SCALE / d
+    regularizer = AM_REGULARIZER * np.eye(d)
     samples = np.empty((steps, d))
     log_post = np.empty(steps)
     accepted = np.zeros(steps, dtype=bool)
@@ -215,24 +222,26 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     chol = None
     for step in range(steps):
         if step < adapt_start or chol is None:
-            proposal = current + rng.standard_normal(d) * np.sqrt(diag0)
+            proposal = current + normal(d) * sqrt_diag0
         else:
-            proposal = current + chol @ rng.standard_normal(d)
+            proposal = current + chol @ normal(d)
         lp_prop = target(proposal)
-        if np.log(rng.random()) < lp_prop - lp:
+        if log(uniform()) < lp_prop - lp:
             current, lp = proposal, lp_prop
             accepted[step] = True
         samples[step] = current
         log_post[step] = lp
-        # recursive mean/covariance over the history including this state
+        # recursive mean/covariance over the history including this state,
+        # updated in place with the operations of
+        # cov = cov * (n-2)/(n-1) + outer(delta, current - mean) / (n-1)
         n = step + 2  # init counts as the first observation
         delta = current - mean
-        mean = mean + delta / n
-        cov = cov * ((n - 2) / (n - 1) if n > 2 else 0.0) + np.outer(delta, current - mean) / (n - 1)
+        mean += delta / n
+        cov *= (n - 2) / (n - 1) if n > 2 else 0.0
+        cov += delta[:, None] * (current - mean) / (n - 1)
         if step + 1 >= adapt_start:
-            prop_cov = (AM_SCALE / d) * cov + AM_REGULARIZER * np.eye(d)
             try:
-                chol = np.linalg.cholesky(prop_cov)
+                chol = cholesky(scale * cov + regularizer)
             except np.linalg.LinAlgError:
                 chol = None
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
@@ -364,15 +373,15 @@ _CHAIN_COLUMNS = ["step"] + list(PARAM_SYMBOLS) + ["log_post", "accepted"]
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
+    # repr round-trips a float exactly, so a reloaded chain summarizes to
+    # the same numbers as the one in memory
+    lines = [",".join(_CHAIN_COLUMNS)]
+    lines += [f"{i},{','.join(map(repr, x))},{lp!r},{int(a)}"
+              for i, (x, lp, a) in enumerate(zip(chain.samples.tolist(),
+                                                 chain.log_post.tolist(),
+                                                 chain.accepted.tolist()))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CHAIN_COLUMNS)
-        for i in range(chain.steps):
-            # repr round-trips a float exactly, so a reloaded chain
-            # summarizes to the same numbers as the one in memory
-            row = [str(i)] + [repr(v) for v in chain.samples[i].tolist()]
-            row += [repr(float(chain.log_post[i])), str(int(chain.accepted[i]))]
-            writer.writerow(row)
+        fh.write("\n".join(lines) + "\n")
     meta = {"adapt_start": chain.adapt_start, "seed": chain.seed,
             "stream_id": chain.stream_id, "burn": chain.burn, "thin": chain.thin}
     Path(path).with_suffix(".json").write_text(
@@ -382,15 +391,15 @@ def save_chain(chain: PosteriorChain, path: str | Path) -> None:
 def load_chain(path: str | Path) -> PosteriorChain:
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    samples, log_post, accepted = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            samples.append([float(rec[s]) for s in PARAM_SYMBOLS])
-            log_post.append(float(rec["log_post"]))
-            accepted.append(bool(int(rec["accepted"])))
-    return PosteriorChain(samples=np.array(samples), log_post=np.array(log_post),
-                          accepted=np.array(accepted, dtype=bool),
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != _CHAIN_COLUMNS:
+            raise ValueError(f"{path}: unexpected chain columns {header}")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
+    d = len(PARAM_SYMBOLS)
+    return PosteriorChain(samples=np.ascontiguousarray(table[:, 1:1 + d]),
+                          log_post=table[:, 1 + d].copy(),
+                          accepted=table[:, 2 + d] != 0.0,
                           adapt_start=int(meta["adapt_start"]),
                           seed=int(meta["seed"]), stream_id=int(meta["stream_id"]),
                           burn=int(meta["burn"]), thin=int(meta["thin"]))

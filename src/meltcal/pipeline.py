@@ -10,6 +10,7 @@ stages downstream of it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -202,6 +203,22 @@ def _mark_stage(out: Path, stage: str, digest: str) -> None:
         encoding="utf-8")
 
 
+def _kept(stage):
+    """Keep a stage's result on its Pipeline after the first call.
+
+    Later calls, from downstream stages or from ``report``, get the result
+    computed or loaded then, instead of loading the artifacts again.  A
+    stage may be kept only if its loaded result equals the computed one.
+    """
+    @functools.wraps(stage)
+    def kept(self):
+        if stage.__name__ not in self._results:
+            self._results[stage.__name__] = stage(self)
+        return self._results[stage.__name__]
+
+    return kept
+
+
 class Pipeline:
     """Stage runner bound to one RunConfig and output directory."""
 
@@ -213,6 +230,7 @@ class Pipeline:
         self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
         self._dataset_digest = _file_digest(cfg.dataset_path)
+        self._results: dict[str, object] = {}
 
     # -- digests -----------------------------------------------------------
 
@@ -267,6 +285,9 @@ class Pipeline:
 
     # -- stages ------------------------------------------------------------
 
+    # Not kept: training_set.csv rounds to 12 significant digits, and a
+    # run-all fits the GPs on the design as re-read from it; keeping the
+    # computed set would fit them on unrounded inputs and move every result.
     def design(self) -> doe.TrainingSet:
         path = self.out / "training_set.csv"
         reads_path = self.out / DESIGN_READS
@@ -294,6 +315,7 @@ class Pipeline:
         _mark_stage(self.out, "design", self._design_digest())
         return ts
 
+    @_kept
     def train(self) -> tuple[surrogate.GpSurrogate, surrogate.GpSurrogate]:
         paths = [self.out / "gp_length.json", self.out / "gp_depth.json"]
         digest = self._train_digest()
@@ -310,6 +332,7 @@ class Pipeline:
         _mark_stage(self.out, "train", digest)
         return gp_l, gp_d
 
+    @_kept
     def validate_surrogate(self) -> dict:
         path = self.out / "surrogate_quality.json"
         digest = _digest("validate-surrogate", self._train_digest())
@@ -328,6 +351,7 @@ class Pipeline:
         _mark_stage(self.out, "validate-surrogate", digest)
         return doc
 
+    @_kept
     def sa(self) -> sensitivity.SensitivityReport:
         json_path = self.out / "sensitivity.json"
         csv_path = self.out / "sensitivity.csv"
@@ -345,6 +369,7 @@ class Pipeline:
         _mark_stage(self.out, "sa", digest)
         return report
 
+    @_kept
     def calibrate(self) -> tuple[inference.PosteriorChain, inference.PosteriorSummary]:
         chain_path = self.out / "chain.csv"
         summary_path = self.out / "posterior.json"
@@ -374,6 +399,7 @@ class Pipeline:
         _mark_stage(self.out, "calibrate", digest)
         return chain, summary
 
+    @_kept
     def validate(self) -> dict:
         path = self.out / "validation_errors.json"
         digest = self._validate_digest()

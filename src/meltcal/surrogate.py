@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -25,6 +26,7 @@ __all__ = [
     "IllConditionedError",
     "GpSurrogate",
     "ConditionedGp",
+    "ConditionedGpStack",
     "fit_gp",
     "loocv_q2",
     "save_gp",
@@ -96,16 +98,16 @@ class ConditionedGp:
     alone is computed once here instead of on every call: their scaled
     differences to the training inputs, the inverse Cholesky factor, and
     the condition-averaged weights.  Every per-call reduction is a
-    fixed-order per-row einsum, not BLAS, and the averaged weights are
-    exact sums, so a result does not depend on the batch it comes in or on
-    the order of the fixed rows.
+    fixed-order per-row einsum or one fixed-shape matrix-vector product
+    per row, and the averaged weights are exact sums, so a result does not
+    depend on the batch it comes in or on the order of the fixed rows.
     """
 
     gp: GpSurrogate
     m: int                   # number of design inputs, leading in gp.x
     d_rows: np.ndarray       # (C, N, d) scaled differences; theta part 0
     theta_map: AffineMap     # raw theta -> [0, 1]
-    linv: np.ndarray         # (N, N) inverse of gp.chol
+    linv_t: np.ndarray       # (N, N) transpose of the inverse of gp.chol
     v: np.ndarray            # (N,) weights * mean over rows of Kd
 
     @staticmethod
@@ -133,14 +135,16 @@ class ConditionedGp:
         linv = solve_triangular(gp.chol, np.eye(gp.chol.shape[0]), lower=True)
         return cls(gp=gp, m=m, d_rows=d_rows,
                    theta_map=AffineMap(lo=lo[m:], hi=hi[m:]),
-                   linv=linv, v=gp.weights * kd_mean)
+                   linv_t=np.ascontiguousarray(linv.T), v=gp.weights * kd_mean)
 
     def _scaled_theta(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise ValueError("prediction inputs must be finite")
         ts = self.theta_map.forward(thetas)
-        return (ts[:, None, :] - self.gp.x[None, :, self.m:]) / self.gp.ell[self.m:]
+        d = ts[:, None, :] - self.gp.x[None, :, self.m:]
+        d /= self.gp.ell[self.m:]  # in place: an SA batch makes d ~34 MB
+        return d
 
     def averaged_mean(self, thetas: np.ndarray) -> np.ndarray:
         """(n,) predictive mean (m) averaged over the fixed rows, per theta.
@@ -167,9 +171,75 @@ class ConditionedGp:
         # the explicit L^-1 the variance is up to ~6e-8 relative from a
         # long-double forward substitution, against ~6e-9 for predict's
         # triangular solve; that is a few 1e-14 of the prior variance.
-        w = np.einsum("ik,jk->ij", k_star, self.linv)
+        # matmul makes one (1, N) x (N, N) BLAS product per row, whose
+        # rounding does not depend on the row's place in the batch; a
+        # single (C, N) x (N, N) product would.
+        w = np.matmul(k_star[:, None, :], self.linv_t)[:, 0, :]
         var_std = np.maximum(gp.sf2 - np.einsum("ij,ij->i", w, w), 0.0)
         return gp.y_mean + gp.y_scale * mean_std, gp.y_scale**2 * var_std
+
+
+@dataclass(frozen=True)
+class ConditionedGpStack:
+    """Several ConditionedGps on the same design rows, predicted in one pass.
+
+    The calibration likelihood needs every output at each theta.  The
+    outputs' GPs share the design rows and the number of training points,
+    so their per-call arrays stack along a leading output axis and one
+    numpy call serves all of them.  Each operation is the one
+    ``ConditionedGp.predict`` makes, elementwise or per row, so each
+    output's mean and variance are bitwise those of its own ``predict``.
+    """
+
+    m: int
+    d_rows: np.ndarray       # (O, C, N, d) scaled differences; theta part 0
+    x_theta: np.ndarray      # (O, N, p) theta part of each gp.x
+    ell_theta: np.ndarray    # (O, 1, p) theta length scales
+    lo: np.ndarray           # (O, p) theta map
+    span: np.ndarray         # (O, p)
+    sf2: np.ndarray          # (O, 1)
+    weights: np.ndarray      # (O, N)
+    linv_t: np.ndarray       # (O, N, N)
+    y_mean: np.ndarray       # (O, 1)
+    y_scale: np.ndarray      # (O, 1)
+    y_scale2: np.ndarray     # (O, 1) y_scale**2, as predict squares it
+
+    @classmethod
+    def build(cls, cgps: Sequence[ConditionedGp]) -> "ConditionedGpStack":
+        if len({(c.m,) + c.d_rows.shape for c in cgps}) != 1:
+            raise ValueError("stacked GPs need the same design rows and "
+                             "training-set size")
+        m = cgps[0].m
+        gps = [c.gp for c in cgps]
+
+        def column(values):
+            return np.array([[v] for v in values])
+
+        return cls(m=m, d_rows=np.stack([c.d_rows for c in cgps]),
+                   x_theta=np.stack([gp.x[:, m:] for gp in gps]),
+                   ell_theta=np.stack([gp.ell[None, m:] for gp in gps]),
+                   lo=np.stack([c.theta_map.lo for c in cgps]),
+                   span=np.stack([c.theta_map.hi - c.theta_map.lo for c in cgps]),
+                   sf2=column(gp.sf2 for gp in gps),
+                   weights=np.stack([gp.weights for gp in gps]),
+                   linv_t=np.stack([c.linv_t for c in cgps]),
+                   y_mean=column(gp.y_mean for gp in gps),
+                   y_scale=column(gp.y_scale for gp in gps),
+                   y_scale2=column(gp.y_scale**2 for gp in gps))
+
+    def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(O, C) predictive means (m) and variances (m^2) at [d_c, theta]."""
+        theta = np.asarray(theta, dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("prediction inputs must be finite")
+        ts = (theta - self.lo) / self.span
+        d = self.d_rows.copy()
+        d[..., self.m:] = ((ts[:, None, :] - self.x_theta) / self.ell_theta)[:, None]
+        k_star = self.sf2[:, :, None] * np.exp(-0.5 * np.einsum("oijk,oijk->oij", d, d))
+        mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
+        w = np.matmul(k_star[..., None, :], self.linv_t[:, None])[..., 0, :]
+        var_std = np.maximum(self.sf2 - np.einsum("oij,oij->oi", w, w), 0.0)
+        return self.y_mean + self.y_scale * mean_std, self.y_scale2 * var_std
 
 
 def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from am_reference import adaptive_metropolis as reference_adaptive_metropolis
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     ExperimentalDataset,
@@ -232,6 +233,48 @@ class TestAdaptiveMetropolis:
         a = adaptive_metropolis(target, np.zeros(2), 2_000, 200, RandomStream(3))
         b = adaptive_metropolis(target, np.zeros(2), 2_000, 200, RandomStream(3))
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+class TestAdaptiveMetropolisOracle:
+    """The sampler against a verbatim copy of its earlier loop: every
+    visited state, log density and accept flag must be bitwise equal."""
+
+    @staticmethod
+    def assert_same_chain(target, init, steps, adapt_start, seed,
+                          initial_step=None):
+        new = adaptive_metropolis(target, init, steps, adapt_start,
+                                  RandomStream(seed), initial_step=initial_step)
+        ref = reference_adaptive_metropolis(target, init, steps, adapt_start,
+                                            RandomStream(seed),
+                                            initial_step=initial_step)
+        assert np.array_equal(new.samples, ref.samples)
+        assert np.array_equal(new.log_post, ref.log_post)
+        assert np.array_equal(new.accepted, ref.accepted)
+        return new
+
+    def test_correlated_gaussian(self):
+        prec = np.linalg.inv(np.array([[1.0, 0.8], [0.8, 1.0]]))
+
+        def target(x):
+            return -0.5 * float(x @ prec @ x)
+
+        chain = self.assert_same_chain(target, np.zeros(2), 5_000, 500, 31)
+        assert 0.1 < chain.acceptance_rate(500) < 0.9
+
+    def test_box_with_minus_inf_region(self):
+        def target(x):
+            return 0.0 if np.all(np.abs(x) <= 1.0) else -np.inf
+
+        chain = self.assert_same_chain(target, np.zeros(3), 5_000, 500, 32,
+                                       initial_step=np.full(3, 0.8))
+        assert not chain.accepted.all()  # proposals fell outside the box
+
+    def test_bundled_log_posterior(self, dataset, gps):
+        target = make_log_posterior(dataset, *gps, LikelihoodConfig(), PRIOR)
+        step0 = (PRIOR.upper() - PRIOR.lower()) / 10.0
+        chain = self.assert_same_chain(target, PRIOR.nominal(), 3_000, 1_000, 33,
+                                       initial_step=step0)
+        assert chain.accepted[1_000:].any()  # the adapted proposal moved
 
 
 class TestBurnThin:

@@ -146,6 +146,21 @@ class TestRunCalibration:
         run_calibration(cfg)  # every stage from cache, the chain reloaded
         assert _report_sans_timestamp(Path(cfg.out_dir) / "report.json") == first
 
+    def test_run_loads_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        calls = {"load_chain": 0, "load_gp": 0}
+        for module, name in ((inference, "load_chain"), (surrogate, "load_gp")):
+            def counted(*args, _original=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = small_config(tmp_path / "counted")
+        run_calibration(cfg)  # later stages reuse what earlier ones computed
+        assert calls == {"load_chain": 0, "load_gp": 0}
+        run_calibration(cfg)  # every stage cached; only the report needs the chain
+        assert calls == {"load_chain": 1, "load_gp": 0}
+
     def test_deleting_chain_reuses_gp_bytes(self, small_run):
         cfg, _ = small_run
         out = Path(cfg.out_dir)

@@ -13,6 +13,7 @@ from meltcal.domain import (
 from meltcal.forward import reduced_model
 from meltcal.surrogate import (
     ConditionedGp,
+    ConditionedGpStack,
     GpSurrogate,
     _chol_with_escalation,
     _nlml_and_grad,
@@ -206,6 +207,42 @@ class TestConditionedGp:
             cgp.predict(bad)
         with pytest.raises(ValueError, match="finite"):
             cgp.averaged_mean(np.vstack([thetas[:2], bad]))
+
+    def test_one_design_row_equals_its_row_among_all(self, setup):
+        gps, designs, thetas = setup
+        for gp in gps:
+            full = ConditionedGp.build(gp, designs)
+            expected = [full.predict(t) for t in thetas[:8]]
+            for c in range(designs.shape[0]):
+                one = ConditionedGp.build(gp, designs[c:c + 1])
+                for t, (mean, var) in zip(thetas[:8], expected):
+                    o_mean, o_var = one.predict(t)
+                    assert o_mean[0] == mean[c] and o_var[0] == var[c]
+
+    def test_stack_equals_each_outputs_own_predict(self, setup):
+        gps, designs, thetas = setup
+        cgps = [ConditionedGp.build(gp, designs) for gp in gps]
+        for members in (cgps, cgps[1:]):
+            stack = ConditionedGpStack.build(members)
+            for t in thetas:
+                mean, var = stack.predict(t)
+                assert mean.shape == var.shape == (len(members), designs.shape[0])
+                for o, cgp in enumerate(members):
+                    o_mean, o_var = cgp.predict(t)
+                    assert np.array_equal(mean[o], o_mean)
+                    assert np.array_equal(var[o], o_var)
+
+    def test_stack_rejects_mismatch_and_non_finite_theta(self, setup):
+        gps, designs, thetas = setup
+        with pytest.raises(ValueError, match="same design rows"):
+            ConditionedGpStack.build([ConditionedGp.build(gps[0], designs),
+                                      ConditionedGp.build(gps[1], designs[:5])])
+        stack = ConditionedGpStack.build([ConditionedGp.build(gp, designs)
+                                          for gp in gps])
+        bad = thetas[0].copy()
+        bad[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            stack.predict(bad)
 
 
 class TestGradient:
