@@ -4,7 +4,8 @@
 Fits the two surrogates on the bundled dataset (10 samples per condition,
 as the pipeline does by default), then times, per call:
 
-* ``ConditionedGp.predict`` at an in-box theta (length GP);
+* the conditioned GPs' predict at an in-box theta, both outputs in one
+  ``ConditionedGpStack.predict`` as the log posterior makes it;
 * the log posterior at an in-box and an out-of-box theta, through the
   closure the sampler calls;
 * the adaptive-Metropolis loop's own cost per step, on an 8-d standard
@@ -34,6 +35,7 @@ from meltcal.domain import (
 )
 from meltcal.forward import reduced_model
 from meltcal.inference import (
+    FixedTerms,
     LikelihoodConfig,
     PosteriorChain,
     adaptive_metropolis,
@@ -41,7 +43,7 @@ from meltcal.inference import (
     make_log_posterior,
     save_chain,
 )
-from meltcal.surrogate import ConditionedGp, fit_gp
+from meltcal.surrogate import fit_gp
 
 
 def per_call_us(fn, calls: int, repeats: int) -> float:
@@ -75,10 +77,10 @@ def main() -> None:
     inbox = prior.nominal()
     outbox = inbox.copy()
     outbox[0] = 2.0 * prior.upper()[0]
-    cgp = ConditionedGp.build(gps[0], dataset.design_matrix())
+    stack = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior).gps
     target = make_log_posterior(dataset, *gps, LikelihoodConfig(), prior)
     out = {
-        "predict_us": per_call_us(lambda: cgp.predict(inbox), 2000, repeats),
+        "predict_both_us": per_call_us(lambda: stack.predict(inbox), 2000, repeats),
         "logpost_inbox_us": per_call_us(lambda: target(inbox), 2000, repeats),
         "logpost_outbox_us": per_call_us(lambda: target(outbox), 20000, repeats),
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -97,10 +98,12 @@ class ConditionedGp:
     fixed design rows d_c.  Everything that depends on the design rows
     alone is computed once here instead of on every call: their scaled
     differences to the training inputs, the inverse Cholesky factor, and
-    the condition-averaged weights.  Every per-call reduction is a
-    fixed-order per-row einsum or one fixed-shape matrix-vector product
-    per row, and the averaged weights are exact sums, so a result does not
-    depend on the batch it comes in or on the order of the fixed rows.
+    the condition-averaged weights.  ``predict`` is the one-output case
+    of ``ConditionedGpStack.predict``, the path the calibration chain
+    takes.  Every per-call reduction is a fixed-order per-row einsum or
+    one fixed-shape matrix-vector product per row, and the averaged
+    weights are exact sums, so a result does not depend on the batch it
+    comes in or on the order of the fixed rows.
     """
 
     gp: GpSurrogate
@@ -156,38 +159,29 @@ class ConditionedGp:
         mean_std = np.einsum("ij,j->i", k_theta, self.v)
         return self.gp.y_mean + self.gp.y_scale * mean_std
 
+    @cached_property
+    def _stack(self) -> "ConditionedGpStack":
+        return ConditionedGpStack.build([self])
+
     def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(C,) predictive mean (m) and variance (m^2) at [d_c, theta].
 
         The kernel row and the mean are bitwise those of ``gp.predict`` on
         the stacked rows; the variance agrees with it up to rounding.
         """
-        gp = self.gp
-        d = self.d_rows.copy()
-        d[:, :, self.m:] = self._scaled_theta(theta)
-        k_star = self._se_scaled(d, gp.sf2)
-        mean_std = np.einsum("ij,j->i", k_star, gp.weights)
-        # sf2 - |L^-1 k*|^2 cancels to ~1e-7 of sf2 in the prior box.  With
-        # the explicit L^-1 the variance is up to ~6e-8 relative from a
-        # long-double forward substitution, against ~6e-9 for predict's
-        # triangular solve; that is a few 1e-14 of the prior variance.
-        # matmul makes one (1, N) x (N, N) BLAS product per row, whose
-        # rounding does not depend on the row's place in the batch; a
-        # single (C, N) x (N, N) product would.
-        w = np.matmul(k_star[:, None, :], self.linv_t)[:, 0, :]
-        var_std = np.maximum(gp.sf2 - np.einsum("ij,ij->i", w, w), 0.0)
-        return gp.y_mean + gp.y_scale * mean_std, gp.y_scale**2 * var_std
+        mean, var = self._stack.predict(theta)
+        return mean[0], var[0]
 
 
 @dataclass(frozen=True)
 class ConditionedGpStack:
-    """Several ConditionedGps on the same design rows, predicted in one pass.
+    """Several ConditionedGps predicted in one pass.
 
     The calibration likelihood needs every output at each theta.  The
-    outputs' GPs share the design rows and the number of training points,
+    outputs' GPs have the same numbers of design rows and training points,
     so their per-call arrays stack along a leading output axis and one
-    numpy call serves all of them.  Each operation is the one
-    ``ConditionedGp.predict`` makes, elementwise or per row, so each
+    numpy call serves all of them.  ``ConditionedGp.predict`` is the
+    one-output case.  Every operation is elementwise or per row, so each
     output's mean and variance are bitwise those of its own ``predict``.
     """
 
@@ -207,8 +201,8 @@ class ConditionedGpStack:
     @classmethod
     def build(cls, cgps: Sequence[ConditionedGp]) -> "ConditionedGpStack":
         if len({(c.m,) + c.d_rows.shape for c in cgps}) != 1:
-            raise ValueError("stacked GPs need the same design rows and "
-                             "training-set size")
+            raise ValueError("stacked GPs need the same number of design "
+                             "inputs, design rows and training points")
         m = cgps[0].m
         gps = [c.gp for c in cgps]
 
@@ -237,6 +231,13 @@ class ConditionedGpStack:
         d[..., self.m:] = ((ts[:, None, :] - self.x_theta) / self.ell_theta)[:, None]
         k_star = self.sf2[:, :, None] * np.exp(-0.5 * np.einsum("oijk,oijk->oij", d, d))
         mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
+        # sf2 - |L^-1 k*|^2 cancels to ~1e-7 of sf2 in the prior box.  With
+        # the explicit L^-1 the variance is up to ~6e-8 relative from a
+        # long-double forward substitution, against ~6e-9 for gp.predict's
+        # triangular solve; that is a few 1e-14 of the prior variance.
+        # matmul makes one (1, N) x (N, N) BLAS product per row, whose
+        # rounding does not depend on the row's place in the batch; a
+        # single (C, N) x (N, N) product would.
         w = np.matmul(k_star[..., None, :], self.linv_t[:, None])[..., 0, :]
         var_std = np.maximum(self.sf2 - np.einsum("oij,oij->oi", w, w), 0.0)
         return self.y_mean + self.y_scale * mean_std, self.y_scale2 * var_std

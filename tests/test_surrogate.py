@@ -234,7 +234,7 @@ class TestConditionedGp:
 
     def test_stack_rejects_mismatch_and_non_finite_theta(self, setup):
         gps, designs, thetas = setup
-        with pytest.raises(ValueError, match="same design rows"):
+        with pytest.raises(ValueError, match="same number of design"):
             ConditionedGpStack.build([ConditionedGp.build(gps[0], designs),
                                       ConditionedGp.build(gps[1], designs[:5])])
         stack = ConditionedGpStack.build([ConditionedGp.build(gp, designs)
