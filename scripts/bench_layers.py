@@ -4,6 +4,9 @@
 Fits the two surrogates on the bundled dataset (10 samples per condition,
 as the pipeline does by default), then times, per call:
 
+* the GP negative log marginal likelihood and its gradient, as the
+  optimizer calls it, at the fitted length hyperparameters of the bundled
+  design (N=130) and of a design with 20 samples per condition (N=260);
 * the conditioned GPs' predict at an in-box theta, both outputs in one
   ``ConditionedGpStack.predict`` as the log posterior makes it;
 * the log posterior at an in-box and an out-of-box theta, through the
@@ -43,7 +46,7 @@ from meltcal.inference import (
     make_log_posterior,
     save_chain,
 )
-from meltcal.surrogate import fit_gp
+from meltcal.surrogate import _nlml_and_grad, _PairDistances, fit_gp
 
 
 def per_call_us(fn, calls: int, repeats: int) -> float:
@@ -66,6 +69,17 @@ def seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def nlml_us(ts, gp, repeats: int) -> float:
+    """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``."""
+    x = ts.inputs_std()
+    params = np.r_[np.log(gp.ell), np.log(gp.sf2), np.log(gp.sn2)]
+    pairs = _PairDistances.build(x)
+    if _nlml_and_grad(params, x, gp.y_std, pairs)[0] >= 1e12:
+        raise RuntimeError("kernel not positive definite at the fitted optimum")
+    return per_call_us(lambda: _nlml_and_grad(params, x, gp.y_std, pairs),
+                       200, repeats)
+
+
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     prior = prior_from_table2()
@@ -79,7 +93,12 @@ def main() -> None:
     outbox[0] = 2.0 * prior.upper()[0]
     stack = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior).gps
     target = make_log_posterior(dataset, *gps, LikelihoodConfig(), prior)
+    ts_dense = build_training_set(dataset, prior, 20, reduced_model(),
+                                  RandomStream(0))
     out = {
+        "nlml_n130_us": nlml_us(ts, gps[0], repeats),
+        "nlml_n260_us": nlml_us(ts_dense, fit_gp(ts_dense, "length",
+                                                 RandomStream(1)), repeats),
         "predict_both_us": per_call_us(lambda: stack.predict(inbox), 2000, repeats),
         "logpost_inbox_us": per_call_us(lambda: target(inbox), 2000, repeats),
         "logpost_outbox_us": per_call_us(lambda: target(outbox), 20000, repeats),

@@ -136,8 +136,11 @@ def log_posterior(theta: np.ndarray, dataset: ExperimentalDataset,
     # raises in predict
     if (theta < fixed.lower).any() or (theta > fixed.upper).any():
         return -np.inf
-    mean, var = fixed.gps.predict(theta)
-    variance = fixed.s2 + var if fixed.code_uncertainty else fixed.s2
+    if fixed.code_uncertainty:
+        mean, var = fixed.gps.predict(theta)
+        variance = fixed.s2 + var
+    else:
+        mean, variance = fixed.gps.mean(theta), fixed.s2
     r = fixed.y - mean
     return -0.5 * math.fsum(np.log(variance).ravel().tolist()
                             + (r**2 / variance).ravel().tolist())

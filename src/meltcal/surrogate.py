@@ -2,7 +2,8 @@
 
 Anisotropic squared-exponential kernel, zero mean on standardized targets,
 hyperparameters by multi-start maximization of the log marginal likelihood
-with analytic gradients.  The predictive variance is the code-uncertainty
+with analytic gradients, evaluated on the packed squared differences of
+each training pair.  The predictive variance is the code-uncertainty
 term of the calibration likelihood.  Leave-one-out predictions come from
 the closed-form identity on the factorized kernel matrix.
 """
@@ -17,7 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from .doe import AffineMap, TrainingSet, latin_hypercube
@@ -221,16 +223,28 @@ class ConditionedGpStack:
                    y_scale=column(gp.y_scale for gp in gps),
                    y_scale2=column(gp.y_scale**2 for gp in gps))
 
-    def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(O, C) predictive means (m) and variances (m^2) at [d_c, theta]."""
+    def _kernel_rows(self, theta: np.ndarray) -> np.ndarray:
+        """(O, C, N) kernel rows between [d_c, theta] and the training inputs."""
         theta = np.asarray(theta, dtype=float)
         if not np.isfinite(theta).all():
             raise ValueError("prediction inputs must be finite")
         ts = (theta - self.lo) / self.span
         d = self.d_rows.copy()
         d[..., self.m:] = ((ts[:, None, :] - self.x_theta) / self.ell_theta)[:, None]
-        k_star = self.sf2[:, :, None] * np.exp(-0.5 * np.einsum("oijk,oijk->oij", d, d))
+        return self.sf2[:, :, None] * np.exp(-0.5 * np.einsum("oijk,oijk->oij", d, d))
+
+    def _mean(self, k_star: np.ndarray) -> np.ndarray:
         mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
+        return self.y_mean + self.y_scale * mean_std
+
+    def mean(self, theta: np.ndarray) -> np.ndarray:
+        """(O, C) predictive means (m) at [d_c, theta], bitwise those of
+        ``predict``; no variance is formed."""
+        return self._mean(self._kernel_rows(theta))
+
+    def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(O, C) predictive means (m) and variances (m^2) at [d_c, theta]."""
+        k_star = self._kernel_rows(theta)
         # sf2 - |L^-1 k*|^2 cancels to ~1e-7 of sf2 in the prior box.  With
         # the explicit L^-1 the variance is up to ~6e-8 relative from a
         # long-double forward substitution, against ~6e-9 for gp.predict's
@@ -240,7 +254,7 @@ class ConditionedGpStack:
         # single (C, N) x (N, N) product would.
         w = np.matmul(k_star[..., None, :], self.linv_t[:, None])[..., 0, :]
         var_std = np.maximum(self.sf2 - np.einsum("oij,oij->oi", w, w), 0.0)
-        return self.y_mean + self.y_scale * mean_std, self.y_scale2 * var_std
+        return self._mean(k_star), self.y_scale2 * var_std
 
 
 def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]:
@@ -255,38 +269,64 @@ def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]
             jitter = min(jitter * 10.0, JITTER_CEILING)
 
 
+@dataclass(frozen=True)
+class _PairDistances:
+    """The squared input differences of each training pair i < j, once.
+
+    The SE kernel is symmetric with the diagonal sf2, so the marginal
+    likelihood and its gradient need each unordered pair only.
+    """
+
+    flat: np.ndarray         # (M,) i*N + j, the pair's place in a C-order N x N
+    sq: np.ndarray           # (M, d) (x_i - x_j)**2, M = N(N-1)/2
+
+    @classmethod
+    def build(cls, x: np.ndarray) -> "_PairDistances":
+        rows, cols = np.triu_indices(x.shape[0], k=1)
+        return cls(flat=rows * x.shape[0] + cols, sq=(x[rows] - x[cols]) ** 2)
+
+
 def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   sqdists: np.ndarray) -> tuple[float, np.ndarray]:
+                   pairs: _PairDistances) -> tuple[float, np.ndarray]:
     d = x.shape[1]
+    n = y.size
     log_ell, log_sf2, log_sn2 = log_params[:d], log_params[d], log_params[d + 1]
     ell2 = np.exp(2.0 * log_ell)
     sf2, sn2 = np.exp(log_sf2), np.exp(log_sn2)
-    scaled = sqdists / ell2  # (N, N, d)
-    k_se = sf2 * np.exp(-0.5 * scaled.sum(axis=2))
-    k = k_se + sn2 * np.eye(x.shape[0])
+    # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
+    # it into the weights rounds exactly as scaling the sum would
+    k_p = sf2 * np.exp(pairs.sq @ (-0.5 / ell2))
+    # Cholesky and dpotri with lower=True read and write only the lower
+    # triangle, which is the upper triangle of this C-order buffer seen as
+    # the Fortran-order array k_t.T that LAPACK takes uncopied.
+    k_t = np.zeros((n, n))
+    flat = k_t.ravel()
+    flat[pairs.flat] = k_p
+    flat[::n + 1] = sf2 + sn2
     try:
-        low = cholesky(k, lower=True)
+        low = cholesky(k_t.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         return 1e12, np.zeros_like(log_params)
     alpha = cho_solve((low, True), y)
-    n = y.size
     nlml = (0.5 * y @ alpha + np.log(np.diag(low)).sum()
             + 0.5 * n * np.log(2.0 * np.pi))
-    # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh)
-    kinv = cho_solve((low, True), np.eye(n))
-    m = kinv - np.outer(alpha, alpha)
+    kinv, info = dpotri(low, lower=True, overwrite_c=True)
+    if info != 0:
+        return 1e12, np.zeros_like(log_params)
+    # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair twice
+    w = (kinv.T.take(pairs.flat) - np.outer(alpha, alpha).take(pairs.flat)) * k_p
+    m_diag = kinv.diagonal().sum() - alpha @ alpha      # tr(K^-1 - aa^T)
     grad = np.empty_like(log_params)
-    mk = m * k_se
-    grad[:d] = 0.5 * np.einsum("ij,ijk->k", mk, scaled)  # d/dlog ell_j
-    grad[d] = 0.5 * mk.sum()                              # d/dlog sf2
-    grad[d + 1] = 0.5 * sn2 * np.trace(m)                 # d/dlog sn2
+    grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
+    grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
+    grad[d + 1] = 0.5 * sn2 * m_diag                    # d/dlog sn2
     return float(nlml), grad
 
 
 def nlml(gp_like: tuple, x: np.ndarray, y: np.ndarray) -> float:
     """Negative log marginal likelihood at (log ell..., log sf2, log sn2)."""
-    sq = (x[:, None, :] - x[None, :, :]) ** 2
-    return _nlml_and_grad(np.asarray(gp_like, float), x, y, sq)[0]
+    return _nlml_and_grad(np.asarray(gp_like, float), x, y,
+                          _PairDistances.build(x))[0]
 
 
 def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
@@ -307,7 +347,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     y = (y_raw - y_mean) / y_scale
 
     d = x.shape[1]
-    sqdists = (x[:, None, :] - x[None, :, :]) ** 2
+    pairs = _PairDistances.build(x)
     log_bounds = ([(np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1]))] * d
                   + [(-10.0, 10.0), (np.log(JITTER_FLOOR), 0.0)])
     starts = latin_hypercube(N_STARTS, d + 2, stream).values * 6.0 - 3.0
@@ -316,7 +356,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     best = None
     for start in starts:
         start = np.clip(start, [b[0] for b in log_bounds], [b[1] for b in log_bounds])
-        res = minimize(_nlml_and_grad, start, args=(x, y, sqdists), jac=True,
+        res = minimize(_nlml_and_grad, start, args=(x, y, pairs), jac=True,
                        method="L-BFGS-B", bounds=log_bounds)
         cand_sn2 = np.exp(res.x[d + 1])
         if (best is None or res.fun < best[0] - 1e-9

@@ -1,6 +1,7 @@
 """Posterior density, adaptive Metropolis sampling, chain post-processing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from meltcal.domain import (
 )
 from meltcal.forward import reduced_model
 from meltcal.inference import (
+    FixedTerms,
     LikelihoodConfig,
     adaptive_metropolis,
     autocorrelation,
@@ -135,6 +137,21 @@ class TestLogPosterior:
             permuted = ExperimentalDataset(rows=tuple(
                 dataclasses.replace(r, index=i + 1) for i, r in enumerate(rows)))
             assert log_posterior(theta, permuted, *gps, LikelihoodConfig(), PRIOR) == lp
+
+    def test_without_code_uncertainty_uses_predicts_mean(self, dataset, gps):
+        """The mean-only path gives bitwise the value built from the mean
+        of the stack's full ``predict``."""
+        cfg = LikelihoodConfig(include_code_uncertainty=False)
+        fixed = FixedTerms.build(dataset, *gps, cfg, PRIOR)
+        rng = RandomStream(8).generator()
+        for _ in range(10):
+            theta = PRIOR.lower() + rng.random(8) * (PRIOR.upper() - PRIOR.lower())
+            mean, _ = fixed.gps.predict(theta)
+            assert np.array_equal(fixed.gps.mean(theta), mean)
+            r = fixed.y - mean
+            expected = -0.5 * math.fsum(np.log(fixed.s2).ravel().tolist()
+                                        + (r**2 / fixed.s2).ravel().tolist())
+            assert log_posterior(theta, dataset, *gps, cfg, PRIOR) == expected
 
     def test_code_uncertainty_widens_every_quadratic_term(self, dataset, gps):
         """Inflating the variance can only shrink each |r^2 / Sigma_ii|."""

@@ -1,8 +1,11 @@
 """GP surrogate: fitting, prediction, LOOCV, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from meltcal import surrogate
 from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
 from meltcal.domain import (
     RandomStream,
@@ -12,11 +15,14 @@ from meltcal.domain import (
 )
 from meltcal.forward import reduced_model
 from meltcal.surrogate import (
+    JITTER_FLOOR,
+    LENGTHSCALE_BOUNDS,
     ConditionedGp,
     ConditionedGpStack,
     GpSurrogate,
     _chol_with_escalation,
     _nlml_and_grad,
+    _PairDistances,
     _se_kernel,
     fit_gp,
     load_gp,
@@ -24,6 +30,7 @@ from meltcal.surrogate import (
     nlml,
     save_gp,
 )
+from nlml_reference import _nlml_and_grad as reference_nlml_and_grad
 from scipy.linalg import cho_solve
 
 
@@ -250,10 +257,10 @@ class TestGradient:
         rng = RandomStream(7).generator()
         x = rng.random((12, 3))
         y = np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(12)
-        sq = (x[:, None, :] - x[None, :, :]) ** 2
+        pairs = _PairDistances.build(x)
         for _ in range(20):
             p = rng.uniform(-2.0, 2.0, size=5)
-            _, grad = _nlml_and_grad(p, x, y, sq)
+            _, grad = _nlml_and_grad(p, x, y, pairs)
             fd = np.empty_like(grad)
             h = 1e-6
             for j in range(p.size):
@@ -261,6 +268,74 @@ class TestGradient:
                 e[j] = h
                 fd[j] = (nlml(p + e, x, y) - nlml(p - e, x, y)) / (2.0 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+
+class TestPackedNlml:
+    """The marginal likelihood on packed pair distances against a verbatim
+    copy of its dense (N, N, d) form, on bundled training sets."""
+
+    @pytest.fixture(scope="class", params=[10, 20], ids=["N130", "N260"])
+    def training(self, request):
+        ts = build_training_set(load_dataset(bundled_dataset_path()),
+                                prior_from_table2(), request.param,
+                                reduced_model(), RandomStream(0))
+        x = ts.inputs_std()
+        y = ts.outputs[:, 0]
+        return x, (y - y.mean()) / y.std()
+
+    def test_matches_dense_reference(self, training):
+        x, y = training
+        d = x.shape[1]
+        pairs = _PairDistances.build(x)
+        sq = (x[:, None, :] - x[None, :, :]) ** 2
+        lo = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[0])), -10.0,
+                   np.log(JITTER_FLOOR)]
+        hi = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[1])), 10.0, 0.0]
+        rng = RandomStream(41).generator()
+        # across fit_gp's whole bounds, and in the box its starts come from
+        draws = [lo + rng.random(d + 2) * (hi - lo) for _ in range(12)]
+        draws += [np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
+                  for _ in range(12)]
+        for p in draws:
+            value, grad = _nlml_and_grad(p, x, y, pairs)
+            ref_value, ref_grad = reference_nlml_and_grad(p, x, y, sq)
+            assert ref_value < 1e12
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
+
+    def test_not_positive_definite_in_both(self, training):
+        x, y = training
+        d = x.shape[1]
+        # long length scales and noise far below sf2 * eps: K is the rank-one
+        # sf2 * 11^T to working precision
+        p = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[1])), 10.0, -40.0]
+        sq = (x[:, None, :] - x[None, :, :]) ** 2
+        for value, grad in (_nlml_and_grad(p, x, y, _PairDistances.build(x)),
+                            reference_nlml_and_grad(p, x, y, sq)):
+            assert value == 1e12
+            assert np.array_equal(grad, np.zeros(d + 2))
+
+    def test_call_allocates_no_pair_tensor(self, training):
+        x, y = training
+        n, d = x.shape
+        pairs = _PairDistances.build(x)
+        p = np.r_[np.zeros(d + 1), -5.0]
+        _nlml_and_grad(p, x, y, pairs)
+        tracemalloc.start()
+        try:
+            _nlml_and_grad(p, x, y, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * d * 8 / 2
+
+    def test_failed_inverse_gives_penalty(self, training, monkeypatch):
+        x, y = training
+        monkeypatch.setattr(surrogate, "dpotri", lambda c, **kw: (c, 1))
+        p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
+        value, grad = _nlml_and_grad(p, x, y, _PairDistances.build(x))
+        assert value == 1e12
+        assert np.array_equal(grad, np.zeros_like(p))
 
 
 class TestScreening:
