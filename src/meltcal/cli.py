@@ -2,7 +2,7 @@
 
 One subcommand per pipeline stage plus ``run-all``.  Global options select
 the configuration file, output directory (overridable by the MELTCAL_OUT
-environment variable), seed, and thread count.  Errors exit nonzero with a
+environment variable) and seed.  Errors exit nonzero with a
 single machine-parsable line ``error:<category>: <message>`` on stderr.
 """
 
@@ -45,8 +45,7 @@ def _fail(exc: Exception) -> "NoReturn":  # noqa: F821
     sys.exit(1)
 
 
-def _load_config(config: str | None, out: str | None, seed: int | None,
-                 threads: int | None) -> RunConfig:
+def _load_config(config: str | None, out: str | None, seed: int | None) -> RunConfig:
     cfg = RunConfig() if config is None else RunConfig.from_json(config)
     overrides = {}
     env_out = os.environ.get("MELTCAL_OUT")
@@ -56,8 +55,6 @@ def _load_config(config: str | None, out: str | None, seed: int | None,
         overrides["out_dir"] = env_out
     if seed is not None:
         overrides["seed"] = seed
-    if threads is not None:
-        overrides["threads"] = threads
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -68,11 +65,9 @@ def _stage_command(name: str, help_text: str):
     @click.option("--out", type=click.Path(), default=None,
                   help="Output directory (overrides config and MELTCAL_OUT).")
     @click.option("--seed", type=int, default=None, help="Master RNG seed.")
-    @click.option("--threads", type=int, default=None,
-                  help="Worker threads (results are identical at any count).")
-    def _cmd(config, out, seed, threads):
+    def _cmd(config, out, seed):
         try:
-            cfg = _load_config(config, out, seed, threads)
+            cfg = _load_config(config, out, seed)
             run_stage(cfg, name)
         except Exception as exc:  # noqa: BLE001 - single exit path by design
             _fail(exc)

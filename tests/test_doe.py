@@ -165,8 +165,7 @@ class TestBuildTrainingSet:
         path = tmp_path / "ts.csv"
         save_training_set(training_set, path)
         back = load_training_set(path)
-        np.testing.assert_allclose(back.inputs_raw, training_set.inputs_raw,
-                                   rtol=1e-11)
-        np.testing.assert_allclose(back.outputs, training_set.outputs, rtol=1e-11)
+        np.testing.assert_array_equal(back.inputs_raw, training_set.inputs_raw)
+        np.testing.assert_array_equal(back.outputs, training_set.outputs)
         np.testing.assert_array_equal(back.condition_index,
                                       training_set.condition_index)

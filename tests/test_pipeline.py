@@ -30,6 +30,7 @@ from meltcal.pipeline import (
     RunConfig,
     emit_plots,
     run_calibration,
+    run_stage,
     validate_at_point,
 )
 
@@ -56,6 +57,13 @@ def _report_sans_timestamp(path: Path) -> dict:
     doc = json.loads(path.read_text())
     doc["provenance"].pop("timestamp")
     return doc
+
+
+def _stderr(result) -> str:
+    try:
+        return result.stderr
+    except ValueError:  # older click merges the streams
+        return result.output
 
 
 class TestRunConfig:
@@ -133,7 +141,7 @@ class TestRunCalibration:
 
     def test_rerun_is_deterministic(self, small_run, tmp_path):
         cfg, _ = small_run
-        cfg2 = dataclasses.replace(cfg, out_dir=str(tmp_path / "again"), threads=3)
+        cfg2 = dataclasses.replace(cfg, out_dir=str(tmp_path / "again"))
         run_calibration(cfg2)
         a = _report_sans_timestamp(Path(cfg.out_dir) / "report.json")
         b = _report_sans_timestamp(Path(cfg2.out_dir) / "report.json")
@@ -161,6 +169,34 @@ class TestRunCalibration:
         run_calibration(cfg)  # every stage cached; only the report needs the chain
         assert calls == {"load_chain": 1, "load_gp": 0}
 
+    def test_stage_by_stage_matches_run_all(self, tmp_path):
+        whole = small_config(tmp_path / "whole")
+        run_stage(whole, "run-all")
+        staged = small_config(tmp_path / "staged")
+        for stage in ("train", "validate-surrogate", "sa", "calibrate",
+                      "validate", "report"):
+            run_stage(staged, stage)  # a fresh Pipeline for each stage
+        names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "staged").iterdir())
+        for name in names:
+            if name != "report.json":
+                assert ((tmp_path / "whole" / name).read_bytes()
+                        == (tmp_path / "staged" / name).read_bytes()), name
+        assert (_report_sans_timestamp(tmp_path / "whole" / "report.json")
+                == _report_sans_timestamp(tmp_path / "staged" / "report.json"))
+
+    @pytest.mark.parametrize("sidecar", ["training_set.json", "chain.json"])
+    def test_deleted_sidecar_recomputes_its_stage(self, small_run, tmp_path,
+                                                  sidecar):
+        cfg, _ = small_run
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.out_dir, out)
+        (out / sidecar).unlink()
+        run_calibration(dataclasses.replace(cfg, out_dir=str(out)))
+        assert (out / sidecar).exists()
+        assert (_report_sans_timestamp(out / "report.json")
+                == _report_sans_timestamp(Path(cfg.out_dir) / "report.json"))
+
     def test_deleting_chain_reuses_gp_bytes(self, small_run):
         cfg, _ = small_run
         out = Path(cfg.out_dir)
@@ -178,8 +214,8 @@ class TestRunCalibration:
         shutil.copytree(cfg.out_dir, out)
         cfg2 = dataclasses.replace(cfg, out_dir=str(out), seed=8)
         p = Pipeline(cfg2)
-        ts_a = p.design()
-        ts_b = Pipeline(small_config(Path(cfg.out_dir))).design()
+        ts_a, _ = p.design()
+        ts_b, _ = Pipeline(small_config(Path(cfg.out_dir))).design()
         assert not np.array_equal(ts_a.inputs_raw, ts_b.inputs_raw)
 
 
@@ -205,14 +241,14 @@ class TestDigests:
         spec = ExternalModelSpec(command_template="sim {input} {output}",
                                  working_dir=tmp_path)
         other = dataclasses.replace(spec, command_template="sim2 {input} {output}")
-        digests = {Pipeline(small_config(tmp_path, external=e))._design_digest()
+        digests = {Pipeline(small_config(tmp_path, external=e))._stage_digest("design")
                    for e in (None, spec, other)}
         assert len(digests) == 3
 
     def test_design_recomputed_when_run_table_changes(self, tmp_path):
         table = tmp_path / "runs.csv"
         cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
-        ts_a = Pipeline(cfg).design()
+        ts_a, _ = Pipeline(cfg).design()
         training = tmp_path / "out" / "training_set.csv"
         stamp = training.stat().st_mtime_ns
         Pipeline(cfg).design()  # the table the design wrote is a cache hit
@@ -224,9 +260,20 @@ class TestDigests:
         for row in rows:
             row[col] = format(1.5 * float(row[col]), ".12g")
         table.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
-        ts_b = Pipeline(cfg).design()
+        ts_b, _ = Pipeline(cfg).design()
         np.testing.assert_allclose(ts_b.outputs[:, 0], 1.5 * ts_a.outputs[:, 0],
                                    rtol=1e-9)
+
+    def test_table_model_stage_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "out", model="table",
+                           run_table_path=str(tmp_path / "runs.csv"))
+        run_stage(cfg, "train")  # the design first reads the table here
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stage recomputed")
+
+        monkeypatch.setattr(surrogate, "fit_gp", fail)
+        run_stage(cfg, "train")
 
     def test_table_model_rerun_resumes_and_replay_reproduces(self, tmp_path,
                                                             monkeypatch):
@@ -306,12 +353,25 @@ class TestCli:
     def test_missing_config_reports_io_error(self):
         result = CliRunner().invoke(cli_main, ["design", "--config", "/nope.json"])
         assert result.exit_code == 1
-        try:
-            err = result.stderr
-        except ValueError:  # older click merges the streams
-            err = result.output
+        err = _stderr(result)
         assert err.startswith("error:io:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"seed": 1, "bogus": 2}, "bogus"),
+        ({"threads": 2}, "threads"),
+        ({"mcmc": {"steps": 2_000, "typo": 1}}, "mcmc.typo"),
+        ({"mcmc": 5}, "mcmc"),
+    ])
+    def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
+                                               "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        err = _stderr(result)
+        assert err.startswith("error:config:") and key in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_env_var_overrides_out_dir(self, tmp_path):
         cfg = small_config(tmp_path / "ignored")

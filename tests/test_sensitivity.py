@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meltcal.domain import RandomStream, prior_from_table2
@@ -49,12 +49,17 @@ class TestPcc:
             pcc(np.arange(4.0), np.arange(5.0))
 
     @given(nonconstant_samples, st.floats(0.1, 50.0), st.floats(-10.0, 10.0))
+    @example(xs=[0.0, 1e-16, 2e-16, 0.0, 0.0], a=1.0, b=1.0)
+    @example(xs=[0.0, 0.0, 0.0, 1.18e-38, 1.73e-94], a=1.0, b=1.0)
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_increasing_affine(self, xs, a, b):
         x = np.array(xs)
         y = np.sin(x) + x
         if np.std(y) == 0.0:
             return
+        # a*x + b must keep the spread of x; where it rounds the spread
+        # away, pcc of the transformed sample measures rounding, not x
+        assume(a * np.ptp(x) > 1e-6 * (abs(b) + a * np.max(np.abs(x))))
         assert pcc(a * x + b, y) == pytest.approx(pcc(x, y), abs=1e-9)
 
 
