@@ -5,7 +5,7 @@ Fits the two surrogates on the bundled dataset (10 samples per condition,
 as the pipeline does by default), then times, per call:
 
 * the GP negative log marginal likelihood and its gradient, as the
-  optimizer calls it, at the fitted length hyperparameters of the bundled
+  optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
   design (N=130) and of a design with 20 samples per condition (N=260);
 * the conditioned GPs' predict at an in-box theta, both outputs in one
   ``ConditionedGpStack.predict`` as the log posterior makes it;
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from meltcal.blas import one_blas_thread
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     RandomStream,
@@ -69,8 +70,10 @@ def seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+@one_blas_thread()
 def nlml_us(ts, gp, repeats: int) -> float:
-    """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``."""
+    """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``, on
+    one BLAS thread as ``fit_gp`` calls it."""
     x = ts.inputs_std()
     params = np.r_[np.log(gp.ell), np.log(gp.sf2), np.log(gp.sn2)]
     pairs = _PairDistances.build(x)
@@ -122,7 +125,7 @@ def main() -> None:
                            accepted=rng.random(n) < 0.15,
                            adapt_start=1_000, seed=0, stream_id=0)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "chain.csv"
+        path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)
         out["load_chain_s"] = seconds(lambda: load_chain(path), repeats)
     print(json.dumps({k: round(v, 3) for k, v in out.items()}))

@@ -20,7 +20,6 @@ import numpy as np
 from .domain import (
     ExperimentalDataset,
     PARAM_NAMES,
-    PARAM_SYMBOLS,
     PriorSpec,
     RandomStream,
 )
@@ -372,19 +371,19 @@ def potential_scale_reduction(chains: list[PosteriorChain]) -> np.ndarray:
     return np.where(w > 0, rhat, 1.0)
 
 
-_CHAIN_COLUMNS = ["step"] + list(PARAM_SYMBOLS) + ["log_post", "accepted"]
+_CHAIN_ARRAYS = ("samples", "log_post", "accepted")
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
-    # repr round-trips a float exactly, so a reloaded chain summarizes to
-    # the same numbers as the one in memory
-    lines = [",".join(_CHAIN_COLUMNS)]
-    lines += [f"{i},{','.join(map(repr, x))},{lp!r},{int(a)}"
-              for i, (x, lp, a) in enumerate(zip(chain.samples.tolist(),
-                                                 chain.log_post.tolist(),
-                                                 chain.accepted.tolist()))]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the chain's arrays as an uncompressed .npz at ``path``, and its
+    settings to the .json sidecar beside it.
+
+    The arrays are stored in binary, so a reloaded chain is bitwise the
+    one in memory and summarizes to the same numbers.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, samples=chain.samples, log_post=chain.log_post,
+                 accepted=chain.accepted)
     meta = {"adapt_start": chain.adapt_start, "seed": chain.seed,
             "stream_id": chain.stream_id, "burn": chain.burn, "thin": chain.thin}
     Path(path).with_suffix(".json").write_text(
@@ -394,15 +393,15 @@ def save_chain(chain: PosteriorChain, path: str | Path) -> None:
 def load_chain(path: str | Path) -> PosteriorChain:
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != _CHAIN_COLUMNS:
-            raise ValueError(f"{path}: unexpected chain columns {header}")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
-    d = len(PARAM_SYMBOLS)
-    return PosteriorChain(samples=np.ascontiguousarray(table[:, 1:1 + d]),
-                          log_post=table[:, 1 + d].copy(),
-                          accepted=table[:, 2 + d] != 0.0,
+    with np.load(path) as arrays:
+        if sorted(arrays.files) != sorted(_CHAIN_ARRAYS):
+            raise ValueError(f"{path}: unexpected chain arrays {arrays.files}")
+        samples, log_post, accepted = (arrays[name] for name in _CHAIN_ARRAYS)
+    steps = samples.shape[0]
+    if (samples.shape != (steps, len(PARAM_NAMES)) or log_post.shape != (steps,)
+            or accepted.shape != (steps,) or accepted.dtype != bool):
+        raise ValueError(f"{path}: inconsistent chain array shapes")
+    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
                           adapt_start=int(meta["adapt_start"]),
                           seed=int(meta["seed"]), stream_id=int(meta["stream_id"]),
                           burn=int(meta["burn"]), thin=int(meta["thin"]))

@@ -75,6 +75,14 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _require_ints(obj, names: tuple[str, ...], prefix: str = "") -> None:
+    """ValueError naming the first of ``names`` whose value is not an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     steps: int = 50_000
@@ -83,6 +91,7 @@ class McmcConfig:
     adapt_start: int = 1_000
 
     def __post_init__(self):
+        _require_ints(self, ("steps", "burn", "thin", "adapt_start"), "mcmc.")
         if min(self.steps, self.burn, self.thin, self.adapt_start) <= 0:
             raise ValueError("all MCMC counts must be positive")
         if not (self.steps > self.adapt_start >= 100):
@@ -108,6 +117,7 @@ class RunConfig:
     out_dir: str = "meltcal_out"
 
     def __post_init__(self):
+        _require_ints(self, ("seed", "samples_per_condition", "sa_n_base"))
         if self.model not in ("reduced", "external", "table"):
             raise ValueError("model must be 'reduced', 'external', or 'table'")
         if self.model == "external" and self.external is None:
@@ -328,6 +338,8 @@ _STAGES = {
         config=("sa_n_base",),
         upstream=("train",),
         artifacts=("sensitivity.json", "sensitivity.csv"),
+        # the method enters the digest: another method's indices are stale
+        inputs=lambda p: sensitivity.SOBOL_METHOD,
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
             *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
         save=sensitivity.save_report,
@@ -335,7 +347,7 @@ _STAGES = {
     "calibrate": _Stage(
         config=("mcmc", "likelihood"),
         upstream=("train",),
-        artifacts=("chain.csv", "chain.json", "posterior.json"),
+        artifacts=("chain.npz", "chain.json", "posterior.json"),
         compute=_calibrate,
         save=_save_calibration,
         load=lambda p, chain_path, *_: _with_summary(

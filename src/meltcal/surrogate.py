@@ -5,7 +5,9 @@ hyperparameters by multi-start maximization of the log marginal likelihood
 with analytic gradients, evaluated on the packed squared differences of
 each training pair.  The predictive variance is the code-uncertainty
 term of the calibration likelihood.  Leave-one-out predictions come from
-the closed-form identity on the factorized kernel matrix.
+the closed-form identity on the factorized kernel matrix.  Fitting,
+reloading, LOO and conditioning run on one BLAS thread (``blas.py``), so
+their results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
+from .blas import one_blas_thread
 from .doe import AffineMap, TrainingSet, latin_hypercube
 from .domain import RandomStream
 
@@ -124,6 +127,7 @@ class ConditionedGp:
         return sf2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
 
     @classmethod
+    @one_blas_thread()
     def build(cls, gp: GpSurrogate, designs: np.ndarray) -> "ConditionedGp":
         """Condition ``gp`` on the raw (C, m) design rows ``designs``."""
         designs = np.atleast_2d(np.asarray(designs, dtype=float))
@@ -323,12 +327,7 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     return float(nlml), grad
 
 
-def nlml(gp_like: tuple, x: np.ndarray, y: np.ndarray) -> float:
-    """Negative log marginal likelihood at (log ell..., log sf2, log sn2)."""
-    return _nlml_and_grad(np.asarray(gp_like, float), x, y,
-                          _PairDistances.build(x))[0]
-
-
+@one_blas_thread()
 def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     """Train a GP on one output with 8 multi-started local optimizations."""
     if output not in ("length", "depth"):
@@ -374,6 +373,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
                        y_mean=y_mean, y_scale=y_scale, output=output)
 
 
+@one_blas_thread()
 def loocv_q2(gp: GpSurrogate) -> tuple[float, np.ndarray]:
     """Leave-one-out Q2 and per-point residuals (standardized units).
 
@@ -408,6 +408,7 @@ def save_gp(gp: GpSurrogate, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
+@one_blas_thread()
 def load_gp(path: str | Path) -> GpSurrogate:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("gp_format") != GP_FORMAT:

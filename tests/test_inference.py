@@ -409,7 +409,7 @@ class TestChainSerialization:
         init = PRIOR.nominal()
         chain = adaptive_metropolis(lambda x: -0.5 * float(((x - init) / init) @ ((x - init) / init)),
                                     init, 500, 100, RandomStream(16))
-        path = tmp_path / "chain.csv"
+        path = tmp_path / "chain.npz"
         save_chain(chain, path)
         back = load_chain(path)
         np.testing.assert_array_equal(back.samples, chain.samples)
@@ -417,14 +417,18 @@ class TestChainSerialization:
         np.testing.assert_array_equal(back.accepted, chain.accepted)
         assert back.seed == chain.seed
 
-    def test_csv_columns(self, tmp_path):
+    def test_npz_arrays(self, tmp_path):
         chain = _dummy_chain(50)
         chain = dataclasses.replace(chain, samples=np.tile(PRIOR.nominal(), (50, 1)))
-        path = tmp_path / "chain.csv"
+        path = tmp_path / "chain.npz"
         save_chain(chain, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ("step,alpha,A_h,epsilon,c_l,k_l,L,mu_l,gamma_T,"
-                          "log_post,accepted")
+        with np.load(path) as arrays:
+            assert sorted(arrays.files) == ["accepted", "log_post", "samples"]
+            assert arrays["samples"].shape == (50, 8)
+            assert arrays["accepted"].dtype == bool
+        np.savez(path, samples=chain.samples, log_post=chain.log_post)
+        with pytest.raises(ValueError, match="unexpected chain arrays"):
+            load_chain(path)
 
 
 class TestMakeLogPosterior:

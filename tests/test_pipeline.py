@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +127,7 @@ class TestRunCalibration:
         out = Path(cfg.out_dir)
         for name in ("training_set.csv", "gp_length.json", "gp_depth.json",
                      "surrogate_quality.json", "sensitivity.json",
-                     "sensitivity.csv", "chain.csv", "posterior.json",
+                     "sensitivity.csv", "chain.npz", "posterior.json",
                      "validation_errors.json", "report.json"):
             assert (out / name).exists(), name
 
@@ -185,6 +188,33 @@ class TestRunCalibration:
         assert (_report_sans_timestamp(tmp_path / "whole" / "report.json")
                 == _report_sans_timestamp(tmp_path / "staged" / "report.json"))
 
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        """run-all in fresh processes at OPENBLAS_NUM_THREADS 1, 2 and unset.
+
+        The bundled design (N=130) is large enough for OpenBLAS to split
+        the GP fit's factorizations over two threads.
+        """
+        cfg = small_config(tmp_path / "unused", samples_per_condition=10,
+                           sa_n_base=1024, seed=0,
+                           mcmc=McmcConfig(steps=3_000, burn=1_000, thin=10,
+                                           adapt_start=1_000))
+        cfg_path = tmp_path / "cfg.json"
+        cfg.to_json(cfg_path)
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run([sys.executable, "-m", "meltcal.cli", "run-all",
+                            "--config", str(cfg_path), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            reports.append(_report_sans_timestamp(out / "report.json"))
+        assert reports[0] == reports[1] == reports[2]
+
     @pytest.mark.parametrize("sidecar", ["training_set.json", "chain.json"])
     def test_deleted_sidecar_recomputes_its_stage(self, small_run, tmp_path,
                                                   sidecar):
@@ -201,11 +231,11 @@ class TestRunCalibration:
         cfg, _ = small_run
         out = Path(cfg.out_dir)
         gp_before = (out / "gp_length.json").read_bytes()
-        chain_before = (out / "chain.csv").read_bytes()
-        (out / "chain.csv").unlink()
+        chain_before = (out / "chain.npz").read_bytes()
+        (out / "chain.npz").unlink()
         run_calibration(cfg)
         assert (out / "gp_length.json").read_bytes() == gp_before
-        assert (out / "chain.csv").read_bytes() == chain_before
+        assert (out / "chain.npz").read_bytes() == chain_before
 
     def test_stale_stage_recomputed_on_config_change(self, small_run, tmp_path):
         cfg, _ = small_run
@@ -371,6 +401,24 @@ class TestCli:
         assert result.exit_code == 1
         err = _stderr(result)
         assert err.startswith("error:config:") and key in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"samples_per_condition": True}, "samples_per_condition"),
+        ({"sa_n_base": "4096"}, "sa_n_base"),
+        ({"mcmc": {"steps": 2e4}}, "mcmc.steps"),
+        ({"mcmc": {"thin": None}}, "mcmc.thin"),
+    ])
+    def test_mistyped_config_reports_config_error(self, tmp_path, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
+                                               "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        err = _stderr(result)
+        assert err.startswith(f"error:config: {key} must be an integer"), err
         assert not (tmp_path / "out").exists()
 
     def test_env_var_overrides_out_dir(self, tmp_path):

@@ -6,17 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from meltcal.domain import RandomStream, prior_from_table2
+from meltcal.doe import build_training_set
+from meltcal.domain import (
+    RandomStream,
+    bundled_dataset_path,
+    load_dataset,
+    prior_from_table2,
+)
+from meltcal.forward import reduced_model
 from meltcal.sensitivity import (
+    QUADRATURE_MIN_ELL,
     SensitivityReport,
     UndefinedStatisticError,
+    _factor_moments,
+    gp_mean_sobol,
     load_report,
     pcc,
+    sa_on_surrogate,
     save_report,
     sobol_indices,
     srcc,
 )
+from meltcal.surrogate import ConditionedGp, fit_gp
 
 PRIOR = prior_from_table2()
 
@@ -165,6 +178,100 @@ class TestSobolIndices:
             sobol_indices(lambda u: u[:, 0], lower, upper, 300, RandomStream(0))
 
 
+def _tensor_grid_sobol(x, ell, v, nodes=64):
+    """Brute-force V_i / V and V_Ti / V of f(t) = sum_j v_j prod_k g_jk(t_k)
+    over [0, 1]^3, on a Gauss-Legendre tensor grid.  V_Ti centres f along
+    axis i itself, so a near-zero total does not come from a difference of
+    two large variances."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    g = [np.exp(-0.5 * ((t[None, :] - x[:, k, None]) / ell[k]) ** 2) for k in range(3)]
+    f = np.einsum("j,ja,jb,jc->abc", v, *g)
+    weights = [w[:, None, None], w[None, :, None], w[None, None, :]]
+    mean = np.einsum("abc,a,b,c->", f, w, w, w)
+    var = np.einsum("abc,a,b,c->", (f - mean) ** 2, w, w, w)
+    main, total = np.empty(3), np.empty(3)
+    for i in range(3):
+        others = tuple(k for k in range(3) if k != i)
+        cond = (f * weights[others[0]] * weights[others[1]]).sum(axis=others)
+        main[i] = (w * (cond - mean) ** 2).sum() / var
+        centred = f - (f * weights[i]).sum(axis=i, keepdims=True)
+        total[i] = np.einsum("abc,a,b,c->", centred**2, w, w, w) / var
+    return main, total
+
+
+class TestGpMeanSobol:
+    def test_matches_tensor_grid(self):
+        rng = RandomStream(21).generator()
+        x = rng.random((25, 3))
+        ell = np.array([0.1, 1.0, 1e3])
+        v = rng.normal(0.0, 300.0, 25)
+        main, total = gp_mean_sobol(x, ell, v, np.zeros(3), np.ones(3))
+        ref_main, ref_total = _tensor_grid_sobol(x, ell, v)
+        assert ref_total[2] < 1e-9  # the near-zero index is checked too
+        np.testing.assert_allclose(main, ref_main, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(total, ref_total, rtol=1e-6, atol=0)
+
+    def test_box_and_affine_map(self):
+        rng = RandomStream(22).generator()
+        x = rng.random((12, 3))
+        ell = np.array([0.3, 0.7, 2.0])
+        v = rng.normal(0.0, 1.0, 12)
+        lower, upper = np.array([1.0, -2.0, 10.0]), np.array([3.0, 0.0, 20.0])
+        span = upper - lower
+        raw = gp_mean_sobol(lower + x * span, ell * span, 5.0 * v, lower, upper)
+        unit = gp_mean_sobol(x, ell, v, np.zeros(3), np.ones(3))
+        for got, want in zip(raw, unit):
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("ell", [1e-3, 1e-2, 0.049])
+    def test_erf_moments_match_quad(self, ell):
+        assert ell < QUADRATURE_MIN_ELL
+        x = np.array([0.0, 0.5 * ell, 0.4, 0.4 + 2.0 * ell, 1.0])
+        a, b, c = _factor_moments(x, ell, 0.0, 1.0)
+
+        def integral(fn, *peaks):
+            return quad(fn, 0.0, 1.0, points=peaks, epsabs=0.0, epsrel=1e-13,
+                        limit=500)[0]
+
+        def g(j):
+            return lambda t: np.exp(-0.5 * ((t - x[j]) / ell) ** 2)
+
+        a_ref = [integral(g(j), x[j]) for j in range(x.size)]
+        np.testing.assert_allclose(a, a_ref, rtol=1e-9)
+        for j in range(x.size):
+            for k in range(x.size):
+                peaks = (x[j], x[k], 0.5 * (x[j] + x[k]))
+                b_ref = integral(lambda t: g(j)(t) * g(k)(t), *peaks)
+                c_ref = integral(lambda t: (g(j)(t) - a_ref[j]) * (g(k)(t) - a_ref[k]),
+                                 *peaks)
+                assert b[j, k] == pytest.approx(b_ref, rel=1e-9, abs=0.0)
+                assert c[j, k] == pytest.approx(c_ref, rel=1e-7, abs=0.0)
+
+    def test_constant_mean_rejected(self):
+        with pytest.raises(UndefinedStatisticError):
+            gp_mean_sobol(np.full((3, 2), 0.5), np.ones(2), np.zeros(3),
+                          np.zeros(2), np.ones(2))
+
+    def test_bundled_surrogates_match_saltelli(self):
+        dataset = load_dataset(bundled_dataset_path())
+        ts = build_training_set(dataset, PRIOR, 10, reduced_model(), RandomStream(0))
+        gps = (fit_gp(ts, "length", RandomStream(1)), fit_gp(ts, "depth", RandomStream(2)))
+        report = sa_on_surrogate(*gps, dataset, PRIOR, 256, RandomStream(3))
+        for col, gp in enumerate(gps):
+            cgp = ConditionedGp.build(gp, dataset.design_matrix())
+
+            def f(thetas):  # in chunks: an 8192-row call holds a 68 MB tensor
+                return np.concatenate([cgp.averaged_mean(thetas[i:i + 4096])
+                                       for i in range(0, len(thetas), 4096)])
+
+            mc = sobol_indices(f, PRIOR.lower(), PRIOR.upper(), 8192,
+                               RandomStream(30 + col))
+            assert np.all(np.abs(report.sobol_main[:, col] - mc.main) <= 4 * mc.main_se)
+            assert np.all(np.abs(report.sobol_total[:, col] - mc.total)
+                          <= 4 * mc.total_se)
+
+
 class TestReportSerialization:
     def test_csv_layout(self, tmp_path):
         d = 8
@@ -173,7 +280,6 @@ class TestReportSerialization:
             outputs=("length", "depth"),
             pcc=np.zeros((d, 2)), srcc=np.zeros((d, 2)),
             sobol_main=np.zeros((d, 2)), sobol_total=np.zeros((d, 2)),
-            sobol_main_se=np.zeros((d, 2)), sobol_total_se=np.zeros((d, 2)),
             n_base=256)
         jpath, cpath = tmp_path / "sa.json", tmp_path / "sa.csv"
         save_report(report, jpath, cpath)
@@ -188,8 +294,7 @@ class TestReportSerialization:
             parameters=tuple(f"p{i}" for i in range(d)),
             outputs=("length", "depth"),
             **{name: rng.random((d, 2)) for name in (
-                "pcc", "srcc", "sobol_main", "sobol_total",
-                "sobol_main_se", "sobol_total_se")},
+                "pcc", "srcc", "sobol_main", "sobol_total")},
             n_base=512, aggregation="mean over conditions")
         path = tmp_path / "sa.json"
         save_report(report, path)
