@@ -5,8 +5,8 @@ main/total indices of the surrogate mean in closed form: the SE-kernel
 GP mean is a weighted sum of products of 1-d Gaussians, so every
 variance the indices need is a sum over training pairs of products of
 1-d integrals (Oakley & O'Hagan 2004; Marrel et al. 2009).  For any
-function, the Saltelli two-matrix scheme (first-order estimator for S_i,
-Jansen estimator for T_i) with bootstrap standard errors.
+function, the Saltelli two-matrix scheme (first-order estimator for S_i
+with f_B centred, Jansen estimator for T_i) with bootstrap standard errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import erf, erfc
-from scipy.stats import rankdata
 
 from .blas import one_blas_thread
 from .domain import ExperimentalDataset, PARAM_NAMES, PriorSpec, RandomStream
@@ -67,9 +66,28 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
     return float(cov / (sx * sy))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d sample, ties sharing their average rank.
+
+    ``scipy.stats.rankdata`` with its defaults, NaN propagating to every
+    rank, without importing ``scipy.stats``.
+    """
+    x = np.asarray(x, float).ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]      # each tie group's first place
+    group = np.cumsum(first)                    # 1-based tie group, sorted order
+    bounds = np.r_[np.flatnonzero(first), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group - 1] + 1)
+    return ranks
+
+
 def srcc(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation: Pearson on average ranks."""
-    return pcc(rankdata(x), rankdata(y))
+    return pcc(_average_ranks(x), _average_ranks(y))
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,11 @@ class SobolResult:
 
 def _sobol_estimates(f_a: np.ndarray, f_b: np.ndarray,
                      f_abi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    var = np.concatenate([f_a, f_b]).var(ddof=0)
-    main = (f_b[:, None] * (f_abi - f_a[:, None])).mean(axis=0) / var
+    pooled = np.concatenate([f_a, f_b])
+    var = pooled.var(ddof=0)
+    # centred f_B: uncentred, the estimator's variance grows with mean(f)^2
+    main = (((f_b - pooled.mean())[:, None] * (f_abi - f_a[:, None])).mean(axis=0)
+            / var)
     total = ((f_a[:, None] - f_abi) ** 2).mean(axis=0) / (2.0 * var)
     return main, total
 

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 
 from .blas import one_blas_thread
 from .doe import AffineMap, TrainingSet, latin_hypercube
-from .domain import RandomStream
+from .domain import PARAM_NAMES, RandomStream
 
 __all__ = [
     "IllConditionedError",
@@ -83,7 +83,12 @@ class GpSurrogate:
         if not np.all(np.isfinite(x_raw)):
             raise ValueError("prediction inputs must be finite")
         xs = self.input_map.forward(x_raw)
-        k_star = _se_kernel(xs, self.x, self.sf2, self.ell)
+        # The SE kernel factors over inputs: the design block's factor
+        # (with sf2) times the parameters'.  ConditionedGp stores the first
+        # factor, so its kernel rows and means are bitwise these.
+        m = max(xs.shape[1] - len(PARAM_NAMES), 0)
+        k_star = (_se_kernel(xs[:, :m], self.x[:, :m], self.sf2, self.ell[:m])
+                  * _se_kernel(xs[:, m:], self.x[:, m:], 1.0, self.ell[m:]))
         # A fixed-order per-row dot, not a BLAS matrix-vector product: gemv
         # rounds a row by where it sits in the batch, and the large weights
         # of a near-singular kernel matrix magnify that into the mean.
@@ -100,31 +105,23 @@ class ConditionedGp:
     """A GpSurrogate with its leading (design) inputs held at fixed rows.
 
     Sensitivity analysis and calibration vary theta only, at the dataset's
-    fixed design rows d_c.  Everything that depends on the design rows
-    alone is computed once here instead of on every call: their scaled
-    differences to the training inputs, the inverse Cholesky factor, and
-    the condition-averaged weights.  ``predict`` is the one-output case
-    of ``ConditionedGpStack.predict``, the path the calibration chain
-    takes.  Every per-call reduction is a fixed-order per-row einsum or
-    one fixed-shape matrix-vector product per row, and the averaged
-    weights are exact sums, so a result does not depend on the batch it
-    comes in or on the order of the fixed rows.
+    fixed design rows d_c.  The SE kernel factors over inputs, so
+    everything that depends on the design rows alone is computed once here
+    instead of on every call: the design factor of each kernel row, the
+    inverse Cholesky factor, and the condition-averaged weights.
+    ``predict`` is the one-output case of ``ConditionedGpStack.predict``,
+    the path the calibration chain takes.  Every per-call reduction is a
+    fixed-order per-row einsum or one fixed-shape matrix-vector product
+    per row, and the averaged weights are exact sums, so a result does not
+    depend on the batch it comes in or on the order of the fixed rows.
     """
 
     gp: GpSurrogate
     m: int                   # number of design inputs, leading in gp.x
-    d_rows: np.ndarray       # (C, N, d) scaled differences; theta part 0
+    kd: np.ndarray           # (C, N) sf2 Kd(d_c, x_j), the design factor
     theta_map: AffineMap     # raw theta -> [0, 1]
     linv_t: np.ndarray       # (N, N) transpose of the inverse of gp.chol
-    v: np.ndarray            # (N,) weights * mean over rows of Kd
-
-    @staticmethod
-    def _se_scaled(d: np.ndarray, sf2: float) -> np.ndarray:
-        """SE kernel from scaled differences d[i, j, k] = (x1_ik - x2_jk) / ell_k.
-
-        The same operations as ``_se_kernel``, so kernel rows agree bitwise.
-        """
-        return sf2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
+    v: np.ndarray            # (N,) weights * mean over rows of kd
 
     @classmethod
     @one_blas_thread()
@@ -134,15 +131,13 @@ class ConditionedGp:
         m = designs.shape[1]
         lo, hi = gp.input_map.lo, gp.input_map.hi
         ds = AffineMap(lo=lo[:m], hi=hi[:m]).forward(designs)
-        d_rows = np.zeros((ds.shape[0],) + gp.x.shape)
-        d_rows[:, :, :m] = (ds[:, None, :] - gp.x[None, :, :m]) / gp.ell[:m]
-        # The SE kernel factors over inputs: k = sf2 Kd(d_c) Ktheta(theta).
+        # k = sf2 Kd(d_c) Ktheta(theta), the same factors as gp.predict's.
         # Averaged over the rows, the mean is then Ktheta . v.  Exact column
         # sums keep v independent of the order of the rows.
-        kd = cls._se_scaled(d_rows[:, :, :m], gp.sf2)
+        kd = _se_kernel(ds, gp.x[:, :m], gp.sf2, gp.ell[:m])
         kd_mean = np.array([math.fsum(col) for col in kd.T]) / kd.shape[0]
         linv = solve_triangular(gp.chol, np.eye(gp.chol.shape[0]), lower=True)
-        return cls(gp=gp, m=m, d_rows=d_rows,
+        return cls(gp=gp, m=m, kd=kd,
                    theta_map=AffineMap(lo=lo[m:], hi=hi[m:]),
                    linv_t=np.ascontiguousarray(linv.T), v=gp.weights * kd_mean)
 
@@ -161,7 +156,8 @@ class ConditionedGp:
         Equals the mean over rows c of ``gp.predict([d_c, theta])[0]`` up
         to rounding; no variance is formed.
         """
-        k_theta = self._se_scaled(self._scaled_theta(thetas), 1.0)
+        d = self._scaled_theta(thetas)
+        k_theta = np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
         mean_std = np.einsum("ij,j->i", k_theta, self.v)
         return self.gp.y_mean + self.gp.y_scale * mean_std
 
@@ -191,8 +187,7 @@ class ConditionedGpStack:
     output's mean and variance are bitwise those of its own ``predict``.
     """
 
-    m: int
-    d_rows: np.ndarray       # (O, C, N, d) scaled differences; theta part 0
+    kd: np.ndarray           # (O, C, N) design factors of the kernel rows
     x_theta: np.ndarray      # (O, N, p) theta part of each gp.x
     ell_theta: np.ndarray    # (O, 1, p) theta length scales
     lo: np.ndarray           # (O, p) theta map
@@ -206,7 +201,7 @@ class ConditionedGpStack:
 
     @classmethod
     def build(cls, cgps: Sequence[ConditionedGp]) -> "ConditionedGpStack":
-        if len({(c.m,) + c.d_rows.shape for c in cgps}) != 1:
+        if len({(c.m,) + c.gp.x.shape + c.kd.shape for c in cgps}) != 1:
             raise ValueError("stacked GPs need the same number of design "
                              "inputs, design rows and training points")
         m = cgps[0].m
@@ -215,7 +210,7 @@ class ConditionedGpStack:
         def column(values):
             return np.array([[v] for v in values])
 
-        return cls(m=m, d_rows=np.stack([c.d_rows for c in cgps]),
+        return cls(kd=np.stack([c.kd for c in cgps]),
                    x_theta=np.stack([gp.x[:, m:] for gp in gps]),
                    ell_theta=np.stack([gp.ell[None, m:] for gp in gps]),
                    lo=np.stack([c.theta_map.lo for c in cgps]),
@@ -233,9 +228,9 @@ class ConditionedGpStack:
         if not np.isfinite(theta).all():
             raise ValueError("prediction inputs must be finite")
         ts = (theta - self.lo) / self.span
-        d = self.d_rows.copy()
-        d[..., self.m:] = ((ts[:, None, :] - self.x_theta) / self.ell_theta)[:, None]
-        return self.sf2[:, :, None] * np.exp(-0.5 * np.einsum("oijk,oijk->oij", d, d))
+        d = (ts[:, None, :] - self.x_theta) / self.ell_theta
+        # one theta factor per training point serves every design row
+        return self.kd * np.exp(-0.5 * np.einsum("ojk,ojk->oj", d, d))[:, None]
 
     def _mean(self, k_star: np.ndarray) -> np.ndarray:
         mean_std = np.einsum("oij,oj->oi", k_star, self.weights)

@@ -1,6 +1,10 @@
 """Correlation coefficients and Sobol indices."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from meltcal import sensitivity
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     RandomStream,
@@ -20,6 +25,7 @@ from meltcal.sensitivity import (
     QUADRATURE_MIN_ELL,
     SensitivityReport,
     UndefinedStatisticError,
+    _average_ranks,
     _factor_moments,
     gp_mean_sobol,
     load_report,
@@ -108,6 +114,29 @@ class TestSrcc:
         y = rng.random(30)
         assert srcc(np.exp(3.0 * x), y) == pytest.approx(srcc(x, y), abs=1e-12)
 
+    def test_average_ranks_equal_scipy_rankdata(self):
+        from scipy.stats import rankdata
+        rng = RandomStream(6).generator()
+        for k in range(3000):
+            n = int(rng.integers(1, 80))
+            if k % 2:  # many ties: a few distinct values
+                x = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+            else:
+                x = rng.standard_normal(n)
+            assert np.array_equal(_average_ranks(x), rankdata(x))
+        for x in ([], [2.0, np.nan, 1.0], [-0.0, 0.0, np.inf, -np.inf]):
+            np.testing.assert_array_equal(_average_ranks(x), rankdata(x))
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        """scipy.stats takes about a third of the CLI's import time."""
+        src = str(Path(sensitivity.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, meltcal.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "False"
+
 
 def _box(d):
     return np.zeros(d), np.ones(d)
@@ -169,6 +198,22 @@ class TestSobolIndices:
         big = sobol_indices(f, lower, upper, 4096, RandomStream(5))
         ratio = small.main_se.mean() / big.main_se.mean()
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.30)
+
+    def test_independent_of_output_offset(self):
+        """An output far from zero gives the indices and SEs of the same
+        output centred: f_B enters the main estimator centred."""
+        lower, upper = np.full(3, -np.pi), np.full(3, np.pi)
+
+        def ishigami(x):
+            return (np.sin(x[:, 0]) + 7.0 * np.sin(x[:, 1]) ** 2
+                    + 0.1 * x[:, 2] ** 4 * np.sin(x[:, 0]))
+
+        plain = sobol_indices(ishigami, lower, upper, 4096, RandomStream(7))
+        offset = sobol_indices(lambda x: ishigami(x) + 1e3, lower, upper, 4096,
+                               RandomStream(7))
+        for field in ("main", "total", "main_se", "total_se"):
+            np.testing.assert_allclose(getattr(offset, field),
+                                       getattr(plain, field), rtol=0, atol=1e-9)
 
     def test_n_base_validation(self):
         lower, upper = _box(2)

@@ -189,6 +189,22 @@ class TestConditionedGp:
                 np.testing.assert_allclose(var, ref_var, rtol=1e-6, atol=0)
                 assert np.all(np.abs(var - ref_var) <= 1e-12 * gp.sf2 * gp.y_scale**2)
 
+    def test_kernel_rows_close_to_the_full_kernel(self, setup):
+        """The stored design factor times the theta factor against the SE
+        kernel over all inputs at once: the product rounds differently,
+        by a few ulp in the rows and far less than the mean's scale."""
+        gps, designs, thetas = setup
+        stack = ConditionedGpStack.build([ConditionedGp.build(gp, designs)
+                                          for gp in gps])
+        for t in thetas:
+            rows, mean = stack._kernel_rows(t), stack.mean(t)
+            for o, gp in enumerate(gps):
+                xs = gp.input_map.forward(self.stacked(designs, t))
+                k_full = _se_kernel(xs, gp.x, gp.sf2, gp.ell)
+                np.testing.assert_allclose(rows[o], k_full, rtol=2e-15, atol=0)
+                mean_full = gp.y_mean + gp.y_scale * (k_full @ gp.weights)
+                np.testing.assert_allclose(mean[o], mean_full, rtol=1e-9, atol=0)
+
     def test_independent_of_row_order_and_batch(self, setup):
         gps, designs, thetas = setup
         perm = RandomStream(22).generator().permutation(designs.shape[0])
