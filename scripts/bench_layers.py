@@ -7,8 +7,10 @@ as the pipeline does by default), then times, per call:
 * the GP negative log marginal likelihood and its gradient, as the
   optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
   design (N=130) and of a design with 20 samples per condition (N=260);
-* the conditioned GPs' predict at an in-box theta, both outputs in one
-  ``ConditionedGpStack.predict`` as the log posterior makes it;
+* the conditioned GPs' two callers: ``ConditionedGp.predict`` at an
+  in-box theta, both outputs in one call as the log posterior makes it,
+  and ``ConditionedGp.averaged_mean`` of one output on a 1024-row batch of
+  prior draws, the chunk sensitivity analysis takes;
 * the log posterior at an in-box and an out-of-box theta, through the
   closure the sampler calls;
 * the adaptive-Metropolis loop's own cost per step, on an 8-d standard
@@ -39,7 +41,6 @@ from meltcal.domain import (
 )
 from meltcal.forward import reduced_model
 from meltcal.inference import (
-    FixedTerms,
     LikelihoodConfig,
     PosteriorChain,
     adaptive_metropolis,
@@ -47,7 +48,7 @@ from meltcal.inference import (
     make_log_posterior,
     save_chain,
 )
-from meltcal.surrogate import _nlml_and_grad, _PairDistances, fit_gp
+from meltcal.surrogate import ConditionedGp, _nlml_and_grad, _PairDistances, fit_gp
 
 
 def per_call_us(fn, calls: int, repeats: int) -> float:
@@ -94,7 +95,10 @@ def main() -> None:
     inbox = prior.nominal()
     outbox = inbox.copy()
     outbox[0] = 2.0 * prior.upper()[0]
-    stack = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior).gps
+    both = ConditionedGp.build(gps, dataset.design_matrix())
+    length = ConditionedGp.build(gps[:1], dataset.design_matrix())
+    chunk = prior.lower() + (RandomStream(5).generator().random((1024, 8))
+                             * (prior.upper() - prior.lower()))
     target = make_log_posterior(dataset, *gps, LikelihoodConfig(), prior)
     ts_dense = build_training_set(dataset, prior, 20, reduced_model(),
                                   RandomStream(0))
@@ -102,7 +106,9 @@ def main() -> None:
         "nlml_n130_us": nlml_us(ts, gps[0], repeats),
         "nlml_n260_us": nlml_us(ts_dense, fit_gp(ts_dense, "length",
                                                  RandomStream(1)), repeats),
-        "predict_both_us": per_call_us(lambda: stack.predict(inbox), 2000, repeats),
+        "predict_both_us": per_call_us(lambda: both.predict(inbox), 2000, repeats),
+        "averaged_mean_1k_us": per_call_us(lambda: length.averaged_mean(chunk),
+                                           20, repeats),
         "logpost_inbox_us": per_call_us(lambda: target(inbox), 2000, repeats),
         "logpost_outbox_us": per_call_us(lambda: target(outbox), 20000, repeats),
     }

@@ -15,12 +15,11 @@ import sys
 from pathlib import Path
 
 from meltcal.domain import (
-    ExperimentRow,
-    ExperimentalDataset,
     PARAM_NAMES,
     bundled_dataset_path,
     load_dataset,
     prior_from_table2,
+    synthetic_dataset,
     write_dataset,
 )
 from meltcal.forward import reduced_model
@@ -34,15 +33,9 @@ def main() -> None:
 
     prior = prior_from_table2()
     truth = dataclasses.replace(prior.nominal_params(), alpha=0.20)
-    model = reduced_model()
     base = load_dataset(bundled_dataset_path())  # reuse the bundled laser schedules
-    rows = []
-    for row in base:
-        size = model(row.design, truth)
-        rows.append(ExperimentRow(index=row.index, design=row.design,
-                                  length=size.length, depth=size.depth))
     synth_path = out_dir / "synthetic_dataset.csv"
-    write_dataset(ExperimentalDataset(rows=tuple(rows)), synth_path)
+    write_dataset(synthetic_dataset(base, reduced_model(), truth), synth_path)
 
     cfg = RunConfig(dataset_path=str(synth_path), out_dir=str(out_dir),
                     seed=seed)

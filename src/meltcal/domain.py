@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "PARAM_SYMBOLS",
     "load_dataset",
     "write_dataset",
+    "synthetic_dataset",
     "bundled_dataset_path",
     "prior_from_table2",
     "in_support",
@@ -328,6 +329,30 @@ def write_dataset(dataset: ExperimentalDataset, path: str | Path) -> None:
             cells += [_fmt(r.length_sigma * 1e3), _fmt(r.depth_sigma * 1e3)]
         writer.writerow(cells)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def synthetic_dataset(base: ExperimentalDataset,
+                      model: Callable[[DesignVars, CalibrationParams], MeltPoolSize],
+                      theta: CalibrationParams, noise: float = 0.0,
+                      stream: RandomStream | None = None) -> ExperimentalDataset:
+    """``base``'s conditions with the pool sizes ``model`` gives at ``theta``.
+
+    ``model`` is a forward model, ``(DesignVars, CalibrationParams) ->
+    MeltPoolSize``.  With ``noise`` > 0 each size is scaled by
+    1 + noise * z, z standard normal from ``stream``, drawn row by row,
+    the length's before the depth's.
+    """
+    rng = stream.generator() if noise else None
+    rows = []
+    for row in base:
+        size = model(row.design, theta)
+        length, depth = size.length, size.depth
+        if noise:
+            length *= 1.0 + noise * rng.standard_normal()
+            depth *= 1.0 + noise * rng.standard_normal()
+        rows.append(ExperimentRow(index=row.index, design=row.design,
+                                  length=length, depth=depth))
+    return ExperimentalDataset(rows=tuple(rows))
 
 
 # Nominal values and multiplicative bounds for the 8 calibration parameters.

@@ -23,7 +23,7 @@ from .domain import (
     PriorSpec,
     RandomStream,
 )
-from .surrogate import ConditionedGp, ConditionedGpStack, GpSurrogate
+from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
     "LikelihoodConfig",
@@ -38,13 +38,14 @@ __all__ = [
     "autocorrelation",
     "effective_sample_size",
     "summarize",
-    "potential_scale_reduction",
     "save_chain",
     "load_chain",
 ]
 
 AM_SCALE = 2.38**2  # canonical adaptive-Metropolis proposal scaling / d
 AM_REGULARIZER = 1e-10
+# Fewest retained states that summarize accepts.
+MIN_RETAINED = 50
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class FixedTerms:
 
     lower: np.ndarray
     upper: np.ndarray
-    gps: ConditionedGpStack
+    gps: ConditionedGp
     y: np.ndarray
     s2: np.ndarray
     code_uncertainty: bool
@@ -102,34 +103,24 @@ class FixedTerms:
     def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
               gp_depth: GpSurrogate, cfg: LikelihoodConfig,
               prior: PriorSpec) -> "FixedTerms":
-        designs = dataset.design_matrix()
         cols = _output_columns(cfg)
-        gps = (gp_length, gp_depth)
-        stack = ConditionedGpStack.build([ConditionedGp.build(gps[c], designs)
-                                          for c in cols])
-        return cls(lower=prior.lower(), upper=prior.upper(), gps=stack,
+        gps = ConditionedGp.build([(gp_length, gp_depth)[c] for c in cols],
+                                  dataset.design_matrix())
+        return cls(lower=prior.lower(), upper=prior.upper(), gps=gps,
                    y=dataset.measurements().T[cols],
                    s2=(experimental_sigmas(dataset, cfg) ** 2).T[cols],
                    code_uncertainty=cfg.include_code_uncertainty)
 
 
-def log_posterior(theta: np.ndarray, dataset: ExperimentalDataset,
-                  gp_length: GpSurrogate, gp_depth: GpSurrogate,
-                  cfg: LikelihoodConfig, prior: PriorSpec, *,
-                  fixed: FixedTerms | None = None) -> float:
+def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
     """Unnormalized log posterior at an 8-vector (raw units).
 
     -inf outside the prior box; inside, a diagonal Gaussian over the
-    stacked residuals with variance sigma_exp^2 + var_GP.  The value does
-    not depend on the order of the dataset's rows: each row's terms are
-    computed independently of the others and summed exactly.
-
-    ``fixed`` holds the terms that do not depend on theta; it must come
-    from ``FixedTerms.build`` on the same arguments, and is built here
-    when omitted.  ``make_log_posterior`` builds it once per chain.
+    stacked residuals with variance sigma_exp^2 + var_GP.  ``fixed`` holds
+    the terms that do not depend on theta (``FixedTerms.build``).  The
+    value does not depend on the order of the dataset's rows: each row's
+    terms are computed independently of the others and summed exactly.
     """
-    if fixed is None:
-        fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
     theta = np.asarray(theta, float)
     # most proposals land outside the box; a NaN passes this test and
     # raises in predict
@@ -156,8 +147,7 @@ def make_log_posterior(dataset: ExperimentalDataset, gp_length: GpSurrogate,
     fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
 
     def target(theta: np.ndarray) -> float:
-        return log_posterior(theta, dataset, gp_length, gp_depth, cfg, prior,
-                             fixed=fixed)
+        return log_posterior(theta, fixed)
 
     return target
 
@@ -329,8 +319,8 @@ def summarize(chain: PosteriorChain) -> PosteriorSummary:
     """Moments, equal-tailed 95% intervals, ESS, and cross-correlations."""
     x = chain.samples
     n, d = x.shape
-    if n < 50:
-        raise ValueError(f"need at least 50 retained samples, got {n}")
+    if n < MIN_RETAINED:
+        raise ValueError(f"need at least {MIN_RETAINED} retained samples, got {n}")
     mean = x.mean(axis=0)
     std = x.std(axis=0, ddof=1)
     ci_lo = np.quantile(x, 0.025, axis=0)
@@ -348,27 +338,6 @@ def summarize(chain: PosteriorChain) -> PosteriorSummary:
     return PosteriorSummary(parameters=names, mean=mean, std=std,
                             ci_lower=ci_lo, ci_upper=ci_hi, ess=ess,
                             correlation=corr, retained=n)
-
-
-def potential_scale_reduction(chains: list[PosteriorChain]) -> np.ndarray:
-    """Gelman-Rubin R-hat per parameter over independent same-length chains.
-
-    Values near 1 indicate between-chain agreement; > 1.1 is the usual
-    convergence warning threshold.
-    """
-    if len(chains) < 2:
-        raise ValueError("need at least 2 chains")
-    n = chains[0].steps
-    if n < 2 or any(c.steps != n for c in chains):
-        raise ValueError("chains must share a common length >= 2")
-    x = np.stack([c.samples for c in chains])     # (m, n, d)
-    means = x.mean(axis=1)                        # (m, d)
-    w = x.var(axis=1, ddof=1).mean(axis=0)        # within-chain variance
-    b = n * means.var(axis=0, ddof=1)             # between-chain variance
-    var_plus = (n - 1) / n * w + b / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhat = np.sqrt(var_plus / w)
-    return np.where(w > 0, rhat, 1.0)
 
 
 _CHAIN_ARRAYS = ("samples", "log_post", "accepted")

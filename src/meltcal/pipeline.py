@@ -98,6 +98,11 @@ class McmcConfig:
             raise ValueError("need steps > adapt_start >= 100")
         if self.burn >= self.steps:
             raise ValueError("burn must be smaller than steps")
+        retained = len(range(self.burn, self.steps, self.thin))
+        if retained < inference.MIN_RETAINED:
+            raise ValueError(
+                f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states; "
+                f"need at least {inference.MIN_RETAINED}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,7 @@ class RunConfig:
             raise FileNotFoundError(f"dataset not found: {self.dataset_path}")
         if self.samples_per_condition < 2:
             raise ValueError("samples_per_condition must be >= 2")
+        sensitivity._check_n_base(self.sa_n_base, "sa_n_base")
 
     def to_dict(self) -> dict:
         doc = {

@@ -110,9 +110,9 @@ def _sobol_estimates(f_a: np.ndarray, f_b: np.ndarray,
     return main, total
 
 
-def _check_n_base(n_base: int) -> None:
+def _check_n_base(n_base: int, name: str = "n_base") -> None:
     if n_base < 256 or n_base & (n_base - 1):
-        raise ValueError("n_base must be a power of two >= 256")
+        raise ValueError(f"{name} must be a power of two >= 256, got {n_base}")
 
 
 def sobol_indices(f: Callable[[np.ndarray], np.ndarray], lower: np.ndarray,
@@ -260,18 +260,18 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
     r_pcc, r_srcc = np.empty(shape), np.empty(shape)
     s_main, s_total = np.empty(shape), np.empty(shape)
     for col, (name, gp) in enumerate(gps.items()):
-        cgp = ConditionedGp.build(gp, designs)
+        cgp = ConditionedGp.build([gp], designs)
         # the averaged mean is y_mean + y_scale * sum_j v_j prod_k g_jk(t_k)
         # in the GP's theta coordinates t
         s_main[:, col], s_total[:, col] = gp_mean_sobol(
-            gp.x[:, cgp.m:], gp.ell[cgp.m:], cgp.v,
-            cgp.theta_map.forward(prior.lower()),
-            cgp.theta_map.forward(prior.upper()))
+            cgp.x_theta[0], cgp.ell_theta[0, 0], cgp.v[0],
+            (prior.lower() - cgp.lo[0]) / cgp.span[0],
+            (prior.upper() - cgp.lo[0]) / cgp.span[0])
         rng = stream.split(col + 1).split(99).generator()
         a = prior.lower() + rng.random((n_base, n_params)) * (prior.upper() - prior.lower())
         # in chunks, with the same bits: the mean is computed per row, and
         # one 4096-row call would hold a 34 MB difference tensor
-        f_a = np.concatenate([cgp.averaged_mean(a[i:i + 1024])
+        f_a = np.concatenate([cgp.averaged_mean(a[i:i + 1024])[0]
                               for i in range(0, n_base, 1024)])
         for i in range(n_params):
             r_pcc[i, col] = pcc(a[:, i], f_a)

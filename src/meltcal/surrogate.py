@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "IllConditionedError",
     "GpSurrogate",
     "ConditionedGp",
-    "ConditionedGpStack",
     "fit_gp",
     "loocv_q2",
     "save_gp",
@@ -102,135 +100,95 @@ class GpSurrogate:
 
 @dataclass(frozen=True)
 class ConditionedGp:
-    """A GpSurrogate with its leading (design) inputs held at fixed rows.
+    """GpSurrogates with their leading (design) inputs held at fixed rows.
 
     Sensitivity analysis and calibration vary theta only, at the dataset's
     fixed design rows d_c.  The SE kernel factors over inputs, so
     everything that depends on the design rows alone is computed once here
     instead of on every call: the design factor of each kernel row, the
-    inverse Cholesky factor, and the condition-averaged weights.
-    ``predict`` is the one-output case of ``ConditionedGpStack.predict``,
-    the path the calibration chain takes.  Every per-call reduction is a
-    fixed-order per-row einsum or one fixed-shape matrix-vector product
-    per row, and the averaged weights are exact sums, so a result does not
-    depend on the batch it comes in or on the order of the fixed rows.
+    inverse Cholesky factor, and the condition-averaged weights.  The GPs
+    share their numbers of inputs and training points, so these arrays
+    stack along a leading output axis and one numpy call serves every
+    output; SA builds one output at a time, the calibration likelihood all
+    that it selects.  Every per-call reduction is elementwise, a
+    fixed-order per-row einsum or one fixed-shape matrix-vector product per
+    row, and the averaged weights are exact sums, so an output's result
+    does not depend on the other outputs, on the batch it comes in or on
+    the order of the fixed rows.
     """
 
-    gp: GpSurrogate
-    m: int                   # number of design inputs, leading in gp.x
-    kd: np.ndarray           # (C, N) sf2 Kd(d_c, x_j), the design factor
-    theta_map: AffineMap     # raw theta -> [0, 1]
-    linv_t: np.ndarray       # (N, N) transpose of the inverse of gp.chol
-    v: np.ndarray            # (N,) weights * mean over rows of kd
-
-    @classmethod
-    @one_blas_thread()
-    def build(cls, gp: GpSurrogate, designs: np.ndarray) -> "ConditionedGp":
-        """Condition ``gp`` on the raw (C, m) design rows ``designs``."""
-        designs = np.atleast_2d(np.asarray(designs, dtype=float))
-        m = designs.shape[1]
-        lo, hi = gp.input_map.lo, gp.input_map.hi
-        ds = AffineMap(lo=lo[:m], hi=hi[:m]).forward(designs)
-        # k = sf2 Kd(d_c) Ktheta(theta), the same factors as gp.predict's.
-        # Averaged over the rows, the mean is then Ktheta . v.  Exact column
-        # sums keep v independent of the order of the rows.
-        kd = _se_kernel(ds, gp.x[:, :m], gp.sf2, gp.ell[:m])
-        kd_mean = np.array([math.fsum(col) for col in kd.T]) / kd.shape[0]
-        linv = solve_triangular(gp.chol, np.eye(gp.chol.shape[0]), lower=True)
-        return cls(gp=gp, m=m, kd=kd,
-                   theta_map=AffineMap(lo=lo[m:], hi=hi[m:]),
-                   linv_t=np.ascontiguousarray(linv.T), v=gp.weights * kd_mean)
-
-    def _scaled_theta(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if not np.all(np.isfinite(thetas)):
-            raise ValueError("prediction inputs must be finite")
-        ts = self.theta_map.forward(thetas)
-        d = ts[:, None, :] - self.gp.x[None, :, self.m:]
-        d /= self.gp.ell[self.m:]  # in place: an SA batch makes d ~34 MB
-        return d
-
-    def averaged_mean(self, thetas: np.ndarray) -> np.ndarray:
-        """(n,) predictive mean (m) averaged over the fixed rows, per theta.
-
-        Equals the mean over rows c of ``gp.predict([d_c, theta])[0]`` up
-        to rounding; no variance is formed.
-        """
-        d = self._scaled_theta(thetas)
-        k_theta = np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
-        mean_std = np.einsum("ij,j->i", k_theta, self.v)
-        return self.gp.y_mean + self.gp.y_scale * mean_std
-
-    @cached_property
-    def _stack(self) -> "ConditionedGpStack":
-        return ConditionedGpStack.build([self])
-
-    def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(C,) predictive mean (m) and variance (m^2) at [d_c, theta].
-
-        The kernel row and the mean are bitwise those of ``gp.predict`` on
-        the stacked rows; the variance agrees with it up to rounding.
-        """
-        mean, var = self._stack.predict(theta)
-        return mean[0], var[0]
-
-
-@dataclass(frozen=True)
-class ConditionedGpStack:
-    """Several ConditionedGps predicted in one pass.
-
-    The calibration likelihood needs every output at each theta.  The
-    outputs' GPs have the same numbers of design rows and training points,
-    so their per-call arrays stack along a leading output axis and one
-    numpy call serves all of them.  ``ConditionedGp.predict`` is the
-    one-output case.  Every operation is elementwise or per row, so each
-    output's mean and variance are bitwise those of its own ``predict``.
-    """
-
-    kd: np.ndarray           # (O, C, N) design factors of the kernel rows
+    kd: np.ndarray           # (O, C, N) sf2 Kd(d_c, x_j), the design factors
     x_theta: np.ndarray      # (O, N, p) theta part of each gp.x
     ell_theta: np.ndarray    # (O, 1, p) theta length scales
-    lo: np.ndarray           # (O, p) theta map
+    lo: np.ndarray           # (O, p) theta map: raw theta -> [0, 1]
     span: np.ndarray         # (O, p)
     sf2: np.ndarray          # (O, 1)
     weights: np.ndarray      # (O, N)
-    linv_t: np.ndarray       # (O, N, N)
+    v: np.ndarray            # (O, N) weights * mean over rows of kd
+    linv_t: np.ndarray       # (O, N, N) transpose of the inverse of gp.chol
     y_mean: np.ndarray       # (O, 1)
     y_scale: np.ndarray      # (O, 1)
     y_scale2: np.ndarray     # (O, 1) y_scale**2, as predict squares it
 
     @classmethod
-    def build(cls, cgps: Sequence[ConditionedGp]) -> "ConditionedGpStack":
-        if len({(c.m,) + c.gp.x.shape + c.kd.shape for c in cgps}) != 1:
-            raise ValueError("stacked GPs need the same number of design "
-                             "inputs, design rows and training points")
-        m = cgps[0].m
-        gps = [c.gp for c in cgps]
-
-        def column(values):
-            return np.array([[v] for v in values])
-
-        return cls(kd=np.stack([c.kd for c in cgps]),
-                   x_theta=np.stack([gp.x[:, m:] for gp in gps]),
+    @one_blas_thread()
+    def build(cls, gps: Sequence[GpSurrogate],
+              designs: np.ndarray) -> "ConditionedGp":
+        """Condition each of ``gps`` on the raw (C, m) design rows ``designs``."""
+        if len({gp.x.shape for gp in gps}) != 1:
+            raise ValueError("conditioned GPs need the same numbers of inputs "
+                             "and training points")
+        designs = np.atleast_2d(np.asarray(designs, dtype=float))
+        m = designs.shape[1]
+        kd, v, linv_t = [], [], []
+        for gp in gps:
+            ds = AffineMap(lo=gp.input_map.lo[:m],
+                           hi=gp.input_map.hi[:m]).forward(designs)
+            # k = sf2 Kd(d_c) Ktheta(theta), the same factors as gp.predict's.
+            # Averaged over the rows, the mean is then Ktheta . v.  Exact
+            # column sums keep v independent of the order of the rows.
+            kd.append(_se_kernel(ds, gp.x[:, :m], gp.sf2, gp.ell[:m]))
+            kd_mean = np.array([math.fsum(col) for col in kd[-1].T]) / len(designs)
+            v.append(gp.weights * kd_mean)
+            linv_t.append(solve_triangular(gp.chol, np.eye(len(gp.x)), lower=True).T)
+        return cls(kd=np.stack(kd), x_theta=np.stack([gp.x[:, m:] for gp in gps]),
                    ell_theta=np.stack([gp.ell[None, m:] for gp in gps]),
-                   lo=np.stack([c.theta_map.lo for c in cgps]),
-                   span=np.stack([c.theta_map.hi - c.theta_map.lo for c in cgps]),
-                   sf2=column(gp.sf2 for gp in gps),
-                   weights=np.stack([gp.weights for gp in gps]),
-                   linv_t=np.stack([c.linv_t for c in cgps]),
-                   y_mean=column(gp.y_mean for gp in gps),
-                   y_scale=column(gp.y_scale for gp in gps),
-                   y_scale2=column(gp.y_scale**2 for gp in gps))
+                   lo=np.stack([gp.input_map.lo[m:] for gp in gps]),
+                   span=np.stack([gp.input_map.hi[m:] - gp.input_map.lo[m:]
+                                  for gp in gps]),
+                   sf2=np.array([[gp.sf2] for gp in gps]),
+                   weights=np.stack([gp.weights for gp in gps]), v=np.stack(v),
+                   linv_t=np.stack(linv_t),
+                   y_mean=np.array([[gp.y_mean] for gp in gps]),
+                   y_scale=np.array([[gp.y_scale] for gp in gps]),
+                   y_scale2=np.array([[gp.y_scale**2] for gp in gps]))
+
+    def _theta_factor(self, thetas: np.ndarray) -> np.ndarray:
+        """(..., O, N) theta factors Ktheta(theta, x_j) at a theta (p,) or
+        at each row of a batch (n, p)."""
+        thetas = np.asarray(thetas, dtype=float)
+        if not np.isfinite(thetas).all():
+            raise ValueError("prediction inputs must be finite")
+        ts = (thetas[..., None, :] - self.lo) / self.span
+        d = ts[..., None, :] - self.x_theta
+        d /= self.ell_theta  # in place: an SA batch makes d ~8 MB per 1k rows
+        return np.exp(-0.5 * np.einsum("...k,...k->...", d, d))
+
+    def averaged_mean(self, thetas: np.ndarray) -> np.ndarray:
+        """(O, n) predictive means (m) averaged over the fixed rows, per
+        theta in an (n, p) batch or a single theta.
+
+        Equals the mean over rows c of ``gp.predict([d_c, theta])[0]`` up
+        to rounding; no kernel row and no variance is formed.
+        """
+        k_theta = self._theta_factor(np.atleast_2d(thetas))
+        mean_std = np.einsum("noj,oj->on", k_theta, self.v)
+        return self.y_mean + self.y_scale * mean_std
 
     def _kernel_rows(self, theta: np.ndarray) -> np.ndarray:
         """(O, C, N) kernel rows between [d_c, theta] and the training inputs."""
-        theta = np.asarray(theta, dtype=float)
-        if not np.isfinite(theta).all():
-            raise ValueError("prediction inputs must be finite")
-        ts = (theta - self.lo) / self.span
-        d = (ts[:, None, :] - self.x_theta) / self.ell_theta
         # one theta factor per training point serves every design row
-        return self.kd * np.exp(-0.5 * np.einsum("ojk,ojk->oj", d, d))[:, None]
+        return self.kd * self._theta_factor(theta)[:, None]
 
     def _mean(self, k_star: np.ndarray) -> np.ndarray:
         mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
@@ -242,7 +200,12 @@ class ConditionedGpStack:
         return self._mean(self._kernel_rows(theta))
 
     def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(O, C) predictive means (m) and variances (m^2) at [d_c, theta]."""
+        """(O, C) predictive means (m) and variances (m^2) at [d_c, theta].
+
+        Each output's kernel row and mean are bitwise those of its
+        ``gp.predict`` on the stacked rows; the variance agrees with it up
+        to rounding.
+        """
         k_star = self._kernel_rows(theta)
         # sf2 - |L^-1 k*|^2 cancels to ~1e-7 of sf2 in the prior box.  With
         # the explicit L^-1 the variance is up to ~6e-8 relative from a

@@ -15,13 +15,10 @@ import pytest
 from fd_oracle import solve_fd
 from meltcal.doe import build_training_set
 from meltcal.domain import (
-    ExperimentRow,
-    ExperimentalDataset,
     PARAM_NAMES,
     RandomStream,
-    bundled_dataset_path,
-    load_dataset,
     prior_from_table2,
+    synthetic_dataset,
     write_dataset,
 )
 from meltcal.forward import ReducedModelConfig, evaluate_reduced, reduced_model
@@ -41,11 +38,6 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def dataset():
-    return load_dataset(bundled_dataset_path())
-
-
-@pytest.fixture(scope="session")
 def bundled_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundled")
     cfg = RunConfig(out_dir=str(out), seed=0)
@@ -53,22 +45,13 @@ def bundled_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def synthetic_run(tmp_path_factory):
+def synthetic_run(tmp_path_factory, dataset):
     """Data generated from the reduced model at a known truth + 2% noise."""
     out = tmp_path_factory.mktemp("synthetic")
     truth = dataclasses.replace(NOMINAL, alpha=0.2)
-    model = reduced_model()
-    base = load_dataset(bundled_dataset_path())
-    rng = RandomStream(123).generator()
-    rows = []
-    for r in base:
-        size = model(r.design, truth)
-        rows.append(ExperimentRow(
-            index=r.index, design=r.design,
-            length=size.length * (1.0 + 0.02 * rng.standard_normal()),
-            depth=size.depth * (1.0 + 0.02 * rng.standard_normal())))
     data_path = out / "synthetic.csv"
-    write_dataset(ExperimentalDataset(rows=tuple(rows)), data_path)
+    write_dataset(synthetic_dataset(dataset, reduced_model(), truth, 0.02,
+                                    RandomStream(123)), data_path)
     cfg = RunConfig(dataset_path=str(data_path), out_dir=str(out), seed=0)
     return truth, run_calibration(cfg)
 

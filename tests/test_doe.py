@@ -19,9 +19,7 @@ from meltcal.domain import (
     CalibrationParams,
     MeltPoolSize,
     RandomStream,
-    bundled_dataset_path,
     in_support,
-    load_dataset,
     prior_from_table2,
 )
 from meltcal.forward import reduced_model
@@ -30,16 +28,6 @@ PRIOR = prior_from_table2()
 
 # 99% chi-square critical value for 9 degrees of freedom (10 bins)
 CHI2_99_DF9 = 21.666
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset(bundled_dataset_path())
-
-
-@pytest.fixture(scope="module")
-def training_set(dataset):
-    return build_training_set(dataset, PRIOR, 10, reduced_model(), RandomStream(0))
 
 
 class TestLatinHypercube:

@@ -21,6 +21,7 @@ from meltcal.domain import (
     in_support,
     load_dataset,
     prior_from_table2,
+    synthetic_dataset,
     write_dataset,
 )
 
@@ -218,6 +219,32 @@ class TestRandomStream:
     def test_split_keeps_seed(self, seed, idx):
         child = RandomStream(seed).split(idx)
         assert child.seed == seed
+
+
+class TestSyntheticDataset:
+    THETA = prior_from_table2().nominal_params()
+
+    @staticmethod
+    def model(design, theta):
+        return MeltPoolSize(length=design.power * theta.alpha * 1e-6,
+                            depth=design.pulse_duration * 0.1, melted=True)
+
+    def test_model_sizes_at_the_base_conditions(self, bundled):
+        synth = synthetic_dataset(bundled, self.model, self.THETA)
+        assert len(synth) == len(bundled)
+        for row, base in zip(synth, bundled):
+            size = self.model(base.design, self.THETA)
+            assert (row.index, row.design) == (base.index, base.design)
+            assert (row.length, row.depth) == (size.length, size.depth)
+
+    def test_noise_drawn_row_by_row_length_first(self, bundled):
+        synth = synthetic_dataset(bundled, self.model, self.THETA, 0.02,
+                                  RandomStream(123))
+        z = RandomStream(123).generator().standard_normal((len(bundled), 2))
+        for row, base, (z_length, z_depth) in zip(synth, bundled, z):
+            size = self.model(base.design, self.THETA)
+            assert row.length == size.length * (1.0 + 0.02 * z_length)
+            assert row.depth == size.depth * (1.0 + 0.02 * z_depth)
 
 
 class TestDesignVars:

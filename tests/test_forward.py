@@ -13,8 +13,6 @@ from meltcal.domain import (
     DesignVars,
     MeltPoolSize,
     PhysicalConstants,
-    bundled_dataset_path,
-    load_dataset,
     prior_from_table2,
 )
 from meltcal.forward import (
@@ -33,11 +31,6 @@ CONST = PhysicalConstants()
 CFG = ReducedModelConfig()
 NOMINAL = prior_from_table2().nominal_params()
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset(bundled_dataset_path())
 
 
 class TestTemperatureRise:

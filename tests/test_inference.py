@@ -9,15 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from am_reference import adaptive_metropolis as reference_adaptive_metropolis
-from meltcal.doe import build_training_set
 from meltcal.domain import (
     ExperimentalDataset,
     RandomStream,
-    bundled_dataset_path,
-    load_dataset,
     prior_from_table2,
 )
-from meltcal.forward import reduced_model
 from meltcal.inference import (
     FixedTerms,
     LikelihoodConfig,
@@ -29,25 +25,16 @@ from meltcal.inference import (
     load_chain,
     log_posterior,
     make_log_posterior,
-    potential_scale_reduction,
     save_chain,
     summarize,
 )
-from meltcal.surrogate import fit_gp
 
 PRIOR = prior_from_table2()
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset(bundled_dataset_path())
-
-
-@pytest.fixture(scope="module")
-def gps(dataset):
-    ts = build_training_set(dataset, PRIOR, 10, reduced_model(), RandomStream(0))
-    return (fit_gp(ts, "length", RandomStream(1)),
-            fit_gp(ts, "depth", RandomStream(2)))
+def posterior_at(theta, dataset, gps, cfg=LikelihoodConfig()):
+    """``log_posterior`` at ``theta`` with the terms fixed by these arguments."""
+    return log_posterior(theta, FixedTerms.build(dataset, *gps, cfg, PRIOR))
 
 
 class TestLikelihoodConfig:
@@ -85,13 +72,13 @@ class TestLogPosterior:
     def test_outside_support_is_minus_inf(self, dataset, gps):
         theta = PRIOR.nominal()
         theta[0] = 0.5  # above the alpha upper bound
-        lp = log_posterior(theta, dataset, *gps, LikelihoodConfig(), PRIOR)
+        lp = posterior_at(theta, dataset, gps)
         assert lp == -np.inf
 
     def test_boundary_is_finite(self, dataset, gps):
         theta = PRIOR.nominal()
         theta[0] = PRIOR.upper()[0]
-        lp = log_posterior(theta, dataset, *gps, LikelihoodConfig(), PRIOR)
+        lp = posterior_at(theta, dataset, gps)
         assert np.isfinite(lp)
 
     def test_matches_dense_gaussian_oracle(self, dataset, gps):
@@ -114,33 +101,33 @@ class TestLogPosterior:
 
         t1 = PRIOR.nominal()
         t2 = PRIOR.nominal() * 0.98
-        lp1 = log_posterior(t1, dataset, *gps, cfg, PRIOR)
-        lp2 = log_posterior(t2, dataset, *gps, cfg, PRIOR)
+        lp1 = posterior_at(t1, dataset, gps, cfg)
+        lp2 = posterior_at(t2, dataset, gps, cfg)
         assert lp1 - lp2 == pytest.approx(oracle(t1) - oracle(t2), rel=1e-9)
 
     def test_invariant_under_row_reordering(self, dataset, gps):
         theta = PRIOR.nominal()
-        lp = log_posterior(theta, dataset, *gps, LikelihoodConfig(), PRIOR)
+        lp = posterior_at(theta, dataset, gps)
         rows = list(dataset.rows)[::-1]
         reordered = ExperimentalDataset(rows=tuple(
             dataclasses.replace(r, index=i + 1) for i, r in enumerate(rows)))
-        lp_rev = log_posterior(theta, reordered, *gps, LikelihoodConfig(), PRIOR)
+        lp_rev = posterior_at(theta, reordered, gps)
         assert lp_rev == pytest.approx(lp, rel=1e-12)
 
     def test_exactly_invariant_under_random_row_permutation(self, dataset, gps):
         rng = RandomStream(5).generator()
         theta = PRIOR.lower() + (0.2 + 0.6 * rng.random(8)) * (PRIOR.upper() - PRIOR.lower())
-        lp = log_posterior(theta, dataset, *gps, LikelihoodConfig(), PRIOR)
+        lp = posterior_at(theta, dataset, gps)
         assert np.isfinite(lp)
         for _ in range(20):
             rows = [dataset.rows[i] for i in rng.permutation(len(dataset))]
             permuted = ExperimentalDataset(rows=tuple(
                 dataclasses.replace(r, index=i + 1) for i, r in enumerate(rows)))
-            assert log_posterior(theta, permuted, *gps, LikelihoodConfig(), PRIOR) == lp
+            assert posterior_at(theta, permuted, gps) == lp
 
     def test_without_code_uncertainty_uses_predicts_mean(self, dataset, gps):
         """The mean-only path gives bitwise the value built from the mean
-        of the stack's full ``predict``."""
+        of the conditioned GPs' full ``predict``."""
         cfg = LikelihoodConfig(include_code_uncertainty=False)
         fixed = FixedTerms.build(dataset, *gps, cfg, PRIOR)
         rng = RandomStream(8).generator()
@@ -151,7 +138,7 @@ class TestLogPosterior:
             r = fixed.y - mean
             expected = -0.5 * math.fsum(np.log(fixed.s2).ravel().tolist()
                                         + (r**2 / fixed.s2).ravel().tolist())
-            assert log_posterior(theta, dataset, *gps, cfg, PRIOR) == expected
+            assert log_posterior(theta, fixed) == expected
 
     def test_code_uncertainty_widens_every_quadratic_term(self, dataset, gps):
         """Inflating the variance can only shrink each |r^2 / Sigma_ii|."""
@@ -379,28 +366,6 @@ class TestSummarize:
             summarize(_dummy_chain(10))
 
 
-class TestPotentialScaleReduction:
-    def test_identical_chains_near_one(self):
-        rng = RandomStream(14).generator()
-        base = _dummy_chain(1_000)
-        chains = [dataclasses.replace(base, samples=rng.standard_normal((1_000, 2)))
-                  for _ in range(3)]
-        rhat = potential_scale_reduction(chains)
-        assert np.all(rhat < 1.05)
-
-    def test_shifted_chains_flagged(self):
-        rng = RandomStream(15).generator()
-        base = _dummy_chain(1_000)
-        a = dataclasses.replace(base, samples=rng.standard_normal((1_000, 2)))
-        b = dataclasses.replace(base, samples=rng.standard_normal((1_000, 2)) + 5.0)
-        rhat = potential_scale_reduction([a, b])
-        assert np.all(rhat > 1.1)
-
-    def test_needs_two_chains(self):
-        with pytest.raises(ValueError):
-            potential_scale_reduction([_dummy_chain(100)])
-
-
 class TestChainSerialization:
     def test_round_trip(self, tmp_path):
         def target(x):
@@ -436,7 +401,7 @@ class TestMakeLogPosterior:
         cfg = LikelihoodConfig()
         target = make_log_posterior(dataset, *gps, cfg, PRIOR)
         theta = PRIOR.nominal()
-        assert target(theta) == log_posterior(theta, dataset, *gps, cfg, PRIOR)
+        assert target(theta) == posterior_at(theta, dataset, gps, cfg)
 
     def test_non_finite_theta_raises(self, dataset, gps):
         target = make_log_posterior(dataset, *gps, LikelihoodConfig(), PRIOR)

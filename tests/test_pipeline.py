@@ -16,13 +16,13 @@ from meltcal import doe, inference, pipeline, sensitivity, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
-    ExperimentRow,
     ExperimentalDataset,
     PARAM_NAMES,
     RandomStream,
     bundled_dataset_path,
     load_dataset,
     prior_from_table2,
+    synthetic_dataset,
     write_dataset,
 )
 from meltcal.forward import ExternalModelSpec, reduced_model
@@ -94,30 +94,19 @@ class TestRunConfig:
 
 
 class TestValidateAtPoint:
-    def test_self_consistent_synthetic_data(self, tmp_path):
-        model = reduced_model()
-        theta = PRIOR.nominal_params()
-        base = load_dataset(bundled_dataset_path())
-        rows = tuple(ExperimentRow(index=r.index, design=r.design,
-                                   length=model(r.design, theta).length,
-                                   depth=model(r.design, theta).depth)
-                     for r in base)
-        synth = ExperimentalDataset(rows=rows)
-        tab = validate_at_point(theta, synth, model)
+    @pytest.fixture(scope="class")
+    def synthetic(self, dataset):
+        return synthetic_dataset(dataset, reduced_model(), PRIOR.nominal_params())
+
+    def test_self_consistent_synthetic_data(self, synthetic):
+        tab = validate_at_point(PRIOR.nominal_params(), synthetic, reduced_model())
         assert tab["average_length_error_mm"] == pytest.approx(0.0, abs=1e-9)
         assert tab["average_depth_error_mm"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_perturbed_alpha_gives_positive_errors(self):
-        model = reduced_model()
+    def test_perturbed_alpha_gives_positive_errors(self, synthetic):
         theta = PRIOR.nominal_params()
-        base = load_dataset(bundled_dataset_path())
-        rows = tuple(ExperimentRow(index=r.index, design=r.design,
-                                   length=model(r.design, theta).length,
-                                   depth=model(r.design, theta).depth)
-                     for r in base)
-        synth = ExperimentalDataset(rows=rows)
         bumped = dataclasses.replace(theta, alpha=theta.alpha + 0.1)
-        tab = validate_at_point(bumped, synth, model)
+        tab = validate_at_point(bumped, synthetic, reduced_model())
         assert all(r["length_error_mm"] > 0 for r in tab["rows"])
 
 
@@ -392,6 +381,8 @@ class TestCli:
         ({"threads": 2}, "threads"),
         ({"mcmc": {"steps": 2_000, "typo": 1}}, "mcmc.typo"),
         ({"mcmc": 5}, "mcmc"),
+        ({"sa_n_base": 100}, "sa_n_base"),
+        ({"mcmc": {"steps": 2_000, "burn": 1_900, "thin": 10}}, "mcmc.thin"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         cfg_path = tmp_path / "cfg.json"

@@ -13,14 +13,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from meltcal import sensitivity
-from meltcal.doe import build_training_set
 from meltcal.domain import (
     RandomStream,
-    bundled_dataset_path,
-    load_dataset,
     prior_from_table2,
 )
-from meltcal.forward import reduced_model
 from meltcal.sensitivity import (
     QUADRATURE_MIN_ELL,
     SensitivityReport,
@@ -35,7 +31,7 @@ from meltcal.sensitivity import (
     sobol_indices,
     srcc,
 )
-from meltcal.surrogate import ConditionedGp, fit_gp
+from meltcal.surrogate import ConditionedGp
 
 PRIOR = prior_from_table2()
 
@@ -298,16 +294,13 @@ class TestGpMeanSobol:
             gp_mean_sobol(np.full((3, 2), 0.5), np.ones(2), np.zeros(3),
                           np.zeros(2), np.ones(2))
 
-    def test_bundled_surrogates_match_saltelli(self):
-        dataset = load_dataset(bundled_dataset_path())
-        ts = build_training_set(dataset, PRIOR, 10, reduced_model(), RandomStream(0))
-        gps = (fit_gp(ts, "length", RandomStream(1)), fit_gp(ts, "depth", RandomStream(2)))
+    def test_bundled_surrogates_match_saltelli(self, dataset, gps):
         report = sa_on_surrogate(*gps, dataset, PRIOR, 256, RandomStream(3))
         for col, gp in enumerate(gps):
-            cgp = ConditionedGp.build(gp, dataset.design_matrix())
+            cgp = ConditionedGp.build([gp], dataset.design_matrix())
 
             def f(thetas):  # in chunks: an 8192-row call holds a 68 MB tensor
-                return np.concatenate([cgp.averaged_mean(thetas[i:i + 4096])
+                return np.concatenate([cgp.averaged_mean(thetas[i:i + 4096])[0]
                                        for i in range(0, len(thetas), 4096)])
 
             mc = sobol_indices(f, PRIOR.lower(), PRIOR.upper(), 8192,

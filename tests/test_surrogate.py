@@ -1,5 +1,6 @@
 """GP surrogate: fitting, prediction, LOOCV, and serialization."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from meltcal.surrogate import (
     JITTER_FLOOR,
     LENGTHSCALE_BOUNDS,
     ConditionedGp,
-    ConditionedGpStack,
     GpSurrogate,
     _chol_with_escalation,
     _nlml_and_grad,
@@ -154,12 +154,8 @@ class TestConditionedGp:
     on the bundled conditions and GPs fitted as the pipeline fits them."""
 
     @pytest.fixture(scope="class")
-    def setup(self):
+    def setup(self, dataset, gps):
         prior = prior_from_table2()
-        dataset = load_dataset(bundled_dataset_path())
-        ts = build_training_set(dataset, prior, 10, reduced_model(), RandomStream(0))
-        gps = (fit_gp(ts, "length", RandomStream(1)),
-               fit_gp(ts, "depth", RandomStream(2)))
         rng = RandomStream(21).generator()
         thetas = prior.lower() + rng.random((64, 8)) * (prior.upper() - prior.lower())
         return gps, dataset.design_matrix(), thetas
@@ -171,7 +167,7 @@ class TestConditionedGp:
     def test_averaged_mean_matches_predict(self, setup):
         gps, designs, thetas = setup
         for gp in gps:
-            fast = ConditionedGp.build(gp, designs).averaged_mean(thetas)
+            (fast,) = ConditionedGp.build([gp], designs).averaged_mean(thetas)
             ref = np.array([gp.predict(self.stacked(designs, t))[0].mean()
                             for t in thetas])
             np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0)
@@ -179,9 +175,9 @@ class TestConditionedGp:
     def test_per_condition_mean_bitwise_and_variance_close(self, setup):
         gps, designs, thetas = setup
         for gp in gps:
-            cgp = ConditionedGp.build(gp, designs)
+            cgp = ConditionedGp.build([gp], designs)
             for t in thetas:
-                mean, var = cgp.predict(t)
+                (mean,), (var,) = cgp.predict(t)
                 ref_mean, ref_var = gp.predict(self.stacked(designs, t))
                 assert np.array_equal(mean, ref_mean)
                 # sf2 - |L^-1 k|^2 cancels to ~1e-7 of sf2 here, so compare
@@ -194,10 +190,9 @@ class TestConditionedGp:
         kernel over all inputs at once: the product rounds differently,
         by a few ulp in the rows and far less than the mean's scale."""
         gps, designs, thetas = setup
-        stack = ConditionedGpStack.build([ConditionedGp.build(gp, designs)
-                                          for gp in gps])
+        cgp = ConditionedGp.build(gps, designs)
         for t in thetas:
-            rows, mean = stack._kernel_rows(t), stack.mean(t)
+            rows, mean = cgp._kernel_rows(t), cgp.mean(t)
             for o, gp in enumerate(gps):
                 xs = gp.input_map.forward(self.stacked(designs, t))
                 k_full = _se_kernel(xs, gp.x, gp.sf2, gp.ell)
@@ -209,21 +204,21 @@ class TestConditionedGp:
         gps, designs, thetas = setup
         perm = RandomStream(22).generator().permutation(designs.shape[0])
         for gp in gps:
-            cgp = ConditionedGp.build(gp, designs)
-            permuted = ConditionedGp.build(gp, designs[perm])
+            cgp = ConditionedGp.build([gp], designs)
+            permuted = ConditionedGp.build([gp], designs[perm])
             averaged = cgp.averaged_mean(thetas)
             assert np.array_equal(permuted.averaged_mean(thetas), averaged)
-            alone = np.array([cgp.averaged_mean(t)[0] for t in thetas])
-            assert np.array_equal(alone, averaged)
+            alone = np.array([cgp.averaged_mean(t)[0, 0] for t in thetas])
+            assert np.array_equal(alone, averaged[0])
             for t in thetas[:8]:
-                mean, var = cgp.predict(t)
-                p_mean, p_var = permuted.predict(t)
+                (mean,), (var,) = cgp.predict(t)
+                (p_mean,), (p_var,) = permuted.predict(t)
                 assert np.array_equal(p_mean, mean[perm])
                 assert np.array_equal(p_var, var[perm])
 
     def test_non_finite_theta_rejected(self, setup):
         gps, designs, thetas = setup
-        cgp = ConditionedGp.build(gps[0], designs)
+        cgp = ConditionedGp.build(gps[:1], designs)
         bad = thetas[0].copy()
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -234,38 +229,43 @@ class TestConditionedGp:
     def test_one_design_row_equals_its_row_among_all(self, setup):
         gps, designs, thetas = setup
         for gp in gps:
-            full = ConditionedGp.build(gp, designs)
+            full = ConditionedGp.build([gp], designs)
             expected = [full.predict(t) for t in thetas[:8]]
             for c in range(designs.shape[0]):
-                one = ConditionedGp.build(gp, designs[c:c + 1])
-                for t, (mean, var) in zip(thetas[:8], expected):
-                    o_mean, o_var = one.predict(t)
+                one = ConditionedGp.build([gp], designs[c:c + 1])
+                for t, ((mean,), (var,)) in zip(thetas[:8], expected):
+                    (o_mean,), (o_var,) = one.predict(t)
                     assert o_mean[0] == mean[c] and o_var[0] == var[c]
 
     def test_stack_equals_each_outputs_own_predict(self, setup):
+        """Several outputs in one ConditionedGp give bitwise each output's
+        one-output results."""
         gps, designs, thetas = setup
-        cgps = [ConditionedGp.build(gp, designs) for gp in gps]
-        for members in (cgps, cgps[1:]):
-            stack = ConditionedGpStack.build(members)
+        ones = [ConditionedGp.build([gp], designs) for gp in gps]
+        for members in ((0, 1), (1,)):
+            cgp = ConditionedGp.build([gps[o] for o in members], designs)
+            averaged = cgp.averaged_mean(thetas)
+            assert averaged.shape == (len(members), len(thetas))
+            for row, o in enumerate(members):
+                assert np.array_equal(averaged[row], ones[o].averaged_mean(thetas)[0])
             for t in thetas:
-                mean, var = stack.predict(t)
+                mean, var = cgp.predict(t)
                 assert mean.shape == var.shape == (len(members), designs.shape[0])
-                for o, cgp in enumerate(members):
-                    o_mean, o_var = cgp.predict(t)
-                    assert np.array_equal(mean[o], o_mean)
-                    assert np.array_equal(var[o], o_var)
+                for row, o in enumerate(members):
+                    o_mean, o_var = ones[o].predict(t)
+                    assert np.array_equal(mean[row], o_mean[0])
+                    assert np.array_equal(var[row], o_var[0])
 
     def test_stack_rejects_mismatch_and_non_finite_theta(self, setup):
         gps, designs, thetas = setup
-        with pytest.raises(ValueError, match="same number of design"):
-            ConditionedGpStack.build([ConditionedGp.build(gps[0], designs),
-                                      ConditionedGp.build(gps[1], designs[:5])])
-        stack = ConditionedGpStack.build([ConditionedGp.build(gp, designs)
-                                          for gp in gps])
+        fewer = dataclasses.replace(gps[1], x=gps[1].x[:-1])
+        with pytest.raises(ValueError, match="same numbers of inputs"):
+            ConditionedGp.build([gps[0], fewer], designs)
+        cgp = ConditionedGp.build(gps, designs)
         bad = thetas[0].copy()
         bad[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            stack.predict(bad)
+            cgp.predict(bad)
 
 
 class TestGradient:
