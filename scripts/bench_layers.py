@@ -128,8 +128,7 @@ def main() -> None:
     chain = PosteriorChain(samples=prior.lower() + rng.random((n, 8))
                            * (prior.upper() - prior.lower()),
                            log_post=-300.0 + rng.standard_normal(n),
-                           accepted=rng.random(n) < 0.15,
-                           adapt_start=1_000, seed=0, stream_id=0)
+                           accepted=rng.random(n) < 0.15)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)

@@ -25,7 +25,6 @@ from .domain import (
 from .forward import ForwardModel
 
 __all__ = [
-    "UnitDesign",
     "TrainingSet",
     "TrainingSetError",
     "latin_hypercube",
@@ -42,25 +41,10 @@ class TrainingSetError(RuntimeError):
     """Forward-model failure or retry exhaustion during set assembly."""
 
 
-@dataclass(frozen=True)
-class UnitDesign:
-    """n x d Latin hypercube sample on [0, 1) with one point per stratum."""
+def latin_hypercube(n: int, d: int, stream: RandomStream) -> np.ndarray:
+    """(n, d) sample on [0, 1) with one point per stratum in each column.
 
-    values: np.ndarray
-    seed: int
-    stream_id: int
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-def latin_hypercube(n: int, d: int, stream: RandomStream) -> UnitDesign:
-    """Stratified permutation construction: per-dimension random permutation
+    Stratified permutation construction: per-dimension random permutation
     of the n strata with uniform jitter inside each stratum."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -70,16 +54,16 @@ def latin_hypercube(n: int, d: int, stream: RandomStream) -> UnitDesign:
         perm = rng.permutation(n)
         jitter = rng.random(n)
         values[:, j] = (perm + jitter) / n
-    return UnitDesign(values=values, seed=stream.seed, stream_id=stream.stream_id)
+    return values
 
 
-def scale_to_prior(u: UnitDesign | np.ndarray, prior: PriorSpec) -> np.ndarray:
+def scale_to_prior(u: np.ndarray, prior: PriorSpec) -> np.ndarray:
     """Affine map from the unit hypercube into the realized prior box."""
-    values = u.values if isinstance(u, UnitDesign) else np.asarray(u)
+    u = np.asarray(u)
     lo, hi = prior.lower(), prior.upper()
-    if values.ndim != 2 or values.shape[1] != lo.size:
-        raise ValueError(f"expected (n, {lo.size}) unit sample, got {values.shape}")
-    return lo + values * (hi - lo)
+    if u.ndim != 2 or u.shape[1] != lo.size:
+        raise ValueError(f"expected (n, {lo.size}) unit sample, got {u.shape}")
+    return lo + u * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -123,8 +107,6 @@ class TrainingSet:
     outputs: np.ndarray
     condition_index: np.ndarray
     input_map: AffineMap
-    seed: int
-    samples_per_condition: int
     rejections: tuple[str, ...] = ()
 
     @property
@@ -182,8 +164,6 @@ def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
     return TrainingSet(inputs_raw=np.array(inputs), outputs=np.array(outputs),
                        condition_index=np.array(cond_idx, dtype=int),
                        input_map=design_affine(dataset, prior),
-                       seed=stream.seed,
-                       samples_per_condition=samples_per_condition,
                        rejections=tuple(rejections))
 
 
@@ -191,12 +171,13 @@ _TS_COLUMNS = (["condition", "power_W", "beam_radius_m", "pulse_s"]
                + list(PARAM_SYMBOLS) + ["length_m", "depth_m"])
 
 
-def save_training_set(ts: TrainingSet, csv_path: str | Path) -> None:
-    """CSV of SI rows plus a JSON sidecar with seed and affine maps.
+def save_training_set(ts: TrainingSet, csv_path: str | Path,
+                      json_path: str | Path) -> None:
+    """CSV of SI rows at ``csv_path``, and at ``json_path`` a JSON sidecar
+    with the input map and the no-melt rejections.
 
     Every float is written with ``repr``, so the set reads back bitwise.
     """
-    csv_path = Path(csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TS_COLUMNS)
@@ -204,19 +185,16 @@ def save_training_set(ts: TrainingSet, csv_path: str | Path) -> None:
                            ts.outputs.tolist()):
             writer.writerow([c, *map(repr, x + y)])
     sidecar = {
-        "seed": ts.seed,
-        "samples_per_condition": ts.samples_per_condition,
         "input_map": {"lo": ts.input_map.lo.tolist(),
                       "hi": ts.input_map.hi.tolist()},
         "rejections": list(ts.rejections),
     }
-    csv_path.with_suffix(".json").write_text(
+    Path(json_path).write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_training_set(csv_path: str | Path) -> TrainingSet:
-    csv_path = Path(csv_path)
-    sidecar = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+def load_training_set(csv_path: str | Path, json_path: str | Path) -> TrainingSet:
+    sidecar = json.loads(Path(json_path).read_text(encoding="utf-8"))
     inputs, outputs, cond_idx = [], [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -233,6 +211,4 @@ def load_training_set(csv_path: str | Path) -> TrainingSet:
         condition_index=np.array(cond_idx, dtype=int),
         input_map=AffineMap(lo=np.array(sidecar["input_map"]["lo"]),
                             hi=np.array(sidecar["input_map"]["hi"])),
-        seed=int(sidecar["seed"]),
-        samples_per_condition=int(sidecar["samples_per_condition"]),
         rejections=tuple(sidecar["rejections"]))

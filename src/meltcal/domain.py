@@ -114,7 +114,6 @@ class PriorEntry:
     nominal: float
     lower_mult: float
     upper_mult: float
-    distribution: str = "uniform"
 
     def __post_init__(self):
         if not (0 < self.lower_mult < self.upper_mult):

@@ -23,6 +23,7 @@ import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -141,13 +142,9 @@ def melting_threshold(theta: CalibrationParams, constants: PhysicalConstants) ->
     return constants.melt_temperature + theta.latent_heat / theta.c_l
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _absorbed_power(design: DesignVars, theta: CalibrationParams,

@@ -9,9 +9,8 @@ code-uncertainty term).  Model discrepancy is taken as zero.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -159,11 +158,6 @@ class PosteriorChain:
     samples: np.ndarray      # (steps, d) raw units
     log_post: np.ndarray     # (steps,)
     accepted: np.ndarray     # (steps,) bool, True where the proposal was taken
-    adapt_start: int
-    seed: int
-    stream_id: int
-    burn: int = 0
-    thin: int = 1
 
     @property
     def steps(self) -> int:
@@ -236,9 +230,7 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                 chol = cholesky(scale * cov + regularizer)
             except np.linalg.LinAlgError:
                 chol = None
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
-                          adapt_start=adapt_start, seed=stream.seed,
-                          stream_id=stream.stream_id)
+    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
 
 
 def burn_thin(chain: PosteriorChain, burn: int, thin: int) -> PosteriorChain:
@@ -249,9 +241,7 @@ def burn_thin(chain: PosteriorChain, burn: int, thin: int) -> PosteriorChain:
         raise ValueError("thin must be >= 1")
     sel = slice(burn, None, thin)
     return PosteriorChain(samples=chain.samples[sel], log_post=chain.log_post[sel],
-                          accepted=chain.accepted[sel],
-                          adapt_start=chain.adapt_start, seed=chain.seed,
-                          stream_id=chain.stream_id, burn=burn, thin=thin)
+                          accepted=chain.accepted[sel])
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -344,8 +334,7 @@ _CHAIN_ARRAYS = ("samples", "log_post", "accepted")
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
-    """Write the chain's arrays as an uncompressed .npz at ``path``, and its
-    settings to the .json sidecar beside it.
+    """Write the chain's arrays as an uncompressed .npz at ``path``.
 
     The arrays are stored in binary, so a reloaded chain is bitwise the
     one in memory and summarizes to the same numbers.
@@ -353,15 +342,9 @@ def save_chain(chain: PosteriorChain, path: str | Path) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, samples=chain.samples, log_post=chain.log_post,
                  accepted=chain.accepted)
-    meta = {"adapt_start": chain.adapt_start, "seed": chain.seed,
-            "stream_id": chain.stream_id, "burn": chain.burn, "thin": chain.thin}
-    Path(path).with_suffix(".json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_chain(path: str | Path) -> PosteriorChain:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
     with np.load(path) as arrays:
         if sorted(arrays.files) != sorted(_CHAIN_ARRAYS):
             raise ValueError(f"{path}: unexpected chain arrays {arrays.files}")
@@ -370,7 +353,4 @@ def load_chain(path: str | Path) -> PosteriorChain:
     if (samples.shape != (steps, len(PARAM_NAMES)) or log_post.shape != (steps,)
             or accepted.shape != (steps,) or accepted.dtype != bool):
         raise ValueError(f"{path}: inconsistent chain array shapes")
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
-                          adapt_start=int(meta["adapt_start"]),
-                          seed=int(meta["seed"]), stream_id=int(meta["stream_id"]),
-                          burn=int(meta["burn"]), thin=int(meta["thin"]))
+    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)

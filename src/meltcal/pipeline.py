@@ -92,12 +92,15 @@ class McmcConfig:
 
     def __post_init__(self):
         _require_ints(self, ("steps", "burn", "thin", "adapt_start"), "mcmc.")
-        if min(self.steps, self.burn, self.thin, self.adapt_start) <= 0:
-            raise ValueError("all MCMC counts must be positive")
+        for name in ("steps", "burn", "thin", "adapt_start"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"mcmc.{name} must be positive, got {value}")
         if not (self.steps > self.adapt_start >= 100):
-            raise ValueError("need steps > adapt_start >= 100")
+            raise ValueError(f"need mcmc.steps > mcmc.adapt_start >= 100, got "
+                             f"{self.steps} and {self.adapt_start}")
         if self.burn >= self.steps:
-            raise ValueError("burn must be smaller than steps")
+            raise ValueError(f"mcmc.burn must be smaller than mcmc.steps, got "
+                             f"{self.burn} and {self.steps}")
         retained = len(range(self.burn, self.steps, self.thin))
         if retained < inference.MIN_RETAINED:
             raise ValueError(
@@ -136,24 +139,9 @@ class RunConfig:
         sensitivity._check_n_base(self.sa_n_base, "sa_n_base")
 
     def to_dict(self) -> dict:
-        doc = {
-            "dataset_path": self.dataset_path,
-            "model": self.model,
-            "reduced": dataclasses.asdict(self.reduced),
-            "external": (None if self.external is None else {
-                "command_template": self.external.command_template,
-                "working_dir": str(self.external.working_dir),
-                "timeout": self.external.timeout,
-            }),
-            "run_table_path": self.run_table_path,
-            "constants": dataclasses.asdict(self.constants),
-            "samples_per_condition": self.samples_per_condition,
-            "sa_n_base": self.sa_n_base,
-            "mcmc": dataclasses.asdict(self.mcmc),
-            "likelihood": dataclasses.asdict(self.likelihood),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        doc = dataclasses.asdict(self)
+        if self.external is not None:
+            doc["external"]["working_dir"] = str(self.external.working_dir)
         return doc
 
     def to_json(self, path: str | Path) -> None:
@@ -267,8 +255,8 @@ def _design(p: "Pipeline") -> tuple[doe.TrainingSet, list]:
     return ts, reads
 
 
-def _save_design(result, csv_path: Path, _sidecar: Path, reads_path: Path) -> None:
-    doe.save_training_set(result[0], csv_path)  # writes the sidecar too
+def _save_design(result, csv_path: Path, json_path: Path, reads_path: Path) -> None:
+    doe.save_training_set(result[0], csv_path, json_path)
     _write_json(result[1], reads_path, indent=None)
 
 
@@ -292,9 +280,8 @@ def _with_summary(p: "Pipeline", chain: inference.PosteriorChain):
     return chain, inference.summarize(retained)
 
 
-def _save_calibration(result, chain_path: Path, _sidecar: Path,
-                      summary_path: Path) -> None:
-    inference.save_chain(result[0], chain_path)  # writes the sidecar too
+def _save_calibration(result, chain_path: Path, summary_path: Path) -> None:
+    inference.save_chain(result[0], chain_path)
     _write_json(result[1].to_dict(), summary_path)
 
 
@@ -319,8 +306,8 @@ _STAGES = {
         artifacts=("training_set.csv", "training_set.json", DESIGN_READS),
         compute=_design,
         save=_save_design,
-        load=lambda p, csv_path, _sidecar, reads_path: (
-            doe.load_training_set(csv_path), _read_json(reads_path))),
+        load=lambda p, csv_path, json_path, reads_path: (
+            doe.load_training_set(csv_path, json_path), _read_json(reads_path))),
     "train": _Stage(
         config=("seed",),
         upstream=("design",),
@@ -353,10 +340,10 @@ _STAGES = {
     "calibrate": _Stage(
         config=("mcmc", "likelihood"),
         upstream=("train",),
-        artifacts=("chain.npz", "chain.json", "posterior.json"),
+        artifacts=("chain.npz", "posterior.json"),
         compute=_calibrate,
         save=_save_calibration,
-        load=lambda p, chain_path, *_: _with_summary(
+        load=lambda p, chain_path, _summary: _with_summary(
             p, inference.load_chain(chain_path))),
     "validate": _Stage(
         config=(),

@@ -231,6 +231,16 @@ def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]
             jitter = min(jitter * 10.0, JITTER_CEILING)
 
 
+def _factored_gp(x: np.ndarray, y: np.ndarray, sf2: float, ell: np.ndarray,
+                 sn2: float, input_map: AffineMap, y_mean: float, y_scale: float,
+                 output: str) -> GpSurrogate:
+    """The GP with these hyperparameters, factored on its training data."""
+    low, jitter = _chol_with_escalation(_se_kernel(x, x, sf2, ell), sn2)
+    return GpSurrogate(x=x, y_std=y, sf2=sf2, ell=ell, sn2=float(jitter), chol=low,
+                       weights=cho_solve((low, True), y), input_map=input_map,
+                       y_mean=y_mean, y_scale=y_scale, output=output)
+
+
 @dataclass(frozen=True)
 class _PairDistances:
     """The squared input differences of each training pair i < j, once.
@@ -307,7 +317,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     pairs = _PairDistances.build(x)
     log_bounds = ([(np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1]))] * d
                   + [(-10.0, 10.0), (np.log(JITTER_FLOOR), 0.0)])
-    starts = latin_hypercube(N_STARTS, d + 2, stream).values * 6.0 - 3.0
+    starts = latin_hypercube(N_STARTS, d + 2, stream) * 6.0 - 3.0
     starts[:, d + 1] = -3.0 - 6.0 * ((starts[:, d + 1] + 3.0) / 6.0)  # noise in [-9, -3]
 
     best = None
@@ -323,12 +333,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     ell = np.exp(log_opt[:d])
     sf2 = float(np.exp(log_opt[d]))
     sn2 = float(np.exp(log_opt[d + 1]))
-    k = _se_kernel(x, x, sf2, ell)
-    low, jitter = _chol_with_escalation(k, sn2)
-    weights = cho_solve((low, True), y)
-    return GpSurrogate(x=x, y_std=y, sf2=sf2, ell=ell, sn2=float(jitter),
-                       chol=low, weights=weights, input_map=ts.input_map,
-                       y_mean=y_mean, y_scale=y_scale, output=output)
+    return _factored_gp(x, y, sf2, ell, sn2, ts.input_map, y_mean, y_scale, output)
 
 
 @one_blas_thread()
@@ -371,15 +376,8 @@ def load_gp(path: str | Path) -> GpSurrogate:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("gp_format") != GP_FORMAT:
         raise ValueError(f"unsupported gp_format {doc.get('gp_format')!r}")
-    x = np.array(doc["x"])
-    y = np.array(doc["y_std"])
-    ell = np.array(doc["ell"])
-    k = _se_kernel(x, x, doc["sf2"], ell)
-    low, jitter = _chol_with_escalation(k, doc["sn2"])
-    weights = cho_solve((low, True), y)
-    return GpSurrogate(x=x, y_std=y, sf2=doc["sf2"], ell=ell, sn2=float(jitter),
-                       chol=low, weights=weights,
-                       input_map=AffineMap(lo=np.array(doc["input_map"]["lo"]),
-                                           hi=np.array(doc["input_map"]["hi"])),
-                       y_mean=doc["y_mean"], y_scale=doc["y_scale"],
-                       output=doc["output"])
+    return _factored_gp(np.array(doc["x"]), np.array(doc["y_std"]), doc["sf2"],
+                        np.array(doc["ell"]), doc["sn2"],
+                        AffineMap(lo=np.array(doc["input_map"]["lo"]),
+                                  hi=np.array(doc["input_map"]["hi"])),
+                        doc["y_mean"], doc["y_scale"], doc["output"])

@@ -68,7 +68,5 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                 chol = np.linalg.cholesky(prop_cov)
             except np.linalg.LinAlgError:
                 chol = None
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
-                          adapt_start=adapt_start, seed=stream.seed,
-                          stream_id=stream.stream_id)
+    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
 

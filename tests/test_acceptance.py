@@ -210,7 +210,7 @@ def test_criterion_9_property_suites(capsys):
 
     u = latin_hypercube(37, 4, RandomStream(5))
     checks["stratification"] = all(
-        sorted(np.floor(u.values[:, j] * 37).astype(int)) == list(range(37))
+        sorted(np.floor(u[:, j] * 37).astype(int)) == list(range(37))
         for j in range(4))
 
     rng = RandomStream(6).generator()

@@ -33,26 +33,26 @@ CHI2_99_DF9 = 21.666
 class TestLatinHypercube:
     def test_five_strata_each_hold_one_point(self):
         u = latin_hypercube(5, 1, RandomStream(1))
-        strata = np.floor(u.values[:, 0] * 5).astype(int)
+        strata = np.floor(u[:, 0] * 5).astype(int)
         assert sorted(strata) == [0, 1, 2, 3, 4]
 
     def test_single_point_in_unit_cube(self):
         u = latin_hypercube(1, 3, RandomStream(2))
-        assert u.values.shape == (1, 3)
-        assert np.all((u.values >= 0) & (u.values < 1))
+        assert u.shape == (1, 3)
+        assert np.all((u >= 0) & (u < 1))
 
     @given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_stratification_invariant(self, n, d, seed):
         u = latin_hypercube(n, d, RandomStream(seed))
         for j in range(d):
-            strata = np.floor(u.values[:, j] * n).astype(int)
+            strata = np.floor(u[:, j] * n).astype(int)
             assert sorted(strata) == list(range(n))
 
     def test_columns_pass_chi_square_uniformity(self):
         u = latin_hypercube(130, 8, RandomStream(3))
         for j in range(8):
-            counts, _ = np.histogram(u.values[:, j], bins=10, range=(0.0, 1.0))
+            counts, _ = np.histogram(u[:, j], bins=10, range=(0.0, 1.0))
             expected = 13.0
             chi2 = ((counts - expected) ** 2 / expected).sum()
             assert chi2 < CHI2_99_DF9
@@ -60,7 +60,7 @@ class TestLatinHypercube:
     def test_deterministic_for_fixed_stream(self):
         a = latin_hypercube(17, 4, RandomStream(9, 5))
         b = latin_hypercube(17, 4, RandomStream(9, 5))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestScaleToPrior:
@@ -150,10 +150,13 @@ class TestBuildTrainingSet:
         assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
 
     def test_save_load_round_trip(self, training_set, tmp_path):
-        path = tmp_path / "ts.csv"
-        save_training_set(training_set, path)
-        back = load_training_set(path)
+        paths = tmp_path / "ts.csv", tmp_path / "ts.json"
+        save_training_set(training_set, *paths)
+        back = load_training_set(*paths)
         np.testing.assert_array_equal(back.inputs_raw, training_set.inputs_raw)
         np.testing.assert_array_equal(back.outputs, training_set.outputs)
         np.testing.assert_array_equal(back.condition_index,
                                       training_set.condition_index)
+        np.testing.assert_array_equal(back.input_map.lo, training_set.input_map.lo)
+        np.testing.assert_array_equal(back.input_map.hi, training_set.input_map.hi)
+        assert back.rejections == training_set.rejections

@@ -17,7 +17,6 @@ from meltcal.domain import (
     PriorEntry,
     PriorSpec,
     RandomStream,
-    bundled_dataset_path,
     in_support,
     load_dataset,
     prior_from_table2,
@@ -28,31 +27,26 @@ from meltcal.domain import (
 HEADER = "index,power_W,beam_radius_mm,pulse_ms,length_mm,depth_mm"
 
 
-@pytest.fixture(scope="module")
-def bundled():
-    return load_dataset(bundled_dataset_path())
-
-
 class TestLoadDataset:
-    def test_row_one_values(self, bundled):
-        row = bundled.rows[0]
+    def test_row_one_values(self, dataset):
+        row = dataset.rows[0]
         assert row.design.power == 530.0
         assert row.design.beam_radius == pytest.approx(1.59e-4)
         assert row.design.pulse_duration == pytest.approx(4e-3)
         assert row.length == pytest.approx(6.25e-4)
         assert row.depth == pytest.approx(1.90e-4)
 
-    def test_row_thirteen_values(self, bundled):
-        row = bundled.rows[12]
+    def test_row_thirteen_values(self, dataset):
+        row = dataset.rows[12]
         assert row.design.power == 1967.0
         assert row.length == pytest.approx(1.027e-3)
         assert row.depth == pytest.approx(2.12e-4)
 
-    def test_bundled_has_thirteen_rows(self, bundled):
-        assert len(bundled) == 13
+    def test_bundled_has_thirteen_rows(self, dataset):
+        assert len(dataset) == 13
 
-    def test_rows_in_file_order(self, bundled):
-        assert [r.index for r in bundled] == list(range(1, 14))
+    def test_rows_in_file_order(self, dataset):
+        assert [r.index for r in dataset] == list(range(1, 14))
 
     def test_header_only_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -92,11 +86,11 @@ class TestLoadDataset:
         assert row.length_sigma == pytest.approx(3e-5)
         assert row.depth_sigma == pytest.approx(1e-5)
 
-    def test_round_trip_preserves_numeric_content(self, bundled, tmp_path):
+    def test_round_trip_preserves_numeric_content(self, dataset, tmp_path):
         out = tmp_path / "roundtrip.csv"
-        write_dataset(bundled, out)
+        write_dataset(dataset, out)
         back = load_dataset(out)
-        for a, b in zip(bundled, back):
+        for a, b in zip(dataset, back):
             assert b.design.power == pytest.approx(a.design.power, rel=1e-12)
             assert b.design.beam_radius == pytest.approx(a.design.beam_radius, rel=1e-12)
             assert b.length == pytest.approx(a.length, rel=1e-12)
@@ -229,19 +223,19 @@ class TestSyntheticDataset:
         return MeltPoolSize(length=design.power * theta.alpha * 1e-6,
                             depth=design.pulse_duration * 0.1, melted=True)
 
-    def test_model_sizes_at_the_base_conditions(self, bundled):
-        synth = synthetic_dataset(bundled, self.model, self.THETA)
-        assert len(synth) == len(bundled)
-        for row, base in zip(synth, bundled):
+    def test_model_sizes_at_the_base_conditions(self, dataset):
+        synth = synthetic_dataset(dataset, self.model, self.THETA)
+        assert len(synth) == len(dataset)
+        for row, base in zip(synth, dataset):
             size = self.model(base.design, self.THETA)
             assert (row.index, row.design) == (base.index, base.design)
             assert (row.length, row.depth) == (size.length, size.depth)
 
-    def test_noise_drawn_row_by_row_length_first(self, bundled):
-        synth = synthetic_dataset(bundled, self.model, self.THETA, 0.02,
+    def test_noise_drawn_row_by_row_length_first(self, dataset):
+        synth = synthetic_dataset(dataset, self.model, self.THETA, 0.02,
                                   RandomStream(123))
-        z = RandomStream(123).generator().standard_normal((len(bundled), 2))
-        for row, base, (z_length, z_depth) in zip(synth, bundled, z):
+        z = RandomStream(123).generator().standard_normal((len(dataset), 2))
+        for row, base, (z_length, z_depth) in zip(synth, dataset, z):
             size = self.model(base.design, self.THETA)
             assert row.length == size.length * (1.0 + 0.02 * z_length)
             assert row.depth == size.depth * (1.0 + 0.02 * z_depth)
@@ -254,6 +248,6 @@ class TestDesignVars:
 
 
 class TestDatasetValidation:
-    def test_duplicate_indices_rejected(self, bundled):
+    def test_duplicate_indices_rejected(self, dataset):
         with pytest.raises(ValueError):
-            ExperimentalDataset(rows=(bundled.rows[0], bundled.rows[0]))
+            ExperimentalDataset(rows=(dataset.rows[0], dataset.rows[0]))

@@ -309,8 +309,7 @@ def _dummy_chain(steps):
     from meltcal.inference import PosteriorChain
     return PosteriorChain(samples=rng.random((steps, 2)),
                           log_post=rng.random(steps),
-                          accepted=rng.random(steps) < 0.3,
-                          adapt_start=100, seed=99, stream_id=0)
+                          accepted=rng.random(steps) < 0.3)
 
 
 class TestAutocorrelation:
@@ -380,7 +379,6 @@ class TestChainSerialization:
         np.testing.assert_array_equal(back.samples, chain.samples)
         np.testing.assert_array_equal(back.log_post, chain.log_post)
         np.testing.assert_array_equal(back.accepted, chain.accepted)
-        assert back.seed == chain.seed
 
     def test_npz_arrays(self, tmp_path):
         chain = _dummy_chain(50)

@@ -120,6 +120,19 @@ class TestRunCalibration:
                      "validation_errors.json", "report.json"):
             assert (out / name).exists(), name
 
+    def test_every_written_file_is_declared(self, tmp_path):
+        """run-all leaves the stage table's artifacts, the stages' meta
+        files, report.json and the figures with their CSV twins, and
+        nothing else."""
+        cfg = small_config(tmp_path / "out")
+        run_stage(cfg, "run-all")
+        out = Path(cfg.out_dir)
+        figures = {p.name for p in out.glob("*.svg")}
+        figures |= {Path(name).with_suffix(".csv").name for name in figures}
+        declared = {a for stage in pipeline._STAGES.values() for a in stage.artifacts}
+        declared |= {f"{pipeline._attr(name)}.meta.json" for name in pipeline._STAGES}
+        assert {p.name for p in out.iterdir()} - figures == declared | {"report.json"}
+
     def test_report_averages_recompute_from_rows(self, small_run):
         _, report = small_run
         for point in ("prior_nominal", "posterior_mean"):
@@ -204,7 +217,7 @@ class TestRunCalibration:
             reports.append(_report_sans_timestamp(out / "report.json"))
         assert reports[0] == reports[1] == reports[2]
 
-    @pytest.mark.parametrize("sidecar", ["training_set.json", "chain.json"])
+    @pytest.mark.parametrize("sidecar", ["training_set.json"])
     def test_deleted_sidecar_recomputes_its_stage(self, small_run, tmp_path,
                                                   sidecar):
         cfg, _ = small_run
@@ -383,6 +396,9 @@ class TestCli:
         ({"mcmc": 5}, "mcmc"),
         ({"sa_n_base": 100}, "sa_n_base"),
         ({"mcmc": {"steps": 2_000, "burn": 1_900, "thin": 10}}, "mcmc.thin"),
+        ({"mcmc": {"adapt_start": 50}}, "mcmc.adapt_start"),
+        ({"mcmc": {"burn": 60_000}}, "mcmc.burn"),
+        ({"mcmc": {"thin": 0}}, "mcmc.thin"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         cfg_path = tmp_path / "cfg.json"

@@ -8,12 +8,7 @@ import pytest
 
 from meltcal import surrogate
 from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
-from meltcal.domain import (
-    RandomStream,
-    bundled_dataset_path,
-    load_dataset,
-    prior_from_table2,
-)
+from meltcal.domain import RandomStream, prior_from_table2
 from meltcal.forward import reduced_model
 from meltcal.surrogate import (
     JITTER_FLOOR,
@@ -34,7 +29,7 @@ from nlml_reference import nlml
 from scipy.linalg import cho_solve
 
 
-def make_ts(x: np.ndarray, y: np.ndarray, seed: int = 0) -> TrainingSet:
+def make_ts(x: np.ndarray, y: np.ndarray) -> TrainingSet:
     """Wrap 1-d toy data in the TrainingSet container (both outputs = y)."""
     x = np.atleast_2d(np.asarray(x, float).reshape(-1, 1))
     lo = np.array([x.min() - 1e-9])
@@ -42,8 +37,7 @@ def make_ts(x: np.ndarray, y: np.ndarray, seed: int = 0) -> TrainingSet:
     outputs = np.column_stack([y, y])
     return TrainingSet(inputs_raw=x, outputs=outputs,
                        condition_index=np.ones(x.shape[0], dtype=int),
-                       input_map=AffineMap(lo=lo, hi=hi), seed=seed,
-                       samples_per_condition=x.shape[0])
+                       input_map=AffineMap(lo=lo, hi=hi))
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +116,11 @@ class TestBatchLayout:
     @pytest.fixture(scope="class")
     def gp_and_batch(self):
         rng = RandomStream(11).generator()
-        x = latin_hypercube(40, 4, RandomStream(12)).values
+        x = latin_hypercube(40, 4, RandomStream(12))
         y = np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 2 - x[:, 3]
         ts = TrainingSet(inputs_raw=x, outputs=np.column_stack([y, y]),
                          condition_index=np.ones(40, dtype=int),
-                         input_map=AffineMap(lo=np.zeros(4), hi=np.ones(4)),
-                         seed=0, samples_per_condition=40)
+                         input_map=AffineMap(lo=np.zeros(4), hi=np.ones(4)))
         return fit_gp(ts, "length", RandomStream(13)), rng.random((37, 4))
 
     def test_mean_bitwise_equal_permuted_and_alone(self, gp_and_batch):
@@ -290,11 +283,12 @@ class TestPackedNlml:
     """The marginal likelihood on packed pair distances against a verbatim
     copy of its dense (N, N, d) form, on bundled training sets."""
 
-    @pytest.fixture(scope="class", params=[10, 20], ids=["N130", "N260"])
-    def training(self, request):
-        ts = build_training_set(load_dataset(bundled_dataset_path()),
-                                prior_from_table2(), request.param,
-                                reduced_model(), RandomStream(0))
+    @pytest.fixture(scope="class", params=["N130", "N260"])
+    def training(self, request, dataset):
+        """The session training set, and the same design at 20 per condition."""
+        ts = (request.getfixturevalue("training_set") if request.param == "N130"
+              else build_training_set(dataset, prior_from_table2(), 20,
+                                      reduced_model(), RandomStream(0)))
         x = ts.inputs_std()
         y = ts.outputs[:, 0]
         return x, (y - y.mean()) / y.std()
@@ -388,7 +382,7 @@ class TestLoocv:
             rng = RandomStream(100 + rep).generator()
             x = rng.random(24)
             y = rng.standard_normal(24)
-            gp = fit_gp(make_ts(x, y, seed=rep), "length", RandomStream(rep))
+            gp = fit_gp(make_ts(x, y), "length", RandomStream(rep))
             q2s.append(loocv_q2(gp)[0])
         assert np.mean(q2s) <= 0.2
 
