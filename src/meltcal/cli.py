@@ -20,12 +20,16 @@ from .forward import AdapterError, NumericsError
 from .pipeline import RunConfig, StageError, run_stage
 from .surrogate import IllConditionedError
 
-_CATEGORIES = (
+# Errors that say what failed.  A stage failure takes the category of the
+# deepest of these in its cause chain, not that of the wrapping StageError.
+_CAUSES = (
     (DatasetFormatError, "dataset"),
     (AdapterError, "adapter"),
     (TrainingSetError, "training"),
     (IllConditionedError, "numerics"),
     (NumericsError, "numerics"),
+)
+_CATEGORIES = _CAUSES + (
     (StageError, "stage"),
     (FileNotFoundError, "io"),
     (PermissionError, "io"),
@@ -35,11 +39,13 @@ _CATEGORIES = (
 
 
 def _fail(exc: Exception) -> "NoReturn":  # noqa: F821
-    category = "internal"
-    for etype, name in _CATEGORIES:
-        if isinstance(exc, etype):
-            category = name
-            break
+    typed, cause = exc, exc.__cause__
+    while cause is not None:
+        if isinstance(cause, tuple(etype for etype, _ in _CAUSES)):
+            typed = cause
+        cause = cause.__cause__
+    category = next((name for etype, name in _CATEGORIES if isinstance(typed, etype)),
+                    "internal")
     msg = " ".join(str(exc).split())
     click.echo(f"error:{category}: {msg}", err=True)
     sys.exit(1)

@@ -146,7 +146,7 @@ def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
                 except Exception as exc:
                     raise TrainingSetError(
                         f"model failed at condition {row.index}, sample {k}: "
-                        f"theta={theta_vec.tolist()}") from exc
+                        f"theta={theta_vec.tolist()}: {exc}") from exc
                 if candidate.melted:
                     size = candidate
                     break

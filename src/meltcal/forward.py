@@ -6,7 +6,8 @@ MeltPoolSize:
 * a reduced-order transient-conduction model (Gaussian surface source on a
   semi-infinite half-space, superposed in time via the Green's function),
 * an external-process adapter for a full simulator, and
-* a cached run table replaying stored evaluations.
+* a read-only run table replaying stored evaluations, with a fallback
+  evaluator for the runs it does not hold.
 
 The reduced model folds melt-pool convection into an effective-conductivity
 enhancement driven by the Marangoni number, and folds convective/radiative
@@ -21,7 +22,6 @@ import math
 import shlex
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -47,7 +47,6 @@ __all__ = [
     "temperature_rise",
     "evaluate_reduced",
     "evaluate_external",
-    "lookup_or_evaluate",
     "effective_conductivity",
     "melting_threshold",
 ]
@@ -380,33 +379,30 @@ def _size_from_mm(length_mm: str, depth_mm: str) -> MeltPoolSize:
 
 
 class RunTable:
-    """CSV-backed cache of forward-model evaluations, keyed to 12 digits."""
+    """Stored forward-model evaluations read from a CSV, keyed to 12 digits.
+
+    The table is an input of a run, like the dataset: nothing writes it.
+    """
 
     COLUMNS = (["power_W", "beam_radius_mm", "pulse_ms"] + list(PARAM_SYMBOLS)
                + ["length_mm", "depth_mm"])
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
         self._rows: dict[tuple, MeltPoolSize] = {}
-        self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != self.COLUMNS:
-                raise AdapterError(f"{self.path}: bad run-table header {reader.fieldnames!r}")
+                raise AdapterError(f"{path}: bad run-table header {reader.fieldnames!r}")
             for rec in reader:
-                design = DesignVars(power=float(rec["power_W"]),
-                                    beam_radius=float(rec["beam_radius_mm"]) * 1e-3,
-                                    pulse_duration=float(rec["pulse_ms"]) * 1e-3)
-                theta = CalibrationParams.from_array(
-                    [float(rec[s]) for s in PARAM_SYMBOLS])
                 try:
+                    design = DesignVars(power=float(rec["power_W"]),
+                                        beam_radius=float(rec["beam_radius_mm"]) * 1e-3,
+                                        pulse_duration=float(rec["pulse_ms"]) * 1e-3)
+                    theta = CalibrationParams.from_array(
+                        [float(rec[s]) for s in PARAM_SYMBOLS])
                     size = _size_from_mm(rec["length_mm"], rec["depth_mm"])
-                except AdapterError as exc:
-                    raise AdapterError(f"{self.path}: row {reader.line_num}: {exc}") from None
+                except (ValueError, AdapterError) as exc:
+                    raise AdapterError(f"{path}: row {reader.line_num}: {exc}") from None
                 self._rows[_run_key(design, theta)] = size
 
     def __len__(self) -> int:
@@ -415,49 +411,14 @@ class RunTable:
     def lookup(self, design: DesignVars, theta: CalibrationParams) -> MeltPoolSize | None:
         return self._rows.get(_run_key(design, theta))
 
-    def store(self, design: DesignVars, theta: CalibrationParams,
-              size: MeltPoolSize) -> MeltPoolSize:
-        """Cache ``size`` at (design, theta); return the cached value.
-
-        A table with a file caches the size as a reload of the file reads
-        it, so a later run that replays the file sees the values this one
-        saw, bit for bit.
-        """
-        with self._lock:
-            if self.path is not None:
-                size = self._persist(design, theta, size)
-            self._rows[_run_key(design, theta)] = size
-            return size
-
-    def _persist(self, design: DesignVars, theta: CalibrationParams,
-                 size: MeltPoolSize) -> MeltPoolSize:
-        new = not self.path.exists()
-        with open(self.path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if new:
-                writer.writerow(self.COLUMNS)
-            row = [format(design.power, ".12g"),
-                   format(design.beam_radius * 1e3, ".12g"),
-                   format(design.pulse_duration * 1e3, ".12g")]
-            row += [format(v, ".12g") for v in theta.as_array()]
-            # inputs are keys, rounded to 12 digits anyway; sizes are data,
-            # written with repr so they read back exactly
-            row += [repr(float(size.length * 1e3)), repr(float(size.depth * 1e3))]
-            writer.writerow(row)
-        return _size_from_mm(row[-2], row[-1])
-
-
-def lookup_or_evaluate(table: RunTable, fallback: ForwardModel,
-                       design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-    """Replay a stored run if present, otherwise evaluate and cache."""
-    hit = table.lookup(design, theta)
-    if hit is not None:
-        return hit
-    return table.store(design, theta, fallback(design, theta))
-
 
 def table_model(table: RunTable, fallback: ForwardModel) -> ForwardModel:
+    """Replay a stored run if present, otherwise evaluate ``fallback``.
+
+    A miss is not stored: the table stays as it was read.
+    """
     def model(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-        return lookup_or_evaluate(table, fallback, design, theta)
+        size = table.lookup(design, theta)
+        return fallback(design, theta) if size is None else size
 
     return model

@@ -163,10 +163,6 @@ class PosteriorChain:
     def steps(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def acceptance_count(self) -> int:
-        return int(self.accepted.sum())
-
     def acceptance_rate(self, after: int = 0) -> float:
         return float(self.accepted[after:].mean())
 

@@ -31,7 +31,6 @@ import numpy as np
 from . import doe, inference, plots, sensitivity, surrogate
 from .domain import (
     CalibrationParams,
-    DesignVars,
     ExperimentalDataset,
     PARAM_NAMES,
     PriorSpec,
@@ -61,11 +60,6 @@ __all__ = [
     "emit_plots",
     "STAGES",
 ]
-
-# The points (design + theta, raw units) at which the design stage
-# evaluated the forward model, in order.
-DESIGN_READS = "design_reads.json"
-
 
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
@@ -134,6 +128,8 @@ class RunConfig:
             raise ValueError("table model selected but no run_table_path given")
         if not Path(self.dataset_path).exists():
             raise FileNotFoundError(f"dataset not found: {self.dataset_path}")
+        if self.model == "table" and not Path(self.run_table_path).exists():
+            raise FileNotFoundError(f"run table not found: {self.run_table_path}")
         if self.samples_per_condition < 2:
             raise ValueError("samples_per_condition must be >= 2")
         sensitivity._check_n_base(self.sa_n_base, "sa_n_base")
@@ -195,9 +191,8 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _file_digest(path: str | Path) -> str | None:
-    path = Path(path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else None
+def _file_digest(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def _write_json(doc, path: Path, indent: int | None = 2) -> None:
@@ -241,25 +236,6 @@ class _Stage:
     inputs: Callable[["Pipeline"], object] = lambda p: None
 
 
-def _design(p: "Pipeline") -> tuple[doe.TrainingSet, list]:
-    """The training set and the points (design + theta, raw units) at which
-    it evaluated the forward model, in order."""
-    model, reads = p.cfg.forward(), []
-
-    def recorded(design: DesignVars, theta: CalibrationParams):
-        reads.append(design.as_array().tolist() + theta.as_array().tolist())
-        return model(design, theta)
-
-    ts = doe.build_training_set(p.dataset, p.prior, p.cfg.samples_per_condition,
-                                recorded, p.stream.split(1))
-    return ts, reads
-
-
-def _save_design(result, csv_path: Path, json_path: Path, reads_path: Path) -> None:
-    doe.save_training_set(result[0], csv_path, json_path)
-    _write_json(result[1], reads_path, indent=None)
-
-
 def _save_gps(gps, *paths: Path) -> None:
     for gp, path in zip(gps, paths):
         surrogate.save_gp(gp, path)
@@ -301,20 +277,21 @@ _STAGES = {
     "design": _Stage(
         config=("model", "reduced", "constants", "external", "run_table_path",
                 "samples_per_condition", "seed"),
-        inputs=lambda p: (p._dataset_digest, p._table_rows_read()),
+        inputs=lambda p: (p._dataset_digest, p._table_digest),
         upstream=(),
-        artifacts=("training_set.csv", "training_set.json", DESIGN_READS),
-        compute=_design,
-        save=_save_design,
-        load=lambda p, csv_path, json_path, reads_path: (
-            doe.load_training_set(csv_path, json_path), _read_json(reads_path))),
+        artifacts=("training_set.csv", "training_set.json"),
+        compute=lambda p: doe.build_training_set(
+            p.dataset, p.prior, p.cfg.samples_per_condition, p.cfg.forward(),
+            p.stream.split(1)),
+        save=doe.save_training_set,
+        load=lambda p, *paths: doe.load_training_set(*paths)),
     "train": _Stage(
         config=("seed",),
         upstream=("design",),
         artifacts=("gp_length.json", "gp_depth.json"),
         compute=lambda p, design: (
-            surrogate.fit_gp(design[0], "length", p.stream.split(2)),
-            surrogate.fit_gp(design[0], "depth", p.stream.split(3))),
+            surrogate.fit_gp(design, "length", p.stream.split(2)),
+            surrogate.fit_gp(design, "depth", p.stream.split(3))),
         save=_save_gps,
         load=lambda p, *paths: tuple(map(surrogate.load_gp, paths))),
     "validate-surrogate": _Stage(
@@ -372,6 +349,9 @@ class Pipeline:
         self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
         self._dataset_digest = _file_digest(cfg.dataset_path)
+        # the run table is read only, so its content keys the design
+        self._table_digest = (_file_digest(cfg.run_table_path)
+                              if cfg.model == "table" else None)
         self._results: dict[str, object] = {}
 
     # -- digests -----------------------------------------------------------
@@ -392,23 +372,6 @@ class Pipeline:
         return _digest(name, [doc[k] for k in stage.config], stage.inputs(self),
                        [self._stage_digest(up) for up in stage.upstream])
 
-    def _table_rows_read(self) -> list | None:
-        """The run table's current rows at the points the stored design read.
-
-        Later stages and other runs add rows to the table, so the design
-        is keyed on the rows it read, not on the whole file.  None for the
-        other models and before the design has run.
-        """
-        path = self.out / DESIGN_READS
-        if self.cfg.model != "table" or not path.exists():
-            return None
-        table = RunTable(self.cfg.run_table_path)
-        rows = []
-        for x in _read_json(path):
-            size = table.lookup(DesignVars(*x[:3]), CalibrationParams.from_array(x[3:]))
-            rows.append(None if size is None else dataclasses.astuple(size))
-        return rows
-
     # -- stages ------------------------------------------------------------
 
     def _run(self, name: str):
@@ -423,8 +386,8 @@ class Pipeline:
         stage = _STAGES[name]
         paths = [self.out / a for a in stage.artifacts]
         meta = self.out / f"{_attr(name)}.meta.json"
-        if (all(path.exists() for path in paths)
-                and _stored_digest(meta) == self._stage_digest(name)):
+        digest = self._stage_digest(name)
+        if all(path.exists() for path in paths) and _stored_digest(meta) == digest:
             result = stage.load(self, *paths)
         else:
             upstream = [getattr(self, _attr(up))() for up in stage.upstream]
@@ -433,14 +396,12 @@ class Pipeline:
             except Exception as exc:
                 raise StageError(name, str(exc)) from exc
             stage.save(result, *paths)
-            # after saving: the design's digest covers the table rows it read
-            _write_json({"digest": self._stage_digest(name), "stage": name}, meta,
-                        indent=None)
+            _write_json({"digest": digest, "stage": name}, meta, indent=None)
         self._results[name] = result
         return result
 
     def report(self) -> dict:
-        ts, _ = self.design()
+        ts = self.design()
         q2 = self.validate_surrogate()
         sa_report = self.sa()
         chain, summary = self.calibrate()

@@ -1,4 +1,4 @@
-"""Reduced conduction model, external adapter, and run-table cache."""
+"""Reduced conduction model, external adapter, and run-table replay."""
 
 import dataclasses
 
@@ -23,9 +23,10 @@ from meltcal.forward import (
     effective_conductivity,
     evaluate_external,
     evaluate_reduced,
-    lookup_or_evaluate,
+    table_model,
     temperature_rise,
 )
+from run_tables import write_run_table
 
 CONST = PhysicalConstants()
 CFG = ReducedModelConfig()
@@ -114,13 +115,6 @@ class TestEvaluateReduced:
         s1 = evaluate_reduced(more, NOMINAL, CONST, CFG)
         assert s1.length >= s0.length and s1.depth >= s0.depth
 
-    def test_condition_one_matches_fd_oracle(self):
-        fd = solve_fd(COND1, NOMINAL, CONST, cells_per_radius=16)
-        size = evaluate_reduced(COND1, NOMINAL, CONST, CFG)
-        assert size.melted
-        assert abs(size.length - fd.max_length()) / fd.max_length() < 0.05
-        assert abs(size.depth - fd.max_depth()) / fd.max_depth() < 0.05
-
     def test_quadrature_converged(self, dataset):
         """Doubling the node count moves dims by < 0.5% at every condition."""
         fine = dataclasses.replace(CFG, quad_points=128)
@@ -207,41 +201,52 @@ class _CountingModel:
                             depth=5e-5, melted=True)
 
 
+def _row(design, theta):
+    return np.concatenate([design.as_array(), theta.as_array()])
+
+
 class TestRunTable:
     def test_miss_then_hit(self, tmp_path):
-        table = RunTable(tmp_path / "runs.csv")
+        path = tmp_path / "runs.csv"
+        stored = MeltPoolSize(length=1e-4, depth=5e-5, melted=True)
+        write_run_table(path, [_row(COND1, NOMINAL)], [(stored.length, stored.depth)])
+        before = path.read_bytes()
         model = _CountingModel()
-        first = lookup_or_evaluate(table, model, COND1, NOMINAL)
-        second = lookup_or_evaluate(table, model, COND1, NOMINAL)
-        assert model.calls == 1
-        assert first == second
+        replay = table_model(RunTable(path), model)
+        assert replay(COND1, NOMINAL) == stored
+        assert model.calls == 0
+        other = dataclasses.replace(COND1, power=600.0)
+        first = replay(other, NOMINAL)
+        second = replay(other, NOMINAL)  # a miss is not stored
+        assert model.calls == 2
+        assert first == second == _CountingModel()(other, NOMINAL)
+        assert path.read_bytes() == before
 
     def test_replay_from_disk_without_fallback(self, tmp_path, dataset):
         path = tmp_path / "runs.csv"
-        table = RunTable(path)
         model = _CountingModel()
         rng = np.random.default_rng(0)
         prior = prior_from_table2()
         thetas = [CalibrationParams.from_array(
             prior.lower() + rng.random(8) * (prior.upper() - prior.lower()))
             for _ in range(10)]
-        for row in dataset:
-            for theta in thetas:
-                lookup_or_evaluate(table, model, row.design, theta)
-        assert model.calls == 130
+        runs = [(row.design, theta) for row in dataset for theta in thetas]
+        sizes = [model(design, theta) for design, theta in runs]
+        write_run_table(path, [_row(*run) for run in runs],
+                        [(size.length, size.depth) for size in sizes])
 
         replay = RunTable(path)
         assert len(replay) == 130
         fresh = _CountingModel()
-        for row in dataset:
-            for theta in thetas:
-                lookup_or_evaluate(replay, fresh, row.design, theta)
+        replayed = [table_model(replay, fresh)(*run) for run in runs]
         assert fresh.calls == 0
+        for got, want in zip(replayed, sizes):
+            assert got.length == pytest.approx(want.length, rel=1e-15)
+            assert got.depth == pytest.approx(want.depth, rel=1e-15)
 
     def test_non_finite_row_raises_on_load(self, tmp_path):
         path = tmp_path / "runs.csv"
-        table = RunTable(path)
-        table.store(COND1, NOMINAL, MeltPoolSize(length=1e-4, depth=5e-5, melted=True))
+        write_run_table(path, [_row(COND1, NOMINAL)], [(1e-4, 5e-5)])
         lines = path.read_text().splitlines()
         fields = lines[1].split(",")
         fields[-2] = "nan"
@@ -249,11 +254,23 @@ class TestRunTable:
         with pytest.raises(AdapterError, match="non-finite"):
             RunTable(path)
 
+    @pytest.mark.parametrize("column, value", [("length_mm", "abc"), ("alpha", "2")])
+    def test_bad_cell_names_file_and_row(self, tmp_path, column, value):
+        """A non-numeric cell or a parameter outside its domain."""
+        path = tmp_path / "runs.csv"
+        write_run_table(path, [_row(COND1, NOMINAL)], [(1e-4, 5e-5)])
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[RunTable.COLUMNS.index(column)] = value
+        path.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
+        with pytest.raises(AdapterError, match="runs.csv: row 2"):
+            RunTable(path)
+
     @given(st.floats(100.0, 2000.0))
     @settings(max_examples=20, deadline=None)
-    def test_key_is_stable_under_formatting(self, power):
-        table = RunTable()
+    def test_key_is_stable_under_formatting(self, tmp_path_factory, power):
+        path = tmp_path_factory.mktemp("table") / "runs.csv"
         design = DesignVars(power=power, beam_radius=2e-4, pulse_duration=3e-3)
-        size = MeltPoolSize(length=1e-4, depth=1e-4, melted=True)
-        table.store(design, NOMINAL, size)
-        assert table.lookup(design, NOMINAL) == size
+        write_run_table(path, [_row(design, NOMINAL)], [(1e-4, 1e-4)])
+        size = RunTable(path).lookup(design, NOMINAL)
+        assert size == MeltPoolSize(length=1e-4, depth=1e-4, melted=True)

@@ -228,7 +228,8 @@ class TestAdaptiveMetropolis:
 
         chain = adaptive_metropolis(target, np.zeros(3), 500, 100, RandomStream(1))
         assert chain.steps == 500
-        assert chain.acceptance_count <= 500
+        assert chain.accepted.shape == (500,)
+        assert 0.0 <= chain.acceptance_rate() <= 1.0
 
     def test_fixed_seed_reproducible(self):
         def target(x):

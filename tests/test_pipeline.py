@@ -25,7 +25,7 @@ from meltcal.domain import (
     synthetic_dataset,
     write_dataset,
 )
-from meltcal.forward import ExternalModelSpec, reduced_model
+from meltcal.forward import ExternalModelSpec, ReducedModelConfig, reduced_model
 from meltcal.inference import adaptive_metropolis, burn_thin
 from meltcal.pipeline import (
     McmcConfig,
@@ -36,6 +36,7 @@ from meltcal.pipeline import (
     run_stage,
     validate_at_point,
 )
+from run_tables import write_run_table
 
 PRIOR = prior_from_table2()
 
@@ -85,6 +86,9 @@ class TestRunConfig:
             small_config(tmp_path, model="quantum")
         with pytest.raises(ValueError):
             small_config(tmp_path, model="external")
+        with pytest.raises(FileNotFoundError):
+            small_config(tmp_path, model="table",
+                         run_table_path=str(tmp_path / "nope.csv"))
 
     def test_counts_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -246,8 +250,8 @@ class TestRunCalibration:
         shutil.copytree(cfg.out_dir, out)
         cfg2 = dataclasses.replace(cfg, out_dir=str(out), seed=8)
         p = Pipeline(cfg2)
-        ts_a, _ = p.design()
-        ts_b, _ = Pipeline(small_config(Path(cfg.out_dir))).design()
+        ts_a = p.design()
+        ts_b = Pipeline(small_config(Path(cfg.out_dir))).design()
         assert not np.array_equal(ts_a.inputs_raw, ts_b.inputs_raw)
 
 
@@ -279,11 +283,13 @@ class TestDigests:
 
     def test_design_recomputed_when_run_table_changes(self, tmp_path):
         table = tmp_path / "runs.csv"
+        ts = Pipeline(small_config(tmp_path / "reduced")).design()
+        write_run_table(table, ts.inputs_raw, ts.outputs)  # the design's points
         cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
-        ts_a, _ = Pipeline(cfg).design()
+        ts_a = Pipeline(cfg).design()
         training = tmp_path / "out" / "training_set.csv"
         stamp = training.stat().st_mtime_ns
-        Pipeline(cfg).design()  # the table the design wrote is a cache hit
+        Pipeline(cfg).design()  # an unchanged table is a cache hit
         assert training.stat().st_mtime_ns == stamp
 
         lines = table.read_text().splitlines()
@@ -292,14 +298,30 @@ class TestDigests:
         for row in rows:
             row[col] = format(1.5 * float(row[col]), ".12g")
         table.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
-        ts_b, _ = Pipeline(cfg).design()
+        ts_b = Pipeline(cfg).design()
         np.testing.assert_allclose(ts_b.outputs[:, 0], 1.5 * ts_a.outputs[:, 0],
                                    rtol=1e-9)
 
+    def test_table_miss_follows_reduced_settings(self, tmp_path):
+        """A run table misses with the configured reduced model and is
+        never written, so no run replays another setting's results."""
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        before = table.read_bytes()
+        chi = ReducedModelConfig(chi=0.6)
+        for name, overrides in (("default", {}), ("chi", {"reduced": chi})):
+            run_stage(small_config(tmp_path / name, model="table",
+                                   run_table_path=str(table), **overrides), "design")
+        run_stage(small_config(tmp_path / "reduced", reduced=chi), "design")
+        assert ((tmp_path / "chi" / "training_set.csv").read_bytes()
+                == (tmp_path / "reduced" / "training_set.csv").read_bytes())
+        assert table.read_bytes() == before
+
     def test_table_model_stage_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
-        cfg = small_config(tmp_path / "out", model="table",
-                           run_table_path=str(tmp_path / "runs.csv"))
-        run_stage(cfg, "train")  # the design first reads the table here
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        run_stage(cfg, "train")
 
         def fail(*args, **kwargs):
             raise AssertionError("stage recomputed")
@@ -310,12 +332,14 @@ class TestDigests:
     def test_table_model_rerun_resumes_and_replay_reproduces(self, tmp_path,
                                                             monkeypatch):
         table = tmp_path / "runs.csv"
+        ts = Pipeline(small_config(tmp_path / "reduced")).design()
+        write_run_table(table, ts.inputs_raw, ts.outputs)
+        before = table.read_bytes()
         cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
-        run_calibration(cfg)
+        run_stage(cfg, "run-all")
         first = _report_sans_timestamp(tmp_path / "out" / "report.json")
-        rows = table.read_text().count("\n")
 
-        # validate added rows to the table; no stage may recompute for that
+        # every stage is fresh: the rerun replays the cached results
         def fail(*args, **kwargs):
             raise AssertionError("stage recomputed")
 
@@ -325,15 +349,9 @@ class TestDigests:
                                  (inference, "adaptive_metropolis"),
                                  (pipeline, "validate_at_point")):
                 m.setattr(module, name, fail)
-            run_calibration(cfg)
+            run_stage(cfg, "run-all")
         assert _report_sans_timestamp(tmp_path / "out" / "report.json") == first
-
-        # a new output dir replays every evaluation from the table and
-        # sees the values the first run saw
-        replay = dataclasses.replace(cfg, out_dir=str(tmp_path / "replay"))
-        run_calibration(replay)
-        assert table.read_text().count("\n") == rows
-        assert _report_sans_timestamp(tmp_path / "replay" / "report.json") == first
+        assert table.read_bytes() == before
 
 
 class TestEmitPlots:
@@ -448,6 +466,20 @@ class TestCli:
             env={"MELTCAL_OUT": str(tmp_path / "env_out2")})
         assert result.exit_code == 0, result.output
         assert (flag_out / "training_set.csv").exists()
+
+    def test_stage_failure_keeps_its_cause_category(self, tmp_path):
+        script = tmp_path / "sim.sh"
+        script.write_text("#!/bin/sh\nexit 3\n")
+        script.chmod(0o755)
+        spec = ExternalModelSpec(command_template=f"{script} {{input}} {{output}}",
+                                 working_dir=tmp_path, timeout=10.0)
+        cfg_path = tmp_path / "cfg.json"
+        small_config(tmp_path / "out", model="external", external=spec).to_json(cfg_path)
+        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        err = _stderr(result)
+        assert err.startswith("error:adapter:") and "status 3" in err, err
+        assert len(err.strip().splitlines()) == 1
 
     def test_all_subcommands_registered(self):
         result = CliRunner().invoke(cli_main, ["--help"])
