@@ -15,7 +15,12 @@ as the pipeline does by default), then times, per call:
   closure the sampler calls;
 * the adaptive-Metropolis loop's own cost per step, on an 8-d standard
   normal target whose per-call time is subtracted;
-* ``save_chain`` and ``load_chain`` on a synthetic 50k-step chain.
+* the calibration's chains on the bundled target, in seconds:
+  ``chains_two_s`` runs two 25k-step chains through ``run_chains``, the
+  second in a forked worker, and ``chain_one_s`` one 50k-step chain in
+  this process.  A tracer in this process sees only chain 0, so this is
+  where the parallel layer is measured;
+* ``save_chain`` and ``load_chain`` on two synthetic 25k-step chains.
 
 Each figure is the median over ``repeats`` batches.  Prints one JSON line.
 
@@ -46,6 +51,7 @@ from meltcal.inference import (
     adaptive_metropolis,
     load_chain,
     make_log_posterior,
+    run_chains,
     save_chain,
 )
 from meltcal.surrogate import ConditionedGp, _nlml_and_grad, _PairDistances, fit_gp
@@ -123,12 +129,18 @@ def main() -> None:
                                                   RandomStream(3)), repeats)
     out["am_overhead_us"] = chain_s / steps * 1e6 - gauss_us
 
+    step0 = (prior.upper() - prior.lower()) / 10.0
+    out["chains_two_s"] = seconds(lambda: run_chains(
+        target, inbox, 25_000, 1_000, RandomStream(5), step0), repeats)
+    out["chain_one_s"] = seconds(lambda: adaptive_metropolis(
+        target, inbox, 50_000, 1_000, RandomStream(5), step0), repeats)
+
     rng = RandomStream(4).generator()
-    n = 50_000
-    chain = PosteriorChain(samples=prior.lower() + rng.random((n, 8))
+    lead = (2, 25_000)  # (chains, steps)
+    chain = PosteriorChain(samples=prior.lower() + rng.random((*lead, 8))
                            * (prior.upper() - prior.lower()),
-                           log_post=-300.0 + rng.standard_normal(n),
-                           accepted=rng.random(n) < 0.15)
+                           log_post=-300.0 + rng.standard_normal(lead),
+                           accepted=rng.random(lead) < 0.15)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)

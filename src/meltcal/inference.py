@@ -15,7 +15,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtri
 
+from .blas import one_blas_thread
 from .domain import (
     ExperimentalDataset,
     PARAM_NAMES,
@@ -33,9 +35,13 @@ __all__ = [
     "log_posterior",
     "make_log_posterior",
     "adaptive_metropolis",
+    "CHAINS",
+    "ChainWorkerError",
+    "run_chains",
     "burn_thin",
     "autocorrelation",
     "effective_sample_size",
+    "split_rhat",
     "summarize",
     "save_chain",
     "load_chain",
@@ -43,8 +49,11 @@ __all__ = [
 
 AM_SCALE = 2.38**2  # canonical adaptive-Metropolis proposal scaling / d
 AM_REGULARIZER = 1e-10
-# Fewest retained states that summarize accepts.
+# Fewest retained states per chain that summarize accepts.
 MIN_RETAINED = 50
+# Chains per calibration.  A constant, not a setting and not the host's core
+# count, so that a run's bytes do not depend on the machine.
+CHAINS = 2
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,11 @@ def make_log_posterior(dataset: ExperimentalDataset, gp_length: GpSurrogate,
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Every visited state (repeats on rejection included)."""
+    """Every visited state (repeats on rejection included).
+
+    One chain's arrays have the shapes below; chains run side by side
+    (``run_chains``) add a leading chain axis.
+    """
 
     samples: np.ndarray      # (steps, d) raw units
     log_post: np.ndarray     # (steps,)
@@ -161,10 +174,17 @@ class PosteriorChain:
 
     @property
     def steps(self) -> int:
-        return self.samples.shape[0]
+        """Steps per chain."""
+        return self.samples.shape[-2]
 
     def acceptance_rate(self, after: int = 0) -> float:
-        return float(self.accepted[after:].mean())
+        return float(self.accepted[..., after:].mean())
+
+    def pooled(self) -> "PosteriorChain":
+        """One chain of every chain's states in turn, chain 0's first."""
+        return PosteriorChain(samples=self.samples.reshape(-1, self.samples.shape[-1]),
+                              log_post=self.log_post.reshape(-1),
+                              accepted=self.accepted.reshape(-1))
 
 
 def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
@@ -229,15 +249,100 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
 
 
+class ChainWorkerError(RuntimeError):
+    """A chain run in a worker process failed; names the chain and the cause."""
+
+    def __init__(self, chain: int, cause: str):
+        super().__init__(f"chain {chain} failed in its worker process: {cause}")
+        self.chain = chain
+
+
+@one_blas_thread()
+def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
+               steps: int, adapt_start: int, stream: RandomStream,
+               initial_step: np.ndarray | None = None) -> PosteriorChain:
+    """``CHAINS`` adaptive-Metropolis chains from ``init``, run side by side.
+
+    Chain 0 runs ``adaptive_metropolis`` on ``stream`` in this process.
+    Chain k >= 1 runs it on ``stream.split(k)`` at the same time, in a
+    worker forked from this process, and sends its arrays back as raw
+    bytes through a pipe.  Forking, not spawning, lets the worker call the
+    same ``target`` and its conditioned GPs without pickling them; meltcal
+    starts no threads of its own.  So each chain is bitwise what
+    ``adaptive_metropolis`` gives on its stream, at any scheduling of the
+    workers.  The result has a leading chain axis, in chain order.  The
+    chains run with the bundled OpenBLAS on one thread, so the processes
+    do not contend for cores through it.
+
+    A worker's failure is a ``ChainWorkerError`` naming the chain and its
+    cause.  Every worker is joined before this returns or raises; one still
+    running when chain 0 fails is terminated first.
+    """
+    import multiprocessing  # here: only a calibration needs it
+
+    ctx = multiprocessing.get_context("fork")
+    init = np.asarray(init, float)
+
+    def run(k: int) -> PosteriorChain:
+        return adaptive_metropolis(target, init, steps, adapt_start,
+                                   stream.split(k) if k else stream, initial_step)
+
+    def work(k: int, pipe) -> None:
+        try:
+            chain = run(k)
+        except Exception as exc:
+            pipe.send_bytes(f"{type(exc).__name__}: {exc}".encode())
+            raise SystemExit(1) from None
+        pipe.send_bytes(b"")  # no error: the arrays follow
+        for array in (chain.samples, chain.log_post, chain.accepted):
+            pipe.send_bytes(array)
+
+    workers = []
+    try:
+        for k in range(1, CHAINS):
+            pipe, sender = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=work, args=(k, sender),
+                                 name=f"meltcal-chain-{k}")
+            worker.start()
+            workers.append((worker, pipe))
+            sender.close()  # so that a worker's death reads as EOF
+        first = run(0)
+        out = PosteriorChain(samples=np.empty((CHAINS, steps, init.size)),
+                             log_post=np.empty((CHAINS, steps)),
+                             accepted=np.empty((CHAINS, steps), dtype=bool))
+        out.samples[0], out.log_post[0], out.accepted[0] = (
+            first.samples, first.log_post, first.accepted)
+        del first  # copied: free it before the workers' arrays arrive
+        for k, (worker, pipe) in enumerate(workers, 1):
+            try:
+                if cause := pipe.recv_bytes().decode():
+                    raise ChainWorkerError(k, cause)
+                # recv_bytes_into sizes a buffer by its first axis: pass flat views
+                for array in (out.samples[k], out.log_post[k], out.accepted[k]):
+                    pipe.recv_bytes_into(array.reshape(-1))
+            except EOFError:
+                worker.join()
+                raise ChainWorkerError(
+                    k, f"worker exited with code {worker.exitcode}") from None
+    finally:
+        for worker, pipe in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            pipe.close()
+    return out
+
+
 def burn_thin(chain: PosteriorChain, burn: int, thin: int) -> PosteriorChain:
-    """Drop the first ``burn`` states, then keep every ``thin``-th one."""
+    """Drop each chain's first ``burn`` states, then keep every ``thin``-th one."""
     if burn >= chain.steps:
         raise ValueError(f"burn {burn} >= chain length {chain.steps}")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     sel = slice(burn, None, thin)
-    return PosteriorChain(samples=chain.samples[sel], log_post=chain.log_post[sel],
-                          accepted=chain.accepted[sel])
+    return PosteriorChain(samples=chain.samples[..., sel, :],
+                          log_post=chain.log_post[..., sel],
+                          accepted=chain.accepted[..., sel])
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -277,6 +382,43 @@ def effective_sample_size(series: np.ndarray) -> float:
     return float(min(max(ess, 1.0), n))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing their mean rank: the
+    "average" ranks of ``scipy.stats.rankdata``, without the import time of
+    ``scipy.stats``."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def split_rhat(draws: np.ndarray) -> float:
+    """Rank-normalised split-R-hat of one parameter (Vehtari et al. 2021,
+    bulk form).
+
+    ``draws`` is (chains, n).  Each chain is split into halves, its middle
+    draw dropped when n is odd; the pooled draws are replaced by the normal
+    scores of their average ranks, and R-hat is the potential scale
+    reduction of those scores over the half chains.  Draws that are all
+    equal give 1.0.
+    """
+    draws = np.asarray(draws, float)
+    half = draws.shape[1] // 2
+    if half < 2:
+        raise ValueError("split R-hat needs at least 4 draws per chain")
+    split = np.concatenate([draws[:, :half], draws[:, -half:]])
+    z = ndtri((_average_ranks(split.ravel()) - 0.375)
+              / (split.size + 0.25)).reshape(split.shape)
+    within = z.var(axis=1, ddof=1).mean()
+    between = z.mean(axis=1).var(ddof=1)
+    if within == 0.0:
+        return 1.0 if between == 0.0 else math.inf
+    return float(math.sqrt(((half - 1) / half * within + between) / within))
+
+
 @dataclass(frozen=True)
 class PosteriorSummary:
     parameters: tuple[str, ...]
@@ -284,9 +426,10 @@ class PosteriorSummary:
     std: np.ndarray
     ci_lower: np.ndarray   # 2.5% quantile
     ci_upper: np.ndarray   # 97.5% quantile
-    ess: np.ndarray
+    ess: np.ndarray        # summed over chains
+    rhat: np.ndarray       # rank-normalised split-R-hat
     correlation: np.ndarray
-    retained: int
+    retained: int          # pooled over chains
 
     def to_dict(self) -> dict:
         return {
@@ -296,22 +439,32 @@ class PosteriorSummary:
             "ci_lower": self.ci_lower.tolist(),
             "ci_upper": self.ci_upper.tolist(),
             "ess": self.ess.tolist(),
+            "rhat": self.rhat.tolist(),
             "correlation": self.correlation.tolist(),
             "retained": self.retained,
         }
 
 
 def summarize(chain: PosteriorChain) -> PosteriorSummary:
-    """Moments, equal-tailed 95% intervals, ESS, and cross-correlations."""
-    x = chain.samples
-    n, d = x.shape
-    if n < MIN_RETAINED:
-        raise ValueError(f"need at least {MIN_RETAINED} retained samples, got {n}")
+    """Moments, equal-tailed 95% intervals and cross-correlations of the
+    pooled states; the ESS summed over chains; split-R-hat per parameter.
+
+    A chain without a leading chain axis counts as one chain.
+    """
+    if chain.steps < MIN_RETAINED:
+        raise ValueError(f"need at least {MIN_RETAINED} retained samples per "
+                         f"chain, got {chain.steps}")
+    d = chain.samples.shape[-1]
+    per_chain = chain.samples.reshape(-1, chain.steps, d)
+    ess = np.array([sum(effective_sample_size(c[:, j]) for c in per_chain)
+                    for j in range(d)])
+    rhat = np.array([split_rhat(per_chain[:, :, j]) for j in range(d)])
+    x = per_chain.reshape(-1, d)
+    n = x.shape[0]
     mean = x.mean(axis=0)
     std = x.std(axis=0, ddof=1)
     ci_lo = np.quantile(x, 0.025, axis=0)
     ci_hi = np.quantile(x, 0.975, axis=0)
-    ess = np.array([effective_sample_size(x[:, j]) for j in range(d)])
     corr = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
@@ -322,7 +475,7 @@ def summarize(chain: PosteriorChain) -> PosteriorSummary:
             corr[i, j] = corr[j, i] = c
     names = PARAM_NAMES if d == len(PARAM_NAMES) else tuple(f"x{j}" for j in range(d))
     return PosteriorSummary(parameters=names, mean=mean, std=std,
-                            ci_lower=ci_lo, ci_upper=ci_hi, ess=ess,
+                            ci_lower=ci_lo, ci_upper=ci_hi, ess=ess, rhat=rhat,
                             correlation=corr, retained=n)
 
 
@@ -330,7 +483,8 @@ _CHAIN_ARRAYS = ("samples", "log_post", "accepted")
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
-    """Write the chain's arrays as an uncompressed .npz at ``path``.
+    """Write the chains' arrays, leading chain axis included, as an
+    uncompressed .npz at ``path``.
 
     The arrays are stored in binary, so a reloaded chain is bitwise the
     one in memory and summarizes to the same numbers.
@@ -345,8 +499,8 @@ def load_chain(path: str | Path) -> PosteriorChain:
         if sorted(arrays.files) != sorted(_CHAIN_ARRAYS):
             raise ValueError(f"{path}: unexpected chain arrays {arrays.files}")
         samples, log_post, accepted = (arrays[name] for name in _CHAIN_ARRAYS)
-    steps = samples.shape[0]
-    if (samples.shape != (steps, len(PARAM_NAMES)) or log_post.shape != (steps,)
-            or accepted.shape != (steps,) or accepted.dtype != bool):
+    lead = log_post.shape  # (chains, steps)
+    if (len(lead) != 2 or samples.shape != (*lead, len(PARAM_NAMES))
+            or accepted.shape != lead or accepted.dtype != bool):
         raise ValueError(f"{path}: inconsistent chain array shapes")
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)

@@ -79,8 +79,10 @@ def _require_ints(obj, names: tuple[str, ...], prefix: str = "") -> None:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    steps: int = 50_000
-    burn: int = 10_000
+    """Counts per chain; the calibration runs ``inference.CHAINS`` chains."""
+
+    steps: int = 25_000
+    burn: int = 5_000
     thin: int = 20
     adapt_start: int = 1_000
 
@@ -98,8 +100,8 @@ class McmcConfig:
         retained = len(range(self.burn, self.steps, self.thin))
         if retained < inference.MIN_RETAINED:
             raise ValueError(
-                f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states; "
-                f"need at least {inference.MIN_RETAINED}")
+                f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
+                f"per chain; need at least {inference.MIN_RETAINED}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
                                              inference.PosteriorSummary]:
     target = inference.make_log_posterior(p.dataset, *gps, p.cfg.likelihood, p.prior)
     step0 = (p.prior.upper() - p.prior.lower()) / 10.0
-    chain = inference.adaptive_metropolis(
+    chain = inference.run_chains(
         target, p.prior.nominal(), p.cfg.mcmc.steps, p.cfg.mcmc.adapt_start,
         p.stream.split(5), initial_step=step0)
     return _with_summary(p, chain)
@@ -275,7 +277,7 @@ def _validate(p: "Pipeline", calibrated) -> dict:
 # Every cached stage, in run order.
 _STAGES = {
     "design": _Stage(
-        config=("model", "reduced", "constants", "external", "run_table_path",
+        config=("model", "reduced", "constants", "external",
                 "samples_per_condition", "seed"),
         inputs=lambda p: (p._dataset_digest, p._table_digest),
         upstream=(),
@@ -316,6 +318,8 @@ _STAGES = {
         load=lambda p, json_path, _csv: sensitivity.load_report(json_path)),
     "calibrate": _Stage(
         config=("mcmc", "likelihood"),
+        # the chain count enters the digest: chain.npz holds one per chain
+        inputs=lambda p: inference.CHAINS,
         upstream=("train",),
         artifacts=("chain.npz", "posterior.json"),
         compute=_calibrate,
@@ -359,12 +363,12 @@ class Pipeline:
     def config_digest(self) -> str:
         """Digest of the scientific configuration.
 
-        The dataset enters by content, not by path; where the artifacts
-        live does not enter at all.
+        The dataset and the run table enter by content, not by path;
+        where the artifacts live does not enter at all.
         """
         doc = {k: v for k, v in self.cfg.to_dict().items()
-               if k not in ("dataset_path", "out_dir")}
-        return _digest("config", doc, self._dataset_digest)
+               if k not in ("dataset_path", "run_table_path", "out_dir")}
+        return _digest("config", doc, self._dataset_digest, self._table_digest)
 
     def _stage_digest(self, name: str) -> str:
         """Digest of stage ``name``: its name, reads and upstream digests."""
@@ -406,9 +410,10 @@ class Pipeline:
         sa_report = self.sa()
         chain, summary = self.calibrate()
         errors = self.validate()
+        pooled = chain.pooled()
         doc = {
             "posterior": summary.to_dict(),
-            "posterior_mode": chain.samples[int(np.argmax(chain.log_post))].tolist(),
+            "posterior_mode": pooled.samples[int(np.argmax(pooled.log_post))].tolist(),
             "validation": errors,
             "surrogate_q2": q2,
             "sensitivity": {
@@ -426,7 +431,7 @@ class Pipeline:
         }
         _write_json(doc, self.out / "report.json")
         retained = inference.burn_thin(chain, self.cfg.mcmc.burn, self.cfg.mcmc.thin)
-        emit_plots(doc, retained, self.dataset, self.out)
+        emit_plots(doc, retained.pooled(), self.dataset, self.out)
         return doc
 
 

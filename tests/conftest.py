@@ -4,7 +4,11 @@ The bundled dataset, its training set at 10 rows per condition
 (``RandomStream(0)``) and the length and depth GPs fitted on that
 (``RandomStream(1)`` and ``RandomStream(2)``), each built once per test
 session.  Tests must not modify them.
+
+Every test must also leave no worker process running.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -35,3 +39,13 @@ def gps(training_set):
     """(length GP, depth GP)."""
     return (fit_gp(training_set, "length", RandomStream(1)),
             fit_gp(training_set, "depth", RandomStream(2)))
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"worker processes left running: {left}"

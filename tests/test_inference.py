@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from meltcal.domain import (
     prior_from_table2,
 )
 from meltcal.inference import (
+    CHAINS,
+    ChainWorkerError,
     FixedTerms,
     LikelihoodConfig,
+    PosteriorChain,
     adaptive_metropolis,
     autocorrelation,
     burn_thin,
@@ -25,7 +30,9 @@ from meltcal.inference import (
     load_chain,
     log_posterior,
     make_log_posterior,
+    run_chains,
     save_chain,
+    split_rhat,
     summarize,
 )
 
@@ -366,32 +373,120 @@ class TestSummarize:
             summarize(_dummy_chain(10))
 
 
+def _gaussian(x):
+    return -0.5 * float(x @ x)
+
+
+class TestRunChains:
+    def test_each_chain_is_adaptive_metropolis_on_its_stream(self):
+        stream = RandomStream(16)
+        step0 = np.full(3, 0.5)
+        chains = run_chains(_gaussian, np.zeros(3), 800, 100, stream, step0)
+        assert chains.samples.shape == (CHAINS, 800, 3)
+        for k in range(CHAINS):
+            alone = adaptive_metropolis(_gaussian, np.zeros(3), 800, 100,
+                                        stream.split(k) if k else stream, step0)
+            np.testing.assert_array_equal(chains.samples[k], alone.samples)
+            np.testing.assert_array_equal(chains.log_post[k], alone.log_post)
+            np.testing.assert_array_equal(chains.accepted[k], alone.accepted)
+        assert not np.array_equal(chains.samples[0], chains.samples[1])
+
+    def test_failure_in_worker_names_its_chain(self):
+        parent = os.getpid()
+
+        def target(x):
+            if os.getpid() != parent:
+                raise FloatingPointError("boom in the worker")
+            return _gaussian(x)
+
+        with pytest.raises(ChainWorkerError, match="chain 1 .*FloatingPointError: "
+                           "boom in the worker") as err:
+            run_chains(target, np.zeros(2), 500, 100, RandomStream(3))
+        assert err.value.chain == 1
+
+    def test_failure_in_chain_0_reaps_the_worker(self):
+        parent = os.getpid()
+        calls = 0
+
+        def target(x):
+            nonlocal calls
+            if os.getpid() == parent:
+                calls += 1
+                if calls > 50:
+                    raise FloatingPointError("boom in chain 0")
+            return _gaussian(x)
+
+        with pytest.raises(FloatingPointError, match="chain 0"):
+            run_chains(target, np.zeros(2), 200_000, 100, RandomStream(4))
+        assert multiprocessing.active_children() == []
+
+
+class TestSplitRhat:
+    def test_iid_chains_near_one(self):
+        draws = RandomStream(20).generator().standard_normal((2, 1_000))
+        assert split_rhat(draws) < 1.01
+
+    def test_chains_one_sd_apart(self):
+        draws = RandomStream(21).generator().standard_normal((2, 1_000))
+        draws[1] += 1.0
+        assert split_rhat(draws) > 1.1
+
+    def test_invariant_under_monotone_transform(self):
+        draws = RandomStream(22).generator().standard_normal((2, 501))
+        draws[1] += 0.3
+        assert split_rhat(np.exp(3.0 * draws) - 7.0) == split_rhat(draws)
+
+    def test_all_equal_draws(self):
+        assert split_rhat(np.full((2, 100), 3.0)) == 1.0
+
+    def test_summary_pools_chains(self):
+        rng = RandomStream(23).generator()
+        chains = PosteriorChain(samples=rng.standard_normal((2, 400, 3)),
+                                log_post=rng.standard_normal((2, 400)),
+                                accepted=rng.random((2, 400)) < 0.3)
+        s = summarize(chains)
+        for j in range(3):
+            assert s.ess[j] == sum(effective_sample_size(chains.samples[k, :, j])
+                                   for k in range(2))
+            assert s.rhat[j] == split_rhat(chains.samples[:, :, j])
+        np.testing.assert_array_equal(s.mean, chains.pooled().samples.mean(axis=0))
+        assert s.retained == 800
+
+
 class TestChainSerialization:
     def test_round_trip(self, tmp_path):
-        def target(x):
-            return -0.5 * float(x @ x)
-
         init = PRIOR.nominal()
-        chain = adaptive_metropolis(lambda x: -0.5 * float(((x - init) / init) @ ((x - init) / init)),
-                                    init, 500, 100, RandomStream(16))
+
+        def target(x):
+            z = (x - init) / init
+            return -0.5 * float(z @ z)
+
+        chains = run_chains(target, init, 500, 100, RandomStream(16))
         path = tmp_path / "chain.npz"
-        save_chain(chain, path)
+        save_chain(chains, path)
         back = load_chain(path)
-        np.testing.assert_array_equal(back.samples, chain.samples)
-        np.testing.assert_array_equal(back.log_post, chain.log_post)
-        np.testing.assert_array_equal(back.accepted, chain.accepted)
+        np.testing.assert_array_equal(back.samples, chains.samples)
+        np.testing.assert_array_equal(back.log_post, chains.log_post)
+        np.testing.assert_array_equal(back.accepted, chains.accepted)
 
     def test_npz_arrays(self, tmp_path):
         chain = _dummy_chain(50)
-        chain = dataclasses.replace(chain, samples=np.tile(PRIOR.nominal(), (50, 1)))
+        chains = PosteriorChain(samples=np.tile(PRIOR.nominal(), (2, 50, 1)),
+                                log_post=np.stack([chain.log_post] * 2),
+                                accepted=np.stack([chain.accepted] * 2))
         path = tmp_path / "chain.npz"
-        save_chain(chain, path)
+        save_chain(chains, path)
         with np.load(path) as arrays:
             assert sorted(arrays.files) == ["accepted", "log_post", "samples"]
-            assert arrays["samples"].shape == (50, 8)
+            assert arrays["samples"].shape == (2, 50, 8)
             assert arrays["accepted"].dtype == bool
-        np.savez(path, samples=chain.samples, log_post=chain.log_post)
+        np.savez(path, samples=chains.samples, log_post=chains.log_post)
         with pytest.raises(ValueError, match="unexpected chain arrays"):
+            load_chain(path)
+        # one chain without the leading chain axis
+        np.savez(path, samples=chains.samples[0], log_post=chains.log_post[0],
+                 accepted=chains.accepted[0])
+        with pytest.raises(ValueError, match="inconsistent chain array shapes"):
             load_chain(path)
 
 

@@ -273,6 +273,39 @@ class TestDigests:
         cfg = small_config(tmp_path / "out", dataset_path=str(edited))
         assert Pipeline(cfg).config_digest() != digests[0]
 
+    def test_config_digest_covers_run_table_content_not_path(self, tmp_path):
+        def digest(table):
+            return Pipeline(small_config(tmp_path / "out", model="table",
+                                         run_table_path=str(table))).config_digest()
+
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        empty = digest(table)
+        write_run_table(table, [np.r_[1000.0, 1e-4, 1e-3, PRIOR.nominal()]],
+                        [[1e-4, 5e-5]])
+        one_row = digest(table)
+        assert one_row != empty  # one path, two tables
+        moved = tmp_path / "moved" / "runs.csv"
+        moved.parent.mkdir()
+        shutil.copyfile(table, moved)
+        assert digest(moved) == one_row  # one table, two paths
+
+    def test_design_keyed_by_run_table_content_not_path(self, tmp_path,
+                                                         monkeypatch):
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        run_stage(cfg, "design")
+        moved = tmp_path / "moved" / "runs.csv"
+        moved.parent.mkdir()
+        shutil.copyfile(table, moved)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stage recomputed")
+
+        monkeypatch.setattr(doe, "build_training_set", fail)
+        run_stage(dataclasses.replace(cfg, run_table_path=str(moved)), "design")
+
     def test_design_digest_covers_external_spec(self, tmp_path):
         spec = ExternalModelSpec(command_template="sim {input} {output}",
                                  working_dir=tmp_path)
