@@ -21,7 +21,6 @@ __all__ = [
     "CalibrationParams",
     "PriorEntry",
     "PriorSpec",
-    "PhysicalConstants",
     "ExperimentRow",
     "ExperimentalDataset",
     "MeltPoolSize",
@@ -42,8 +41,6 @@ PARAM_NAMES = (
 )
 # Symbols used in on-disk key=value / CSV formats.
 PARAM_SYMBOLS = ("alpha", "A_h", "epsilon", "c_l", "k_l", "L", "mu_l", "gamma_T")
-
-STEFAN_BOLTZMANN = 5.670374419e-8
 
 CSV_HEADER = ["index", "power_W", "beam_radius_mm", "pulse_ms", "length_mm", "depth_mm"]
 CSV_SIGMA_COLS = ["length_sigma_mm", "depth_sigma_mm"]
@@ -152,24 +149,6 @@ class PriorSpec:
     def std(self) -> np.ndarray:
         """Standard deviation of each uniform marginal."""
         return (self.upper() - self.lower()) / np.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Material/ambient constants for 304 stainless steel (configurable)."""
-
-    density: float = 7200.0        # kg/m^3
-    melt_temperature: float = 1727.0  # liquidus, K
-    ambient_temperature: float = 300.0  # K
-    stefan_boltzmann: float = STEFAN_BOLTZMANN
-
-    def __post_init__(self):
-        if min(self.density, self.melt_temperature, self.ambient_temperature) <= 0:
-            raise ValueError("constants must be positive")
-        if self.melt_temperature <= self.ambient_temperature:
-            raise ValueError("melt temperature must exceed ambient")
-        if self.stefan_boltzmann != STEFAN_BOLTZMANN:
-            raise ValueError("Stefan-Boltzmann constant is fixed")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .domain import (
     DesignVars,
     MeltPoolSize,
     PARAM_SYMBOLS,
-    PhysicalConstants,
 )
 
 __all__ = [
@@ -52,6 +51,9 @@ __all__ = [
 ]
 
 
+STEFAN_BOLTZMANN = 5.670374419e-8  # W/(m^2 K^4)
+
+
 class NumericsError(ArithmeticError):
     """Non-finite intermediate inside the reduced model."""
 
@@ -66,7 +68,11 @@ class ForwardModel(Protocol):
 
 @dataclass(frozen=True)
 class ReducedModelConfig:
-    """Closure choices for the reduced conduction model.
+    """Material constants and closure choices for the reduced conduction model.
+
+    ``density``, ``melt_temperature`` (the liquidus) and
+    ``ambient_temperature`` describe 304 stainless steel and its
+    surroundings.  Unlike the calibration parameters, they are not inferred.
 
     Two closure factors absorb the fluid-flow physics that a pure
     conduction model lacks:
@@ -84,16 +90,22 @@ class ReducedModelConfig:
       the measurements.
     """
 
+    density: float = 7200.0             # kg/m^3
+    melt_temperature: float = 1727.0    # liquidus, K
+    ambient_temperature: float = 300.0  # K
     quad_points: int = 64
     search_tolerance: float = 1e-6  # m, bisection tolerance for isotherms
     chi: float = 0.2                # Marangoni enhancement coefficient
     ma_ref: float = 100.0           # Marangoni reference number
-    loss_correction: bool = True
     solid_conductivity_fraction: float = 0.1
     thermal_mass_fraction: float = 0.25
     time_samples: int = 33          # extent scan points over [t_p, 2 t_p]
 
     def __post_init__(self):
+        if min(self.density, self.melt_temperature, self.ambient_temperature) <= 0:
+            raise ValueError("density and temperatures must be positive")
+        if self.melt_temperature <= self.ambient_temperature:
+            raise ValueError("melt_temperature must exceed ambient_temperature")
         if self.quad_points < 16:
             raise ValueError("quad_points must be >= 16")
         if not (1e-7 <= self.search_tolerance <= 1e-4):
@@ -111,34 +123,33 @@ class ReducedModelConfig:
 
 
 def marangoni_number(design: DesignVars, theta: CalibrationParams,
-                     constants: PhysicalConstants) -> float:
-    a0 = theta.k_l / (constants.density * theta.c_l)
-    dT = constants.melt_temperature - constants.ambient_temperature
+                     cfg: ReducedModelConfig) -> float:
+    a0 = theta.k_l / (cfg.density * theta.c_l)
+    dT = cfg.melt_temperature - cfg.ambient_temperature
     return abs(theta.gamma_t) * dT * design.beam_radius / (theta.mu_l * a0)
 
 
 def effective_conductivity(design: DesignVars, theta: CalibrationParams,
-                           constants: PhysicalConstants,
                            cfg: ReducedModelConfig) -> float:
     """Conduction coefficient with the Marangoni convection enhancement."""
-    ma = marangoni_number(design, theta, constants)
+    ma = marangoni_number(design, theta, cfg)
     enhancement = 1.0 + cfg.chi * math.log1p(ma / cfg.ma_ref)
     return cfg.solid_conductivity_fraction * theta.k_l * enhancement
 
 
 def loss_fraction(design: DesignVars, theta: CalibrationParams,
-                  constants: PhysicalConstants) -> float:
+                  cfg: ReducedModelConfig) -> float:
     """Fraction of absorbed power lost to surface convection and radiation."""
-    tm, t0 = constants.melt_temperature, constants.ambient_temperature
+    tm, t0 = cfg.melt_temperature, cfg.ambient_temperature
     flux = (theta.a_h * (tm - t0)
-            + constants.stefan_boltzmann * theta.emissivity * (tm**4 - t0**4))
+            + STEFAN_BOLTZMANN * theta.emissivity * (tm**4 - t0**4))
     f = flux * math.pi * design.beam_radius**2 / (theta.alpha * design.power)
     return min(max(f, 0.0), 0.5)
 
 
-def melting_threshold(theta: CalibrationParams, constants: PhysicalConstants) -> float:
+def melting_threshold(theta: CalibrationParams, cfg: ReducedModelConfig) -> float:
     """Effective melting temperature: liquidus plus the latent-heat penalty."""
-    return constants.melt_temperature + theta.latent_heat / theta.c_l
+    return cfg.melt_temperature + theta.latent_heat / theta.c_l
 
 
 @cache
@@ -147,16 +158,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _absorbed_power(design: DesignVars, theta: CalibrationParams,
-                    constants: PhysicalConstants, cfg: ReducedModelConfig) -> float:
-    q = theta.alpha * design.power
-    if cfg.loss_correction:
-        q *= 1.0 - loss_fraction(design, theta, constants)
-    return q
+                    cfg: ReducedModelConfig) -> float:
+    """Absorbed laser power less the surface losses."""
+    return theta.alpha * design.power * (1.0 - loss_fraction(design, theta, cfg))
 
 
 def _rise_grid(design: DesignVars, theta: CalibrationParams,
-               constants: PhysicalConstants, cfg: ReducedModelConfig,
-               r: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+               cfg: ReducedModelConfig, r: np.ndarray, z: np.ndarray,
+               t: np.ndarray) -> np.ndarray:
     """Temperature rise above ambient at broadcastable (r, z, t) arrays.
 
     Superposition of the half-space Gaussian-source Green's function over
@@ -169,11 +178,11 @@ def _rise_grid(design: DesignVars, theta: CalibrationParams,
     """
     r, z, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(z, float),
                                   np.asarray(t, float))
-    k_eff = effective_conductivity(design, theta, constants, cfg)
-    rho_c = cfg.thermal_mass_fraction * constants.density * theta.c_l
+    k_eff = effective_conductivity(design, theta, cfg)
+    rho_c = cfg.thermal_mass_fraction * cfg.density * theta.c_l
     a = k_eff / rho_c
     rb2 = design.beam_radius**2
-    q = _absorbed_power(design, theta, constants, cfg)
+    q = _absorbed_power(design, theta, cfg)
     c0 = 4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a))
 
     # elapsed-time window is [t - t_p, t] clipped at 0
@@ -202,19 +211,17 @@ def _rise_grid(design: DesignVars, theta: CalibrationParams,
 
 
 def temperature_rise(design: DesignVars, theta: CalibrationParams,
-                     constants: PhysicalConstants, cfg: ReducedModelConfig,
-                     r: float, z: float, t: float) -> float:
+                     cfg: ReducedModelConfig, r: float, z: float, t: float) -> float:
     """Temperature (K) at radius r, depth z, time t for one spot weld."""
     if r < 0 or z < 0 or t < 0:
         raise ValueError("r, z, t must be non-negative")
-    rise = _rise_grid(design, theta, constants, cfg,
-                      np.array(r), np.array(z), np.array(t))
-    return float(constants.ambient_temperature + rise)
+    rise = _rise_grid(design, theta, cfg, np.array(r), np.array(z), np.array(t))
+    return float(cfg.ambient_temperature + rise)
 
 
 def _max_extent(design: DesignVars, theta: CalibrationParams,
-                constants: PhysicalConstants, cfg: ReducedModelConfig,
-                times: np.ndarray, threshold_rise: float, axis: str) -> float:
+                cfg: ReducedModelConfig, times: np.ndarray, threshold_rise: float,
+                axis: str) -> float:
     """Largest coordinate with rise >= threshold at any scanned time.
 
     axis='r' probes the surface (z=0); axis='z' probes the centerline (r=0).
@@ -223,8 +230,8 @@ def _max_extent(design: DesignVars, theta: CalibrationParams,
     """
     def rise_at(x: np.ndarray) -> np.ndarray:
         if axis == "r":
-            return _rise_grid(design, theta, constants, cfg, x, np.zeros_like(x), times)
-        return _rise_grid(design, theta, constants, cfg, np.zeros_like(x), x, times)
+            return _rise_grid(design, theta, cfg, x, np.zeros_like(x), times)
+        return _rise_grid(design, theta, cfg, np.zeros_like(x), x, times)
 
     # exponential bracket growth from the beam radius
     hi = np.full_like(times, design.beam_radius)
@@ -246,7 +253,6 @@ def _max_extent(design: DesignVars, theta: CalibrationParams,
 
 
 def evaluate_reduced(design: DesignVars, theta: CalibrationParams,
-                     constants: PhysicalConstants | None = None,
                      cfg: ReducedModelConfig | None = None) -> MeltPoolSize:
     """Melt-pool length (surface diameter) and depth from the reduced model.
 
@@ -254,28 +260,24 @@ def evaluate_reduced(design: DesignVars, theta: CalibrationParams,
     are the maxima over t in [t_p, 2 t_p] (during the pulse every point
     only heats up, so earlier times never set the maximum).
     """
-    constants = constants or PhysicalConstants()
     cfg = cfg or ReducedModelConfig()
-    threshold_rise = melting_threshold(theta, constants) - constants.ambient_temperature
+    threshold_rise = melting_threshold(theta, cfg) - cfg.ambient_temperature
     t_p = design.pulse_duration
-    peak = _rise_grid(design, theta, constants, cfg,
-                      np.array(0.0), np.array(0.0), np.array(t_p))
+    peak = _rise_grid(design, theta, cfg, np.array(0.0), np.array(0.0), np.array(t_p))
     if peak < threshold_rise:
         return MeltPoolSize(length=0.0, depth=0.0, melted=False)
     times = np.linspace(t_p, 2.0 * t_p, cfg.time_samples)
-    max_r = _max_extent(design, theta, constants, cfg, times, threshold_rise, "r")
-    max_z = _max_extent(design, theta, constants, cfg, times, threshold_rise, "z")
+    max_r = _max_extent(design, theta, cfg, times, threshold_rise, "r")
+    max_z = _max_extent(design, theta, cfg, times, threshold_rise, "z")
     return MeltPoolSize(length=2.0 * max_r, depth=max_z, melted=True)
 
 
-def reduced_model(constants: PhysicalConstants | None = None,
-                  cfg: ReducedModelConfig | None = None) -> ForwardModel:
-    """Bind constants/config into the common evaluation contract."""
-    constants = constants or PhysicalConstants()
+def reduced_model(cfg: ReducedModelConfig | None = None) -> ForwardModel:
+    """Bind the config into the common evaluation contract."""
     cfg = cfg or ReducedModelConfig()
 
     def model(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-        return evaluate_reduced(design, theta, constants, cfg)
+        return evaluate_reduced(design, theta, cfg)
 
     return model
 

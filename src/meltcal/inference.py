@@ -2,7 +2,7 @@
 and chain post-processing.
 
 The likelihood stacks residuals between measured pool sizes and the GP
-surrogate mean over (conditions x selected outputs), with a diagonal
+surrogate mean over (conditions x both outputs), with a diagonal
 covariance of experimental noise plus the GP predictive variance (the
 code-uncertainty term).  Model discrepancy is taken as zero.
 """
@@ -24,6 +24,7 @@ from .domain import (
     PriorSpec,
     RandomStream,
 )
+from .sensitivity import _average_ranks
 from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
@@ -58,20 +59,17 @@ CHAINS = 2
 
 @dataclass(frozen=True)
 class LikelihoodConfig:
-    """Noise rule and output selection for the calibration likelihood."""
+    """Noise rule and code-uncertainty switch for the calibration likelihood."""
 
     relative_fraction: float = 0.05
     absolute_floor: float = 1e-5  # m
     include_code_uncertainty: bool = True
-    outputs: str = "both"  # "length" | "depth" | "both"
 
     def __post_init__(self):
         if not (0 < self.relative_fraction <= 0.5):
             raise ValueError("relative_fraction must be in (0, 0.5]")
         if self.absolute_floor <= 0:
             raise ValueError("absolute_floor must be positive")
-        if self.outputs not in ("length", "depth", "both"):
-            raise ValueError("outputs must be 'length', 'depth', or 'both'")
 
 
 def experimental_sigmas(dataset: ExperimentalDataset,
@@ -87,15 +85,11 @@ def experimental_sigmas(dataset: ExperimentalDataset,
     return sig
 
 
-def _output_columns(cfg: LikelihoodConfig) -> list[int]:
-    return {"length": [0], "depth": [1], "both": [0, 1]}[cfg.outputs]
-
-
 @dataclass(frozen=True)
 class FixedTerms:
     """The parts of the log posterior that do not depend on theta.
 
-    The prior box, and for the selected outputs the GPs conditioned on the
+    The prior box, and for length and depth the GPs conditioned on the
     dataset's designs, the measurements and the experimental variances,
     as (outputs, conditions) arrays.
     """
@@ -111,12 +105,10 @@ class FixedTerms:
     def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
               gp_depth: GpSurrogate, cfg: LikelihoodConfig,
               prior: PriorSpec) -> "FixedTerms":
-        cols = _output_columns(cfg)
-        gps = ConditionedGp.build([(gp_length, gp_depth)[c] for c in cols],
-                                  dataset.design_matrix())
+        gps = ConditionedGp.build([gp_length, gp_depth], dataset.design_matrix())
         return cls(lower=prior.lower(), upper=prior.upper(), gps=gps,
-                   y=dataset.measurements().T[cols],
-                   s2=(experimental_sigmas(dataset, cfg) ** 2).T[cols],
+                   y=dataset.measurements().T,
+                   s2=(experimental_sigmas(dataset, cfg) ** 2).T,
                    code_uncertainty=cfg.include_code_uncertainty)
 
 
@@ -274,9 +266,11 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
     chains run with the bundled OpenBLAS on one thread, so the processes
     do not contend for cores through it.
 
-    A worker's failure is a ``ChainWorkerError`` naming the chain and its
-    cause.  Every worker is joined before this returns or raises; one still
-    running when chain 0 fails is terminated first.
+    A worker's failure is a ``ChainWorkerError`` naming the chain, raised
+    from the worker's exception; a worker that dies without sending one, or
+    whose exception does not pickle, is named by its exit code.  Every
+    worker is joined before this returns or raises; one still running when
+    chain 0 fails is terminated first.
     """
     import multiprocessing  # here: only a calibration needs it
 
@@ -291,9 +285,9 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
         try:
             chain = run(k)
         except Exception as exc:
-            pipe.send_bytes(f"{type(exc).__name__}: {exc}".encode())
+            pipe.send(exc)  # one that does not pickle ends the worker here
             raise SystemExit(1) from None
-        pipe.send_bytes(b"")  # no error: the arrays follow
+        pipe.send(None)  # no error: the arrays follow
         for array in (chain.samples, chain.log_post, chain.accepted):
             pipe.send_bytes(array)
 
@@ -315,8 +309,8 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
         del first  # copied: free it before the workers' arrays arrive
         for k, (worker, pipe) in enumerate(workers, 1):
             try:
-                if cause := pipe.recv_bytes().decode():
-                    raise ChainWorkerError(k, cause)
+                if (exc := pipe.recv()) is not None:
+                    raise ChainWorkerError(k, f"{type(exc).__name__}: {exc}") from exc
                 # recv_bytes_into sizes a buffer by its first axis: pass flat views
                 for array in (out.samples[k], out.log_post[k], out.accepted[k]):
                     pipe.recv_bytes_into(array.reshape(-1))
@@ -380,19 +374,6 @@ def effective_sample_size(series: np.ndarray) -> float:
         t += 2
     ess = n / (1.0 + 2.0 * total)
     return float(min(max(ess, 1.0), n))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``, tied values sharing their mean rank: the
-    "average" ranks of ``scipy.stats.rankdata``, without the import time of
-    ``scipy.stats``."""
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
 
 
 def split_rhat(draws: np.ndarray) -> float:

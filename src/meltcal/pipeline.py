@@ -48,7 +48,6 @@ from .forward import (
     reduced_model,
     table_model,
 )
-from .domain import PhysicalConstants
 
 __all__ = [
     "StageError",
@@ -111,7 +110,6 @@ class RunConfig:
     reduced: ReducedModelConfig = field(default_factory=ReducedModelConfig)
     external: ExternalModelSpec | None = None
     run_table_path: str | None = None
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     samples_per_condition: int = 10
     sa_n_base: int = 4096
     mcmc: McmcConfig = field(default_factory=McmcConfig)
@@ -150,8 +148,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Inverse of ``to_dict``; a key that names no field is a ValueError."""
         sections = {"reduced": ReducedModelConfig, "external": ExternalModelSpec,
-                    "constants": PhysicalConstants, "mcmc": McmcConfig,
-                    "likelihood": inference.LikelihoodConfig}
+                    "mcmc": McmcConfig, "likelihood": inference.LikelihoodConfig}
         unknown = _unknown_keys(cls, doc, "")
         for name, section in sections.items():
             if doc.get(name) is None:
@@ -176,10 +173,10 @@ class RunConfig:
 
     def forward(self) -> ForwardModel:
         if self.model == "reduced":
-            return reduced_model(self.constants, self.reduced)
+            return reduced_model(self.reduced)
         if self.model == "external":
             return external_model(self.external)
-        fallback = reduced_model(self.constants, self.reduced)
+        fallback = reduced_model(self.reduced)
         return table_model(RunTable(self.run_table_path), fallback)
 
 
@@ -277,8 +274,7 @@ def _validate(p: "Pipeline", calibrated) -> dict:
 # Every cached stage, in run order.
 _STAGES = {
     "design": _Stage(
-        config=("model", "reduced", "constants", "external",
-                "samples_per_condition", "seed"),
+        config=("model", "reduced", "external", "samples_per_condition", "seed"),
         inputs=lambda p: (p._dataset_digest, p._table_digest),
         upstream=(),
         artifacts=("training_set.csv", "training_set.json"),

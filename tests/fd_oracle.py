@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from meltcal.domain import CalibrationParams, DesignVars, PhysicalConstants
+from meltcal.domain import CalibrationParams, DesignVars
+from meltcal.forward import STEFAN_BOLTZMANN
 
 
 @dataclass(frozen=True)
@@ -33,26 +34,24 @@ class FdSolution:
         return 2.0 * float(self.radius_extent.max())
 
 
-def _closure(design: DesignVars, theta: CalibrationParams,
-             constants: PhysicalConstants, solid_fraction: float,
-             mass_fraction: float, chi: float, ma_ref: float,
-             loss_correction: bool) -> tuple[float, float, float, float]:
+def _closure(design: DesignVars, theta: CalibrationParams, density: float,
+             melt_temperature: float, ambient_temperature: float,
+             solid_fraction: float, mass_fraction: float, chi: float,
+             ma_ref: float) -> tuple[float, float, float, float]:
     """(k_eff, volumetric heat capacity, surface flux scale, threshold)."""
-    dT = constants.melt_temperature - constants.ambient_temperature
-    a0 = theta.k_l / (constants.density * theta.c_l)
+    dT = melt_temperature - ambient_temperature
+    a0 = theta.k_l / (density * theta.c_l)
     ma = abs(theta.gamma_t) * dT * design.beam_radius / (theta.mu_l * a0)
     k_eff = solid_fraction * theta.k_l * (1.0 + chi * np.log1p(ma / ma_ref))
-    rho_c = mass_fraction * constants.density * theta.c_l
+    rho_c = mass_fraction * density * theta.c_l
     q_area = np.pi * design.beam_radius**2
     absorbed = theta.alpha * design.power
-    if loss_correction:
-        lost = (theta.a_h * dT + constants.stefan_boltzmann * theta.emissivity
-                * (constants.melt_temperature**4 - constants.ambient_temperature**4))
-        f = min(max(lost * q_area / absorbed, 0.0), 0.5)
-        absorbed *= 1.0 - f
+    lost = (theta.a_h * dT + STEFAN_BOLTZMANN * theta.emissivity
+            * (melt_temperature**4 - ambient_temperature**4))
+    f = min(max(lost * q_area / absorbed, 0.0), 0.5)
+    absorbed *= 1.0 - f
     q0 = 2.0 * absorbed / q_area  # peak flux of the Gaussian profile
-    threshold = (constants.melt_temperature
-                 + theta.latent_heat / theta.c_l)
+    threshold = melt_temperature + theta.latent_heat / theta.c_l
     return k_eff, rho_c, q0, threshold
 
 
@@ -71,11 +70,11 @@ def _extent(values: np.ndarray, coords: np.ndarray, threshold: float) -> float:
     return float(coords[i] + frac * (coords[i + 1] - coords[i]))
 
 
-def solve_fd(design: DesignVars, theta: CalibrationParams,
-             constants: PhysicalConstants | None = None, *,
+def solve_fd(design: DesignVars, theta: CalibrationParams, *,
+             density: float = 7200.0, melt_temperature: float = 1727.0,
+             ambient_temperature: float = 300.0,
              solid_fraction: float = 0.1, mass_fraction: float = 0.25,
-             chi: float = 0.2, ma_ref: float = 100.0,
-             loss_correction: bool = True, cells_per_radius: int = 24,
+             chi: float = 0.2, ma_ref: float = 100.0, cells_per_radius: int = 24,
              domain_radii: float = 6.0, t_end: float | None = None,
              samples: int = 64) -> FdSolution:
     """March the explicit scheme to ``t_end`` (default twice the pulse).
@@ -84,10 +83,9 @@ def solve_fd(design: DesignVars, theta: CalibrationParams,
     extends ``domain_radii`` beam radii in r and z with an ambient far
     boundary, emulating the half space.
     """
-    constants = constants or PhysicalConstants()
     k_eff, rho_c, q0, threshold = _closure(
-        design, theta, constants, solid_fraction, mass_fraction, chi,
-        ma_ref, loss_correction)
+        design, theta, density, melt_temperature, ambient_temperature,
+        solid_fraction, mass_fraction, chi, ma_ref)
     a = k_eff / rho_c
     t_end = t_end if t_end is not None else 2.0 * design.pulse_duration
 
@@ -105,7 +103,7 @@ def solve_fd(design: DesignVars, theta: CalibrationParams,
     r_plus = r + 0.5 * dr
     r_minus = np.maximum(r - 0.5 * dr, 0.0)
 
-    temp = np.full((n, n), constants.ambient_temperature)  # [z, r]
+    temp = np.full((n, n), ambient_temperature)  # [z, r]
     sample_every = max(1, steps // samples)
     times, depths, radii = [], [], []
     for step in range(1, steps + 1):
@@ -123,8 +121,8 @@ def solve_fd(design: DesignVars, theta: CalibrationParams,
         lap[0, :] += (temp[1, :] - 2.0 * temp[0, :] + ghost) / dr**2
         temp = temp + dt * a * lap
         # far boundaries stay ambient (Dirichlet half-space emulation)
-        temp[-1, :] = constants.ambient_temperature
-        temp[:, -1] = constants.ambient_temperature
+        temp[-1, :] = ambient_temperature
+        temp[:, -1] = ambient_temperature
         if step % sample_every == 0 or step == steps:
             times.append(t_now)
             depths.append(_extent(temp[:, 0], r, threshold))

@@ -12,7 +12,6 @@ from meltcal.domain import (
     CalibrationParams,
     DesignVars,
     MeltPoolSize,
-    PhysicalConstants,
     prior_from_table2,
 )
 from meltcal.forward import (
@@ -23,12 +22,12 @@ from meltcal.forward import (
     effective_conductivity,
     evaluate_external,
     evaluate_reduced,
+    loss_fraction,
     table_model,
     temperature_rise,
 )
 from run_tables import write_run_table
 
-CONST = PhysicalConstants()
 CFG = ReducedModelConfig()
 NOMINAL = prior_from_table2().nominal_params()
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
@@ -36,74 +35,76 @@ COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
 
 class TestTemperatureRise:
     def test_zero_time_is_ambient(self):
-        t = temperature_rise(COND1, NOMINAL, CONST, CFG, 0.0, 0.0, 0.0)
-        assert t == CONST.ambient_temperature
+        t = temperature_rise(COND1, NOMINAL, CFG, 0.0, 0.0, 0.0)
+        assert t == CFG.ambient_temperature
 
     def test_far_field_is_ambient(self):
-        t = temperature_rise(COND1, NOMINAL, CONST, CFG, 0.0, 1.0,
+        t = temperature_rise(COND1, NOMINAL, CFG, 0.0, 1.0,
                              10.0 * COND1.pulse_duration)
-        assert abs(t - CONST.ambient_temperature) < 1e-9
+        assert abs(t - CFG.ambient_temperature) < 1e-9
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            temperature_rise(COND1, NOMINAL, CONST, CFG, -1e-5, 0.0, 1e-3)
+            temperature_rise(COND1, NOMINAL, CFG, -1e-5, 0.0, 1e-3)
 
     def test_matches_fd_oracle_at_pulse_end(self):
-        fd = solve_fd(COND1, NOMINAL, CONST, t_end=COND1.pulse_duration,
+        fd = solve_fd(COND1, NOMINAL, t_end=COND1.pulse_duration,
                       samples=1, cells_per_radius=16)
         t_fd = fd.temperature[0, 0]
-        t_an = temperature_rise(COND1, NOMINAL, CONST, CFG, 0.0, 0.0,
+        t_an = temperature_rise(COND1, NOMINAL, CFG, 0.0, 0.0,
                                 COND1.pulse_duration)
-        rise_fd = t_fd - CONST.ambient_temperature
-        rise_an = t_an - CONST.ambient_temperature
+        rise_fd = t_fd - CFG.ambient_temperature
+        rise_an = t_an - CFG.ambient_temperature
         assert abs(rise_an - rise_fd) / rise_fd < 0.02
 
     def test_monotone_in_r_and_z(self):
         t_p = COND1.pulse_duration
         rs = np.linspace(0.0, 5e-4, 12)
-        temps_r = [temperature_rise(COND1, NOMINAL, CONST, CFG, r, 0.0, t_p)
+        temps_r = [temperature_rise(COND1, NOMINAL, CFG, r, 0.0, t_p)
                    for r in rs]
-        temps_z = [temperature_rise(COND1, NOMINAL, CONST, CFG, 0.0, z, t_p)
+        temps_z = [temperature_rise(COND1, NOMINAL, CFG, 0.0, z, t_p)
                    for z in rs]
         assert all(a >= b for a, b in zip(temps_r, temps_r[1:]))
         assert all(a >= b for a, b in zip(temps_z, temps_z[1:]))
 
     def test_linear_in_absorbed_power(self):
-        """With losses off, doubling alpha*P doubles the rise everywhere."""
-        cfg = dataclasses.replace(CFG, loss_correction=False)
+        """The rise scales everywhere with alpha*P*(1 - loss_fraction)."""
         double = dataclasses.replace(COND1, power=2.0 * COND1.power)
+        q1, q2 = (NOMINAL.alpha * d.power * (1.0 - loss_fraction(d, NOMINAL, CFG))
+                  for d in (COND1, double))
+        assert q2 != 2.0 * q1  # the losses do not scale with the power
         for (r, z, t) in [(0.0, 0.0, 4e-3), (2e-4, 0.0, 2e-3),
                           (0.0, 1e-4, 6e-3), (1e-4, 1e-4, 4e-3)]:
-            rise1 = temperature_rise(COND1, NOMINAL, CONST, cfg, r, z, t) \
-                - CONST.ambient_temperature
-            rise2 = temperature_rise(double, NOMINAL, CONST, cfg, r, z, t) \
-                - CONST.ambient_temperature
-            assert rise2 == pytest.approx(2.0 * rise1, rel=1e-9)
+            rise1 = temperature_rise(COND1, NOMINAL, CFG, r, z, t) \
+                - CFG.ambient_temperature
+            rise2 = temperature_rise(double, NOMINAL, CFG, r, z, t) \
+                - CFG.ambient_temperature
+            assert rise2 / rise1 == pytest.approx(q2 / q1, rel=1e-9)
 
 
 class TestEffectiveConductivity:
     def test_increasing_in_gamma_t_magnitude(self):
         stronger = dataclasses.replace(NOMINAL, gamma_t=NOMINAL.gamma_t * 1.1)
-        assert (effective_conductivity(COND1, stronger, CONST, CFG)
-                > effective_conductivity(COND1, NOMINAL, CONST, CFG))
+        assert (effective_conductivity(COND1, stronger, CFG)
+                > effective_conductivity(COND1, NOMINAL, CFG))
 
     def test_decreasing_in_viscosity(self):
         thicker = dataclasses.replace(NOMINAL, mu_l=NOMINAL.mu_l * 2.0)
-        assert (effective_conductivity(COND1, thicker, CONST, CFG)
-                < effective_conductivity(COND1, NOMINAL, CONST, CFG))
+        assert (effective_conductivity(COND1, thicker, CFG)
+                < effective_conductivity(COND1, NOMINAL, CFG))
 
 
 class TestEvaluateReduced:
     def test_vanishing_source_does_not_melt(self):
         weak = dataclasses.replace(COND1, power=1e-6)
-        size = evaluate_reduced(weak, NOMINAL, CONST, CFG)
+        size = evaluate_reduced(weak, NOMINAL, CFG)
         assert size == MeltPoolSize(length=0.0, depth=0.0, melted=False)
 
     def test_monotone_in_alpha(self):
         low = dataclasses.replace(NOMINAL, alpha=0.135)
         high = dataclasses.replace(NOMINAL, alpha=0.405)
-        s_low = evaluate_reduced(COND1, low, CONST, CFG)
-        s_high = evaluate_reduced(COND1, high, CONST, CFG)
+        s_low = evaluate_reduced(COND1, low, CFG)
+        s_high = evaluate_reduced(COND1, high, CFG)
         assert s_high.length > s_low.length
         assert s_high.depth > s_low.depth
 
@@ -111,22 +112,28 @@ class TestEvaluateReduced:
         designs = dataset.design_matrix()
         base = DesignVars(*designs[4])
         more = dataclasses.replace(base, power=base.power * 1.3)
-        s0 = evaluate_reduced(base, NOMINAL, CONST, CFG)
-        s1 = evaluate_reduced(more, NOMINAL, CONST, CFG)
+        s0 = evaluate_reduced(base, NOMINAL, CFG)
+        s1 = evaluate_reduced(more, NOMINAL, CFG)
         assert s1.length >= s0.length and s1.depth >= s0.depth
 
     def test_quadrature_converged(self, dataset):
         """Doubling the node count moves dims by < 0.5% at every condition."""
         fine = dataclasses.replace(CFG, quad_points=128)
         for row in dataset:
-            s64 = evaluate_reduced(row.design, NOMINAL, CONST, CFG)
-            s128 = evaluate_reduced(row.design, NOMINAL, CONST, fine)
+            s64 = evaluate_reduced(row.design, NOMINAL, CFG)
+            s128 = evaluate_reduced(row.design, NOMINAL, fine)
             assert s128.length == pytest.approx(s64.length, rel=5e-3)
             assert s128.depth == pytest.approx(s64.depth, rel=5e-3)
 
     def test_all_conditions_melt_at_nominal(self, dataset):
         for row in dataset:
-            assert evaluate_reduced(row.design, NOMINAL, CONST, CFG).melted
+            assert evaluate_reduced(row.design, NOMINAL, CFG).melted
+
+    def test_lower_melt_temperature_gives_larger_pool(self):
+        cooler = dataclasses.replace(CFG, melt_temperature=CFG.melt_temperature - 100.0)
+        s0 = evaluate_reduced(COND1, NOMINAL, CFG)
+        s1 = evaluate_reduced(COND1, NOMINAL, cooler)
+        assert s1.length > s0.length and s1.depth > s0.depth
 
 
 class TestReducedModelConfig:
@@ -137,6 +144,8 @@ class TestReducedModelConfig:
         {"ma_ref": 0.0},
         {"solid_conductivity_fraction": 0.0},
         {"thermal_mass_fraction": 1.5},
+        {"density": 0.0},
+        {"melt_temperature": 300.0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from am_reference import adaptive_metropolis as reference_adaptive_metropolis
+from meltcal import cli
 from meltcal.domain import (
     ExperimentalDataset,
     RandomStream,
     prior_from_table2,
 )
+from meltcal.forward import NumericsError
 from meltcal.inference import (
     CHAINS,
     ChainWorkerError,
@@ -35,6 +37,7 @@ from meltcal.inference import (
     split_rhat,
     summarize,
 )
+from meltcal.pipeline import StageError
 
 PRIOR = prior_from_table2()
 
@@ -53,7 +56,7 @@ class TestLikelihoodConfig:
         {"relative_fraction": 0.0},
         {"relative_fraction": 0.6},
         {"absolute_floor": 0.0},
-        {"outputs": "area"},
+        {"absolute_floor": -1e-5},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -391,18 +394,39 @@ class TestRunChains:
             np.testing.assert_array_equal(chains.accepted[k], alone.accepted)
         assert not np.array_equal(chains.samples[0], chains.samples[1])
 
-    def test_failure_in_worker_names_its_chain(self):
+    def test_failure_in_worker_names_its_chain(self, capsys):
         parent = os.getpid()
 
         def target(x):
             if os.getpid() != parent:
-                raise FloatingPointError("boom in the worker")
+                raise NumericsError("boom in the worker")
             return _gaussian(x)
 
-        with pytest.raises(ChainWorkerError, match="chain 1 .*FloatingPointError: "
+        with pytest.raises(ChainWorkerError, match="chain 1 .*NumericsError: "
                            "boom in the worker") as err:
             run_chains(target, np.zeros(2), 500, 100, RandomStream(3))
         assert err.value.chain == 1
+        assert type(err.value.__cause__) is NumericsError
+        try:
+            raise StageError("calibrate", str(err.value)) from err.value
+        except StageError as exc:
+            with pytest.raises(SystemExit):
+                cli._fail(exc)
+        assert capsys.readouterr().err.startswith("error:numerics: stage 'calibrate'")
+
+    def test_unpicklable_failure_in_worker_gives_its_exit_code(self):
+        parent = os.getpid()
+
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def target(x):
+            if os.getpid() != parent:
+                raise LocalError("boom in the worker")
+            return _gaussian(x)
+
+        with pytest.raises(ChainWorkerError, match="chain 1 .*exited with code 1"):
+            run_chains(target, np.zeros(2), 500, 100, RandomStream(3))
 
     def test_failure_in_chain_0_reaps_the_worker(self):
         parent = os.getpid()

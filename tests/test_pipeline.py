@@ -450,6 +450,9 @@ class TestCli:
         ({"mcmc": {"adapt_start": 50}}, "mcmc.adapt_start"),
         ({"mcmc": {"burn": 60_000}}, "mcmc.burn"),
         ({"mcmc": {"thin": 0}}, "mcmc.thin"),
+        ({"constants": {"density": 7000}}, "constants"),
+        ({"reduced": {"loss_correction": False}}, "reduced.loss_correction"),
+        ({"likelihood": {"outputs": "length"}}, "likelihood.outputs"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         cfg_path = tmp_path / "cfg.json"
