@@ -146,10 +146,6 @@ class PriorSpec:
     def nominal_params(self) -> CalibrationParams:
         return CalibrationParams.from_array(self.nominal())
 
-    def std(self) -> np.ndarray:
-        """Standard deviation of each uniform marginal."""
-        return (self.upper() - self.lower()) / np.sqrt(12.0)
-
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -168,7 +164,8 @@ class ExperimentalDataset:
     def __post_init__(self):
         indices = [r.index for r in self.rows]
         if indices != list(range(1, len(self.rows) + 1)):
-            raise ValueError("row indices must be unique and contiguous from 1")
+            raise ValueError("row indices must be unique, contiguous from 1 "
+                             "and in ascending order")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -285,7 +282,10 @@ def load_dataset(path: str | Path) -> ExperimentalDataset:
             ))
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    return ExperimentalDataset(rows=tuple(rows))
+    try:
+        return ExperimentalDataset(rows=tuple(rows))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def _fmt(x: float) -> str:

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ import numpy as np
 from . import doe, inference, plots, sensitivity, surrogate
 from .domain import (
     CalibrationParams,
+    ExperimentRow,
     ExperimentalDataset,
     PARAM_NAMES,
     PriorSpec,
@@ -68,14 +70,6 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _require_ints(obj, names: tuple[str, ...], prefix: str = "") -> None:
-    """ValueError naming the first of ``names`` whose value is not an int."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class McmcConfig:
     """Counts per chain; the calibration runs ``inference.CHAINS`` chains."""
@@ -86,7 +80,6 @@ class McmcConfig:
     adapt_start: int = 1_000
 
     def __post_init__(self):
-        _require_ints(self, ("steps", "burn", "thin", "adapt_start"), "mcmc.")
         for name in ("steps", "burn", "thin", "adapt_start"):
             if (value := getattr(self, name)) <= 0:
                 raise ValueError(f"mcmc.{name} must be positive, got {value}")
@@ -119,7 +112,6 @@ class RunConfig:
     out_dir: str = "meltcal_out"
 
     def __post_init__(self):
-        _require_ints(self, ("seed", "samples_per_condition", "sa_n_base"))
         if self.model not in ("reduced", "external", "table"):
             raise ValueError("model must be 'reduced', 'external', or 'table'")
         if self.model == "external" and self.external is None:
@@ -135,10 +127,8 @@ class RunConfig:
         sensitivity._check_n_base(self.sa_n_base, "sa_n_base")
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        if self.external is not None:
-            doc["external"]["working_dir"] = str(self.external.working_dir)
-        return doc
+        """Plain JSON values; every ``Path`` becomes its string."""
+        return json.loads(json.dumps(dataclasses.asdict(self), default=str))
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -146,26 +136,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Inverse of ``to_dict``; a key that names no field is a ValueError."""
-        sections = {"reduced": ReducedModelConfig, "external": ExternalModelSpec,
-                    "mcmc": McmcConfig, "likelihood": inference.LikelihoodConfig}
-        unknown = _unknown_keys(cls, doc, "")
-        for name, section in sections.items():
-            if doc.get(name) is None:
-                continue
-            if not isinstance(doc[name], dict):
-                raise ValueError(f"config section {name!r} must be an object")
-            unknown += _unknown_keys(section, doc[name], f"{name}.")
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(doc)
-        if kwargs.get("external") and "working_dir" in kwargs["external"]:
-            kwargs["external"] = dict(kwargs["external"],
-                                      working_dir=Path(kwargs["external"]["working_dir"]))
-        for name, section in sections.items():
-            if kwargs.get(name) is not None:
-                kwargs[name] = section(**kwargs[name])
-        return cls(**kwargs)
+        """Inverse of ``to_dict``; a bad key or value is a ValueError naming it."""
+        return _from_doc(cls, doc, "")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -180,14 +152,57 @@ class RunConfig:
         return table_model(RunTable(self.run_table_path), fallback)
 
 
-def _unknown_keys(cls, doc: dict, prefix: str) -> list[str]:
-    names = {f.name for f in dataclasses.fields(cls)}
-    return [prefix + key for key in doc if key not in names]
+# The JSON type, and its name in errors, of each field annotation.
+_JSON_TYPES = {int: (int, "an integer"), float: (float, "a number"),
+               bool: (bool, "true or false"), str: (str, "a string"),
+               Path: (str, "a string")}
+
+
+def _from_doc(cls, doc, prefix: str):
+    """Config dataclass ``cls`` read from the JSON object ``doc``.
+
+    Every key must name a field, and every value must have its field's
+    JSON type: an int is not a bool, a float is any number (an integer is
+    stored as a float), a ``Path`` is a string, ``null`` is allowed only
+    where the annotation allows ``None``, and a dataclass field is an
+    object read the same way.  Errors name the key, dotted after ``prefix``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = [prefix + key for key in doc if key not in hints]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return cls(**{key: _from_value(hints[key], value, prefix + key)
+                  for key, value in doc.items()})
+
+
+def _from_value(hint, value, key: str):
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = (option for option in options if option is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _from_doc(hint, value, key + ".")
+    json_type, name = _JSON_TYPES[hint]
+    if hint is float and type(value) is int:
+        value = float(value)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, json_type):
+        raise ValueError(f"{key} must be {name}, got {value!r}")
+    return Path(value) if hint is Path else value
 
 
 def _digest(*parts) -> str:
     blob = json.dumps(parts, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _row_values(row: ExperimentRow) -> tuple:
+    """A row's values without its index: its canonical sort key."""
+    design = row.design
+    return (design.power, design.beam_radius, design.pulse_duration, row.length,
+            row.depth, row.length_sigma, row.depth_sigma)
 
 
 def _file_digest(path: str | Path) -> str:
@@ -343,12 +358,15 @@ class Pipeline:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        # the rows in canonical order, so every order of one file is one run
+        rows = sorted(load_dataset(cfg.dataset_path), key=_row_values)
+        self.dataset = ExperimentalDataset(rows=tuple(
+            dataclasses.replace(row, index=i) for i, row in enumerate(rows, start=1)))
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.dataset: ExperimentalDataset = load_dataset(cfg.dataset_path)
         self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
-        self._dataset_digest = _file_digest(cfg.dataset_path)
+        self._dataset_digest = _digest("dataset", [_row_values(r) for r in self.dataset])
         # the run table is read only, so its content keys the design
         self._table_digest = (_file_digest(cfg.run_table_path)
                               if cfg.model == "table" else None)
@@ -359,8 +377,8 @@ class Pipeline:
     def config_digest(self) -> str:
         """Digest of the scientific configuration.
 
-        The dataset and the run table enter by content, not by path;
-        where the artifacts live does not enter at all.
+        The dataset enters by its canonical rows and the run table by
+        content, not by path; where the artifacts live does not enter at all.
         """
         doc = {k: v for k, v in self.cfg.to_dict().items()
                if k not in ("dataset_path", "run_table_path", "out_dir")}

@@ -286,7 +286,7 @@ _ARRAY_FIELDS = ("pcc", "srcc", "sobol_main", "sobol_total")
 
 
 def save_report(report: SensitivityReport, json_path: str | Path,
-                csv_path: str | Path | None = None) -> None:
+                csv_path: str | Path) -> None:
     doc = {
         "parameters": list(report.parameters),
         "outputs": list(report.outputs),
@@ -296,22 +296,21 @@ def save_report(report: SensitivityReport, json_path: str | Path,
     }
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["parameter"]
-            for out in report.outputs:
-                header += [f"{out}_pcc", f"{out}_srcc",
-                           f"{out}_sobol_main", f"{out}_sobol_total"]
-            writer.writerow(header)
-            for i, name in enumerate(report.parameters):
-                row = [name]
-                for j in range(len(report.outputs)):
-                    row += [format(report.pcc[i, j], ".6g"),
-                            format(report.srcc[i, j], ".6g"),
-                            format(report.sobol_main[i, j], ".6g"),
-                            format(report.sobol_total[i, j], ".6g")]
-                writer.writerow(row)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = ["parameter"]
+        for out in report.outputs:
+            header += [f"{out}_pcc", f"{out}_srcc",
+                       f"{out}_sobol_main", f"{out}_sobol_total"]
+        writer.writerow(header)
+        for i, name in enumerate(report.parameters):
+            row = [name]
+            for j in range(len(report.outputs)):
+                row += [format(report.pcc[i, j], ".6g"),
+                        format(report.srcc[i, j], ".6g"),
+                        format(report.sobol_main[i, j], ".6g"),
+                        format(report.sobol_total[i, j], ".6g")]
+            writer.writerow(row)
 
 
 def load_report(json_path: str | Path) -> SensitivityReport:

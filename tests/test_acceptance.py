@@ -138,7 +138,7 @@ def test_criterion_4_forward_model_oracle(capsys, dataset):
 def test_criterion_5_synthetic_identifiability(capsys, synthetic_run):
     truth, report = synthetic_run
     post = report["posterior"]
-    prior_std = PRIOR.std()
+    prior_std = (PRIOR.upper() - PRIOR.lower()) / np.sqrt(12.0)  # uniform
     ia = PARAM_NAMES.index("alpha")
     covered = post["ci_lower"][ia] <= truth.alpha <= post["ci_upper"][ia]
     alpha_tight = post["std"][ia] <= 0.3 * prior_std[ia]

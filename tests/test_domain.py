@@ -118,11 +118,6 @@ class TestPrior:
         assert np.all(prior.lower() <= prior.nominal())
         assert np.all(prior.nominal() <= prior.upper())
 
-    def test_uniform_std(self):
-        prior = prior_from_table2()
-        expected = (prior.upper() - prior.lower()) / np.sqrt(12.0)
-        np.testing.assert_allclose(prior.std(), expected)
-
     def test_bad_multipliers_rejected(self):
         with pytest.raises(ValueError):
             PriorEntry(name="alpha", nominal=0.27, lower_mult=1.5, upper_mult=0.5)

@@ -70,6 +70,18 @@ def _stderr(result) -> str:
         return result.output
 
 
+def _design_failure(tmp_path: Path, doc: dict) -> str:
+    """stderr of the design command on config ``doc``, which must fail and
+    leave no output directory."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert not (tmp_path / "out").exists()
+    return _stderr(result)
+
+
 class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -155,6 +167,23 @@ class TestRunCalibration:
         a = _report_sans_timestamp(Path(cfg.out_dir) / "report.json")
         b = _report_sans_timestamp(Path(cfg2.out_dir) / "report.json")
         assert a == b
+
+    def test_report_independent_of_row_order(self, small_run, tmp_path):
+        """run-all on a permuted copy of the bundled file, its rows
+        renumbered 1..n, writes the bundled run's report."""
+        cfg, _ = small_run
+        header, *rows = bundled_dataset_path().read_text().splitlines()
+        order = RandomStream(11).generator().permutation(len(rows))
+        assert list(order) != sorted(order)
+        permuted = tmp_path / "permuted.csv"
+        permuted.write_text("\n".join(
+            [header] + [f"{i}," + rows[k].split(",", 1)[1]
+                        for i, k in enumerate(order, start=1)]) + "\n")
+        cfg2 = dataclasses.replace(cfg, dataset_path=str(permuted),
+                                   out_dir=str(tmp_path / "permuted"))
+        run_stage(cfg2, "run-all")
+        assert (_report_sans_timestamp(Path(cfg2.out_dir) / "report.json")
+                == _report_sans_timestamp(Path(cfg.out_dir) / "report.json"))
 
     def test_cached_rerun_reproduces_report(self, tmp_path):
         cfg = small_config(tmp_path / "twice")
@@ -272,6 +301,16 @@ class TestDigests:
         write_dataset(ExperimentalDataset(rows=(first,) + base.rows[1:]), edited)
         cfg = small_config(tmp_path / "out", dataset_path=str(edited))
         assert Pipeline(cfg).config_digest() != digests[0]
+
+    def test_integer_float_value_has_the_default_digests(self, tmp_path):
+        out = str(tmp_path / "out")
+        default = Pipeline(RunConfig(out_dir=out))
+        # JSON's 7200 reads as the int 7200, the default is the float 7200.0
+        read = Pipeline(RunConfig.from_dict({"reduced": {"density": 7200},
+                                             "out_dir": out}))
+        assert read.cfg.reduced.density == 7200.0
+        assert read.config_digest() == default.config_digest()
+        assert read._stage_digest("design") == default._stage_digest("design")
 
     def test_config_digest_covers_run_table_content_not_path(self, tmp_path):
         def digest(table):
@@ -455,14 +494,8 @@ class TestCli:
         ({"likelihood": {"outputs": "length"}}, "likelihood.outputs"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
-                                               "--out", str(tmp_path / "out")])
-        assert result.exit_code == 1
-        err = _stderr(result)
+        err = _design_failure(tmp_path, doc)
         assert err.startswith("error:config:") and key in err, err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, key", [
         ({"seed": "x"}, "seed"),
@@ -473,14 +506,30 @@ class TestCli:
         ({"mcmc": {"thin": None}}, "mcmc.thin"),
     ])
     def test_mistyped_config_reports_config_error(self, tmp_path, doc, key):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
-                                               "--out", str(tmp_path / "out")])
-        assert result.exit_code == 1
-        err = _stderr(result)
+        err = _design_failure(tmp_path, doc)
         assert err.startswith(f"error:config: {key} must be an integer"), err
-        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"reduced": {"density": "7200"}}, "reduced.density must be a number"),
+        ({"reduced": {"quad_points": "64"}}, "reduced.quad_points must be an integer"),
+        ({"likelihood": {"include_code_uncertainty": "no"}},
+         "likelihood.include_code_uncertainty must be true or false"),
+        ({"external": {"command_template": "sim {input} {output}", "timeout": "5"}},
+         "external.timeout must be a number"),
+        ({"dataset_path": 5}, "dataset_path must be a string"),
+    ])
+    def test_mistyped_section_value_reports_config_error(self, tmp_path, doc,
+                                                          message):
+        err = _design_failure(tmp_path, doc)
+        assert err.startswith(f"error:config: {message}"), err
+
+    def test_bad_index_column_reports_dataset_error(self, tmp_path):
+        data = tmp_path / "swapped.csv"
+        data.write_text("index,power_W,beam_radius_mm,pulse_ms,length_mm,depth_mm\n"
+                        "2,530,0.159,4,0.625,0.190\n1,610,0.159,4,0.700,0.250\n")
+        err = _design_failure(tmp_path, {"dataset_path": str(data)})
+        assert err.startswith("error:dataset:") and str(data) in err, err
+        assert "in ascending order" in err, err
 
     def test_env_var_overrides_out_dir(self, tmp_path):
         cfg = small_config(tmp_path / "ignored")

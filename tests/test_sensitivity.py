@@ -335,7 +335,7 @@ class TestReportSerialization:
                 "pcc", "srcc", "sobol_main", "sobol_total")},
             n_base=512, aggregation="mean over conditions")
         path = tmp_path / "sa.json"
-        save_report(report, path)
+        save_report(report, path, tmp_path / "sa.csv")
         back = load_report(path)
         for field in dataclasses.fields(SensitivityReport):
             a, b = getattr(back, field.name), getattr(report, field.name)
