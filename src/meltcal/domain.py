@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -233,12 +234,16 @@ def bundled_dataset_path() -> Path:
     return Path(__file__).parent / "data" / "table3.csv"
 
 
-def _parse_cell(text: str, row_num: int, col: str) -> float:
+def _parse_cell(path: Path, text: str, row_num: int, col: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DatasetFormatError(
-            f"row {row_num}, column {col!r}: non-numeric value {text!r}") from None
+            f"{path}: row {row_num}, column {col!r}: non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise DatasetFormatError(
+            f"{path}: row {row_num}, column {col!r}: non-finite value {text!r}")
+    return value
 
 
 def load_dataset(path: str | Path) -> ExperimentalDataset:
@@ -263,15 +268,18 @@ def load_dataset(path: str | Path) -> ExperimentalDataset:
             if len(cells) != len(cols):
                 raise DatasetFormatError(
                     f"{path}: row {row_num} has {len(cells)} cells, expected {len(cols)}")
-            vals = {c: _parse_cell(v, row_num, c) for c, v in zip(cols, cells)}
-            for meas in ("length_mm", "depth_mm"):
-                if vals[meas] <= 0:
+            vals = {c: _parse_cell(path, v, row_num, c) for c, v in zip(cols, cells)}
+            for col in cols[4:]:  # the measurements and their sigmas
+                if vals[col] <= 0:
                     raise DatasetFormatError(
-                        f"{path}: row {row_num}, column {meas!r}: "
-                        f"non-positive measurement {vals[meas]}")
-            design = DesignVars(power=vals["power_W"],
-                                beam_radius=vals["beam_radius_mm"] * 1e-3,
-                                pulse_duration=vals["pulse_ms"] * 1e-3)
+                        f"{path}: row {row_num}, column {col!r}: "
+                        f"non-positive value {vals[col]}")
+            try:
+                design = DesignVars(power=vals["power_W"],
+                                    beam_radius=vals["beam_radius_mm"] * 1e-3,
+                                    pulse_duration=vals["pulse_ms"] * 1e-3)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: row {row_num}: {exc}") from None
             rows.append(ExperimentRow(
                 index=int(vals["index"]),
                 design=design,

@@ -50,6 +50,8 @@ __all__ = [
 
 AM_SCALE = 2.38**2  # canonical adaptive-Metropolis proposal scaling / d
 AM_REGULARIZER = 1e-10
+# Steps between updates of the proposal's moments and factor.
+AM_BLOCK = 20
 # Fewest retained states per chain that summarize accepts.
 MIN_RETAINED = 50
 # Chains per calibration.  A constant, not a setting and not the host's core
@@ -179,15 +181,36 @@ class PosteriorChain:
                               accepted=self.accepted.reshape(-1))
 
 
+def _merge_block(seen: int, mean: np.ndarray, m2: np.ndarray,
+                 block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Fold the (k, d) states ``block`` into the count, mean and sum of
+    squared deviations of ``seen`` states, by the pairwise formula of Chan,
+    Golub & LeVeque (1983); returns the merged count, mean and sum."""
+    k = block.shape[0]
+    n = seen + k
+    block_mean = block.mean(axis=0)
+    dev = block - block_mean
+    delta = block_mean - mean
+    m2 = m2 + dev.T @ dev + np.outer(delta, delta) * (seen * k / n)
+    return n, mean + delta * (k / n), m2
+
+
 def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                         steps: int, adapt_start: int, stream: RandomStream,
                         initial_step: np.ndarray | None = None) -> PosteriorChain:
-    """Random-walk Metropolis with recursive empirical-covariance adaptation.
+    """Random-walk Metropolis with empirical-covariance adaptation in blocks.
 
-    Before ``adapt_start`` the proposal covariance is diagonal
-    (initial_step^2 per dimension, defaulting to 1/100 of unit scale
-    squared); afterwards it is (2.38^2/d) * running covariance + 1e-10 I,
-    updated each step.
+    The proposal covariance is diagonal (initial_step^2 per dimension,
+    defaulting to 1/100 of unit scale squared) until adaptation starts, and
+    afterwards (2.38^2/d) * covariance + 1e-10 I, the covariance being that
+    of the initial state and every stored state so far.  The moments are
+    brought up to date, and the proposal refreshed, every ``AM_BLOCK``
+    steps: at the end of each block of stored states, which is merged into
+    the running mean and sum of squared deviations at once (Haario et al.
+    2001 adapt at intervals too).  Adaptation starts at the first block end
+    at or after ``adapt_start`` steps, so at ``adapt_start`` itself when
+    ``AM_BLOCK`` divides it.  A proposal covariance that fails to factor
+    gives the diagonal proposal until the next block end.
     """
     init = np.asarray(init, float)
     d = init.size
@@ -202,7 +225,6 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
 
     rng = stream.generator()
     normal, uniform, log = rng.standard_normal, rng.random, np.log
-    cholesky = np.linalg.cholesky
     sqrt_diag0 = np.sqrt(diag0)
     scale = AM_SCALE / d
     regularizer = AM_REGULARIZER * np.eye(d)
@@ -211,11 +233,10 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     accepted = np.zeros(steps, dtype=bool)
     current, lp = init.copy(), lp0
 
-    mean = current.copy()
-    cov = np.zeros((d, d))
+    seen, mean, m2 = 1, current.copy(), np.zeros((d, d))  # init counts once
     chol = None
     for step in range(steps):
-        if step < adapt_start or chol is None:
+        if chol is None:
             proposal = current + normal(d) * sqrt_diag0
         else:
             proposal = current + chol @ normal(d)
@@ -225,17 +246,13 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
             accepted[step] = True
         samples[step] = current
         log_post[step] = lp
-        # recursive mean/covariance over the history including this state,
-        # updated in place with the operations of
-        # cov = cov * (n-2)/(n-1) + outer(delta, current - mean) / (n-1)
-        n = step + 2  # init counts as the first observation
-        delta = current - mean
-        mean += delta / n
-        cov *= (n - 2) / (n - 1) if n > 2 else 0.0
-        cov += delta[:, None] * (current - mean) / (n - 1)
+        if (step + 1) % AM_BLOCK:
+            continue
+        seen, mean, m2 = _merge_block(seen, mean, m2,
+                                      samples[step + 1 - AM_BLOCK:step + 1])
         if step + 1 >= adapt_start:
             try:
-                chol = cholesky(scale * cov + regularizer)
+                chol = np.linalg.cholesky((scale / (seen - 1)) * m2 + regularizer)
             except np.linalg.LinAlgError:
                 chol = None
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)

@@ -42,6 +42,9 @@ JITTER_CEILING = 1e-4
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 N_STARTS = 8
 GP_FORMAT = 1
+# ConditionedGp.predict pads its kernel rows to a multiple of this many rows:
+# the M-unroll of the dgemm kernel of OpenBLAS for SkylakeX.
+PAD_ROWS = 16
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -111,10 +114,11 @@ class ConditionedGp:
     stack along a leading output axis and one numpy call serves every
     output; SA builds one output at a time, the calibration likelihood all
     that it selects.  Every per-call reduction is elementwise, a
-    fixed-order per-row einsum or one fixed-shape matrix-vector product per
-    row, and the averaged weights are exact sums, so an output's result
-    does not depend on the other outputs, on the batch it comes in or on
-    the order of the fixed rows.
+    fixed-order per-row einsum or one matrix product per output over the
+    kernel rows padded with zero rows to a multiple of ``PAD_ROWS``, and
+    the averaged weights are exact sums, so an output's result does not
+    depend on the other outputs, on the batch it comes in or on the order
+    of the fixed rows.
     """
 
     kd: np.ndarray           # (O, C, N) sf2 Kd(d_c, x_j), the design factors
@@ -204,17 +208,24 @@ class ConditionedGp:
 
         Each output's kernel row and mean are bitwise those of its
         ``gp.predict`` on the stacked rows; the variance agrees with it up
-        to rounding.
+        to rounding, and a row's variance is bitwise the same whatever the
+        other fixed rows are, their number and their order.
         """
         k_star = self._kernel_rows(theta)
         # sf2 - |L^-1 k*|^2 cancels to ~1e-7 of sf2 in the prior box.  With
         # the explicit L^-1 the variance is up to ~6e-8 relative from a
         # long-double forward substitution, against ~6e-9 for gp.predict's
         # triangular solve; that is a few 1e-14 of the prior variance.
-        # matmul makes one (1, N) x (N, N) BLAS product per row, whose
-        # rounding does not depend on the row's place in the batch; a
-        # single (C, N) x (N, N) product would.
-        w = np.matmul(k_star[..., None, :], self.linv_t[:, None])[..., 0, :]
+        # One (C', N) x (N, N) product per output, C' being C padded with
+        # zero rows to a multiple of PAD_ROWS: the GEMM kernel then takes
+        # every row through the same full-width path, so a row's rounding
+        # does not depend on its place in the batch or on the batch's size.
+        # Unpadded, a short or ragged batch takes other paths and rounds
+        # its rows differently.
+        n_out, rows, n = k_star.shape
+        padded = np.zeros((n_out, -(-rows // PAD_ROWS) * PAD_ROWS, n))
+        padded[:, :rows] = k_star
+        w = np.matmul(padded, self.linv_t)[:, :rows]
         var_std = np.maximum(self.sf2 - np.einsum("oij,oij->oi", w, w), 0.0)
         return self._mean(k_star), self.y_scale2 * var_std
 

@@ -1,9 +1,12 @@
 """Reference adaptive-Metropolis loop for bitwise oracle tests.
 
-A verbatim copy of ``meltcal.inference.adaptive_metropolis`` as written
-before its loop was made leaner (hoisted constants, in-place covariance
-update, bound RNG methods).  The tests assert that the library loop still
-visits exactly the same states, so that ``report.json`` cannot move.
+A plain implementation of the rule of ``meltcal.inference.adaptive_metropolis``:
+every ``AM_BLOCK`` steps the block's stored states are merged into the
+running mean and sum of squared deviations (Chan, Golub & LeVeque 1983), and
+from ``adapt_start`` on the proposal is refactored from them.  Nothing is
+hoisted or updated in place, and the block's statistics are computed here
+from the stored states rather than through the library's helper.  The tests
+assert that the library loop visits exactly the same states.
 """
 
 from __future__ import annotations
@@ -13,18 +16,19 @@ from typing import Callable
 import numpy as np
 
 from meltcal.domain import RandomStream
-from meltcal.inference import AM_REGULARIZER, AM_SCALE, PosteriorChain
+from meltcal.inference import AM_BLOCK, AM_REGULARIZER, AM_SCALE, PosteriorChain
 
 
 def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                         steps: int, adapt_start: int, stream: RandomStream,
                         initial_step: np.ndarray | None = None) -> PosteriorChain:
-    """Random-walk Metropolis with recursive empirical-covariance adaptation.
+    """Random-walk Metropolis with empirical-covariance adaptation in blocks.
 
-    Before ``adapt_start`` the proposal covariance is diagonal
-    (initial_step^2 per dimension, defaulting to 1/100 of unit scale
-    squared); afterwards it is (2.38^2/d) * running covariance + 1e-10 I,
-    updated each step.
+    The proposal covariance is diagonal (initial_step^2 per dimension,
+    defaulting to 1/100 of unit scale squared) until the first block end at
+    or after ``adapt_start`` steps; from then on it is (2.38^2/d) times the
+    covariance of the initial state and the stored states so far, plus
+    1e-10 I, refreshed at every block end.
     """
     init = np.asarray(init, float)
     d = init.size
@@ -43,11 +47,12 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     accepted = np.zeros(steps, dtype=bool)
     current, lp = init.copy(), lp0
 
+    seen = 1  # the initial state counts as the first observation
     mean = current.copy()
-    cov = np.zeros((d, d))
+    m2 = np.zeros((d, d))
     chol = None
     for step in range(steps):
-        if step < adapt_start or chol is None:
+        if chol is None:
             proposal = current + rng.standard_normal(d) * np.sqrt(diag0)
         else:
             proposal = current + chol @ rng.standard_normal(d)
@@ -57,16 +62,19 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
             accepted[step] = True
         samples[step] = current
         log_post[step] = lp
-        # recursive mean/covariance over the history including this state
-        n = step + 2  # init counts as the first observation
-        delta = current - mean
-        mean = mean + delta / n
-        cov = cov * ((n - 2) / (n - 1) if n > 2 else 0.0) + np.outer(delta, current - mean) / (n - 1)
-        if step + 1 >= adapt_start:
-            prop_cov = (AM_SCALE / d) * cov + AM_REGULARIZER * np.eye(d)
-            try:
-                chol = np.linalg.cholesky(prop_cov)
-            except np.linalg.LinAlgError:
-                chol = None
+        if (step + 1) % AM_BLOCK == 0:
+            block = samples[step + 1 - AM_BLOCK:step + 1]
+            block_mean = np.mean(block, axis=0)
+            dev = block - block_mean
+            delta = block_mean - mean
+            n = seen + AM_BLOCK
+            mean = mean + delta * (AM_BLOCK / n)
+            m2 = m2 + dev.T @ dev + np.outer(delta, delta) * (seen * AM_BLOCK / n)
+            seen = n
+            if step + 1 >= adapt_start:
+                prop_cov = (AM_SCALE / d / (seen - 1)) * m2 + AM_REGULARIZER * np.eye(d)
+                try:
+                    chol = np.linalg.cholesky(prop_cov)
+                except np.linalg.LinAlgError:
+                    chol = None
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
-

@@ -1,6 +1,7 @@
 """Domain types, dataset I/O, prior construction, and random streams."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ from meltcal.domain import (
 )
 
 HEADER = "index,power_W,beam_radius_mm,pulse_ms,length_mm,depth_mm"
+
+
+def cell_error(path, column: str) -> str:
+    """The start of the message naming ``path``'s data row 2 and ``column``."""
+    return f"^{re.escape(str(path))}: row 2, column '{column}': "
 
 
 class TestLoadDataset:
@@ -69,13 +75,46 @@ class TestLoadDataset:
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text(HEADER + "\n1,530,oops,4,0.625,0.190\n")
-        with pytest.raises(DatasetFormatError, match="row 2.*beam_radius_mm"):
+        with pytest.raises(DatasetFormatError,
+                           match=cell_error(p, "beam_radius_mm") + "non-numeric"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("cells, column", [
+        ("1,530,0.159,4,nan,0.190", "length_mm"),
+        ("1,530,0.159,4,0.625,inf", "depth_mm"),
+        ("1,inf,0.159,4,0.625,0.190", "power_W"),
+        ("1,530,0.159,-inf,0.625,0.190", "pulse_ms"),
+        ("nan,530,0.159,4,0.625,0.190", "index"),
+    ])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cells, column):
+        p = tmp_path / "inf.csv"
+        p.write_text(HEADER + "\n" + cells + "\n")
+        with pytest.raises(DatasetFormatError, match=cell_error(p, column) + "non-finite"):
             load_dataset(p)
 
     def test_non_positive_measurement(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text(HEADER + "\n1,530,0.159,4,-0.625,0.190\n")
         with pytest.raises(DatasetFormatError, match="non-positive"):
+            load_dataset(p)
+
+    def test_design_outside_its_domain_names_file_and_row(self, tmp_path):
+        p = tmp_path / "zero.csv"
+        p.write_text(HEADER + "\n1,0,0.159,4,0.625,0.190\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(p))}: row 2: design variables"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("sigmas, column", [
+        ("0,0.01", "length_sigma_mm"),
+        ("0.03,-0.01", "depth_sigma_mm"),
+        ("0.03,nan", "depth_sigma_mm"),
+    ])
+    def test_bad_sigma_names_file_row_and_column(self, tmp_path, sigmas, column):
+        p = tmp_path / "sig.csv"
+        p.write_text(HEADER + ",length_sigma_mm,depth_sigma_mm\n"
+                     "1,530,0.159,4,0.625,0.190," + sigmas + "\n")
+        with pytest.raises(DatasetFormatError, match=cell_error(p, column)):
             load_dataset(p)
 
     def test_sigma_columns_captured(self, tmp_path):

@@ -19,11 +19,13 @@ from meltcal.domain import (
 )
 from meltcal.forward import NumericsError
 from meltcal.inference import (
+    AM_BLOCK,
     CHAINS,
     ChainWorkerError,
     FixedTerms,
     LikelihoodConfig,
     PosteriorChain,
+    _merge_block,
     adaptive_metropolis,
     autocorrelation,
     burn_thin,
@@ -241,6 +243,17 @@ class TestAdaptiveMetropolis:
         assert chain.accepted.shape == (500,)
         assert 0.0 <= chain.acceptance_rate() <= 1.0
 
+    def test_adaptation_starts_at_a_block_end(self):
+        """An adapt_start between block ends adapts from the next one."""
+        def run(adapt_start):
+            return adaptive_metropolis(_gaussian, np.zeros(2), 600, adapt_start,
+                                       RandomStream(5)).samples
+
+        assert AM_BLOCK == 20
+        assert np.array_equal(run(101), run(120))
+        assert np.array_equal(run(120)[:100], run(100)[:100])
+        assert not np.array_equal(run(120)[:120], run(100)[:120])
+
     def test_fixed_seed_reproducible(self):
         def target(x):
             return -0.5 * float(x @ x)
@@ -250,9 +263,29 @@ class TestAdaptiveMetropolis:
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
+class TestMergeBlock:
+    def test_moments_of_the_initial_state_and_every_block(self):
+        """Merged block by block, the mean and m2/(n-1) are those of all the
+        states at once."""
+        rng = RandomStream(34).generator()
+        init = rng.standard_normal(3)
+        seen, mean, m2 = 1, init.copy(), np.zeros((3, 3))
+        states = [init[None]]
+        for _ in range(30):
+            size = int(rng.integers(1, 41))
+            block = 5.0 + rng.standard_normal((size, 3)) * [1.0, 0.1, 3.0]
+            seen, mean, m2 = _merge_block(seen, mean, m2, block)
+            states.append(block)
+            every = np.vstack(states)
+            assert seen == every.shape[0]
+            np.testing.assert_allclose(mean, np.mean(every, axis=0), rtol=1e-12)
+            np.testing.assert_allclose(m2 / (seen - 1), np.cov(every.T), rtol=1e-12)
+
+
 class TestAdaptiveMetropolisOracle:
-    """The sampler against a verbatim copy of its earlier loop: every
-    visited state, log density and accept flag must be bitwise equal."""
+    """The sampler against a plain implementation of its rule
+    (``am_reference``): every visited state, log density and accept flag
+    must be bitwise equal."""
 
     @staticmethod
     def assert_same_chain(target, init, steps, adapt_start, seed,

@@ -230,6 +230,26 @@ class TestConditionedGp:
                     (o_mean,), (o_var,) = one.predict(t)
                     assert o_mean[0] == mean[c] and o_var[0] == var[c]
 
+    def test_rows_past_a_pad_boundary_equal_their_one_row_builds(self, setup):
+        """17 fixed rows pad to two blocks of PAD_ROWS; each row still
+        equals its one-row build and follows its row under a permutation."""
+        gps, designs, thetas = setup
+        many = np.vstack([designs, designs[:4] * [1.02, 0.98, 1.01]])
+        assert many.shape[0] == 17 and surrogate.PAD_ROWS == 16
+        perm = RandomStream(23).generator().permutation(many.shape[0])
+        for gp in gps:
+            full = ConditionedGp.build([gp], many)
+            permuted = ConditionedGp.build([gp], many[perm])
+            ones = [ConditionedGp.build([gp], many[c:c + 1]) for c in range(17)]
+            for t in thetas[:8]:
+                (mean,), (var,) = full.predict(t)
+                (p_mean,), (p_var,) = permuted.predict(t)
+                assert np.array_equal(p_mean, mean[perm])
+                assert np.array_equal(p_var, var[perm])
+                for c, one in enumerate(ones):
+                    (o_mean,), (o_var,) = one.predict(t)
+                    assert o_mean[0] == mean[c] and o_var[0] == var[c]
+
     def test_stack_equals_each_outputs_own_predict(self, setup):
         """Several outputs in one ConditionedGp give bitwise each output's
         one-output results."""
