@@ -4,6 +4,8 @@
 Fits the two surrogates on the bundled dataset (10 samples per condition,
 as the pipeline does by default), then times, per call:
 
+* one reduced forward-model evaluation, ``evaluate_reduced`` at the
+  nominal theta and the bundled condition 1, at the default settings;
 * the GP negative log marginal likelihood and its gradient, as the
   optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
   design (N=130) and of a design with 20 samples per condition (N=260);
@@ -44,7 +46,7 @@ from meltcal.domain import (
     load_dataset,
     prior_from_table2,
 )
-from meltcal.forward import reduced_model
+from meltcal.forward import evaluate_reduced, reduced_model
 from meltcal.inference import (
     LikelihoodConfig,
     PosteriorChain,
@@ -108,7 +110,11 @@ def main() -> None:
     target = make_log_posterior(dataset, *gps, LikelihoodConfig(), prior)
     ts_dense = build_training_set(dataset, prior, 20, reduced_model(),
                                   RandomStream(0))
+    condition_1 = dataset.rows[0].design
+    nominal = prior.nominal_params()
     out = {
+        "forward_eval_us": per_call_us(lambda: evaluate_reduced(condition_1, nominal),
+                                       100, repeats),
         "nlml_n130_us": nlml_us(ts, gps[0], repeats),
         "nlml_n260_us": nlml_us(ts_dense, fit_gp(ts_dense, "length",
                                                  RandomStream(1)), repeats),

@@ -269,6 +269,10 @@ def load_dataset(path: str | Path) -> ExperimentalDataset:
                 raise DatasetFormatError(
                     f"{path}: row {row_num} has {len(cells)} cells, expected {len(cols)}")
             vals = {c: _parse_cell(path, v, row_num, c) for c, v in zip(cols, cells)}
+            if not vals["index"].is_integer():
+                raise DatasetFormatError(
+                    f"{path}: row {row_num}, column 'index': "
+                    f"non-integral value {cells[0]!r}")
             for col in cols[4:]:  # the measurements and their sigmas
                 if vals[col] <= 0:
                     raise DatasetFormatError(

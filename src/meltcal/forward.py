@@ -163,10 +163,31 @@ def _absorbed_power(design: DesignVars, theta: CalibrationParams,
     return theta.alpha * design.power * (1.0 - loss_fraction(design, theta, cfg))
 
 
-def _rise_grid(design: DesignVars, theta: CalibrationParams,
-               cfg: ReducedModelConfig, r: np.ndarray, z: np.ndarray,
-               t: np.ndarray) -> np.ndarray:
-    """Temperature rise above ambient at broadcastable (r, z, t) arrays.
+@dataclass(frozen=True)
+class _Source:
+    """The scalars of the rise formula for one weld (design, theta, cfg)."""
+
+    a: float                # effective thermal diffusivity, m^2/s
+    rb2: float              # beam radius squared, m^2
+    c0: float               # 4 q / (rho c pi^{3/2} sqrt(a))
+    pulse_duration: float
+    quad_points: int
+
+    @classmethod
+    def build(cls, design: DesignVars, theta: CalibrationParams,
+              cfg: ReducedModelConfig) -> "_Source":
+        k_eff = effective_conductivity(design, theta, cfg)
+        rho_c = cfg.thermal_mass_fraction * cfg.density * theta.c_l
+        a = k_eff / rho_c
+        q = _absorbed_power(design, theta, cfg)
+        return cls(a=a, rb2=design.beam_radius**2,
+                   c0=4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a)),
+                   pulse_duration=design.pulse_duration,
+                   quad_points=cfg.quad_points)
+
+
+class _RiseField:
+    """Temperature rise above ambient at fixed times t, as a function of (r, z).
 
     Superposition of the half-space Gaussian-source Green's function over
     source time.  With elapsed time tau and u = sqrt(tau) the integrand is
@@ -175,39 +196,55 @@ def _rise_grid(design: DesignVars, theta: CalibrationParams,
 
         dT = (4 q / (rho c pi^{3/2} sqrt(a))) *
              int exp(-z^2/(4 a u^2) - 2 r^2/(Rb^2 + 8 a u^2)) / (Rb^2 + 8 a u^2) du
+
+    Every term that depends on t alone is computed here once.  The exponent
+    is ``r_term(r) - z_term(z)``, so a probe along one axis computes only
+    that axis's term.  The terms and ``rise`` are called, as ``__call__``
+    calls them, with divide and invalid floating-point warnings ignored.
     """
-    r, z, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(z, float),
-                                  np.asarray(t, float))
-    k_eff = effective_conductivity(design, theta, cfg)
-    rho_c = cfg.thermal_mass_fraction * cfg.density * theta.c_l
-    a = k_eff / rho_c
-    rb2 = design.beam_radius**2
-    q = _absorbed_power(design, theta, cfg)
-    c0 = 4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a))
 
-    # elapsed-time window is [t - t_p, t] clipped at 0
-    tau_lo = np.maximum(t - design.pulse_duration, 0.0)
-    u_lo = np.sqrt(tau_lo)
-    u_hi = np.sqrt(np.maximum(t, 0.0))
+    def __init__(self, source: _Source, t: float | np.ndarray):
+        self.t = t = np.asarray(t, float)
+        # elapsed-time window is [t - t_p, t] clipped at 0
+        tau_lo = np.maximum(t - source.pulse_duration, 0.0)
+        u_lo = np.sqrt(tau_lo)
+        u_hi = np.sqrt(np.maximum(t, 0.0))
+        nodes, self.weights = _leggauss(source.quad_points)
+        # map [-1, 1] -> [u_lo, u_hi] per time
+        half = 0.5 * (u_hi - u_lo)
+        mid = 0.5 * (u_hi + u_lo)
+        u = mid[..., None] + half[..., None] * nodes  # (..., n)
+        u2 = u * u
+        self.denom = source.rb2 + 8.0 * source.a * u2
+        self.unheated = ~(u2 > 0)
+        self.diffusion = 4.0 * source.a * np.maximum(u2, 1e-300)
+        self.scale = source.c0 * half
+        self.window = u_hi > u_lo
 
-    nodes, weights = _leggauss(cfg.quad_points)
-    # map [-1, 1] -> [u_lo, u_hi] per evaluation point
-    half = 0.5 * (u_hi - u_lo)
-    mid = 0.5 * (u_hi + u_lo)
-    u = mid[..., None] + half[..., None] * nodes  # (..., n)
-    u2 = u * u
-    denom = rb2 + 8.0 * a * u2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = -2.0 * r[..., None] ** 2 / denom
-        zz = z[..., None] ** 2
-        expo = expo - np.where(u2 > 0, zz / (4.0 * a * np.maximum(u2, 1e-300)), np.inf)
-        integrand = np.exp(expo) / denom
-    integrand = np.where(u2 > 0, integrand, 0.0)
-    if not np.all(np.isfinite(integrand)):
-        bad = np.argwhere(~np.isfinite(integrand))[0]
-        raise NumericsError(f"non-finite integrand at quadrature node {bad.tolist()}")
-    rise = c0 * half * (integrand * weights).sum(axis=-1)
-    return np.where(u_hi > u_lo, rise, 0.0)
+    def r_term(self, r: np.ndarray) -> np.ndarray:
+        """-2 r^2 / (Rb^2 + 8 a u^2) at radii r of t's shape or 0-d."""
+        return -2.0 * r[..., None] ** 2 / self.denom
+
+    def z_term(self, z: np.ndarray) -> np.ndarray:
+        """z^2 / (4 a u^2) at depths z of t's shape or 0-d; inf where u = 0."""
+        term = z[..., None] ** 2 / self.diffusion
+        np.copyto(term, np.inf, where=self.unheated)
+        return term
+
+    def rise(self, expo: np.ndarray) -> np.ndarray:
+        """The rise from the exponent ``r_term(r) - z_term(z)``."""
+        integrand = np.exp(expo)
+        integrand /= self.denom
+        np.copyto(integrand, 0.0, where=self.unheated)
+        if not np.isfinite(integrand).all():
+            bad = np.argwhere(~np.isfinite(integrand))[0]
+            raise NumericsError(f"non-finite integrand at quadrature node {bad.tolist()}")
+        rise = self.scale * (integrand * self.weights).sum(axis=-1)
+        return np.where(self.window, rise, 0.0)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def __call__(self, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.rise(self.r_term(r) - self.z_term(z))
 
 
 def temperature_rise(design: DesignVars, theta: CalibrationParams,
@@ -215,34 +252,43 @@ def temperature_rise(design: DesignVars, theta: CalibrationParams,
     """Temperature (K) at radius r, depth z, time t for one spot weld."""
     if r < 0 or z < 0 or t < 0:
         raise ValueError("r, z, t must be non-negative")
-    rise = _rise_grid(design, theta, cfg, np.array(r), np.array(z), np.array(t))
+    field = _RiseField(_Source.build(design, theta, cfg), t)
+    rise = field(np.asarray(r, float), np.asarray(z, float))
     return float(cfg.ambient_temperature + rise)
 
 
-def _max_extent(design: DesignVars, theta: CalibrationParams,
-                cfg: ReducedModelConfig, times: np.ndarray, threshold_rise: float,
-                axis: str) -> float:
-    """Largest coordinate with rise >= threshold at any scanned time.
+@np.errstate(divide="ignore", invalid="ignore")
+def _max_extent(field: _RiseField, start: float, tolerance: float,
+                threshold_rise: float, axis: str) -> float:
+    """Largest coordinate with rise >= threshold at any of the field's times.
 
     axis='r' probes the surface (z=0); axis='z' probes the centerline (r=0).
     The rise is monotone decreasing along each axis, so bisection is exact.
-    Bisections for all scan times run in lockstep.
+    Bisections for all scan times run in lockstep, the bracket growing from
+    ``start`` and the bisection stopping at ``tolerance``.
     """
-    def rise_at(x: np.ndarray) -> np.ndarray:
-        if axis == "r":
-            return _rise_grid(design, theta, cfg, x, np.zeros_like(x), times)
-        return _rise_grid(design, theta, cfg, np.zeros_like(x), x, times)
+    zero = np.zeros_like(field.t)
+    if axis == "r":
+        fixed = field.z_term(zero)
 
-    # exponential bracket growth from the beam radius
-    hi = np.full_like(times, design.beam_radius)
+        def rise_at(x: np.ndarray) -> np.ndarray:
+            return field.rise(field.r_term(x) - fixed)
+    else:
+        fixed = field.r_term(zero)
+
+        def rise_at(x: np.ndarray) -> np.ndarray:
+            return field.rise(fixed - field.z_term(x))
+
+    # exponential bracket growth from the start
+    hi = np.full_like(field.t, start)
     for _ in range(24):
         hot = rise_at(hi) >= threshold_rise
         if not hot.any():
             break
         hi = np.where(hot, hi * 2.0, hi)
-    lo = np.zeros_like(times)
+    lo = zero
     above = rise_at(lo) >= threshold_rise  # melted at origin for these times
-    n_iter = int(math.ceil(math.log2(float(hi.max()) / cfg.search_tolerance))) + 1
+    n_iter = int(math.ceil(math.log2(float(hi.max()) / tolerance))) + 1
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         hot = rise_at(mid) >= threshold_rise
@@ -263,12 +309,13 @@ def evaluate_reduced(design: DesignVars, theta: CalibrationParams,
     cfg = cfg or ReducedModelConfig()
     threshold_rise = melting_threshold(theta, cfg) - cfg.ambient_temperature
     t_p = design.pulse_duration
-    peak = _rise_grid(design, theta, cfg, np.array(0.0), np.array(0.0), np.array(t_p))
+    source = _Source.build(design, theta, cfg)
+    peak = _RiseField(source, t_p)(np.array(0.0), np.array(0.0))
     if peak < threshold_rise:
         return MeltPoolSize(length=0.0, depth=0.0, melted=False)
-    times = np.linspace(t_p, 2.0 * t_p, cfg.time_samples)
-    max_r = _max_extent(design, theta, cfg, times, threshold_rise, "r")
-    max_z = _max_extent(design, theta, cfg, times, threshold_rise, "z")
+    field = _RiseField(source, np.linspace(t_p, 2.0 * t_p, cfg.time_samples))
+    max_r, max_z = (_max_extent(field, design.beam_radius, cfg.search_tolerance,
+                                threshold_rise, axis) for axis in ("r", "z"))
     return MeltPoolSize(length=2.0 * max_r, depth=max_z, melted=True)
 
 

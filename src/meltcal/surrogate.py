@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .blas import one_blas_thread
@@ -260,13 +260,22 @@ class _PairDistances:
     likelihood and its gradient need each unordered pair only.
     """
 
+    rows: np.ndarray         # (M,) i of each pair, M = N(N-1)/2
+    cols: np.ndarray         # (M,) j of each pair
     flat: np.ndarray         # (M,) i*N + j, the pair's place in a C-order N x N
-    sq: np.ndarray           # (M, d) (x_i - x_j)**2, M = N(N-1)/2
+    sq: np.ndarray           # (M, d) (x_i - x_j)**2
 
     @classmethod
     def build(cls, x: np.ndarray) -> "_PairDistances":
         rows, cols = np.triu_indices(x.shape[0], k=1)
-        return cls(flat=rows * x.shape[0] + cols, sq=(x[rows] - x[cols]) ** 2)
+        return cls(rows=rows, cols=cols, flat=rows * x.shape[0] + cols,
+                   sq=(x[rows] - x[cols]) ** 2)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """The finiteness check of scipy's ``check_finite``."""
+    if not np.isfinite(values).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -279,25 +288,29 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
     # it into the weights rounds exactly as scaling the sum would
     k_p = sf2 * np.exp(pairs.sq @ (-0.5 / ell2))
-    # Cholesky and dpotri with lower=True read and write only the lower
-    # triangle, which is the upper triangle of this C-order buffer seen as
-    # the Fortran-order array k_t.T that LAPACK takes uncopied.
+    _require_finite(k_p)
+    _require_finite(sf2 + sn2)
+    # dpotrf, dpotrs and dpotri with lower=True read and write only the
+    # lower triangle, which is the upper triangle of this C-order buffer
+    # seen as the Fortran-order array k_t.T that LAPACK takes uncopied.
+    # The other triangle stays zero, so the factor needs no clean pass.
     k_t = np.zeros((n, n))
     flat = k_t.ravel()
     flat[pairs.flat] = k_p
     flat[::n + 1] = sf2 + sn2
-    try:
-        low = cholesky(k_t.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError:
+    low, info = dpotrf(k_t.T, lower=True, clean=False, overwrite_a=True)
+    if info != 0:
         return 1e12, np.zeros_like(log_params)
-    alpha = cho_solve((low, True), y)
+    _require_finite(y)
+    alpha = dpotrs(low, y, lower=True)[0]
     nlml = (0.5 * y @ alpha + np.log(np.diag(low)).sum()
             + 0.5 * n * np.log(2.0 * np.pi))
     kinv, info = dpotri(low, lower=True, overwrite_c=True)
     if info != 0:
         return 1e12, np.zeros_like(log_params)
     # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair twice
-    w = (kinv.T.take(pairs.flat) - np.outer(alpha, alpha).take(pairs.flat)) * k_p
+    w = (kinv.T.take(pairs.flat)
+         - alpha.take(pairs.rows) * alpha.take(pairs.cols)) * k_p
     m_diag = kinv.diagonal().sum() - alpha @ alpha      # tr(K^-1 - aa^T)
     grad = np.empty_like(log_params)
     grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k

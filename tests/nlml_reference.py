@@ -7,12 +7,18 @@ pair distances: it takes the full (N, N, d) tensor of squared input
 differences and forms the gradient from dense N x N matrices (Rasmussen &
 Williams 2006, sec. 5.4.1).  The tests assert that the library function
 still agrees with it to rounding.
+
+``packed_nlml_and_grad`` is a verbatim copy of the library function as
+written on packed pair distances through scipy's ``cholesky`` and
+``cho_solve``, before it called the LAPACK routines they wrap directly.
+The tests assert that the library function gives exactly its bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 
 from meltcal.surrogate import _nlml_and_grad as library_nlml_and_grad
 from meltcal.surrogate import _PairDistances
@@ -49,4 +55,41 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     grad[:d] = 0.5 * np.einsum("ij,ijk->k", mk, scaled)  # d/dlog ell_j
     grad[d] = 0.5 * mk.sum()                              # d/dlog sf2
     grad[d + 1] = 0.5 * sn2 * np.trace(m)                 # d/dlog sn2
+    return float(nlml), grad
+
+
+def packed_nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
+                         pairs: _PairDistances) -> tuple[float, np.ndarray]:
+    d = x.shape[1]
+    n = y.size
+    log_ell, log_sf2, log_sn2 = log_params[:d], log_params[d], log_params[d + 1]
+    ell2 = np.exp(2.0 * log_ell)
+    sf2, sn2 = np.exp(log_sf2), np.exp(log_sn2)
+    # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
+    # it into the weights rounds exactly as scaling the sum would
+    k_p = sf2 * np.exp(pairs.sq @ (-0.5 / ell2))
+    # Cholesky and dpotri with lower=True read and write only the lower
+    # triangle, which is the upper triangle of this C-order buffer seen as
+    # the Fortran-order array k_t.T that LAPACK takes uncopied.
+    k_t = np.zeros((n, n))
+    flat = k_t.ravel()
+    flat[pairs.flat] = k_p
+    flat[::n + 1] = sf2 + sn2
+    try:
+        low = cholesky(k_t.T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        return 1e12, np.zeros_like(log_params)
+    alpha = cho_solve((low, True), y)
+    nlml = (0.5 * y @ alpha + np.log(np.diag(low)).sum()
+            + 0.5 * n * np.log(2.0 * np.pi))
+    kinv, info = dpotri(low, lower=True, overwrite_c=True)
+    if info != 0:
+        return 1e12, np.zeros_like(log_params)
+    # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair twice
+    w = (kinv.T.take(pairs.flat) - np.outer(alpha, alpha).take(pairs.flat)) * k_p
+    m_diag = kinv.diagonal().sum() - alpha @ alpha      # tr(K^-1 - aa^T)
+    grad = np.empty_like(log_params)
+    grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
+    grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
+    grad[d + 1] = 0.5 * sn2 * m_diag                    # d/dlog sn2
     return float(nlml), grad

@@ -92,6 +92,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=cell_error(p, column) + "non-finite"):
             load_dataset(p)
 
+    def test_non_integral_index_names_file_row_and_column(self, tmp_path):
+        p = tmp_path / "index.csv"
+        p.write_text(HEADER + "\n1.7,530,0.159,4,0.625,0.190\n")
+        with pytest.raises(DatasetFormatError,
+                           match=cell_error(p, "index") + "non-integral"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("cell", ["2", "2.0"])
+    def test_integral_index_loads(self, tmp_path, cell):
+        p = tmp_path / "index.csv"
+        p.write_text(HEADER + "\n1,530,0.159,4,0.625,0.190\n"
+                     + cell + ",530,0.159,4,0.625,0.190\n")
+        assert [r.index for r in load_dataset(p)] == [1, 2]
+
     def test_non_positive_measurement(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text(HEADER + "\n1,530,0.159,4,-0.625,0.190\n")

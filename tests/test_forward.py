@@ -1,6 +1,7 @@
 """Reduced conduction model, external adapter, and run-table replay."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import solve_fd
+import forward_reference
 from meltcal.domain import (
     CalibrationParams,
     DesignVars,
@@ -17,8 +19,12 @@ from meltcal.domain import (
 from meltcal.forward import (
     AdapterError,
     ExternalModelSpec,
+    NumericsError,
     ReducedModelConfig,
     RunTable,
+    _max_extent,
+    _RiseField,
+    _Source,
     effective_conductivity,
     evaluate_external,
     evaluate_reduced,
@@ -134,6 +140,65 @@ class TestEvaluateReduced:
         s0 = evaluate_reduced(COND1, NOMINAL, CFG)
         s1 = evaluate_reduced(COND1, NOMINAL, cooler)
         assert s1.length > s0.length and s1.depth > s0.depth
+
+
+class TestAgainstReference:
+    """evaluate_reduced against a verbatim copy of its form that rebuilt
+    every term of the quadrature on each probe: exactly the same sizes."""
+
+    @staticmethod
+    def assert_same(design, theta, cfg=CFG):
+        assert (evaluate_reduced(design, theta, cfg)
+                == forward_reference.evaluate_reduced(design, theta, cfg))
+
+    def test_bundled_conditions_at_nominal(self, dataset):
+        for row in dataset:
+            self.assert_same(row.design, NOMINAL)
+
+    def test_prior_draws(self, dataset):
+        prior = prior_from_table2()
+        rng = np.random.default_rng(11)
+        for row in dataset:
+            for _ in range(16):
+                theta = CalibrationParams.from_array(
+                    prior.lower() + rng.random(8) * (prior.upper() - prior.lower()))
+                self.assert_same(row.design, theta)
+
+    def test_rise_along_each_axis_is_bitwise_the_reference(self, dataset):
+        for row in dataset:
+            t_p, radius = row.design.pulse_duration, row.design.beam_radius
+            times = np.linspace(t_p, 2.0 * t_p, CFG.time_samples)
+            x = np.linspace(0.0, 4.0 * radius, CFG.time_samples)
+            zero = np.zeros_like(x)
+            field = _RiseField(_Source.build(row.design, NOMINAL, CFG), times)
+            for r, z in ((x, zero), (zero, x)):
+                want = forward_reference._rise_grid(row.design, NOMINAL, CFG, r, z, times)
+                assert np.array_equal(field(r, z), want)
+
+    def test_no_melt(self):
+        weak = dataclasses.replace(COND1, power=1e-6)
+        assert not evaluate_reduced(weak, NOMINAL, CFG).melted
+        self.assert_same(weak, NOMINAL)
+
+    @pytest.mark.parametrize("changes", [{"quad_points": 128}, {"time_samples": 5},
+                                         {"search_tolerance": 1e-7}])
+    def test_other_settings(self, dataset, changes):
+        cfg = dataclasses.replace(CFG, **changes)
+        for row in dataset:
+            self.assert_same(row.design, NOMINAL, cfg)
+
+    def test_non_finite_integrand_names_the_node(self):
+        message = r"non-finite integrand at quadrature node \[0\]$"
+        with pytest.raises(NumericsError, match=message):
+            temperature_rise(COND1, NOMINAL, CFG, math.nan, 0.0, 1e-3)
+        with pytest.raises(NumericsError, match=message):
+            forward_reference._rise_grid(COND1, NOMINAL, CFG, np.array(math.nan),
+                                         np.array(0.0), np.array(1e-3))
+        source = dataclasses.replace(_Source.build(COND1, NOMINAL, CFG), a=math.nan)
+        field = _RiseField(source, np.linspace(4e-3, 8e-3, 5))
+        for axis in ("r", "z"):
+            with pytest.raises(NumericsError, match=r"node \[0, 0\]$"):
+                _max_extent(field, COND1.beam_radius, 1e-6, 100.0, axis)
 
 
 class TestReducedModelConfig:

@@ -25,7 +25,7 @@ from meltcal.surrogate import (
     save_gp,
 )
 from nlml_reference import _nlml_and_grad as reference_nlml_and_grad
-from nlml_reference import nlml
+from nlml_reference import nlml, packed_nlml_and_grad
 from scipy.linalg import cho_solve
 
 
@@ -366,6 +366,47 @@ class TestPackedNlml:
         value, grad = _nlml_and_grad(p, x, y, _PairDistances.build(x))
         assert value == 1e12
         assert np.array_equal(grad, np.zeros_like(p))
+
+
+class TestLapackNlml:
+    """The marginal likelihood on direct LAPACK calls against a verbatim
+    copy of its form through scipy's cholesky and cho_solve, on the bundled
+    N=130 training set: the same bits, and the same errors."""
+
+    @pytest.fixture(scope="class")
+    def training(self, training_set):
+        x = training_set.inputs_std()
+        y = training_set.outputs[:, 0]
+        return x, (y - y.mean()) / y.std(), _PairDistances.build(x)
+
+    def test_bitwise_equal_to_packed_reference(self, training):
+        x, y, pairs = training
+        d = x.shape[1]
+        lo = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[0])), -10.0,
+                   np.log(JITTER_FLOOR)]
+        hi = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[1])), 10.0, 0.0]
+        rng = RandomStream(43).generator()
+        draws = [lo + rng.random(d + 2) * (hi - lo) for _ in range(50)]
+        draws += [np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
+                  for _ in range(50)]
+        for p in draws:
+            value, grad = _nlml_and_grad(p, x, y, pairs)
+            ref_value, ref_grad = packed_nlml_and_grad(p, x, y, pairs)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("where", ["log sn2", "log sf2", "y"])
+    def test_nan_input_raises(self, training, where):
+        x, y, pairs = training
+        p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
+        if where == "y":
+            y = y.copy()
+            y[3] = np.nan
+        else:
+            p[-1 if where == "log sn2" else -2] = np.nan
+        for fn in (_nlml_and_grad, packed_nlml_and_grad):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fn(p, x, y, pairs)
 
 
 class TestScreening:
