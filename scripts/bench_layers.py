@@ -14,7 +14,7 @@ as the pipeline does by default), then times, per call:
   and ``ConditionedGp.averaged_mean`` of one output on a 1024-row batch of
   prior draws, the chunk sensitivity analysis takes;
 * the log posterior at an in-box and an out-of-box theta, through the
-  closure the sampler calls;
+  ``FixedTerms`` target the sampler calls;
 * the adaptive-Metropolis loop's own cost per step, on an 8-d standard
   normal target whose per-call time is subtracted;
 * the calibration's chains on the bundled target, in seconds:
@@ -48,11 +48,11 @@ from meltcal.domain import (
 )
 from meltcal.forward import evaluate_reduced, reduced_model
 from meltcal.inference import (
+    FixedTerms,
     LikelihoodConfig,
     PosteriorChain,
     adaptive_metropolis,
     load_chain,
-    make_log_posterior,
     run_chains,
     save_chain,
 )
@@ -107,7 +107,7 @@ def main() -> None:
     length = ConditionedGp.build(gps[:1], dataset.design_matrix())
     chunk = prior.lower() + (RandomStream(5).generator().random((1024, 8))
                              * (prior.upper() - prior.lower()))
-    target = make_log_posterior(dataset, *gps, LikelihoodConfig(), prior)
+    target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior)
     ts_dense = build_training_set(dataset, prior, 20, reduced_model(),
                                   RandomStream(0))
     condition_1 = dataset.rows[0].design

@@ -23,7 +23,7 @@ from meltcal.domain import (
     write_dataset,
 )
 from meltcal.forward import reduced_model
-from meltcal.pipeline import RunConfig, run_calibration
+from meltcal.pipeline import RunConfig, run_stage
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
 
     cfg = RunConfig(dataset_path=str(synth_path), out_dir=str(out_dir),
                     seed=seed)
-    report = run_calibration(cfg)
+    report = run_stage(cfg, "run-all")
 
     post = report["posterior"]
     truth_vec = truth.as_array()

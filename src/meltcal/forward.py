@@ -374,11 +374,7 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
             raise AdapterError(f"output key {key!r} has non-numeric value {kv[key]!r}") from None
         if not math.isfinite(dims[key]):
             raise AdapterError(f"output key {key!r} is not finite: {kv[key]!r}")
-    melted = dims["length_mm"] > 0 and dims["depth_mm"] > 0
-    if not melted:
-        return MeltPoolSize(length=0.0, depth=0.0, melted=False)
-    return MeltPoolSize(length=dims["length_mm"] * 1e-3,
-                        depth=dims["depth_mm"] * 1e-3, melted=True)
+    return _size_from_mm(dims["length_mm"], dims["depth_mm"])
 
 
 def evaluate_external(spec: ExternalModelSpec, design: DesignVars,
@@ -417,20 +413,24 @@ def _run_key(design: DesignVars, theta: CalibrationParams) -> tuple:
     return tuple(float(format(v, ".12g")) for v in vals)
 
 
-def _size_from_mm(length_mm: str, depth_mm: str) -> MeltPoolSize:
-    """A pool size from run-table text in mm."""
-    length, depth = float(length_mm) * 1e-3, float(depth_mm) * 1e-3
-    if not (math.isfinite(length) and math.isfinite(depth)):
-        raise AdapterError(f"non-finite pool size: {length_mm!r}, {depth_mm!r}")
-    melted = length > 0 and depth > 0
-    return MeltPoolSize(length=length if melted else 0.0,
-                        depth=depth if melted else 0.0, melted=melted)
+def _size_from_mm(length_mm: float, depth_mm: float) -> MeltPoolSize:
+    """A pool size from a finite length and depth in mm, as the external
+    model and the run table give them.  A zero size means no melt; a
+    negative one is an ``AdapterError`` naming its key."""
+    for key, value in (("length_mm", length_mm), ("depth_mm", depth_mm)):
+        if value < 0:
+            raise AdapterError(f"{key} is a negative pool size: {value!r}")
+    length, depth = length_mm * 1e-3, depth_mm * 1e-3
+    if length > 0 and depth > 0:
+        return MeltPoolSize(length=length, depth=depth, melted=True)
+    return MeltPoolSize(length=0.0, depth=0.0, melted=False)
 
 
 class RunTable:
     """Stored forward-model evaluations read from a CSV, keyed to 12 digits.
 
     The table is an input of a run, like the dataset: nothing writes it.
+    A run may repeat only with the same pool size.
     """
 
     COLUMNS = (["power_W", "beam_radius_mm", "pulse_ms"] + list(PARAM_SYMBOLS)
@@ -438,6 +438,7 @@ class RunTable:
 
     def __init__(self, path: str | Path):
         self._rows: dict[tuple, MeltPoolSize] = {}
+        first_line: dict[tuple, int] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != self.COLUMNS:
@@ -449,10 +450,19 @@ class RunTable:
                                         pulse_duration=float(rec["pulse_ms"]) * 1e-3)
                     theta = CalibrationParams.from_array(
                         [float(rec[s]) for s in PARAM_SYMBOLS])
-                    size = _size_from_mm(rec["length_mm"], rec["depth_mm"])
+                    sizes = (float(rec["length_mm"]), float(rec["depth_mm"]))
+                    if not all(map(math.isfinite, sizes)):
+                        raise AdapterError(f"non-finite pool size: {rec['length_mm']!r}, "
+                                           f"{rec['depth_mm']!r}")
+                    size = _size_from_mm(*sizes)
                 except (ValueError, AdapterError) as exc:
                     raise AdapterError(f"{path}: row {reader.line_num}: {exc}") from None
-                self._rows[_run_key(design, theta)] = size
+                key = _run_key(design, theta)
+                if self._rows.setdefault(key, size) != size:
+                    raise AdapterError(
+                        f"{path}: row {reader.line_num}: repeats the run of row "
+                        f"{first_line[key]} with another pool size")
+                first_line.setdefault(key, reader.line_num)
 
     def __len__(self) -> int:
         return len(self._rows)

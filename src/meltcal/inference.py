@@ -34,7 +34,6 @@ __all__ = [
     "experimental_sigmas",
     "FixedTerms",
     "log_posterior",
-    "make_log_posterior",
     "adaptive_metropolis",
     "CHAINS",
     "ChainWorkerError",
@@ -61,11 +60,10 @@ CHAINS = 2
 
 @dataclass(frozen=True)
 class LikelihoodConfig:
-    """Noise rule and code-uncertainty switch for the calibration likelihood."""
+    """Noise rule for the calibration likelihood."""
 
     relative_fraction: float = 0.05
     absolute_floor: float = 1e-5  # m
-    include_code_uncertainty: bool = True
 
     def __post_init__(self):
         if not (0 < self.relative_fraction <= 0.5):
@@ -89,11 +87,13 @@ def experimental_sigmas(dataset: ExperimentalDataset,
 
 @dataclass(frozen=True)
 class FixedTerms:
-    """The parts of the log posterior that do not depend on theta.
+    """The parts of the log posterior that do not depend on theta, and the
+    target the sampler calls.
 
     The prior box, and for length and depth the GPs conditioned on the
     dataset's designs, the measurements and the experimental variances,
-    as (outputs, conditions) arrays.
+    as (outputs, conditions) arrays.  Called on theta, it returns
+    ``log_posterior(theta, self)``.
     """
 
     lower: np.ndarray
@@ -101,7 +101,6 @@ class FixedTerms:
     gps: ConditionedGp
     y: np.ndarray
     s2: np.ndarray
-    code_uncertainty: bool
 
     @classmethod
     def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
@@ -110,8 +109,11 @@ class FixedTerms:
         gps = ConditionedGp.build([gp_length, gp_depth], dataset.design_matrix())
         return cls(lower=prior.lower(), upper=prior.upper(), gps=gps,
                    y=dataset.measurements().T,
-                   s2=(experimental_sigmas(dataset, cfg) ** 2).T,
-                   code_uncertainty=cfg.include_code_uncertainty)
+                   s2=(experimental_sigmas(dataset, cfg) ** 2).T)
+
+    def __call__(self, theta: np.ndarray) -> float:
+        # the module-level name, so that whatever wraps it sees every call
+        return log_posterior(theta, self)
 
 
 def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
@@ -128,30 +130,11 @@ def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
     # raises in predict
     if (theta < fixed.lower).any() or (theta > fixed.upper).any():
         return -np.inf
-    if fixed.code_uncertainty:
-        mean, var = fixed.gps.predict(theta)
-        variance = fixed.s2 + var
-    else:
-        mean, variance = fixed.gps.mean(theta), fixed.s2
+    mean, var = fixed.gps.predict(theta)
+    variance = fixed.s2 + var
     r = fixed.y - mean
     return -0.5 * math.fsum(np.log(variance).ravel().tolist()
                             + (r**2 / variance).ravel().tolist())
-
-
-def make_log_posterior(dataset: ExperimentalDataset, gp_length: GpSurrogate,
-                       gp_depth: GpSurrogate, cfg: LikelihoodConfig,
-                       prior: PriorSpec) -> Callable[[np.ndarray], float]:
-    """``log_posterior`` as a function of theta alone, for sampling.
-
-    The terms that do not depend on theta are computed once, here; each
-    call then goes through ``log_posterior``, so the two are bitwise equal.
-    """
-    fixed = FixedTerms.build(dataset, gp_length, gp_depth, cfg, prior)
-
-    def target(theta: np.ndarray) -> float:
-        return log_posterior(theta, fixed)
-
-    return target
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ load its result.  One runner, ``Pipeline._run``, serves them all.  A
 stage's digest hashes its name, its reads and its upstream digests, and a
 meta file beside the artifacts stores it.  The stage loads when the stored
 digest matches and every declared artifact exists; otherwise it fetches
-its upstream results, computes, saves, and writes the meta file.  Either
-way the result is kept on the Pipeline, so one run computes or loads each
-stage once.  Deleting any artifact recomputes the stage that wrote it; a
-changed setting recomputes the stages that read it and all stages
-downstream of them.  ``report`` is not cached: it always rewrites
+its upstream results, computes, deletes the meta file, saves, and writes
+the meta file anew, so a save that stops partway leaves no digest.
+Either way the result is kept on the Pipeline, so one run computes or
+loads each stage once.  Deleting any artifact recomputes the stage that
+wrote it; a changed setting recomputes the stages that read it and all
+stages downstream of them.  ``report`` is not cached: it always rewrites
 report.json and the figures.
 """
 
@@ -56,7 +57,6 @@ __all__ = [
     "McmcConfig",
     "RunConfig",
     "validate_at_point",
-    "run_calibration",
     "run_stage",
     "emit_plots",
     "STAGES",
@@ -154,18 +154,17 @@ class RunConfig:
 
 # The JSON type, and its name in errors, of each field annotation.
 _JSON_TYPES = {int: (int, "an integer"), float: (float, "a number"),
-               bool: (bool, "true or false"), str: (str, "a string"),
-               Path: (str, "a string")}
+               str: (str, "a string"), Path: (str, "a string")}
 
 
 def _from_doc(cls, doc, prefix: str):
     """Config dataclass ``cls`` read from the JSON object ``doc``.
 
     Every key must name a field, and every value must have its field's
-    JSON type: an int is not a bool, a float is any number (an integer is
-    stored as a float), a ``Path`` is a string, ``null`` is allowed only
-    where the annotation allows ``None``, and a dataclass field is an
-    object read the same way.  Errors name the key, dotted after ``prefix``.
+    JSON type: no field takes true or false, a float is any number (an
+    integer is stored as a float), a ``Path`` is a string, ``null`` is
+    allowed only where the annotation allows ``None``, and a dataclass
+    field is an object read the same way.  Errors name the key, dotted after ``prefix``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {doc!r}")
@@ -188,7 +187,7 @@ def _from_value(hint, value, key: str):
     json_type, name = _JSON_TYPES[hint]
     if hint is float and type(value) is int:
         value = float(value)
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, json_type):
+    if isinstance(value, bool) or not isinstance(value, json_type):
         raise ValueError(f"{key} must be {name}, got {value!r}")
     return Path(value) if hint is Path else value
 
@@ -257,7 +256,7 @@ def _save_gps(gps, *paths: Path) -> None:
 
 def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
                                              inference.PosteriorSummary]:
-    target = inference.make_log_posterior(p.dataset, *gps, p.cfg.likelihood, p.prior)
+    target = inference.FixedTerms.build(p.dataset, *gps, p.cfg.likelihood, p.prior)
     step0 = (p.prior.upper() - p.prior.lower()) / 10.0
     chain = inference.run_chains(
         target, p.prior.nominal(), p.cfg.mcmc.steps, p.cfg.mcmc.adapt_start,
@@ -413,6 +412,8 @@ class Pipeline:
                 result = stage.compute(self, *upstream)
             except Exception as exc:
                 raise StageError(name, str(exc)) from exc
+            # no digest beside a mix of old and new artifacts
+            meta.unlink(missing_ok=True)
             stage.save(result, *paths)
             _write_json({"digest": digest, "stage": name}, meta, indent=None)
         self._results[name] = result
@@ -486,16 +487,13 @@ def validate_at_point(theta: CalibrationParams, dataset: ExperimentalDataset,
     }
 
 
-def run_calibration(cfg: RunConfig) -> dict:
-    """Execute the full stage sequence and return the report document."""
-    return Pipeline(cfg).report()
-
-
-def run_stage(cfg: RunConfig, stage: str) -> None:
-    """Run one named CLI stage (and whatever upstream stages it needs)."""
+def run_stage(cfg: RunConfig, stage: str):
+    """Run one named CLI stage (and whatever upstream stages it needs) and
+    return its result; ``run-all`` and ``report`` return the report
+    document."""
     if stage not in (*STAGES, "run-all"):
         raise ValueError(f"unknown stage {stage!r}")
-    getattr(Pipeline(cfg), _attr("report" if stage == "run-all" else stage))()
+    return getattr(Pipeline(cfg), _attr("report" if stage == "run-all" else stage))()
 
 
 def emit_plots(report: dict, retained: inference.PosteriorChain,

@@ -112,13 +112,12 @@ class ConditionedGp:
     inverse Cholesky factor, and the condition-averaged weights.  The GPs
     share their numbers of inputs and training points, so these arrays
     stack along a leading output axis and one numpy call serves every
-    output; SA builds one output at a time, the calibration likelihood all
-    that it selects.  Every per-call reduction is elementwise, a
-    fixed-order per-row einsum or one matrix product per output over the
-    kernel rows padded with zero rows to a multiple of ``PAD_ROWS``, and
-    the averaged weights are exact sums, so an output's result does not
-    depend on the other outputs, on the batch it comes in or on the order
-    of the fixed rows.
+    output; SA builds one output at a time, the calibration likelihood
+    both.  Every per-call reduction is elementwise, a fixed-order per-row
+    einsum or one matrix product per output over the kernel rows padded
+    with zero rows to a multiple of ``PAD_ROWS``, and the averaged weights
+    are exact sums, so an output's result does not depend on the other
+    outputs, on the batch it comes in or on the order of the fixed rows.
     """
 
     kd: np.ndarray           # (O, C, N) sf2 Kd(d_c, x_j), the design factors
@@ -194,15 +193,6 @@ class ConditionedGp:
         # one theta factor per training point serves every design row
         return self.kd * self._theta_factor(theta)[:, None]
 
-    def _mean(self, k_star: np.ndarray) -> np.ndarray:
-        mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
-        return self.y_mean + self.y_scale * mean_std
-
-    def mean(self, theta: np.ndarray) -> np.ndarray:
-        """(O, C) predictive means (m) at [d_c, theta], bitwise those of
-        ``predict``; no variance is formed."""
-        return self._mean(self._kernel_rows(theta))
-
     def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(O, C) predictive means (m) and variances (m^2) at [d_c, theta].
 
@@ -227,7 +217,8 @@ class ConditionedGp:
         padded[:, :rows] = k_star
         w = np.matmul(padded, self.linv_t)[:, :rows]
         var_std = np.maximum(self.sf2 - np.einsum("oij,oij->oi", w, w), 0.0)
-        return self._mean(k_star), self.y_scale2 * var_std
+        mean_std = np.einsum("oij,oj->oi", k_star, self.weights)
+        return self.y_mean + self.y_scale * mean_std, self.y_scale2 * var_std
 
 
 def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]:

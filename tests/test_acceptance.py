@@ -23,7 +23,7 @@ from meltcal.domain import (
 )
 from meltcal.forward import ReducedModelConfig, evaluate_reduced, reduced_model
 from meltcal.inference import adaptive_metropolis, burn_thin, effective_sample_size
-from meltcal.pipeline import RunConfig, run_calibration
+from meltcal.pipeline import RunConfig, run_stage
 from meltcal.sensitivity import sobol_indices
 from meltcal.surrogate import fit_gp, loocv_q2
 
@@ -41,7 +41,7 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
 def bundled_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundled")
     cfg = RunConfig(out_dir=str(out), seed=0)
-    return cfg, run_calibration(cfg)
+    return cfg, run_stage(cfg, "run-all")
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def synthetic_run(tmp_path_factory, dataset):
     write_dataset(synthetic_dataset(dataset, reduced_model(), truth, 0.02,
                                     RandomStream(123)), data_path)
     cfg = RunConfig(dataset_path=str(data_path), out_dir=str(out), seed=0)
-    return truth, run_calibration(cfg)
+    return truth, run_stage(cfg, "run-all")
 
 
 ISHIGAMI_S = np.array([0.31390519, 0.44241114, 0.0])
@@ -188,7 +188,7 @@ def test_criterion_8_determinism(capsys, bundled_run, tmp_path_factory):
     cfg, _ = bundled_run
     out2 = tmp_path_factory.mktemp("rerun")
     cfg2 = dataclasses.replace(cfg, out_dir=str(out2))
-    run_calibration(cfg2)
+    run_stage(cfg2, "run-all")
     a = _canonical_report(Path(cfg.out_dir) / "report.json")
     b = _canonical_report(out2 / "report.json")
     ok = a == b

@@ -247,6 +247,18 @@ class TestExternalAdapter:
         with pytest.raises(AdapterError, match="length_mm.*not finite"):
             evaluate_external(spec, COND1, NOMINAL)
 
+    @pytest.mark.parametrize("length, depth, key", [("-0.4", "0.2", "length_mm"),
+                                                    ("0.5", "-1e-3", "depth_mm")])
+    def test_negative_output_names_key(self, tmp_path, length, depth, key):
+        spec = _stub(tmp_path, f'printf "length_mm={length}\\ndepth_mm={depth}\\n" > "$2"')
+        with pytest.raises(AdapterError, match=f"{key} is a negative pool size"):
+            evaluate_external(spec, COND1, NOMINAL)
+
+    def test_zero_output_is_no_melt(self, tmp_path):
+        spec = _stub(tmp_path, 'printf "length_mm=0\\ndepth_mm=0.2\\n" > "$2"')
+        size = evaluate_external(spec, COND1, NOMINAL)
+        assert size == MeltPoolSize(length=0.0, depth=0.0, melted=False)
+
     def test_missing_output_file(self, tmp_path):
         spec = _stub(tmp_path, "true")
         with pytest.raises(AdapterError, match="no output"):
@@ -338,6 +350,33 @@ class TestRunTable:
         fields[RunTable.COLUMNS.index(column)] = value
         path.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
         with pytest.raises(AdapterError, match="runs.csv: row 2"):
+            RunTable(path)
+
+    def test_negative_size_names_file_row_and_key(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        other = dataclasses.replace(COND1, power=600.0)
+        runs = [_row(COND1, NOMINAL), _row(other, NOMINAL)]
+        write_run_table(path, runs, [(0.0, 5e-5), (1e-4, -5e-5)])
+        with pytest.raises(AdapterError,
+                           match="runs.csv: row 3: depth_mm is a negative pool size"):
+            RunTable(path)
+        write_run_table(path, runs[:1], [(0.0, 5e-5)])  # zero: no melt
+        assert (RunTable(path).lookup(COND1, NOMINAL)
+                == MeltPoolSize(length=0.0, depth=0.0, melted=False))
+
+    def test_repeated_run_must_repeat_its_size(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        other = dataclasses.replace(COND1, power=600.0)
+        runs = [_row(COND1, NOMINAL), _row(other, NOMINAL), _row(COND1, NOMINAL)]
+        write_run_table(path, runs, [(1e-4, 5e-5), (2e-4, 5e-5), (1e-4, 5e-5)])
+        table = RunTable(path)  # an identical repeat loads
+        assert len(table) == 2
+        assert table.lookup(COND1, NOMINAL) == MeltPoolSize(length=1e-4, depth=5e-5,
+                                                            melted=True)
+        write_run_table(path, runs, [(1e-4, 5e-5), (2e-4, 5e-5), (1.1e-4, 5e-5)])
+        with pytest.raises(AdapterError,
+                           match="runs.csv: row 4: repeats the run of row 2 "
+                                 "with another pool size"):
             RunTable(path)
 
     @given(st.floats(100.0, 2000.0))

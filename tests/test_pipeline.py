@@ -32,7 +32,6 @@ from meltcal.pipeline import (
     Pipeline,
     RunConfig,
     emit_plots,
-    run_calibration,
     run_stage,
     validate_at_point,
 )
@@ -53,7 +52,7 @@ def small_config(out_dir: Path, **overrides) -> RunConfig:
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     cfg = small_config(out)
-    report = run_calibration(cfg)
+    report = run_stage(cfg, "run-all")
     return cfg, report
 
 
@@ -163,7 +162,7 @@ class TestRunCalibration:
     def test_rerun_is_deterministic(self, small_run, tmp_path):
         cfg, _ = small_run
         cfg2 = dataclasses.replace(cfg, out_dir=str(tmp_path / "again"))
-        run_calibration(cfg2)
+        run_stage(cfg2, "run-all")
         a = _report_sans_timestamp(Path(cfg.out_dir) / "report.json")
         b = _report_sans_timestamp(Path(cfg2.out_dir) / "report.json")
         assert a == b
@@ -187,9 +186,9 @@ class TestRunCalibration:
 
     def test_cached_rerun_reproduces_report(self, tmp_path):
         cfg = small_config(tmp_path / "twice")
-        run_calibration(cfg)
+        run_stage(cfg, "run-all")
         first = _report_sans_timestamp(Path(cfg.out_dir) / "report.json")
-        run_calibration(cfg)  # every stage from cache, the chain reloaded
+        run_stage(cfg, "run-all")  # every stage from cache, the chain reloaded
         assert _report_sans_timestamp(Path(cfg.out_dir) / "report.json") == first
 
     def test_run_loads_each_artifact_at_most_once(self, tmp_path, monkeypatch):
@@ -202,9 +201,9 @@ class TestRunCalibration:
 
             monkeypatch.setattr(module, name, counted)
         cfg = small_config(tmp_path / "counted")
-        run_calibration(cfg)  # later stages reuse what earlier ones computed
+        run_stage(cfg, "run-all")  # later stages reuse what earlier ones computed
         assert calls == {"load_chain": 0, "load_gp": 0}
-        run_calibration(cfg)  # every stage cached; only the report needs the chain
+        run_stage(cfg, "run-all")  # every stage cached; only the report needs the chain
         assert calls == {"load_chain": 1, "load_gp": 0}
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
@@ -257,7 +256,7 @@ class TestRunCalibration:
         out = tmp_path / "copy"
         shutil.copytree(cfg.out_dir, out)
         (out / sidecar).unlink()
-        run_calibration(dataclasses.replace(cfg, out_dir=str(out)))
+        run_stage(dataclasses.replace(cfg, out_dir=str(out)), "run-all")
         assert (out / sidecar).exists()
         assert (_report_sans_timestamp(out / "report.json")
                 == _report_sans_timestamp(Path(cfg.out_dir) / "report.json"))
@@ -268,7 +267,7 @@ class TestRunCalibration:
         gp_before = (out / "gp_length.json").read_bytes()
         chain_before = (out / "chain.npz").read_bytes()
         (out / "chain.npz").unlink()
-        run_calibration(cfg)
+        run_stage(cfg, "run-all")
         assert (out / "gp_length.json").read_bytes() == gp_before
         assert (out / "chain.npz").read_bytes() == chain_before
 
@@ -282,6 +281,23 @@ class TestRunCalibration:
         ts_a = p.design()
         ts_b = Pipeline(small_config(Path(cfg.out_dir))).design()
         assert not np.array_equal(ts_a.inputs_raw, ts_b.inputs_raw)
+
+    def test_interrupted_save_recomputes_its_stage(self, tmp_path, monkeypatch):
+        """A save that stops partway leaves no digest, so the next run
+        recomputes the stage instead of loading a mix of two runs' files."""
+        out = tmp_path / "out"
+        assert Pipeline(small_config(out)).design().n == 52
+
+        def save_csv_then_fail(ts, csv_path, json_path):
+            doe.save_training_set(ts, csv_path, tmp_path / "elsewhere.json")
+            raise OSError("save interrupted")
+
+        with monkeypatch.context() as m:
+            m.setitem(pipeline._STAGES, "design", dataclasses.replace(
+                pipeline._STAGES["design"], save=save_csv_then_fail))
+            with pytest.raises(OSError, match="save interrupted"):
+                Pipeline(small_config(out, samples_per_condition=5)).design()
+        assert Pipeline(small_config(out)).design().n == 52
 
 
 class TestDigests:
@@ -492,6 +508,8 @@ class TestCli:
         ({"constants": {"density": 7000}}, "constants"),
         ({"reduced": {"loss_correction": False}}, "reduced.loss_correction"),
         ({"likelihood": {"outputs": "length"}}, "likelihood.outputs"),
+        ({"likelihood": {"include_code_uncertainty": True}},
+         "unknown config keys: likelihood.include_code_uncertainty"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)
@@ -512,8 +530,8 @@ class TestCli:
     @pytest.mark.parametrize("doc, message", [
         ({"reduced": {"density": "7200"}}, "reduced.density must be a number"),
         ({"reduced": {"quad_points": "64"}}, "reduced.quad_points must be an integer"),
-        ({"likelihood": {"include_code_uncertainty": "no"}},
-         "likelihood.include_code_uncertainty must be true or false"),
+        ({"likelihood": {"relative_fraction": True}},
+         "likelihood.relative_fraction must be a number"),
         ({"external": {"command_template": "sim {input} {output}", "timeout": "5"}},
          "external.timeout must be a number"),
         ({"dataset_path": 5}, "dataset_path must be a string"),
