@@ -46,7 +46,7 @@ from meltcal.domain import (
     load_dataset,
     prior_from_table2,
 )
-from meltcal.forward import evaluate_reduced, reduced_model
+from meltcal.forward import evaluate_reduced
 from meltcal.inference import (
     FixedTerms,
     LikelihoodConfig,
@@ -96,7 +96,7 @@ def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     prior = prior_from_table2()
     dataset = load_dataset(bundled_dataset_path())
-    ts = build_training_set(dataset, prior, 10, reduced_model(), RandomStream(0))
+    ts = build_training_set(dataset, prior, 10, evaluate_reduced, RandomStream(0))
     gps = (fit_gp(ts, "length", RandomStream(1)),
            fit_gp(ts, "depth", RandomStream(2)))
 
@@ -108,7 +108,7 @@ def main() -> None:
     chunk = prior.lower() + (RandomStream(5).generator().random((1024, 8))
                              * (prior.upper() - prior.lower()))
     target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior)
-    ts_dense = build_training_set(dataset, prior, 20, reduced_model(),
+    ts_dense = build_training_set(dataset, prior, 20, evaluate_reduced,
                                   RandomStream(0))
     condition_1 = dataset.rows[0].design
     nominal = prior.nominal_params()

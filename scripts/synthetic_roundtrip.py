@@ -22,7 +22,7 @@ from meltcal.domain import (
     synthetic_dataset,
     write_dataset,
 )
-from meltcal.forward import reduced_model
+from meltcal.forward import evaluate_reduced
 from meltcal.pipeline import RunConfig, run_stage
 
 
@@ -35,7 +35,7 @@ def main() -> None:
     truth = dataclasses.replace(prior.nominal_params(), alpha=0.20)
     base = load_dataset(bundled_dataset_path())  # reuse the bundled laser schedules
     synth_path = out_dir / "synthetic_dataset.csv"
-    write_dataset(synthetic_dataset(base, reduced_model(), truth), synth_path)
+    write_dataset(synthetic_dataset(base, evaluate_reduced, truth), synth_path)
 
     cfg = RunConfig(dataset_path=str(synth_path), out_dir=str(out_dir),
                     seed=seed)

@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .domain import (
 __all__ = [
     "NumericsError",
     "AdapterError",
-    "ReducedModelConfig",
     "ExternalModelSpec",
     "RunTable",
     "ForwardModel",
@@ -66,90 +65,55 @@ class ForwardModel(Protocol):
     def __call__(self, design: DesignVars, theta: CalibrationParams) -> MeltPoolSize: ...
 
 
-@dataclass(frozen=True)
-class ReducedModelConfig:
-    """Material constants and closure choices for the reduced conduction model.
-
-    ``density``, ``melt_temperature`` (the liquidus) and
-    ``ambient_temperature`` describe 304 stainless steel and its
-    surroundings.  Unlike the calibration parameters, they are not inferred.
-
-    Two closure factors absorb the fluid-flow physics that a pure
-    conduction model lacks:
-
-    * ``solid_conductivity_fraction`` scales the calibration conductivity
-      (a liquid-enhanced value) down to a solid-phase transport
-      coefficient.  Without it the low-power conditions never reach
-      melting anywhere in the prior.  Nominal 209.3 * 0.1 ~ 21 W/(m K),
-      the handbook solid value for 304 stainless steel near the solidus.
-    * ``thermal_mass_fraction`` scales the volumetric heat capacity in the
-      transient solve, standing in for advective heat transport into the
-      pool.  It leaves the steady-state temperature untouched but speeds
-      the transient and deepens the reachable isotherms; without it the
-      millisecond pulses are diffusion-limited to pools far shallower than
-      the measurements.
-    """
-
-    density: float = 7200.0             # kg/m^3
-    melt_temperature: float = 1727.0    # liquidus, K
-    ambient_temperature: float = 300.0  # K
-    quad_points: int = 64
-    search_tolerance: float = 1e-6  # m, bisection tolerance for isotherms
-    chi: float = 0.2                # Marangoni enhancement coefficient
-    ma_ref: float = 100.0           # Marangoni reference number
-    solid_conductivity_fraction: float = 0.1
-    thermal_mass_fraction: float = 0.25
-    time_samples: int = 33          # extent scan points over [t_p, 2 t_p]
-
-    def __post_init__(self):
-        if min(self.density, self.melt_temperature, self.ambient_temperature) <= 0:
-            raise ValueError("density and temperatures must be positive")
-        if self.melt_temperature <= self.ambient_temperature:
-            raise ValueError("melt_temperature must exceed ambient_temperature")
-        if self.quad_points < 16:
-            raise ValueError("quad_points must be >= 16")
-        if not (1e-7 <= self.search_tolerance <= 1e-4):
-            raise ValueError("search_tolerance must be in [1e-7, 1e-4] m")
-        if self.chi < 0:
-            raise ValueError("chi must be >= 0")
-        if self.ma_ref <= 0:
-            raise ValueError("ma_ref must be > 0")
-        if not (0 < self.solid_conductivity_fraction <= 1):
-            raise ValueError("solid_conductivity_fraction must be in (0, 1]")
-        if not (0 < self.thermal_mass_fraction <= 1):
-            raise ValueError("thermal_mass_fraction must be in (0, 1]")
-        if self.time_samples < 3:
-            raise ValueError("time_samples must be >= 3")
+# The reduced model's fixed inputs.  Unlike the calibration parameters they
+# are not inferred: the material is 304 stainless steel.  Every function
+# reads them when it runs, so a test can patch them.
+DENSITY = 7200.0              # kg/m^3
+MELT_TEMPERATURE = 1727.0     # liquidus, K
+AMBIENT_TEMPERATURE = 300.0   # K
+CHI = 0.2                     # Marangoni enhancement coefficient
+MA_REF = 100.0                # Marangoni reference number
+# Scales the calibration conductivity (a liquid-enhanced value) down to a
+# solid-phase transport coefficient.  Without it the low-power conditions
+# never reach melting anywhere in the prior.  Nominal 209.3 * 0.1 ~ 21
+# W/(m K), the handbook solid value for 304 stainless steel near the solidus.
+SOLID_CONDUCTIVITY_FRACTION = 0.1
+# Scales the volumetric heat capacity in the transient solve, standing in
+# for advective heat transport into the pool.  It leaves the steady-state
+# temperature untouched but speeds the transient and deepens the reachable
+# isotherms; without it the millisecond pulses are diffusion-limited to
+# pools far shallower than the measurements.
+THERMAL_MASS_FRACTION = 0.25
+QUAD_POINTS = 64              # Gauss-Legendre nodes in sqrt(elapsed time)
+TIME_SAMPLES = 33             # extent scan points over [t_p, 2 t_p]
+SEARCH_TOLERANCE = 1e-6       # m, bisection tolerance for isotherms
 
 
-def marangoni_number(design: DesignVars, theta: CalibrationParams,
-                     cfg: ReducedModelConfig) -> float:
-    a0 = theta.k_l / (cfg.density * theta.c_l)
-    dT = cfg.melt_temperature - cfg.ambient_temperature
+def marangoni_number(design: DesignVars, theta: CalibrationParams) -> float:
+    a0 = theta.k_l / (DENSITY * theta.c_l)
+    dT = MELT_TEMPERATURE - AMBIENT_TEMPERATURE
     return abs(theta.gamma_t) * dT * design.beam_radius / (theta.mu_l * a0)
 
 
-def effective_conductivity(design: DesignVars, theta: CalibrationParams,
-                           cfg: ReducedModelConfig) -> float:
+def effective_conductivity(design: DesignVars, theta: CalibrationParams) -> float:
     """Conduction coefficient with the Marangoni convection enhancement."""
-    ma = marangoni_number(design, theta, cfg)
-    enhancement = 1.0 + cfg.chi * math.log1p(ma / cfg.ma_ref)
-    return cfg.solid_conductivity_fraction * theta.k_l * enhancement
+    ma = marangoni_number(design, theta)
+    enhancement = 1.0 + CHI * math.log1p(ma / MA_REF)
+    return SOLID_CONDUCTIVITY_FRACTION * theta.k_l * enhancement
 
 
-def loss_fraction(design: DesignVars, theta: CalibrationParams,
-                  cfg: ReducedModelConfig) -> float:
+def loss_fraction(design: DesignVars, theta: CalibrationParams) -> float:
     """Fraction of absorbed power lost to surface convection and radiation."""
-    tm, t0 = cfg.melt_temperature, cfg.ambient_temperature
+    tm, t0 = MELT_TEMPERATURE, AMBIENT_TEMPERATURE
     flux = (theta.a_h * (tm - t0)
             + STEFAN_BOLTZMANN * theta.emissivity * (tm**4 - t0**4))
     f = flux * math.pi * design.beam_radius**2 / (theta.alpha * design.power)
     return min(max(f, 0.0), 0.5)
 
 
-def melting_threshold(theta: CalibrationParams, cfg: ReducedModelConfig) -> float:
+def melting_threshold(theta: CalibrationParams) -> float:
     """Effective melting temperature: liquidus plus the latent-heat penalty."""
-    return cfg.melt_temperature + theta.latent_heat / theta.c_l
+    return MELT_TEMPERATURE + theta.latent_heat / theta.c_l
 
 
 @cache
@@ -157,33 +121,29 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _absorbed_power(design: DesignVars, theta: CalibrationParams,
-                    cfg: ReducedModelConfig) -> float:
+def _absorbed_power(design: DesignVars, theta: CalibrationParams) -> float:
     """Absorbed laser power less the surface losses."""
-    return theta.alpha * design.power * (1.0 - loss_fraction(design, theta, cfg))
+    return theta.alpha * design.power * (1.0 - loss_fraction(design, theta))
 
 
 @dataclass(frozen=True)
 class _Source:
-    """The scalars of the rise formula for one weld (design, theta, cfg)."""
+    """The scalars of the rise formula for one weld (design, theta)."""
 
     a: float                # effective thermal diffusivity, m^2/s
     rb2: float              # beam radius squared, m^2
     c0: float               # 4 q / (rho c pi^{3/2} sqrt(a))
     pulse_duration: float
-    quad_points: int
 
     @classmethod
-    def build(cls, design: DesignVars, theta: CalibrationParams,
-              cfg: ReducedModelConfig) -> "_Source":
-        k_eff = effective_conductivity(design, theta, cfg)
-        rho_c = cfg.thermal_mass_fraction * cfg.density * theta.c_l
+    def build(cls, design: DesignVars, theta: CalibrationParams) -> "_Source":
+        k_eff = effective_conductivity(design, theta)
+        rho_c = THERMAL_MASS_FRACTION * DENSITY * theta.c_l
         a = k_eff / rho_c
-        q = _absorbed_power(design, theta, cfg)
+        q = _absorbed_power(design, theta)
         return cls(a=a, rb2=design.beam_radius**2,
                    c0=4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a)),
-                   pulse_duration=design.pulse_duration,
-                   quad_points=cfg.quad_points)
+                   pulse_duration=design.pulse_duration)
 
 
 class _RiseField:
@@ -209,7 +169,7 @@ class _RiseField:
         tau_lo = np.maximum(t - source.pulse_duration, 0.0)
         u_lo = np.sqrt(tau_lo)
         u_hi = np.sqrt(np.maximum(t, 0.0))
-        nodes, self.weights = _leggauss(source.quad_points)
+        nodes, self.weights = _leggauss(QUAD_POINTS)
         # map [-1, 1] -> [u_lo, u_hi] per time
         half = 0.5 * (u_hi - u_lo)
         mid = 0.5 * (u_hi + u_lo)
@@ -248,13 +208,13 @@ class _RiseField:
 
 
 def temperature_rise(design: DesignVars, theta: CalibrationParams,
-                     cfg: ReducedModelConfig, r: float, z: float, t: float) -> float:
+                     r: float, z: float, t: float) -> float:
     """Temperature (K) at radius r, depth z, time t for one spot weld."""
     if r < 0 or z < 0 or t < 0:
         raise ValueError("r, z, t must be non-negative")
-    field = _RiseField(_Source.build(design, theta, cfg), t)
+    field = _RiseField(_Source.build(design, theta), t)
     rise = field(np.asarray(r, float), np.asarray(z, float))
-    return float(cfg.ambient_temperature + rise)
+    return float(AMBIENT_TEMPERATURE + rise)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -298,35 +258,23 @@ def _max_extent(field: _RiseField, start: float, tolerance: float,
     return float(extents.max())
 
 
-def evaluate_reduced(design: DesignVars, theta: CalibrationParams,
-                     cfg: ReducedModelConfig | None = None) -> MeltPoolSize:
+def evaluate_reduced(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
     """Melt-pool length (surface diameter) and depth from the reduced model.
 
     The melting criterion is the effective threshold T_m + L/c_l; extents
     are the maxima over t in [t_p, 2 t_p] (during the pulse every point
     only heats up, so earlier times never set the maximum).
     """
-    cfg = cfg or ReducedModelConfig()
-    threshold_rise = melting_threshold(theta, cfg) - cfg.ambient_temperature
+    threshold_rise = melting_threshold(theta) - AMBIENT_TEMPERATURE
     t_p = design.pulse_duration
-    source = _Source.build(design, theta, cfg)
+    source = _Source.build(design, theta)
     peak = _RiseField(source, t_p)(np.array(0.0), np.array(0.0))
     if peak < threshold_rise:
         return MeltPoolSize(length=0.0, depth=0.0, melted=False)
-    field = _RiseField(source, np.linspace(t_p, 2.0 * t_p, cfg.time_samples))
-    max_r, max_z = (_max_extent(field, design.beam_radius, cfg.search_tolerance,
+    field = _RiseField(source, np.linspace(t_p, 2.0 * t_p, TIME_SAMPLES))
+    max_r, max_z = (_max_extent(field, design.beam_radius, SEARCH_TOLERANCE,
                                 threshold_rise, axis) for axis in ("r", "z"))
     return MeltPoolSize(length=2.0 * max_r, depth=max_z, melted=True)
-
-
-def reduced_model(cfg: ReducedModelConfig | None = None) -> ForwardModel:
-    """Bind the config into the common evaluation contract."""
-    cfg = cfg or ReducedModelConfig()
-
-    def model(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-        return evaluate_reduced(design, theta, cfg)
-
-    return model
 
 
 @dataclass(frozen=True)
@@ -341,8 +289,8 @@ class ExternalModelSpec:
         for ph in ("{input}", "{output}"):
             if self.command_template.count(ph) != 1:
                 raise ValueError(f"command template must contain {ph} exactly once")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
 
 def _write_input_file(path: Path, design: DesignVars, theta: CalibrationParams) -> None:
@@ -362,8 +310,10 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
             continue
         if "=" not in line:
             raise AdapterError(f"malformed output line {line!r}")
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in kv:
+            raise AdapterError(f"output file repeats key {key!r}")
+        kv[key] = val
     dims = {}
     for key in ("length_mm", "depth_mm"):
         if key not in kv:

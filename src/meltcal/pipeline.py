@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 import typing
 from collections.abc import Callable
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import doe, inference, plots, sensitivity, surrogate
+from . import doe, forward, inference, plots, sensitivity, surrogate
 from .domain import (
     CalibrationParams,
     ExperimentRow,
@@ -45,10 +46,8 @@ from .domain import (
 from .forward import (
     ExternalModelSpec,
     ForwardModel,
-    ReducedModelConfig,
     RunTable,
     external_model,
-    reduced_model,
     table_model,
 )
 
@@ -99,8 +98,6 @@ class McmcConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dataset_path: str = str(bundled_dataset_path())
-    model: str = "reduced"  # "reduced" | "external" | "table"
-    reduced: ReducedModelConfig = field(default_factory=ReducedModelConfig)
     external: ExternalModelSpec | None = None
     run_table_path: str | None = None
     samples_per_condition: int = 10
@@ -112,15 +109,12 @@ class RunConfig:
     out_dir: str = "meltcal_out"
 
     def __post_init__(self):
-        if self.model not in ("reduced", "external", "table"):
-            raise ValueError("model must be 'reduced', 'external', or 'table'")
-        if self.model == "external" and self.external is None:
-            raise ValueError("external model selected but no spec given")
-        if self.model == "table" and self.run_table_path is None:
-            raise ValueError("table model selected but no run_table_path given")
+        if self.external is not None and self.run_table_path is not None:
+            raise ValueError("external and run_table_path select two forward "
+                             "models; set one of them")
         if not Path(self.dataset_path).exists():
             raise FileNotFoundError(f"dataset not found: {self.dataset_path}")
-        if self.model == "table" and not Path(self.run_table_path).exists():
+        if self.run_table_path is not None and not Path(self.run_table_path).exists():
             raise FileNotFoundError(f"run table not found: {self.run_table_path}")
         if self.samples_per_condition < 2:
             raise ValueError("samples_per_condition must be >= 2")
@@ -144,12 +138,15 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def forward(self) -> ForwardModel:
-        if self.model == "reduced":
-            return reduced_model(self.reduced)
-        if self.model == "external":
+        """The external model if ``external`` is set, else the run table at
+        ``run_table_path`` over the reduced model, else the reduced model."""
+        # the module attribute, read at each call, so whatever wraps
+        # forward.evaluate_reduced sees every evaluation
+        if self.external is not None:
             return external_model(self.external)
-        fallback = reduced_model(self.reduced)
-        return table_model(RunTable(self.run_table_path), fallback)
+        if self.run_table_path is not None:
+            return table_model(RunTable(self.run_table_path), forward.evaluate_reduced)
+        return forward.evaluate_reduced
 
 
 # The JSON type, and its name in errors, of each field annotation.
@@ -161,8 +158,8 @@ def _from_doc(cls, doc, prefix: str):
     """Config dataclass ``cls`` read from the JSON object ``doc``.
 
     Every key must name a field, and every value must have its field's
-    JSON type: no field takes true or false, a float is any number (an
-    integer is stored as a float), a ``Path`` is a string, ``null`` is
+    JSON type: no field takes true or false, a float is any finite number
+    (an integer is stored as a float), a ``Path`` is a string, ``null`` is
     allowed only where the annotation allows ``None``, and a dataclass
     field is an object read the same way.  Errors name the key, dotted after ``prefix``.
     """
@@ -189,6 +186,8 @@ def _from_value(hint, value, key: str):
         value = float(value)
     if isinstance(value, bool) or not isinstance(value, json_type):
         raise ValueError(f"{key} must be {name}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return Path(value) if hint is Path else value
 
 
@@ -288,7 +287,7 @@ def _validate(p: "Pipeline", calibrated) -> dict:
 # Every cached stage, in run order.
 _STAGES = {
     "design": _Stage(
-        config=("model", "reduced", "external", "samples_per_condition", "seed"),
+        config=("external", "samples_per_condition", "seed"),
         inputs=lambda p: (p._dataset_digest, p._table_digest),
         upstream=(),
         artifacts=("training_set.csv", "training_set.json"),
@@ -368,7 +367,7 @@ class Pipeline:
         self._dataset_digest = _digest("dataset", [_row_values(r) for r in self.dataset])
         # the run table is read only, so its content keys the design
         self._table_digest = (_file_digest(cfg.run_table_path)
-                              if cfg.model == "table" else None)
+                              if cfg.run_table_path is not None else None)
         self._results: dict[str, object] = {}
 
     # -- digests -----------------------------------------------------------

@@ -19,7 +19,7 @@ from meltcal.domain import (
     load_dataset,
     prior_from_table2,
 )
-from meltcal.forward import reduced_model
+from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import fit_gp
 
 
@@ -30,7 +30,7 @@ def dataset():
 
 @pytest.fixture(scope="session")
 def training_set(dataset):
-    return build_training_set(dataset, prior_from_table2(), 10, reduced_model(),
+    return build_training_set(dataset, prior_from_table2(), 10, evaluate_reduced,
                               RandomStream(0))
 
 

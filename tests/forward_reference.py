@@ -3,25 +3,72 @@
 ``_rise_grid``, ``_max_extent`` and ``evaluate_reduced`` are verbatim
 copies of ``meltcal.forward``'s functions as written before the
 quadrature's r- and z-independent terms were built once per evaluation.
-The tests assert that the library still gives exactly these lengths,
-depths and melted flags.
+The closure helpers are verbatim copies from before the model's fixed
+inputs became module constants; they read those inputs from a settings
+namespace, which ``ReducedModelConfig()`` builds from ``meltcal.forward``'s
+constants when it is called, so a test that patches a constant patches
+the reference too.  The tests assert that the library still gives
+exactly these lengths, depths and melted flags.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from meltcal import forward
 from meltcal.domain import CalibrationParams, DesignVars, MeltPoolSize
-from meltcal.forward import (
-    NumericsError,
-    ReducedModelConfig,
-    _absorbed_power,
-    _leggauss,
-    effective_conductivity,
-    melting_threshold,
-)
+from meltcal.forward import STEFAN_BOLTZMANN, NumericsError, _leggauss
+
+
+def ReducedModelConfig() -> SimpleNamespace:  # noqa: N802 - the name the verbatim bodies use
+    """The reduced model's settings as ``meltcal.forward`` holds them now."""
+    return SimpleNamespace(
+        density=forward.DENSITY, melt_temperature=forward.MELT_TEMPERATURE,
+        ambient_temperature=forward.AMBIENT_TEMPERATURE,
+        quad_points=forward.QUAD_POINTS, search_tolerance=forward.SEARCH_TOLERANCE,
+        chi=forward.CHI, ma_ref=forward.MA_REF,
+        solid_conductivity_fraction=forward.SOLID_CONDUCTIVITY_FRACTION,
+        thermal_mass_fraction=forward.THERMAL_MASS_FRACTION,
+        time_samples=forward.TIME_SAMPLES)
+
+
+def marangoni_number(design: DesignVars, theta: CalibrationParams,
+                     cfg: ReducedModelConfig) -> float:
+    a0 = theta.k_l / (cfg.density * theta.c_l)
+    dT = cfg.melt_temperature - cfg.ambient_temperature
+    return abs(theta.gamma_t) * dT * design.beam_radius / (theta.mu_l * a0)
+
+
+def effective_conductivity(design: DesignVars, theta: CalibrationParams,
+                           cfg: ReducedModelConfig) -> float:
+    """Conduction coefficient with the Marangoni convection enhancement."""
+    ma = marangoni_number(design, theta, cfg)
+    enhancement = 1.0 + cfg.chi * math.log1p(ma / cfg.ma_ref)
+    return cfg.solid_conductivity_fraction * theta.k_l * enhancement
+
+
+def loss_fraction(design: DesignVars, theta: CalibrationParams,
+                  cfg: ReducedModelConfig) -> float:
+    """Fraction of absorbed power lost to surface convection and radiation."""
+    tm, t0 = cfg.melt_temperature, cfg.ambient_temperature
+    flux = (theta.a_h * (tm - t0)
+            + STEFAN_BOLTZMANN * theta.emissivity * (tm**4 - t0**4))
+    f = flux * math.pi * design.beam_radius**2 / (theta.alpha * design.power)
+    return min(max(f, 0.0), 0.5)
+
+
+def melting_threshold(theta: CalibrationParams, cfg: ReducedModelConfig) -> float:
+    """Effective melting temperature: liquidus plus the latent-heat penalty."""
+    return cfg.melt_temperature + theta.latent_heat / theta.c_l
+
+
+def _absorbed_power(design: DesignVars, theta: CalibrationParams,
+                    cfg: ReducedModelConfig) -> float:
+    """Absorbed laser power less the surface losses."""
+    return theta.alpha * design.power * (1.0 - loss_fraction(design, theta, cfg))
 
 
 def _rise_grid(design: DesignVars, theta: CalibrationParams,

@@ -21,7 +21,7 @@ from meltcal.domain import (
     synthetic_dataset,
     write_dataset,
 )
-from meltcal.forward import ReducedModelConfig, evaluate_reduced, reduced_model
+from meltcal.forward import evaluate_reduced
 from meltcal.inference import adaptive_metropolis, burn_thin, effective_sample_size
 from meltcal.pipeline import RunConfig, run_stage
 from meltcal.sensitivity import sobol_indices
@@ -50,7 +50,7 @@ def synthetic_run(tmp_path_factory, dataset):
     out = tmp_path_factory.mktemp("synthetic")
     truth = dataclasses.replace(NOMINAL, alpha=0.2)
     data_path = out / "synthetic.csv"
-    write_dataset(synthetic_dataset(dataset, reduced_model(), truth, 0.02,
+    write_dataset(synthetic_dataset(dataset, evaluate_reduced, truth, 0.02,
                                     RandomStream(123)), data_path)
     cfg = RunConfig(dataset_path=str(data_path), out_dir=str(out), seed=0)
     return truth, run_stage(cfg, "run-all")
@@ -107,7 +107,7 @@ def test_criterion_3_gp_quality(capsys, dataset, bundled_run):
     _, report = bundled_run
     q2_10 = (report["surrogate_q2"]["q2_length"],
              report["surrogate_q2"]["q2_depth"])
-    ts20 = build_training_set(dataset, PRIOR, 20, reduced_model(), RandomStream(0))
+    ts20 = build_training_set(dataset, PRIOR, 20, evaluate_reduced, RandomStream(0))
     q2_20 = (loocv_q2(fit_gp(ts20, "length", RandomStream(1)))[0],
              loocv_q2(fit_gp(ts20, "depth", RandomStream(2)))[0])
     ok = (min(q2_10) >= 0.90
@@ -118,16 +118,15 @@ def test_criterion_3_gp_quality(capsys, dataset, bundled_run):
 
 
 def test_criterion_4_forward_model_oracle(capsys, dataset):
-    cfg = ReducedModelConfig()
     worst = 0.0
     for row in dataset:
         fd = solve_fd(row.design, NOMINAL, cells_per_radius=16)
-        size = evaluate_reduced(row.design, NOMINAL, cfg=cfg)
+        size = evaluate_reduced(row.design, NOMINAL)
         worst = max(worst,
                     abs(size.length - fd.max_length()) / fd.max_length(),
                     abs(size.depth - fd.max_depth()) / fd.max_depth())
     start = time.perf_counter()
-    evaluate_reduced(dataset.rows[0].design, NOMINAL, cfg=cfg)
+    evaluate_reduced(dataset.rows[0].design, NOMINAL)
     per_eval = time.perf_counter() - start
     ok = worst < 0.05 and per_eval < 0.050
     _verdict(capsys, 4, ok,

@@ -22,7 +22,7 @@ from meltcal.domain import (
     in_support,
     prior_from_table2,
 )
-from meltcal.forward import reduced_model
+from meltcal.forward import evaluate_reduced
 
 PRIOR = prior_from_table2()
 
@@ -111,7 +111,7 @@ class TestBuildTrainingSet:
         assert training_set.n == 130
 
     def test_thirteen_by_twenty_gives_260_rows(self, dataset):
-        ts = build_training_set(dataset, PRIOR, 20, reduced_model(), RandomStream(5))
+        ts = build_training_set(dataset, PRIOR, 20, evaluate_reduced, RandomStream(5))
         assert ts.n == 260
 
     def test_outputs_finite_and_positive(self, training_set):
@@ -119,8 +119,8 @@ class TestBuildTrainingSet:
         assert np.all(training_set.outputs > 0)
 
     def test_reproducible_for_equal_seed(self, dataset):
-        a = build_training_set(dataset, PRIOR, 5, reduced_model(), RandomStream(11))
-        b = build_training_set(dataset, PRIOR, 5, reduced_model(), RandomStream(11))
+        a = build_training_set(dataset, PRIOR, 5, evaluate_reduced, RandomStream(11))
+        b = build_training_set(dataset, PRIOR, 5, evaluate_reduced, RandomStream(11))
         np.testing.assert_array_equal(a.inputs_raw, b.inputs_raw)
         np.testing.assert_array_equal(a.outputs, b.outputs)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fd_oracle import solve_fd
 import forward_reference
+from meltcal import forward
 from meltcal.domain import (
     CalibrationParams,
     DesignVars,
@@ -20,7 +21,6 @@ from meltcal.forward import (
     AdapterError,
     ExternalModelSpec,
     NumericsError,
-    ReducedModelConfig,
     RunTable,
     _max_extent,
     _RiseField,
@@ -32,43 +32,43 @@ from meltcal.forward import (
     table_model,
     temperature_rise,
 )
+from meltcal.pipeline import RunConfig
 from run_tables import write_run_table
 
-CFG = ReducedModelConfig()
 NOMINAL = prior_from_table2().nominal_params()
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
 
 
 class TestTemperatureRise:
     def test_zero_time_is_ambient(self):
-        t = temperature_rise(COND1, NOMINAL, CFG, 0.0, 0.0, 0.0)
-        assert t == CFG.ambient_temperature
+        t = temperature_rise(COND1, NOMINAL, 0.0, 0.0, 0.0)
+        assert t == forward.AMBIENT_TEMPERATURE
 
     def test_far_field_is_ambient(self):
-        t = temperature_rise(COND1, NOMINAL, CFG, 0.0, 1.0,
+        t = temperature_rise(COND1, NOMINAL, 0.0, 1.0,
                              10.0 * COND1.pulse_duration)
-        assert abs(t - CFG.ambient_temperature) < 1e-9
+        assert abs(t - forward.AMBIENT_TEMPERATURE) < 1e-9
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            temperature_rise(COND1, NOMINAL, CFG, -1e-5, 0.0, 1e-3)
+            temperature_rise(COND1, NOMINAL, -1e-5, 0.0, 1e-3)
 
     def test_matches_fd_oracle_at_pulse_end(self):
         fd = solve_fd(COND1, NOMINAL, t_end=COND1.pulse_duration,
                       samples=1, cells_per_radius=16)
         t_fd = fd.temperature[0, 0]
-        t_an = temperature_rise(COND1, NOMINAL, CFG, 0.0, 0.0,
+        t_an = temperature_rise(COND1, NOMINAL, 0.0, 0.0,
                                 COND1.pulse_duration)
-        rise_fd = t_fd - CFG.ambient_temperature
-        rise_an = t_an - CFG.ambient_temperature
+        rise_fd = t_fd - forward.AMBIENT_TEMPERATURE
+        rise_an = t_an - forward.AMBIENT_TEMPERATURE
         assert abs(rise_an - rise_fd) / rise_fd < 0.02
 
     def test_monotone_in_r_and_z(self):
         t_p = COND1.pulse_duration
         rs = np.linspace(0.0, 5e-4, 12)
-        temps_r = [temperature_rise(COND1, NOMINAL, CFG, r, 0.0, t_p)
+        temps_r = [temperature_rise(COND1, NOMINAL, r, 0.0, t_p)
                    for r in rs]
-        temps_z = [temperature_rise(COND1, NOMINAL, CFG, 0.0, z, t_p)
+        temps_z = [temperature_rise(COND1, NOMINAL, 0.0, z, t_p)
                    for z in rs]
         assert all(a >= b for a, b in zip(temps_r, temps_r[1:]))
         assert all(a >= b for a, b in zip(temps_z, temps_z[1:]))
@@ -76,41 +76,41 @@ class TestTemperatureRise:
     def test_linear_in_absorbed_power(self):
         """The rise scales everywhere with alpha*P*(1 - loss_fraction)."""
         double = dataclasses.replace(COND1, power=2.0 * COND1.power)
-        q1, q2 = (NOMINAL.alpha * d.power * (1.0 - loss_fraction(d, NOMINAL, CFG))
+        q1, q2 = (NOMINAL.alpha * d.power * (1.0 - loss_fraction(d, NOMINAL))
                   for d in (COND1, double))
         assert q2 != 2.0 * q1  # the losses do not scale with the power
         for (r, z, t) in [(0.0, 0.0, 4e-3), (2e-4, 0.0, 2e-3),
                           (0.0, 1e-4, 6e-3), (1e-4, 1e-4, 4e-3)]:
-            rise1 = temperature_rise(COND1, NOMINAL, CFG, r, z, t) \
-                - CFG.ambient_temperature
-            rise2 = temperature_rise(double, NOMINAL, CFG, r, z, t) \
-                - CFG.ambient_temperature
+            rise1 = temperature_rise(COND1, NOMINAL, r, z, t) \
+                - forward.AMBIENT_TEMPERATURE
+            rise2 = temperature_rise(double, NOMINAL, r, z, t) \
+                - forward.AMBIENT_TEMPERATURE
             assert rise2 / rise1 == pytest.approx(q2 / q1, rel=1e-9)
 
 
 class TestEffectiveConductivity:
     def test_increasing_in_gamma_t_magnitude(self):
         stronger = dataclasses.replace(NOMINAL, gamma_t=NOMINAL.gamma_t * 1.1)
-        assert (effective_conductivity(COND1, stronger, CFG)
-                > effective_conductivity(COND1, NOMINAL, CFG))
+        assert (effective_conductivity(COND1, stronger)
+                > effective_conductivity(COND1, NOMINAL))
 
     def test_decreasing_in_viscosity(self):
         thicker = dataclasses.replace(NOMINAL, mu_l=NOMINAL.mu_l * 2.0)
-        assert (effective_conductivity(COND1, thicker, CFG)
-                < effective_conductivity(COND1, NOMINAL, CFG))
+        assert (effective_conductivity(COND1, thicker)
+                < effective_conductivity(COND1, NOMINAL))
 
 
 class TestEvaluateReduced:
     def test_vanishing_source_does_not_melt(self):
         weak = dataclasses.replace(COND1, power=1e-6)
-        size = evaluate_reduced(weak, NOMINAL, CFG)
+        size = evaluate_reduced(weak, NOMINAL)
         assert size == MeltPoolSize(length=0.0, depth=0.0, melted=False)
 
     def test_monotone_in_alpha(self):
         low = dataclasses.replace(NOMINAL, alpha=0.135)
         high = dataclasses.replace(NOMINAL, alpha=0.405)
-        s_low = evaluate_reduced(COND1, low, CFG)
-        s_high = evaluate_reduced(COND1, high, CFG)
+        s_low = evaluate_reduced(COND1, low)
+        s_high = evaluate_reduced(COND1, high)
         assert s_high.length > s_low.length
         assert s_high.depth > s_low.depth
 
@@ -118,27 +118,27 @@ class TestEvaluateReduced:
         designs = dataset.design_matrix()
         base = DesignVars(*designs[4])
         more = dataclasses.replace(base, power=base.power * 1.3)
-        s0 = evaluate_reduced(base, NOMINAL, CFG)
-        s1 = evaluate_reduced(more, NOMINAL, CFG)
+        s0 = evaluate_reduced(base, NOMINAL)
+        s1 = evaluate_reduced(more, NOMINAL)
         assert s1.length >= s0.length and s1.depth >= s0.depth
 
-    def test_quadrature_converged(self, dataset):
+    def test_quadrature_converged(self, dataset, monkeypatch):
         """Doubling the node count moves dims by < 0.5% at every condition."""
-        fine = dataclasses.replace(CFG, quad_points=128)
-        for row in dataset:
-            s64 = evaluate_reduced(row.design, NOMINAL, CFG)
-            s128 = evaluate_reduced(row.design, NOMINAL, fine)
+        coarse = [evaluate_reduced(row.design, NOMINAL) for row in dataset]
+        monkeypatch.setattr(forward, "QUAD_POINTS", 128)
+        for row, s64 in zip(dataset, coarse):
+            s128 = evaluate_reduced(row.design, NOMINAL)
             assert s128.length == pytest.approx(s64.length, rel=5e-3)
             assert s128.depth == pytest.approx(s64.depth, rel=5e-3)
 
     def test_all_conditions_melt_at_nominal(self, dataset):
         for row in dataset:
-            assert evaluate_reduced(row.design, NOMINAL, CFG).melted
+            assert evaluate_reduced(row.design, NOMINAL).melted
 
-    def test_lower_melt_temperature_gives_larger_pool(self):
-        cooler = dataclasses.replace(CFG, melt_temperature=CFG.melt_temperature - 100.0)
-        s0 = evaluate_reduced(COND1, NOMINAL, CFG)
-        s1 = evaluate_reduced(COND1, NOMINAL, cooler)
+    def test_lower_melt_temperature_gives_larger_pool(self, monkeypatch):
+        s0 = evaluate_reduced(COND1, NOMINAL)
+        monkeypatch.setattr(forward, "MELT_TEMPERATURE", forward.MELT_TEMPERATURE - 100.0)
+        s1 = evaluate_reduced(COND1, NOMINAL)
         assert s1.length > s0.length and s1.depth > s0.depth
 
 
@@ -147,9 +147,9 @@ class TestAgainstReference:
     every term of the quadrature on each probe: exactly the same sizes."""
 
     @staticmethod
-    def assert_same(design, theta, cfg=CFG):
-        assert (evaluate_reduced(design, theta, cfg)
-                == forward_reference.evaluate_reduced(design, theta, cfg))
+    def assert_same(design, theta):
+        assert (evaluate_reduced(design, theta)
+                == forward_reference.evaluate_reduced(design, theta))
 
     def test_bundled_conditions_at_nominal(self, dataset):
         for row in dataset:
@@ -167,34 +167,38 @@ class TestAgainstReference:
     def test_rise_along_each_axis_is_bitwise_the_reference(self, dataset):
         for row in dataset:
             t_p, radius = row.design.pulse_duration, row.design.beam_radius
-            times = np.linspace(t_p, 2.0 * t_p, CFG.time_samples)
-            x = np.linspace(0.0, 4.0 * radius, CFG.time_samples)
+            times = np.linspace(t_p, 2.0 * t_p, forward.TIME_SAMPLES)
+            x = np.linspace(0.0, 4.0 * radius, forward.TIME_SAMPLES)
             zero = np.zeros_like(x)
-            field = _RiseField(_Source.build(row.design, NOMINAL, CFG), times)
+            field = _RiseField(_Source.build(row.design, NOMINAL), times)
             for r, z in ((x, zero), (zero, x)):
-                want = forward_reference._rise_grid(row.design, NOMINAL, CFG, r, z, times)
+                want = forward_reference._rise_grid(
+                    row.design, NOMINAL, forward_reference.ReducedModelConfig(),
+                    r, z, times)
                 assert np.array_equal(field(r, z), want)
 
     def test_no_melt(self):
         weak = dataclasses.replace(COND1, power=1e-6)
-        assert not evaluate_reduced(weak, NOMINAL, CFG).melted
+        assert not evaluate_reduced(weak, NOMINAL).melted
         self.assert_same(weak, NOMINAL)
 
-    @pytest.mark.parametrize("changes", [{"quad_points": 128}, {"time_samples": 5},
-                                         {"search_tolerance": 1e-7}])
-    def test_other_settings(self, dataset, changes):
-        cfg = dataclasses.replace(CFG, **changes)
+    @pytest.mark.parametrize("changes", [{"QUAD_POINTS": 128}, {"TIME_SAMPLES": 5},
+                                         {"SEARCH_TOLERANCE": 1e-7}])
+    def test_other_settings(self, dataset, changes, monkeypatch):
+        for name, value in changes.items():
+            monkeypatch.setattr(forward, name, value)
         for row in dataset:
-            self.assert_same(row.design, NOMINAL, cfg)
+            self.assert_same(row.design, NOMINAL)
 
     def test_non_finite_integrand_names_the_node(self):
         message = r"non-finite integrand at quadrature node \[0\]$"
         with pytest.raises(NumericsError, match=message):
-            temperature_rise(COND1, NOMINAL, CFG, math.nan, 0.0, 1e-3)
+            temperature_rise(COND1, NOMINAL, math.nan, 0.0, 1e-3)
         with pytest.raises(NumericsError, match=message):
-            forward_reference._rise_grid(COND1, NOMINAL, CFG, np.array(math.nan),
-                                         np.array(0.0), np.array(1e-3))
-        source = dataclasses.replace(_Source.build(COND1, NOMINAL, CFG), a=math.nan)
+            forward_reference._rise_grid(
+                COND1, NOMINAL, forward_reference.ReducedModelConfig(),
+                np.array(math.nan), np.array(0.0), np.array(1e-3))
+        source = dataclasses.replace(_Source.build(COND1, NOMINAL), a=math.nan)
         field = _RiseField(source, np.linspace(4e-3, 8e-3, 5))
         for axis in ("r", "z"):
             with pytest.raises(NumericsError, match=r"node \[0, 0\]$"):
@@ -202,6 +206,8 @@ class TestAgainstReference:
 
 
 class TestReducedModelConfig:
+    """The reduced model's inputs are constants: no config section sets them."""
+
     @pytest.mark.parametrize("kwargs", [
         {"quad_points": 8},
         {"search_tolerance": 1e-3},
@@ -213,8 +219,8 @@ class TestReducedModelConfig:
         {"melt_temperature": 300.0},
     ])
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ReducedModelConfig(**kwargs)
+        with pytest.raises(ValueError, match=r"^unknown config keys: reduced$"):
+            RunConfig.from_dict({"reduced": kwargs})
 
 
 def _stub(tmp_path, body: str) -> ExternalModelSpec:
@@ -272,9 +278,19 @@ class TestExternalAdapter:
         size = evaluate_external(spec, COND1, NOMINAL)
         assert size.melted
 
+    def test_repeated_key_names_key(self, tmp_path):
+        spec = _stub(tmp_path, 'printf "length_mm=0.5\\ndepth_mm=0.2\\nlength_mm=0.7\\n" > "$2"')
+        with pytest.raises(AdapterError, match="repeats key 'length_mm'"):
+            evaluate_external(spec, COND1, NOMINAL)
+
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError):
             ExternalModelSpec(command_template="sim {input}")
+
+    @pytest.mark.parametrize("timeout", [0.0, math.nan])
+    def test_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ExternalModelSpec(command_template="sim {input} {output}", timeout=timeout)
 
 
 class _CountingModel:

@@ -2,17 +2,20 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from meltcal import doe, inference, pipeline, sensitivity, surrogate
+from meltcal import doe, forward, inference, pipeline, sensitivity, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
@@ -25,7 +28,7 @@ from meltcal.domain import (
     synthetic_dataset,
     write_dataset,
 )
-from meltcal.forward import ExternalModelSpec, ReducedModelConfig, reduced_model
+from meltcal.forward import ExternalModelSpec, evaluate_reduced
 from meltcal.inference import adaptive_metropolis, burn_thin
 from meltcal.pipeline import (
     McmcConfig,
@@ -93,13 +96,35 @@ class TestRunConfig:
             small_config(tmp_path, dataset_path=str(tmp_path / "nope.csv"))
 
     def test_model_selection_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            small_config(tmp_path, model="quantum")
-        with pytest.raises(ValueError):
-            small_config(tmp_path, model="external")
+        """``external`` or ``run_table_path`` selects the model; no key names it."""
+        with pytest.raises(ValueError, match=r"^unknown config keys: model$"):
+            RunConfig.from_dict({"model": "table"})
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        spec = ExternalModelSpec(command_template="sim {input} {output}",
+                                 working_dir=tmp_path)
+        with pytest.raises(ValueError, match="set one of them"):
+            small_config(tmp_path, external=spec, run_table_path=str(table))
         with pytest.raises(FileNotFoundError):
-            small_config(tmp_path, model="table",
-                         run_table_path=str(tmp_path / "nope.csv"))
+            small_config(tmp_path, run_table_path=str(tmp_path / "nope.csv"))
+
+    def test_readme_lists_every_setting(self):
+        """The README's settings table has one row per dotted leaf of
+        RunConfig, its sections expanded as the config reader reads them."""
+        def leaves(cls, prefix=""):
+            for key, hint in typing.get_type_hints(cls).items():
+                hint = next((h for h in typing.get_args(hint) if h is not type(None)),
+                            hint)
+                if dataclasses.is_dataclass(hint):
+                    yield from leaves(hint, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | JSON type | default |\n", 1)[1].split("\n\n", 1)[0]
+        keys = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(leaves(RunConfig))
 
     def test_counts_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -111,17 +136,17 @@ class TestRunConfig:
 class TestValidateAtPoint:
     @pytest.fixture(scope="class")
     def synthetic(self, dataset):
-        return synthetic_dataset(dataset, reduced_model(), PRIOR.nominal_params())
+        return synthetic_dataset(dataset, evaluate_reduced, PRIOR.nominal_params())
 
     def test_self_consistent_synthetic_data(self, synthetic):
-        tab = validate_at_point(PRIOR.nominal_params(), synthetic, reduced_model())
+        tab = validate_at_point(PRIOR.nominal_params(), synthetic, evaluate_reduced)
         assert tab["average_length_error_mm"] == pytest.approx(0.0, abs=1e-9)
         assert tab["average_depth_error_mm"] == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbed_alpha_gives_positive_errors(self, synthetic):
         theta = PRIOR.nominal_params()
         bumped = dataclasses.replace(theta, alpha=theta.alpha + 0.1)
-        tab = validate_at_point(bumped, synthetic, reduced_model())
+        tab = validate_at_point(bumped, synthetic, evaluate_reduced)
         assert all(r["length_error_mm"] > 0 for r in tab["rows"])
 
 
@@ -320,17 +345,18 @@ class TestDigests:
 
     def test_integer_float_value_has_the_default_digests(self, tmp_path):
         out = str(tmp_path / "out")
-        default = Pipeline(RunConfig(out_dir=out))
-        # JSON's 7200 reads as the int 7200, the default is the float 7200.0
-        read = Pipeline(RunConfig.from_dict({"reduced": {"density": 7200},
+        external = {"command_template": "sim {input} {output}"}
+        default = Pipeline(RunConfig.from_dict({"external": external, "out_dir": out}))
+        # JSON's 600 reads as the int 600, the default is the float 600.0
+        read = Pipeline(RunConfig.from_dict({"external": {**external, "timeout": 600},
                                              "out_dir": out}))
-        assert read.cfg.reduced.density == 7200.0
+        assert read.cfg.external.timeout == 600.0
         assert read.config_digest() == default.config_digest()
         assert read._stage_digest("design") == default._stage_digest("design")
 
     def test_config_digest_covers_run_table_content_not_path(self, tmp_path):
         def digest(table):
-            return Pipeline(small_config(tmp_path / "out", model="table",
+            return Pipeline(small_config(tmp_path / "out",
                                          run_table_path=str(table))).config_digest()
 
         table = tmp_path / "runs.csv"
@@ -349,7 +375,7 @@ class TestDigests:
                                                          monkeypatch):
         table = tmp_path / "runs.csv"
         write_run_table(table)
-        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        cfg = small_config(tmp_path / "out", run_table_path=str(table))
         run_stage(cfg, "design")
         moved = tmp_path / "moved" / "runs.csv"
         moved.parent.mkdir()
@@ -373,7 +399,7 @@ class TestDigests:
         table = tmp_path / "runs.csv"
         ts = Pipeline(small_config(tmp_path / "reduced")).design()
         write_run_table(table, ts.inputs_raw, ts.outputs)  # the design's points
-        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        cfg = small_config(tmp_path / "out", run_table_path=str(table))
         ts_a = Pipeline(cfg).design()
         training = tmp_path / "out" / "training_set.csv"
         stamp = training.stat().st_mtime_ns
@@ -390,25 +416,25 @@ class TestDigests:
         np.testing.assert_allclose(ts_b.outputs[:, 0], 1.5 * ts_a.outputs[:, 0],
                                    rtol=1e-9)
 
-    def test_table_miss_follows_reduced_settings(self, tmp_path):
-        """A run table misses with the configured reduced model and is
+    def test_table_miss_follows_reduced_settings(self, tmp_path, monkeypatch):
+        """A run table misses with the reduced model as it is now and is
         never written, so no run replays another setting's results."""
         table = tmp_path / "runs.csv"
         write_run_table(table)
         before = table.read_bytes()
-        chi = ReducedModelConfig(chi=0.6)
-        for name, overrides in (("default", {}), ("chi", {"reduced": chi})):
-            run_stage(small_config(tmp_path / name, model="table",
-                                   run_table_path=str(table), **overrides), "design")
-        run_stage(small_config(tmp_path / "reduced", reduced=chi), "design")
-        assert ((tmp_path / "chi" / "training_set.csv").read_bytes()
-                == (tmp_path / "reduced" / "training_set.csv").read_bytes())
+        run_stage(small_config(tmp_path / "default", run_table_path=str(table)), "design")
+        monkeypatch.setattr(forward, "CHI", 0.6)
+        run_stage(small_config(tmp_path / "chi", run_table_path=str(table)), "design")
+        run_stage(small_config(tmp_path / "reduced"), "design")
+        chi = (tmp_path / "chi" / "training_set.csv").read_bytes()
+        assert chi == (tmp_path / "reduced" / "training_set.csv").read_bytes()
+        assert chi != (tmp_path / "default" / "training_set.csv").read_bytes()
         assert table.read_bytes() == before
 
     def test_table_model_stage_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
         table = tmp_path / "runs.csv"
         write_run_table(table)
-        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        cfg = small_config(tmp_path / "out", run_table_path=str(table))
         run_stage(cfg, "train")
 
         def fail(*args, **kwargs):
@@ -423,7 +449,7 @@ class TestDigests:
         ts = Pipeline(small_config(tmp_path / "reduced")).design()
         write_run_table(table, ts.inputs_raw, ts.outputs)
         before = table.read_bytes()
-        cfg = small_config(tmp_path / "out", model="table", run_table_path=str(table))
+        cfg = small_config(tmp_path / "out", run_table_path=str(table))
         run_stage(cfg, "run-all")
         first = _report_sans_timestamp(tmp_path / "out" / "report.json")
 
@@ -506,10 +532,14 @@ class TestCli:
         ({"mcmc": {"burn": 60_000}}, "mcmc.burn"),
         ({"mcmc": {"thin": 0}}, "mcmc.thin"),
         ({"constants": {"density": 7000}}, "constants"),
-        ({"reduced": {"loss_correction": False}}, "reduced.loss_correction"),
+        pytest.param({"reduced": {"loss_correction": False}},
+                     "unknown config keys: reduced", id="doc10-reduced.loss_correction"),
         ({"likelihood": {"outputs": "length"}}, "likelihood.outputs"),
         ({"likelihood": {"include_code_uncertainty": True}},
          "unknown config keys: likelihood.include_code_uncertainty"),
+        ({"model": "table"}, "unknown config keys: model"),
+        ({"external": {"command_template": "sim {input} {output}"},
+          "run_table_path": "runs.csv"}, "set one of them"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)
@@ -528,13 +558,19 @@ class TestCli:
         assert err.startswith(f"error:config: {key} must be an integer"), err
 
     @pytest.mark.parametrize("doc, message", [
-        ({"reduced": {"density": "7200"}}, "reduced.density must be a number"),
-        ({"reduced": {"quad_points": "64"}}, "reduced.quad_points must be an integer"),
+        ({"external": {"command_template": "sim {input} {output}", "timeout": math.nan}},
+         "external.timeout must be a finite number, got nan"),
+        ({"external": {"command_template": "sim {input} {output}", "timeout": math.inf}},
+         "external.timeout must be a finite number, got inf"),
         ({"likelihood": {"relative_fraction": True}},
          "likelihood.relative_fraction must be a number"),
         ({"external": {"command_template": "sim {input} {output}", "timeout": "5"}},
          "external.timeout must be a number"),
         ({"dataset_path": 5}, "dataset_path must be a string"),
+        ({"likelihood": {"relative_fraction": -math.inf}},
+         "likelihood.relative_fraction must be a finite number, got -inf"),
+        ({"likelihood": {"absolute_floor": math.nan}},
+         "likelihood.absolute_floor must be a finite number, got nan"),
     ])
     def test_mistyped_section_value_reports_config_error(self, tmp_path, doc,
                                                           message):
@@ -577,7 +613,7 @@ class TestCli:
         spec = ExternalModelSpec(command_template=f"{script} {{input}} {{output}}",
                                  working_dir=tmp_path, timeout=10.0)
         cfg_path = tmp_path / "cfg.json"
-        small_config(tmp_path / "out", model="external", external=spec).to_json(cfg_path)
+        small_config(tmp_path / "out", external=spec).to_json(cfg_path)
         result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)])
         assert result.exit_code == 1
         err = _stderr(result)

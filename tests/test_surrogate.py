@@ -9,7 +9,7 @@ import pytest
 from meltcal import surrogate
 from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
 from meltcal.domain import RandomStream, prior_from_table2
-from meltcal.forward import reduced_model
+from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import (
     JITTER_FLOOR,
     LENGTHSCALE_BOUNDS,
@@ -308,7 +308,7 @@ class TestPackedNlml:
         """The session training set, and the same design at 20 per condition."""
         ts = (request.getfixturevalue("training_set") if request.param == "N130"
               else build_training_set(dataset, prior_from_table2(), 20,
-                                      reduced_model(), RandomStream(0)))
+                                      evaluate_reduced, RandomStream(0)))
         x = ts.inputs_std()
         y = ts.outputs[:, 0]
         return x, (y - y.mean()) / y.std()
