@@ -22,7 +22,7 @@ import math
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Protocol
@@ -282,7 +282,7 @@ class ExternalModelSpec:
     """How to invoke an out-of-process melt-pool simulator."""
 
     command_template: str  # must contain {input} and {output} exactly once
-    working_dir: Path = field(default_factory=Path.cwd)
+    working_dir: Path | None = None  # None: the directory at call time
     timeout: float = 600.0
 
     def __post_init__(self):
@@ -330,13 +330,14 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
 def evaluate_external(spec: ExternalModelSpec, design: DesignVars,
                       theta: CalibrationParams) -> MeltPoolSize:
     """Run the external simulator once through its key=value file protocol."""
-    with tempfile.TemporaryDirectory(dir=spec.working_dir) as tmp:
+    working_dir = spec.working_dir or Path.cwd()
+    with tempfile.TemporaryDirectory(dir=working_dir) as tmp:
         tmp = Path(tmp)
         in_path, out_path = tmp / "input.txt", tmp / "output.txt"
         _write_input_file(in_path, design, theta)
         cmd = spec.command_template.format(input=in_path, output=out_path)
         try:
-            proc = subprocess.run(shlex.split(cmd), cwd=spec.working_dir,
+            proc = subprocess.run(shlex.split(cmd), cwd=working_dir,
                                   capture_output=True, text=True,
                                   timeout=spec.timeout)
         except subprocess.TimeoutExpired as exc:

@@ -2,18 +2,24 @@
 validation -> report, with JSON configuration and cached stage artifacts.
 
 The cached stages are declared in one table, ``_STAGES``.  Each entry
-names the configuration the stage reads, its upstream stages, every
-artifact file it writes (sidecars included), and how to compute, save and
-load its result.  One runner, ``Pipeline._run``, serves them all.  A
-stage's digest hashes its name, its reads and its upstream digests, and a
-meta file beside the artifacts stores it.  The stage loads when the stored
+names the keys the stage reads, its upstream stages, every artifact file
+it writes (sidecars included), and how to compute, save and load its
+result.  One runner, ``Pipeline._run``, serves them all.  ``Pipeline.keys``
+holds everything a stage may read: the config entries, the dataset's
+canonical rows, the run table's content, the numpy and scipy versions, the
+digest of each package module's source, and ``model``, the reduced
+model's source digest unless ``external`` is set.  A stage's digest
+hashes its name, the values of its reads and its upstream digests, so a
+stage names only what its upstream stages do not cover; a meta file
+beside the artifacts stores it.  The stage loads when the stored
 digest matches and every declared artifact exists; otherwise it fetches
 its upstream results, computes, deletes the meta file, saves, and writes
 the meta file anew, so a save that stops partway leaves no digest.
 Either way the result is kept on the Pipeline, so one run computes or
 loads each stage once.  Deleting any artifact recomputes the stage that
-wrote it; a changed setting recomputes the stages that read it and all
-stages downstream of them.  ``report`` is not cached: it always rewrites
+wrote it; a changed setting, dataset, run table, library version or
+module source recomputes the stages that read it and all stages
+downstream of them.  ``report`` is not cached: it always rewrites
 report.json and the figures.
 """
 
@@ -30,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import doe, forward, inference, plots, sensitivity, surrogate
 from .domain import (
@@ -125,8 +132,7 @@ class RunConfig:
         return json.loads(json.dumps(dataclasses.asdict(self), default=str))
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True)
-                              + "\n", encoding="utf-8")
+        _write_json(self.to_dict(), Path(path))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -207,6 +213,11 @@ def _file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def _source_digests() -> dict[str, str]:
+    """The digest of each package module's source, by file name."""
+    return {p.name: _file_digest(p) for p in Path(__file__).parent.glob("*.py")}
+
+
 def _write_json(doc, path: Path, indent: int | None = 2) -> None:
     path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -232,20 +243,20 @@ def _attr(stage: str) -> str:
 class _Stage:
     """One cached stage: what its digest covers, what it writes, how it runs.
 
-    ``config`` names the ``RunConfig.to_dict`` entries the stage reads
-    beyond its upstream stages, and ``inputs(pipeline)`` whatever else it
-    reads.  ``compute(pipeline, *upstream_results)`` returns the result,
+    ``reads`` names the ``Pipeline.keys`` entries the stage reads that no
+    upstream stage reads (none by default): a module's source by its file
+    name (``doe.py``), a setting by its ``RunConfig.to_dict`` key.
+    ``compute(pipeline, *upstream_results)`` returns the result,
     ``save(result, *artifact_paths)`` writes every artifact, and
     ``load(pipeline, *artifact_paths)`` reads back a result equal to it.
     """
 
-    config: tuple[str, ...]
     upstream: tuple[str, ...]
     artifacts: tuple[str, ...]
     compute: Callable
     save: Callable
     load: Callable
-    inputs: Callable[["Pipeline"], object] = lambda p: None
+    reads: tuple[str, ...] = ()
 
 
 def _save_gps(gps, *paths: Path) -> None:
@@ -287,8 +298,8 @@ def _validate(p: "Pipeline", calibrated) -> dict:
 # Every cached stage, in run order.
 _STAGES = {
     "design": _Stage(
-        config=("external", "samples_per_condition", "seed"),
-        inputs=lambda p: (p._dataset_digest, p._table_digest),
+        reads=("external", "samples_per_condition", "seed", "dataset", "run_table",
+               "model", "numpy", "scipy", "doe.py", "domain.py"),
         upstream=(),
         artifacts=("training_set.csv", "training_set.json"),
         compute=lambda p: doe.build_training_set(
@@ -297,7 +308,9 @@ _STAGES = {
         save=doe.save_training_set,
         load=lambda p, *paths: doe.load_training_set(*paths)),
     "train": _Stage(
-        config=("seed",),
+        # pipeline.py holds every stage's draws and glue; keyed here and not
+        # at the design, an edit to it reruns no design run of a simulator
+        reads=("surrogate.py", "pipeline.py"),
         upstream=("design",),
         artifacts=("gp_length.json", "gp_depth.json"),
         compute=lambda p, design: (
@@ -306,7 +319,6 @@ _STAGES = {
         save=_save_gps,
         load=lambda p, *paths: tuple(map(surrogate.load_gp, paths))),
     "validate-surrogate": _Stage(
-        config=(),
         upstream=("train",),
         artifacts=("surrogate_quality.json",),
         compute=lambda p, gps: {
@@ -316,19 +328,15 @@ _STAGES = {
         save=_write_json,
         load=lambda p, path: _read_json(path)),
     "sa": _Stage(
-        config=("sa_n_base",),
+        reads=("sa_n_base", "sensitivity.py"),
         upstream=("train",),
         artifacts=("sensitivity.json", "sensitivity.csv"),
-        # the method enters the digest: another method's indices are stale
-        inputs=lambda p: sensitivity.SOBOL_METHOD,
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
             *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
         save=sensitivity.save_report,
         load=lambda p, json_path, _csv: sensitivity.load_report(json_path)),
     "calibrate": _Stage(
-        config=("mcmc", "likelihood"),
-        # the chain count enters the digest: chain.npz holds one per chain
-        inputs=lambda p: inference.CHAINS,
+        reads=("mcmc", "likelihood", "inference.py"),
         upstream=("train",),
         artifacts=("chain.npz", "posterior.json"),
         compute=_calibrate,
@@ -336,7 +344,6 @@ _STAGES = {
         load=lambda p, chain_path, _summary: _with_summary(
             p, inference.load_chain(chain_path))),
     "validate": _Stage(
-        config=(),
         upstream=("calibrate",),
         artifacts=("validation_errors.json",),
         compute=_validate,
@@ -364,28 +371,28 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
-        self._dataset_digest = _digest("dataset", [_row_values(r) for r in self.dataset])
-        # the run table is read only, so its content keys the design
-        self._table_digest = (_file_digest(cfg.run_table_path)
-                              if cfg.run_table_path is not None else None)
+        config, sources = cfg.to_dict(), _source_digests()
+        if cfg.external is not None:  # where the simulator runs, not what it gives
+            del config["external"]["working_dir"]
+        self.keys = {
+            **config, **sources, "numpy": np.__version__, "scipy": scipy.__version__,
+            "dataset": [_row_values(row) for row in self.dataset],
+            # the run table is read only, so its content keys the design
+            "run_table": cfg.run_table_path and _file_digest(cfg.run_table_path),
+            "model": None if cfg.external is not None else sources["forward.py"]}
         self._results: dict[str, object] = {}
 
     # -- digests -----------------------------------------------------------
 
     def config_digest(self) -> str:
-        """Digest of the scientific configuration.
-
-        The dataset enters by its canonical rows and the run table by
-        content, not by path; where the artifacts live does not enter at all.
-        """
-        doc = {k: v for k, v in self.cfg.to_dict().items()
-               if k not in ("dataset_path", "run_table_path", "out_dir")}
-        return _digest("config", doc, self._dataset_digest, self._table_digest)
+        """Digest of every stage's digest: of all the code and inputs that
+        make the run's results, and of nothing else."""
+        return _digest("config", [self._stage_digest(name) for name in _STAGES])
 
     def _stage_digest(self, name: str) -> str:
         """Digest of stage ``name``: its name, reads and upstream digests."""
-        stage, doc = _STAGES[name], self.cfg.to_dict()
-        return _digest(name, [doc[k] for k in stage.config], stage.inputs(self),
+        stage = _STAGES[name]
+        return _digest(name, {key: self.keys[key] for key in stage.reads},
                        [self._stage_digest(up) for up in stage.upstream])
 
     # -- stages ------------------------------------------------------------

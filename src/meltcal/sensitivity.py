@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 BOOTSTRAP_RESAMPLES = 100
-# How sa_on_surrogate computes the Sobol indices; part of the sa stage's digest.
-SOBOL_METHOD = "closed form of the GP mean"
 # Gauss-Legendre nodes for the centred covariance of 1-d Gaussian factors;
 # they resolve a factor whose length scale is at least QUADRATURE_MIN_ELL
 # of the box width.  Narrower factors take the erf form.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +283,21 @@ class TestExternalAdapter:
         spec = _stub(tmp_path, 'printf "length_mm=0.5\\ndepth_mm=0.2\\nlength_mm=0.7\\n" > "$2"')
         with pytest.raises(AdapterError, match="repeats key 'length_mm'"):
             evaluate_external(spec, COND1, NOMINAL)
+
+    def test_default_working_dir_is_the_directory_at_call_time(self, tmp_path,
+                                                               monkeypatch):
+        """With no working_dir, the simulator and its temp directory run in
+        the directory the call is made from, not the one the spec was made in."""
+        spec = dataclasses.replace(
+            _stub(tmp_path, 'pwd > where.txt; dirname "$1" > tmp.txt\n'
+                            'printf "length_mm=0.5\\ndepth_mm=0.2\\n" > "$2"'),
+            working_dir=None)
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert evaluate_external(spec, COND1, NOMINAL).melted
+        assert Path((run / "where.txt").read_text().strip()).samefile(run)
+        assert Path((run / "tmp.txt").read_text().strip()).parent.samefile(run)
 
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError):

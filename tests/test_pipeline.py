@@ -1,5 +1,6 @@
 """Orchestration: configuration, staging, caching, reports, plots, CLI."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -70,6 +71,26 @@ def _stderr(result) -> str:
         return result.stderr
     except ValueError:  # older click merges the streams
         return result.output
+
+
+def _count_computes(monkeypatch) -> collections.Counter:
+    """Counts of each cached stage's computes from now on."""
+    counts = collections.Counter()
+    for name, stage in pipeline._STAGES.items():
+        def compute(*args, _name=name, _compute=stage.compute):
+            counts[_name] += 1
+            return _compute(*args)
+
+        monkeypatch.setitem(pipeline._STAGES, name,
+                            dataclasses.replace(stage, compute=compute))
+    return counts
+
+
+def _edit_source(monkeypatch, module: str) -> None:
+    """Stand in for an edit to ``module``'s source: its digest changes."""
+    digests = pipeline._source_digests
+    monkeypatch.setattr(pipeline, "_source_digests",
+                        lambda: {**digests(), module: "edited"})
 
 
 def _design_failure(tmp_path: Path, doc: dict) -> str:
@@ -394,6 +415,82 @@ class TestDigests:
         digests = {Pipeline(small_config(tmp_path, external=e))._stage_digest("design")
                    for e in (None, spec, other)}
         assert len(digests) == 3
+
+    def test_external_digests_ignore_start_directory(self, tmp_path, monkeypatch):
+        """Where a run starts, or where the simulator runs, is not part of
+        what the design computes."""
+        doc = {"external": {"command_template": "sim {input} {output}"},
+               "out_dir": str(tmp_path / "out")}
+        digests = set()
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            for cfg in (doc, {**doc, "external": {**doc["external"],
+                                                  "working_dir": str(tmp_path / sub)}}):
+                p = Pipeline(RunConfig.from_dict(cfg))
+                digests.add((p._stage_digest("design"), p.config_digest()))
+        assert len(digests) == 1
+
+    def test_stage_reads_cover_the_package(self, tmp_path):
+        """Every module but the CLI, the figures and the BLAS pin is read by
+        some stage, forward.py through ``model``; no stage reads a key that
+        one of its upstream stages reads already."""
+        keys = Pipeline(small_config(tmp_path)).keys
+        modules = {path.name for path in Path(pipeline.__file__).parent.glob("*.py")}
+        assert {key for key in keys if key.endswith(".py")} == modules
+        reads = {key for stage in pipeline._STAGES.values() for key in stage.reads}
+        assert reads <= set(keys)
+        read_modules = {key for key in reads if key.endswith(".py")}
+        assert read_modules <= modules
+        assert modules - read_modules == {"cli.py", "plots.py", "blas.py", "forward.py"}
+
+        def ancestors(name):
+            for up in pipeline._STAGES[name].upstream:
+                yield up
+                yield from ancestors(up)
+
+        for name, stage in pipeline._STAGES.items():
+            for up in ancestors(name):
+                assert not set(stage.reads) & set(pipeline._STAGES[up].reads), (name, up)
+
+    @pytest.mark.parametrize("module, recomputed", [
+        ("forward.py", set(pipeline._STAGES)),
+        ("inference.py", {"calibrate", "validate"}),
+    ])
+    def test_source_edit_recomputes_its_stages_once(self, small_run, tmp_path,
+                                                    monkeypatch, module, recomputed):
+        cfg, _ = small_run
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.out_dir, out)
+        cfg = dataclasses.replace(cfg, out_dir=str(out))
+        computed = _count_computes(monkeypatch)
+        _edit_source(monkeypatch, module)
+        run_stage(cfg, "run-all")
+        assert computed == {name: 1 for name in recomputed}
+        run_stage(cfg, "run-all")  # the edited source's results are now fresh
+        assert computed == {name: 1 for name in recomputed}
+
+    def test_model_source_keys_the_design_unless_external(self, tmp_path,
+                                                           monkeypatch):
+        """The reduced model never runs under ``external``, so an edit to it
+        keeps every simulator run; a run table falls back to it, so there
+        the edit recomputes the design."""
+        table = tmp_path / "runs.csv"
+        write_run_table(table)
+        spec = ExternalModelSpec(command_template="sim {input} {output}")
+        configs = {"external": small_config(tmp_path, external=spec),
+                   "table": small_config(tmp_path, run_table_path=str(table)),
+                   "reduced": small_config(tmp_path)}
+
+        def design_digests():
+            return {k: Pipeline(cfg)._stage_digest("design") for k, cfg in configs.items()}
+
+        before = design_digests()
+        _edit_source(monkeypatch, "forward.py")
+        after = design_digests()
+        assert after["external"] == before["external"]
+        assert after["table"] != before["table"]
+        assert after["reduced"] != before["reduced"]
 
     def test_design_recomputed_when_run_table_changes(self, tmp_path):
         table = tmp_path / "runs.csv"
