@@ -145,8 +145,7 @@ def main() -> None:
     lead = (2, 25_000)  # (chains, steps)
     chain = PosteriorChain(samples=prior.lower() + rng.random((*lead, 8))
                            * (prior.upper() - prior.lower()),
-                           log_post=-300.0 + rng.standard_normal(lead),
-                           accepted=rng.random(lead) < 0.15)
+                           log_post=-300.0 + rng.standard_normal(lead))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)

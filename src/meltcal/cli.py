@@ -1,15 +1,14 @@
 """Command-line interface.
 
 One subcommand per pipeline stage plus ``run-all``.  Global options select
-the configuration file, output directory (overridable by the MELTCAL_OUT
-environment variable) and seed.  Errors exit nonzero with a
-single machine-parsable line ``error:<category>: <message>`` on stderr.
+the configuration file, output directory and seed.  Errors exit nonzero
+with a single machine-parsable line ``error:<category>: <message>`` on
+stderr.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 
 import click
@@ -54,11 +53,8 @@ def _fail(exc: Exception) -> "NoReturn":  # noqa: F821
 def _load_config(config: str | None, out: str | None, seed: int | None) -> RunConfig:
     cfg = RunConfig() if config is None else RunConfig.from_json(config)
     overrides = {}
-    env_out = os.environ.get("MELTCAL_OUT")
     if out is not None:
         overrides["out_dir"] = out
-    elif env_out:
-        overrides["out_dir"] = env_out
     if seed is not None:
         overrides["seed"] = seed
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
@@ -69,7 +65,7 @@ def _stage_command(name: str, help_text: str):
     @click.option("--config", type=click.Path(), default=None,
                   help="JSON run configuration (defaults used if omitted).")
     @click.option("--out", type=click.Path(), default=None,
-                  help="Output directory (overrides config and MELTCAL_OUT).")
+                  help="Output directory (overrides the config's out_dir).")
     @click.option("--seed", type=int, default=None, help="Master RNG seed.")
     def _cmd(config, out, seed):
         try:

@@ -141,13 +141,14 @@ def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
 class PosteriorChain:
     """Every visited state (repeats on rejection included).
 
-    One chain's arrays have the shapes below; chains run side by side
+    A state differs from the one before it exactly when its proposal was
+    taken, so the states also tell which proposals were accepted.  One
+    chain's arrays have the shapes below; chains run side by side
     (``run_chains``) add a leading chain axis.
     """
 
     samples: np.ndarray      # (steps, d) raw units
     log_post: np.ndarray     # (steps,)
-    accepted: np.ndarray     # (steps,) bool, True where the proposal was taken
 
     @property
     def steps(self) -> int:
@@ -155,13 +156,15 @@ class PosteriorChain:
         return self.samples.shape[-2]
 
     def acceptance_rate(self, after: int = 0) -> float:
-        return float(self.accepted[..., after:].mean())
+        """Share of the steps t >= max(after, 1), over every chain, whose
+        state differs from the state at step t - 1."""
+        moved = (self.samples[..., 1:, :] != self.samples[..., :-1, :]).any(axis=-1)
+        return float(moved[..., max(after, 1) - 1:].mean())
 
     def pooled(self) -> "PosteriorChain":
         """One chain of every chain's states in turn, chain 0's first."""
         return PosteriorChain(samples=self.samples.reshape(-1, self.samples.shape[-1]),
-                              log_post=self.log_post.reshape(-1),
-                              accepted=self.accepted.reshape(-1))
+                              log_post=self.log_post.reshape(-1))
 
 
 def _merge_block(seen: int, mean: np.ndarray, m2: np.ndarray,
@@ -213,7 +216,6 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
     regularizer = AM_REGULARIZER * np.eye(d)
     samples = np.empty((steps, d))
     log_post = np.empty(steps)
-    accepted = np.zeros(steps, dtype=bool)
     current, lp = init.copy(), lp0
 
     seen, mean, m2 = 1, current.copy(), np.zeros((d, d))  # init counts once
@@ -226,7 +228,6 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
         lp_prop = target(proposal)
         if log(uniform()) < lp_prop - lp:
             current, lp = proposal, lp_prop
-            accepted[step] = True
         samples[step] = current
         log_post[step] = lp
         if (step + 1) % AM_BLOCK:
@@ -238,7 +239,7 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                 chol = np.linalg.cholesky((scale / (seen - 1)) * m2 + regularizer)
             except np.linalg.LinAlgError:
                 chol = None
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
+    return PosteriorChain(samples=samples, log_post=log_post)
 
 
 class ChainWorkerError(RuntimeError):
@@ -288,7 +289,7 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             pipe.send(exc)  # one that does not pickle ends the worker here
             raise SystemExit(1) from None
         pipe.send(None)  # no error: the arrays follow
-        for array in (chain.samples, chain.log_post, chain.accepted):
+        for array in (chain.samples, chain.log_post):
             pipe.send_bytes(array)
 
     workers = []
@@ -302,17 +303,15 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             sender.close()  # so that a worker's death reads as EOF
         first = run(0)
         out = PosteriorChain(samples=np.empty((CHAINS, steps, init.size)),
-                             log_post=np.empty((CHAINS, steps)),
-                             accepted=np.empty((CHAINS, steps), dtype=bool))
-        out.samples[0], out.log_post[0], out.accepted[0] = (
-            first.samples, first.log_post, first.accepted)
+                             log_post=np.empty((CHAINS, steps)))
+        out.samples[0], out.log_post[0] = first.samples, first.log_post
         del first  # copied: free it before the workers' arrays arrive
         for k, (worker, pipe) in enumerate(workers, 1):
             try:
                 if (exc := pipe.recv()) is not None:
                     raise ChainWorkerError(k, f"{type(exc).__name__}: {exc}") from exc
                 # recv_bytes_into sizes a buffer by its first axis: pass flat views
-                for array in (out.samples[k], out.log_post[k], out.accepted[k]):
+                for array in (out.samples[k], out.log_post[k]):
                     pipe.recv_bytes_into(array.reshape(-1))
             except EOFError:
                 worker.join()
@@ -335,8 +334,7 @@ def burn_thin(chain: PosteriorChain, burn: int, thin: int) -> PosteriorChain:
         raise ValueError("thin must be >= 1")
     sel = slice(burn, None, thin)
     return PosteriorChain(samples=chain.samples[..., sel, :],
-                          log_post=chain.log_post[..., sel],
-                          accepted=chain.accepted[..., sel])
+                          log_post=chain.log_post[..., sel])
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -359,10 +357,14 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def effective_sample_size(series: np.ndarray) -> float:
-    """ESS via the initial positive sequence on paired autocorrelations."""
+    """ESS via the initial positive sequence on paired autocorrelations.
+
+    A constant series, a chain that never moved, counts as one draw: the
+    estimator's floor, and its limit as the autocorrelation tends to 1.
+    """
     n = series.size
     if np.all(series == series[0]):
-        return float(n)
+        return 1.0
     acf = autocorrelation(series, min(n - 1, 2 * int(np.sqrt(n)) + 50))
     total = 0.0
     t = 1
@@ -460,7 +462,7 @@ def summarize(chain: PosteriorChain) -> PosteriorSummary:
                             correlation=corr, retained=n)
 
 
-_CHAIN_ARRAYS = ("samples", "log_post", "accepted")
+_CHAIN_ARRAYS = ("samples", "log_post")
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
@@ -471,17 +473,15 @@ def save_chain(chain: PosteriorChain, path: str | Path) -> None:
     one in memory and summarizes to the same numbers.
     """
     with open(path, "wb") as fh:
-        np.savez(fh, samples=chain.samples, log_post=chain.log_post,
-                 accepted=chain.accepted)
+        np.savez(fh, samples=chain.samples, log_post=chain.log_post)
 
 
 def load_chain(path: str | Path) -> PosteriorChain:
     with np.load(path) as arrays:
         if sorted(arrays.files) != sorted(_CHAIN_ARRAYS):
             raise ValueError(f"{path}: unexpected chain arrays {arrays.files}")
-        samples, log_post, accepted = (arrays[name] for name in _CHAIN_ARRAYS)
+        samples, log_post = (arrays[name] for name in _CHAIN_ARRAYS)
     lead = log_post.shape  # (chains, steps)
-    if (len(lead) != 2 or samples.shape != (*lead, len(PARAM_NAMES))
-            or accepted.shape != lead or accepted.dtype != bool):
+    if len(lead) != 2 or samples.shape != (*lead, len(PARAM_NAMES)):
         raise ValueError(f"{path}: inconsistent chain array shapes")
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
+    return PosteriorChain(samples=samples, log_post=log_post)

@@ -504,7 +504,8 @@ def run_stage(cfg: RunConfig, stage: str):
 
 def emit_plots(report: dict, retained: inference.PosteriorChain,
                dataset: ExperimentalDataset, out_dir: Path) -> list[Path]:
-    """SVG figures (with CSV data twins) for one completed run."""
+    """SVG figures for one completed run, with CSV data twins:
+    ``posterior_pairs.csv`` holds the states every trace plots."""
     out_dir = Path(out_dir)
     if retained.steps == 0:
         raise ValueError("empty chain")

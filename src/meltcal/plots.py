@@ -1,7 +1,9 @@
 """Dependency-free SVG plot emission.
 
-Every figure is drawn from primitive shapes and written alongside a CSV of
-its data series, so the results can be re-plotted with any external tool.
+Every figure is drawn from primitive shapes.  Each but a trace is written
+alongside a CSV of its data series, so the results can be re-plotted with
+any external tool.  A trace writes none: it plots a column of the states
+that the pairs grid's CSV holds.
 """
 
 from __future__ import annotations
@@ -148,8 +150,6 @@ def trace_plot(series: np.ndarray, name: str, path: Path) -> None:
     idx = np.arange(0, n, step)
     ax.svg.polyline(ax.px(idx), ax.py(series[idx]))
     svg.write(path)
-    _write_csv(path.with_suffix(".csv"), ["step", name],
-               [idx.astype(float), series[idx]])
 
 
 def acf_plot(acf: np.ndarray, name: str, path: Path) -> None:

@@ -6,7 +6,8 @@ running mean and sum of squared deviations (Chan, Golub & LeVeque 1983), and
 from ``adapt_start`` on the proposal is refactored from them.  Nothing is
 hoisted or updated in place, and the block's statistics are computed here
 from the stored states rather than through the library's helper.  The tests
-assert that the library loop visits exactly the same states.
+assert that the library loop visits exactly the same states, and that a
+state moves exactly where this loop accepted its proposal.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ from meltcal.inference import AM_BLOCK, AM_REGULARIZER, AM_SCALE, PosteriorChain
 
 def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                         steps: int, adapt_start: int, stream: RandomStream,
-                        initial_step: np.ndarray | None = None) -> PosteriorChain:
+                        initial_step: np.ndarray | None = None
+                        ) -> tuple[PosteriorChain, np.ndarray]:
     """Random-walk Metropolis with empirical-covariance adaptation in blocks.
 
     The proposal covariance is diagonal (initial_step^2 per dimension,
     defaulting to 1/100 of unit scale squared) until the first block end at
     or after ``adapt_start`` steps; from then on it is (2.38^2/d) times the
     covariance of the initial state and the stored states so far, plus
-    1e-10 I, refreshed at every block end.
+    1e-10 I, refreshed at every block end.  Returns the chain and the
+    (steps,) bool flags, True where the proposal was taken.
     """
     init = np.asarray(init, float)
     d = init.size
@@ -77,4 +80,4 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                     chol = np.linalg.cholesky(prop_cov)
                 except np.linalg.LinAlgError:
                     chol = None
-    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted)
+    return PosteriorChain(samples=samples, log_post=log_post), accepted

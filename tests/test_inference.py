@@ -227,7 +227,7 @@ class TestAdaptiveMetropolis:
 
         chain = adaptive_metropolis(target, np.zeros(3), 500, 100, RandomStream(1))
         assert chain.steps == 500
-        assert chain.accepted.shape == (500,)
+        assert chain.samples.shape == (500, 3) and chain.log_post.shape == (500,)
         assert 0.0 <= chain.acceptance_rate() <= 1.0
 
     def test_adaptation_starts_at_a_block_end(self):
@@ -271,20 +271,24 @@ class TestMergeBlock:
 
 class TestAdaptiveMetropolisOracle:
     """The sampler against a plain implementation of its rule
-    (``am_reference``): every visited state, log density and accept flag
-    must be bitwise equal."""
+    (``am_reference``): every visited state and log density must be bitwise
+    equal, a state must move exactly where the reference accepted, and the
+    acceptance rate must be the share of the reference's accepts."""
 
     @staticmethod
     def assert_same_chain(target, init, steps, adapt_start, seed,
                           initial_step=None):
         new = adaptive_metropolis(target, init, steps, adapt_start,
                                   RandomStream(seed), initial_step=initial_step)
-        ref = reference_adaptive_metropolis(target, init, steps, adapt_start,
-                                            RandomStream(seed),
-                                            initial_step=initial_step)
+        ref, accepted = reference_adaptive_metropolis(target, init, steps, adapt_start,
+                                                      RandomStream(seed),
+                                                      initial_step=initial_step)
         assert np.array_equal(new.samples, ref.samples)
         assert np.array_equal(new.log_post, ref.log_post)
-        assert np.array_equal(new.accepted, ref.accepted)
+        before = np.vstack([init, new.samples[:-1]])  # step 0 moves from init
+        assert np.array_equal((new.samples != before).any(axis=1), accepted)
+        for after in (0, 1, 2, adapt_start, steps - 1):
+            assert new.acceptance_rate(after) == accepted[max(after, 1):].mean()
         return new
 
     def test_correlated_gaussian(self):
@@ -302,14 +306,14 @@ class TestAdaptiveMetropolisOracle:
 
         chain = self.assert_same_chain(target, np.zeros(3), 5_000, 500, 32,
                                        initial_step=np.full(3, 0.8))
-        assert not chain.accepted.all()  # proposals fell outside the box
+        assert chain.acceptance_rate() < 1.0  # proposals fell outside the box
 
     def test_bundled_log_posterior(self, dataset, gps):
         target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), PRIOR)
         step0 = (PRIOR.upper() - PRIOR.lower()) / 10.0
         chain = self.assert_same_chain(target, PRIOR.nominal(), 3_000, 1_000, 33,
                                        initial_step=step0)
-        assert chain.accepted[1_000:].any()  # the adapted proposal moved
+        assert chain.acceptance_rate(1_000) > 0.0  # the adapted proposal moved
 
 
 class TestBurnThin:
@@ -339,8 +343,7 @@ def _dummy_chain(steps):
     rng = RandomStream(99).generator()
     from meltcal.inference import PosteriorChain
     return PosteriorChain(samples=rng.random((steps, 2)),
-                          log_post=rng.random(steps),
-                          accepted=rng.random(steps) < 0.3)
+                          log_post=rng.random(steps))
 
 
 class TestAutocorrelation:
@@ -391,6 +394,13 @@ class TestSummarize:
         assert np.all(s.ci_lower == 3.0)
         assert np.all(s.ci_upper == 3.0)
 
+    def test_stuck_chains_count_one_draw_each(self):
+        """A chain that never moves holds one effective draw, not all of them."""
+        assert effective_sample_size(np.full(1_000, 3.0)) == 1.0
+        stuck = PosteriorChain(samples=np.full((2, 100, 2), 3.0),
+                               log_post=np.zeros((2, 100)))
+        assert summarize(stuck).ess.tolist() == [2.0, 2.0]
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="50"):
             summarize(_dummy_chain(10))
@@ -411,7 +421,6 @@ class TestRunChains:
                                         stream.split(k) if k else stream, step0)
             np.testing.assert_array_equal(chains.samples[k], alone.samples)
             np.testing.assert_array_equal(chains.log_post[k], alone.log_post)
-            np.testing.assert_array_equal(chains.accepted[k], alone.accepted)
         assert not np.array_equal(chains.samples[0], chains.samples[1])
 
     def test_failure_in_worker_names_its_chain(self, capsys):
@@ -486,8 +495,7 @@ class TestSplitRhat:
     def test_summary_pools_chains(self):
         rng = RandomStream(23).generator()
         chains = PosteriorChain(samples=rng.standard_normal((2, 400, 3)),
-                                log_post=rng.standard_normal((2, 400)),
-                                accepted=rng.random((2, 400)) < 0.3)
+                                log_post=rng.standard_normal((2, 400)))
         s = summarize(chains)
         for j in range(3):
             assert s.ess[j] == sum(effective_sample_size(chains.samples[k, :, j])
@@ -511,25 +519,26 @@ class TestChainSerialization:
         back = load_chain(path)
         np.testing.assert_array_equal(back.samples, chains.samples)
         np.testing.assert_array_equal(back.log_post, chains.log_post)
-        np.testing.assert_array_equal(back.accepted, chains.accepted)
 
     def test_npz_arrays(self, tmp_path):
         chain = _dummy_chain(50)
         chains = PosteriorChain(samples=np.tile(PRIOR.nominal(), (2, 50, 1)),
-                                log_post=np.stack([chain.log_post] * 2),
-                                accepted=np.stack([chain.accepted] * 2))
+                                log_post=np.stack([chain.log_post] * 2))
         path = tmp_path / "chain.npz"
         save_chain(chains, path)
         with np.load(path) as arrays:
-            assert sorted(arrays.files) == ["accepted", "log_post", "samples"]
+            assert sorted(arrays.files) == ["log_post", "samples"]
             assert arrays["samples"].shape == (2, 50, 8)
-            assert arrays["accepted"].dtype == bool
-        np.savez(path, samples=chains.samples, log_post=chains.log_post)
+        np.savez(path, samples=chains.samples)
+        with pytest.raises(ValueError, match="unexpected chain arrays"):
+            load_chain(path)
+        # as older versions wrote it, with the accept flags
+        np.savez(path, samples=chains.samples, log_post=chains.log_post,
+                 accepted=np.ones((2, 50), dtype=bool))
         with pytest.raises(ValueError, match="unexpected chain arrays"):
             load_chain(path)
         # one chain without the leading chain axis
-        np.savez(path, samples=chains.samples[0], log_post=chains.log_post[0],
-                 accepted=chains.accepted[0])
+        np.savez(path, samples=chains.samples[0], log_post=chains.log_post[0])
         with pytest.raises(ValueError, match="inconsistent chain array shapes"):
             load_chain(path)
 

@@ -1,6 +1,7 @@
 """Orchestration: configuration, staging, caching, reports, plots, CLI."""
 
 import collections
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from meltcal import doe, forward, inference, pipeline, sensitivity, surrogate
+from meltcal import doe, forward, inference, pipeline, plots, sensitivity, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
@@ -453,6 +454,25 @@ class TestDigests:
             for up in ancestors(name):
                 assert not set(stage.reads) & set(pipeline._STAGES[up].reads), (name, up)
 
+    def test_readme_lists_every_stage(self):
+        """The README's stage table has one row per cached stage, in run
+        order, with the stage's upstream and artifacts; its reads column
+        names each module, setting and ``model`` the stage reads."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Stages and caching\n", 1)[1]
+        table = section.split("| stage | reads | upstream | artifacts |\n", 1)[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.split("\n\n", 1)[0].splitlines()[1:]]
+        assert [row[0] for row in rows] == list(pipeline._STAGES)
+        named = {*RunConfig().to_dict(), "model"}
+        for (name, reads, upstream, artifacts), stage in zip(rows,
+                                                             pipeline._STAGES.values()):
+            assert upstream == (", ".join(stage.upstream) or "—"), name
+            assert artifacts == ", ".join(f"`{a}`" for a in stage.artifacts), name
+            for key in stage.reads:
+                if key.endswith(".py") or key in named:
+                    assert f"`{key}`" in reads, (name, key)
+
     @pytest.mark.parametrize("module, recomputed", [
         ("forward.py", set(pipeline._STAGES)),
         ("inference.py", {"calibrate", "validate"}),
@@ -576,11 +596,26 @@ class TestEmitPlots:
         svg = (Path(cfg.out_dir) / "parity_length.svg").read_text()
         assert "stroke-dasharray" in svg
 
-    def test_every_figure_has_a_csv_twin(self, small_run):
+    def test_every_figure_has_a_csv_twin(self, small_run, tmp_path):
+        """Each figure but a trace has its own CSV; posterior_pairs.csv, one
+        column per parameter, holds the states each trace plots."""
         cfg, _ = small_run
         out = Path(cfg.out_dir)
         for svg in out.glob("*.svg"):
-            assert svg.with_suffix(".csv").exists(), svg.name
+            if not svg.name.startswith("trace_"):
+                assert svg.with_suffix(".csv").exists(), svg.name
+        assert not list(out.glob("trace_*.csv"))
+        with open(out / "posterior_pairs.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(PARAM_NAMES)
+        retained = burn_thin(inference.load_chain(out / "chain.npz"),
+                             cfg.mcmc.burn, cfg.mcmc.thin).pooled()
+        for j, name in enumerate(PARAM_NAMES):
+            series = retained.samples[:, j]
+            assert [row[j] for row in rows] == [format(v, ".6g") for v in series]
+            plots.trace_plot(series, name, tmp_path / "trace.svg")
+            assert ((tmp_path / "trace.svg").read_bytes()
+                    == (out / f"trace_{name}.svg").read_bytes()), name
 
     def test_trace_and_acf_per_parameter(self, small_run):
         cfg, _ = small_run
@@ -595,8 +630,7 @@ class TestEmitPlots:
                                     200, 100, RandomStream(0))
         empty = burn_thin(chain, 199, 1)
         empty = dataclasses.replace(empty, samples=empty.samples[:0],
-                                    log_post=empty.log_post[:0],
-                                    accepted=empty.accepted[:0])
+                                    log_post=empty.log_post[:0])
         dataset = load_dataset(bundled_dataset_path())
         with pytest.raises(ValueError, match="empty"):
             emit_plots(report, empty, dataset, tmp_path)
@@ -682,26 +716,27 @@ class TestCli:
         assert err.startswith("error:dataset:") and str(data) in err, err
         assert "in ascending order" in err, err
 
-    def test_env_var_overrides_out_dir(self, tmp_path):
-        cfg = small_config(tmp_path / "ignored")
-        cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
-        env_out = tmp_path / "env_out"
-        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)],
-                                    env={"MELTCAL_OUT": str(env_out)})
-        assert result.exit_code == 0, result.output
-        assert (env_out / "training_set.csv").exists()
-
-    def test_out_flag_beats_env_var(self, tmp_path):
+    def test_out_flag_beats_config_out_dir(self, tmp_path):
         cfg = small_config(tmp_path / "ignored")
         cfg_path = tmp_path / "cfg.json"
         cfg.to_json(cfg_path)
         flag_out = tmp_path / "flag_out"
         result = CliRunner().invoke(
-            cli_main, ["design", "--config", str(cfg_path), "--out", str(flag_out)],
-            env={"MELTCAL_OUT": str(tmp_path / "env_out2")})
+            cli_main, ["design", "--config", str(cfg_path), "--out", str(flag_out)])
         assert result.exit_code == 0, result.output
         assert (flag_out / "training_set.csv").exists()
+        assert not (tmp_path / "ignored").exists()
+
+    def test_environment_does_not_move_the_output(self, tmp_path):
+        """Only the config and --out choose the output directory."""
+        cfg = small_config(tmp_path / "out")
+        cfg_path = tmp_path / "cfg.json"
+        cfg.to_json(cfg_path)
+        result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)],
+                                    env={"MELTCAL_OUT": str(tmp_path / "env_out")})
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "training_set.csv").exists()
+        assert not (tmp_path / "env_out").exists()
 
     def test_stage_failure_keeps_its_cause_category(self, tmp_path):
         script = tmp_path / "sim.sh"
