@@ -1,13 +1,11 @@
 """Forward melt-pool models.
 
-Three interchangeable evaluators map (DesignVars, CalibrationParams) to a
+Two interchangeable evaluators map (DesignVars, CalibrationParams) to a
 MeltPoolSize:
 
 * a reduced-order transient-conduction model (Gaussian surface source on a
-  semi-infinite half-space, superposed in time via the Green's function),
-* an external-process adapter for a full simulator, and
-* a read-only run table replaying stored evaluations, with a fallback
-  evaluator for the runs it does not hold.
+  semi-infinite half-space, superposed in time via the Green's function), and
+* an external-process adapter for a full simulator.
 
 The reduced model folds melt-pool convection into an effective-conductivity
 enhancement driven by the Marangoni number, and folds convective/radiative
@@ -17,8 +15,8 @@ calibration parameters influence the predicted pool size.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 import shlex
 import subprocess
 import tempfile
@@ -40,7 +38,6 @@ __all__ = [
     "NumericsError",
     "AdapterError",
     "ExternalModelSpec",
-    "RunTable",
     "ForwardModel",
     "temperature_rise",
     "evaluate_reduced",
@@ -279,7 +276,12 @@ def evaluate_reduced(design: DesignVars, theta: CalibrationParams) -> MeltPoolSi
 
 @dataclass(frozen=True)
 class ExternalModelSpec:
-    """How to invoke an out-of-process melt-pool simulator."""
+    """How to invoke an out-of-process melt-pool simulator.
+
+    The command template is split into words as a POSIX shell would
+    (``shlex``); then ``{input}`` and ``{output}`` are replaced inside their
+    words, so each path stays one argument and other braces pass as written.
+    """
 
     command_template: str  # must contain {input} and {output} exactly once
     working_dir: Path | None = None  # None: the directory at call time
@@ -289,6 +291,11 @@ class ExternalModelSpec:
         for ph in ("{input}", "{output}"):
             if self.command_template.count(ph) != 1:
                 raise ValueError(f"command template must contain {ph} exactly once")
+        try:
+            shlex.split(self.command_template)
+        except ValueError as exc:
+            raise ValueError(f"command template {self.command_template!r} "
+                             f"cannot be split into words: {exc}") from None
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
@@ -327,6 +334,9 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
     return _size_from_mm(dims["length_mm"], dims["depth_mm"])
 
 
+_PLACEHOLDER = re.compile(r"\{input\}|\{output\}")
+
+
 def evaluate_external(spec: ExternalModelSpec, design: DesignVars,
                       theta: CalibrationParams) -> MeltPoolSize:
     """Run the external simulator once through its key=value file protocol."""
@@ -335,14 +345,17 @@ def evaluate_external(spec: ExternalModelSpec, design: DesignVars,
         tmp = Path(tmp)
         in_path, out_path = tmp / "input.txt", tmp / "output.txt"
         _write_input_file(in_path, design, theta)
-        cmd = spec.command_template.format(input=in_path, output=out_path)
+        paths = {"{input}": str(in_path), "{output}": str(out_path)}
+        args = [_PLACEHOLDER.sub(lambda m: paths[m[0]], word)
+                for word in shlex.split(spec.command_template)]
         try:
-            proc = subprocess.run(shlex.split(cmd), cwd=working_dir,
-                                  capture_output=True, text=True,
-                                  timeout=spec.timeout)
+            proc = subprocess.run(args, cwd=working_dir, capture_output=True,
+                                  text=True, timeout=spec.timeout)
         except subprocess.TimeoutExpired as exc:
+            # the output captured before the timeout is bytes, even with text=True
+            captured = (exc.stdout or b"") + (exc.stderr or b"")
             raise AdapterError(f"external model timed out after {spec.timeout}s: "
-                               f"{exc.stdout or ''}{exc.stderr or ''}") from None
+                               f"{captured.decode(errors='replace')}") from None
         if proc.returncode != 0:
             raise AdapterError(
                 f"external model exited with status {proc.returncode}: "
@@ -352,22 +365,10 @@ def evaluate_external(spec: ExternalModelSpec, design: DesignVars,
         return _parse_output_file(out_path)
 
 
-def external_model(spec: ExternalModelSpec) -> ForwardModel:
-    def model(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-        return evaluate_external(spec, design, theta)
-
-    return model
-
-
-def _run_key(design: DesignVars, theta: CalibrationParams) -> tuple:
-    vals = np.concatenate([design.as_array(), theta.as_array()])
-    return tuple(float(format(v, ".12g")) for v in vals)
-
-
 def _size_from_mm(length_mm: float, depth_mm: float) -> MeltPoolSize:
     """A pool size from a finite length and depth in mm, as the external
-    model and the run table give them.  A zero size means no melt; a
-    negative one is an ``AdapterError`` naming its key."""
+    model gives them.  A zero size means no melt; a negative one is an
+    ``AdapterError`` naming its key."""
     for key, value in (("length_mm", length_mm), ("depth_mm", depth_mm)):
         if value < 0:
             raise AdapterError(f"{key} is a negative pool size: {value!r}")
@@ -375,60 +376,3 @@ def _size_from_mm(length_mm: float, depth_mm: float) -> MeltPoolSize:
     if length > 0 and depth > 0:
         return MeltPoolSize(length=length, depth=depth, melted=True)
     return MeltPoolSize(length=0.0, depth=0.0, melted=False)
-
-
-class RunTable:
-    """Stored forward-model evaluations read from a CSV, keyed to 12 digits.
-
-    The table is an input of a run, like the dataset: nothing writes it.
-    A run may repeat only with the same pool size.
-    """
-
-    COLUMNS = (["power_W", "beam_radius_mm", "pulse_ms"] + list(PARAM_SYMBOLS)
-               + ["length_mm", "depth_mm"])
-
-    def __init__(self, path: str | Path):
-        self._rows: dict[tuple, MeltPoolSize] = {}
-        first_line: dict[tuple, int] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != self.COLUMNS:
-                raise AdapterError(f"{path}: bad run-table header {reader.fieldnames!r}")
-            for rec in reader:
-                try:
-                    design = DesignVars(power=float(rec["power_W"]),
-                                        beam_radius=float(rec["beam_radius_mm"]) * 1e-3,
-                                        pulse_duration=float(rec["pulse_ms"]) * 1e-3)
-                    theta = CalibrationParams.from_array(
-                        [float(rec[s]) for s in PARAM_SYMBOLS])
-                    sizes = (float(rec["length_mm"]), float(rec["depth_mm"]))
-                    if not all(map(math.isfinite, sizes)):
-                        raise AdapterError(f"non-finite pool size: {rec['length_mm']!r}, "
-                                           f"{rec['depth_mm']!r}")
-                    size = _size_from_mm(*sizes)
-                except (ValueError, AdapterError) as exc:
-                    raise AdapterError(f"{path}: row {reader.line_num}: {exc}") from None
-                key = _run_key(design, theta)
-                if self._rows.setdefault(key, size) != size:
-                    raise AdapterError(
-                        f"{path}: row {reader.line_num}: repeats the run of row "
-                        f"{first_line[key]} with another pool size")
-                first_line.setdefault(key, reader.line_num)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def lookup(self, design: DesignVars, theta: CalibrationParams) -> MeltPoolSize | None:
-        return self._rows.get(_run_key(design, theta))
-
-
-def table_model(table: RunTable, fallback: ForwardModel) -> ForwardModel:
-    """Replay a stored run if present, otherwise evaluate ``fallback``.
-
-    A miss is not stored: the table stays as it was read.
-    """
-    def model(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
-        size = table.lookup(design, theta)
-        return fallback(design, theta) if size is None else size
-
-    return model

@@ -6,26 +6,26 @@ names the keys the stage reads, its upstream stages, every artifact file
 it writes (sidecars included), and how to compute, save and load its
 result.  One runner, ``Pipeline._run``, serves them all.  ``Pipeline.keys``
 holds everything a stage may read: the config entries, the dataset's
-canonical rows, the run table's content, the numpy and scipy versions, the
-digest of each package module's source, and ``model``, the reduced
-model's source digest unless ``external`` is set.  A stage's digest
-hashes its name, the values of its reads and its upstream digests, so a
-stage names only what its upstream stages do not cover; a meta file
-beside the artifacts stores it.  The stage loads when the stored
-digest matches and every declared artifact exists; otherwise it fetches
-its upstream results, computes, deletes the meta file, saves, and writes
-the meta file anew, so a save that stops partway leaves no digest.
-Either way the result is kept on the Pipeline, so one run computes or
-loads each stage once.  Deleting any artifact recomputes the stage that
-wrote it; a changed setting, dataset, run table, library version or
-module source recomputes the stages that read it and all stages
-downstream of them.  ``report`` is not cached: it always rewrites
+canonical rows, the numpy and scipy versions, the digest of each package
+module's source, and ``model``, the reduced model's source digest unless
+``external`` is set.  A stage's digest hashes its name, the values of its
+reads and its upstream digests, so a stage names only what its upstream
+stages do not cover; a meta file beside the artifacts stores it.  The
+stage loads when the stored digest matches and every declared artifact
+exists; otherwise it fetches its upstream results, computes, deletes the
+meta file, saves, and writes the meta file anew, so a save that stops
+partway leaves no digest.  Either way the result is kept on the Pipeline,
+so one run computes or loads each stage once.  Deleting any artifact
+recomputes the stage that wrote it; a changed setting, dataset, library
+version or module source recomputes the stages that read it and all
+stages downstream of them.  ``report`` is not cached: it always rewrites
 report.json and the figures.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -50,13 +50,7 @@ from .domain import (
     load_dataset,
     prior_from_table2,
 )
-from .forward import (
-    ExternalModelSpec,
-    ForwardModel,
-    RunTable,
-    external_model,
-    table_model,
-)
+from .forward import ExternalModelSpec, ForwardModel
 
 __all__ = [
     "StageError",
@@ -106,7 +100,6 @@ class McmcConfig:
 class RunConfig:
     dataset_path: str = str(bundled_dataset_path())
     external: ExternalModelSpec | None = None
-    run_table_path: str | None = None
     samples_per_condition: int = 10
     sa_n_base: int = 4096
     mcmc: McmcConfig = field(default_factory=McmcConfig)
@@ -116,13 +109,8 @@ class RunConfig:
     out_dir: str = "meltcal_out"
 
     def __post_init__(self):
-        if self.external is not None and self.run_table_path is not None:
-            raise ValueError("external and run_table_path select two forward "
-                             "models; set one of them")
         if not Path(self.dataset_path).exists():
             raise FileNotFoundError(f"dataset not found: {self.dataset_path}")
-        if self.run_table_path is not None and not Path(self.run_table_path).exists():
-            raise FileNotFoundError(f"run table not found: {self.run_table_path}")
         if self.samples_per_condition < 2:
             raise ValueError("samples_per_condition must be >= 2")
         sensitivity._check_n_base(self.sa_n_base, "sa_n_base")
@@ -144,14 +132,11 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def forward(self) -> ForwardModel:
-        """The external model if ``external`` is set, else the run table at
-        ``run_table_path`` over the reduced model, else the reduced model."""
+        """The external model if ``external`` is set, else the reduced model."""
+        if self.external is not None:
+            return functools.partial(forward.evaluate_external, self.external)
         # the module attribute, read at each call, so whatever wraps
         # forward.evaluate_reduced sees every evaluation
-        if self.external is not None:
-            return external_model(self.external)
-        if self.run_table_path is not None:
-            return table_model(RunTable(self.run_table_path), forward.evaluate_reduced)
         return forward.evaluate_reduced
 
 
@@ -164,10 +149,11 @@ def _from_doc(cls, doc, prefix: str):
     """Config dataclass ``cls`` read from the JSON object ``doc``.
 
     Every key must name a field, and every value must have its field's
-    JSON type: no field takes true or false, a float is any finite number
-    (an integer is stored as a float), a ``Path`` is a string, ``null`` is
-    allowed only where the annotation allows ``None``, and a dataclass
-    field is an object read the same way.  Errors name the key, dotted after ``prefix``.
+    JSON type: no field takes true or false, an int is a signed 64-bit
+    integer, a float is any finite number (an integer is stored as a
+    float), a ``Path`` is a string, ``null`` is allowed only where the
+    annotation allows ``None``, and a dataclass field is an object read the
+    same way.  Errors name the key, dotted after ``prefix``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {doc!r}")
@@ -189,11 +175,17 @@ def _from_value(hint, value, key: str):
         return _from_doc(hint, value, key + ".")
     json_type, name = _JSON_TYPES[hint]
     if hint is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{key} must be a finite number, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, json_type):
         raise ValueError(f"{key} must be {name}, got {value!r}")
     if hint is float and not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if hint is int and not -2**63 <= value < 2**63:
+        raise ValueError(f"{key} must be an integer from -2**63 to 2**63 - 1, "
+                         f"got {value!r}")
     return Path(value) if hint is Path else value
 
 
@@ -209,13 +201,10 @@ def _row_values(row: ExperimentRow) -> tuple:
             row.depth, row.length_sigma, row.depth_sigma)
 
 
-def _file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _source_digests() -> dict[str, str]:
     """The digest of each package module's source, by file name."""
-    return {p.name: _file_digest(p) for p in Path(__file__).parent.glob("*.py")}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in Path(__file__).parent.glob("*.py")}
 
 
 def _write_json(doc, path: Path, indent: int | None = 2) -> None:
@@ -298,8 +287,8 @@ def _validate(p: "Pipeline", calibrated) -> dict:
 # Every cached stage, in run order.
 _STAGES = {
     "design": _Stage(
-        reads=("external", "samples_per_condition", "seed", "dataset", "run_table",
-               "model", "numpy", "scipy", "doe.py", "domain.py"),
+        reads=("external", "samples_per_condition", "seed", "dataset", "model",
+               "numpy", "scipy", "doe.py", "domain.py"),
         upstream=(),
         artifacts=("training_set.csv", "training_set.json"),
         compute=lambda p: doe.build_training_set(
@@ -377,8 +366,6 @@ class Pipeline:
         self.keys = {
             **config, **sources, "numpy": np.__version__, "scipy": scipy.__version__,
             "dataset": [_row_values(row) for row in self.dataset],
-            # the run table is read only, so its content keys the design
-            "run_table": cfg.run_table_path and _file_digest(cfg.run_table_path),
             "model": None if cfg.external is not None else sources["forward.py"]}
         self._results: dict[str, object] = {}
 

@@ -1,13 +1,12 @@
-"""Reduced conduction model, external adapter, and run-table replay."""
+"""Reduced conduction model and external adapter."""
 
 import dataclasses
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fd_oracle import solve_fd
 import forward_reference
@@ -22,7 +21,6 @@ from meltcal.forward import (
     AdapterError,
     ExternalModelSpec,
     NumericsError,
-    RunTable,
     _max_extent,
     _RiseField,
     _Source,
@@ -30,11 +28,9 @@ from meltcal.forward import (
     evaluate_external,
     evaluate_reduced,
     loss_fraction,
-    table_model,
     temperature_rise,
 )
 from meltcal.pipeline import RunConfig
-from run_tables import write_run_table
 
 NOMINAL = prior_from_table2().nominal_params()
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
@@ -228,8 +224,9 @@ def _stub(tmp_path, body: str) -> ExternalModelSpec:
     script = tmp_path / "sim.sh"
     script.write_text("#!/bin/sh\n" + body + "\n")
     script.chmod(0o755)
-    return ExternalModelSpec(command_template=f"{script} {{input}} {{output}}",
-                             working_dir=tmp_path, timeout=10.0)
+    return ExternalModelSpec(
+        command_template=f"{shlex.quote(str(script))} {{input}} {{output}}",
+        working_dir=tmp_path, timeout=10.0)
 
 
 class TestExternalAdapter:
@@ -299,6 +296,30 @@ class TestExternalAdapter:
         assert Path((run / "where.txt").read_text().strip()).samefile(run)
         assert Path((run / "tmp.txt").read_text().strip()).parent.samefile(run)
 
+    def test_paths_with_spaces_stay_one_argument(self, tmp_path):
+        """The template is split before the paths go in, so a working
+        directory with a space in its name gives the simulator whole paths."""
+        spaced = tmp_path / "with space"
+        spaced.mkdir()
+        spec = _stub(spaced, '[ "$#" = 2 ] && [ -f "$1" ] || exit 8\n'
+                             'printf "length_mm=0.5\\ndepth_mm=0.2\\n" > "$2"')
+        size = evaluate_external(spec, COND1, NOMINAL)
+        assert size == MeltPoolSize(length=5e-4, depth=2e-4, melted=True)
+
+    def test_other_braces_pass_as_written(self, tmp_path):
+        spec = _stub(tmp_path, '[ "$3" = "{print}" ] || exit 8\n'
+                               'printf "length_mm=0.5\\ndepth_mm=0.2\\n" > "$2"')
+        spec = dataclasses.replace(
+            spec, command_template=spec.command_template + " '{print}'")
+        assert evaluate_external(spec, COND1, NOMINAL).melted
+
+    def test_timeout_reports_captured_output_as_text(self, tmp_path):
+        spec = dataclasses.replace(_stub(tmp_path, "echo started run\nexec sleep 30"),
+                                   timeout=1.0)
+        with pytest.raises(AdapterError) as info:
+            evaluate_external(spec, COND1, NOMINAL)
+        assert str(info.value) == "external model timed out after 1.0s: started run\n"
+
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError):
             ExternalModelSpec(command_template="sim {input}")
@@ -308,114 +329,3 @@ class TestExternalAdapter:
         with pytest.raises(ValueError, match="timeout must be positive"):
             ExternalModelSpec(command_template="sim {input} {output}", timeout=timeout)
 
-
-class _CountingModel:
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, design, theta):
-        self.calls += 1
-        return MeltPoolSize(length=1e-4 * design.power / 100.0,
-                            depth=5e-5, melted=True)
-
-
-def _row(design, theta):
-    return np.concatenate([design.as_array(), theta.as_array()])
-
-
-class TestRunTable:
-    def test_miss_then_hit(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        stored = MeltPoolSize(length=1e-4, depth=5e-5, melted=True)
-        write_run_table(path, [_row(COND1, NOMINAL)], [(stored.length, stored.depth)])
-        before = path.read_bytes()
-        model = _CountingModel()
-        replay = table_model(RunTable(path), model)
-        assert replay(COND1, NOMINAL) == stored
-        assert model.calls == 0
-        other = dataclasses.replace(COND1, power=600.0)
-        first = replay(other, NOMINAL)
-        second = replay(other, NOMINAL)  # a miss is not stored
-        assert model.calls == 2
-        assert first == second == _CountingModel()(other, NOMINAL)
-        assert path.read_bytes() == before
-
-    def test_replay_from_disk_without_fallback(self, tmp_path, dataset):
-        path = tmp_path / "runs.csv"
-        model = _CountingModel()
-        rng = np.random.default_rng(0)
-        prior = prior_from_table2()
-        thetas = [CalibrationParams.from_array(
-            prior.lower() + rng.random(8) * (prior.upper() - prior.lower()))
-            for _ in range(10)]
-        runs = [(row.design, theta) for row in dataset for theta in thetas]
-        sizes = [model(design, theta) for design, theta in runs]
-        write_run_table(path, [_row(*run) for run in runs],
-                        [(size.length, size.depth) for size in sizes])
-
-        replay = RunTable(path)
-        assert len(replay) == 130
-        fresh = _CountingModel()
-        replayed = [table_model(replay, fresh)(*run) for run in runs]
-        assert fresh.calls == 0
-        for got, want in zip(replayed, sizes):
-            assert got.length == pytest.approx(want.length, rel=1e-15)
-            assert got.depth == pytest.approx(want.depth, rel=1e-15)
-
-    def test_non_finite_row_raises_on_load(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        write_run_table(path, [_row(COND1, NOMINAL)], [(1e-4, 5e-5)])
-        lines = path.read_text().splitlines()
-        fields = lines[1].split(",")
-        fields[-2] = "nan"
-        path.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
-        with pytest.raises(AdapterError, match="non-finite"):
-            RunTable(path)
-
-    @pytest.mark.parametrize("column, value", [("length_mm", "abc"), ("alpha", "2")])
-    def test_bad_cell_names_file_and_row(self, tmp_path, column, value):
-        """A non-numeric cell or a parameter outside its domain."""
-        path = tmp_path / "runs.csv"
-        write_run_table(path, [_row(COND1, NOMINAL)], [(1e-4, 5e-5)])
-        lines = path.read_text().splitlines()
-        fields = lines[1].split(",")
-        fields[RunTable.COLUMNS.index(column)] = value
-        path.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
-        with pytest.raises(AdapterError, match="runs.csv: row 2"):
-            RunTable(path)
-
-    def test_negative_size_names_file_row_and_key(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        other = dataclasses.replace(COND1, power=600.0)
-        runs = [_row(COND1, NOMINAL), _row(other, NOMINAL)]
-        write_run_table(path, runs, [(0.0, 5e-5), (1e-4, -5e-5)])
-        with pytest.raises(AdapterError,
-                           match="runs.csv: row 3: depth_mm is a negative pool size"):
-            RunTable(path)
-        write_run_table(path, runs[:1], [(0.0, 5e-5)])  # zero: no melt
-        assert (RunTable(path).lookup(COND1, NOMINAL)
-                == MeltPoolSize(length=0.0, depth=0.0, melted=False))
-
-    def test_repeated_run_must_repeat_its_size(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        other = dataclasses.replace(COND1, power=600.0)
-        runs = [_row(COND1, NOMINAL), _row(other, NOMINAL), _row(COND1, NOMINAL)]
-        write_run_table(path, runs, [(1e-4, 5e-5), (2e-4, 5e-5), (1e-4, 5e-5)])
-        table = RunTable(path)  # an identical repeat loads
-        assert len(table) == 2
-        assert table.lookup(COND1, NOMINAL) == MeltPoolSize(length=1e-4, depth=5e-5,
-                                                            melted=True)
-        write_run_table(path, runs, [(1e-4, 5e-5), (2e-4, 5e-5), (1.1e-4, 5e-5)])
-        with pytest.raises(AdapterError,
-                           match="runs.csv: row 4: repeats the run of row 2 "
-                                 "with another pool size"):
-            RunTable(path)
-
-    @given(st.floats(100.0, 2000.0))
-    @settings(max_examples=20, deadline=None)
-    def test_key_is_stable_under_formatting(self, tmp_path_factory, power):
-        path = tmp_path_factory.mktemp("table") / "runs.csv"
-        design = DesignVars(power=power, beam_radius=2e-4, pulse_duration=3e-3)
-        write_run_table(path, [_row(design, NOMINAL)], [(1e-4, 1e-4)])
-        size = RunTable(path).lookup(design, NOMINAL)
-        assert size == MeltPoolSize(length=1e-4, depth=1e-4, melted=True)

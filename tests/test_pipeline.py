@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from meltcal import doe, forward, inference, pipeline, plots, sensitivity, surrogate
+from meltcal import doe, inference, pipeline, plots, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
@@ -40,7 +40,6 @@ from meltcal.pipeline import (
     run_stage,
     validate_at_point,
 )
-from run_tables import write_run_table
 
 PRIOR = prior_from_table2()
 
@@ -117,18 +116,10 @@ class TestRunConfig:
         with pytest.raises(FileNotFoundError):
             small_config(tmp_path, dataset_path=str(tmp_path / "nope.csv"))
 
-    def test_model_selection_validated(self, tmp_path):
-        """``external`` or ``run_table_path`` selects the model; no key names it."""
+    def test_model_selection_validated(self):
+        """``external`` selects the model; no key names it."""
         with pytest.raises(ValueError, match=r"^unknown config keys: model$"):
             RunConfig.from_dict({"model": "table"})
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
-        spec = ExternalModelSpec(command_template="sim {input} {output}",
-                                 working_dir=tmp_path)
-        with pytest.raises(ValueError, match="set one of them"):
-            small_config(tmp_path, external=spec, run_table_path=str(table))
-        with pytest.raises(FileNotFoundError):
-            small_config(tmp_path, run_table_path=str(tmp_path / "nope.csv"))
 
     def test_readme_lists_every_setting(self):
         """The README's settings table has one row per dotted leaf of
@@ -376,39 +367,6 @@ class TestDigests:
         assert read.config_digest() == default.config_digest()
         assert read._stage_digest("design") == default._stage_digest("design")
 
-    def test_config_digest_covers_run_table_content_not_path(self, tmp_path):
-        def digest(table):
-            return Pipeline(small_config(tmp_path / "out",
-                                         run_table_path=str(table))).config_digest()
-
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
-        empty = digest(table)
-        write_run_table(table, [np.r_[1000.0, 1e-4, 1e-3, PRIOR.nominal()]],
-                        [[1e-4, 5e-5]])
-        one_row = digest(table)
-        assert one_row != empty  # one path, two tables
-        moved = tmp_path / "moved" / "runs.csv"
-        moved.parent.mkdir()
-        shutil.copyfile(table, moved)
-        assert digest(moved) == one_row  # one table, two paths
-
-    def test_design_keyed_by_run_table_content_not_path(self, tmp_path,
-                                                         monkeypatch):
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
-        cfg = small_config(tmp_path / "out", run_table_path=str(table))
-        run_stage(cfg, "design")
-        moved = tmp_path / "moved" / "runs.csv"
-        moved.parent.mkdir()
-        shutil.copyfile(table, moved)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("stage recomputed")
-
-        monkeypatch.setattr(doe, "build_training_set", fail)
-        run_stage(dataclasses.replace(cfg, run_table_path=str(moved)), "design")
-
     def test_design_digest_covers_external_spec(self, tmp_path):
         spec = ExternalModelSpec(command_template="sim {input} {output}",
                                  working_dir=tmp_path)
@@ -493,13 +451,9 @@ class TestDigests:
     def test_model_source_keys_the_design_unless_external(self, tmp_path,
                                                            monkeypatch):
         """The reduced model never runs under ``external``, so an edit to it
-        keeps every simulator run; a run table falls back to it, so there
-        the edit recomputes the design."""
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
+        keeps every simulator run."""
         spec = ExternalModelSpec(command_template="sim {input} {output}")
         configs = {"external": small_config(tmp_path, external=spec),
-                   "table": small_config(tmp_path, run_table_path=str(table)),
                    "reduced": small_config(tmp_path)}
 
         def design_digests():
@@ -509,49 +463,11 @@ class TestDigests:
         _edit_source(monkeypatch, "forward.py")
         after = design_digests()
         assert after["external"] == before["external"]
-        assert after["table"] != before["table"]
         assert after["reduced"] != before["reduced"]
 
-    def test_design_recomputed_when_run_table_changes(self, tmp_path):
-        table = tmp_path / "runs.csv"
-        ts = Pipeline(small_config(tmp_path / "reduced")).design()
-        write_run_table(table, ts.inputs_raw, ts.outputs)  # the design's points
-        cfg = small_config(tmp_path / "out", run_table_path=str(table))
-        ts_a = Pipeline(cfg).design()
-        training = tmp_path / "out" / "training_set.csv"
-        stamp = training.stat().st_mtime_ns
-        Pipeline(cfg).design()  # an unchanged table is a cache hit
-        assert training.stat().st_mtime_ns == stamp
-
-        lines = table.read_text().splitlines()
-        col = lines[0].split(",").index("length_mm")
-        rows = [line.split(",") for line in lines[1:]]
-        for row in rows:
-            row[col] = format(1.5 * float(row[col]), ".12g")
-        table.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
-        ts_b = Pipeline(cfg).design()
-        np.testing.assert_allclose(ts_b.outputs[:, 0], 1.5 * ts_a.outputs[:, 0],
-                                   rtol=1e-9)
-
-    def test_table_miss_follows_reduced_settings(self, tmp_path, monkeypatch):
-        """A run table misses with the reduced model as it is now and is
-        never written, so no run replays another setting's results."""
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
-        before = table.read_bytes()
-        run_stage(small_config(tmp_path / "default", run_table_path=str(table)), "design")
-        monkeypatch.setattr(forward, "CHI", 0.6)
-        run_stage(small_config(tmp_path / "chi", run_table_path=str(table)), "design")
-        run_stage(small_config(tmp_path / "reduced"), "design")
-        chi = (tmp_path / "chi" / "training_set.csv").read_bytes()
-        assert chi == (tmp_path / "reduced" / "training_set.csv").read_bytes()
-        assert chi != (tmp_path / "default" / "training_set.csv").read_bytes()
-        assert table.read_bytes() == before
-
-    def test_table_model_stage_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
-        table = tmp_path / "runs.csv"
-        write_run_table(table)
-        cfg = small_config(tmp_path / "out", run_table_path=str(table))
+    def test_train_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
+        """``train`` run alone, then run again, fits nothing."""
+        cfg = small_config(tmp_path / "out")
         run_stage(cfg, "train")
 
         def fail(*args, **kwargs):
@@ -559,30 +475,6 @@ class TestDigests:
 
         monkeypatch.setattr(surrogate, "fit_gp", fail)
         run_stage(cfg, "train")
-
-    def test_table_model_rerun_resumes_and_replay_reproduces(self, tmp_path,
-                                                            monkeypatch):
-        table = tmp_path / "runs.csv"
-        ts = Pipeline(small_config(tmp_path / "reduced")).design()
-        write_run_table(table, ts.inputs_raw, ts.outputs)
-        before = table.read_bytes()
-        cfg = small_config(tmp_path / "out", run_table_path=str(table))
-        run_stage(cfg, "run-all")
-        first = _report_sans_timestamp(tmp_path / "out" / "report.json")
-
-        # every stage is fresh: the rerun replays the cached results
-        def fail(*args, **kwargs):
-            raise AssertionError("stage recomputed")
-
-        with monkeypatch.context() as m:
-            for module, name in ((doe, "build_training_set"), (surrogate, "fit_gp"),
-                                 (sensitivity, "sa_on_surrogate"),
-                                 (inference, "adaptive_metropolis"),
-                                 (pipeline, "validate_at_point")):
-                m.setattr(module, name, fail)
-            run_stage(cfg, "run-all")
-        assert _report_sans_timestamp(tmp_path / "out" / "report.json") == first
-        assert table.read_bytes() == before
 
 
 class TestEmitPlots:
@@ -669,8 +561,9 @@ class TestCli:
         ({"likelihood": {"include_code_uncertainty": True}},
          "unknown config keys: likelihood.include_code_uncertainty"),
         ({"model": "table"}, "unknown config keys: model"),
-        ({"external": {"command_template": "sim {input} {output}"},
-          "run_table_path": "runs.csv"}, "set one of them"),
+        ({"run_table_path": "runs.csv"}, "unknown config keys: run_table_path"),
+        ({"external": {"command_template": 'sim "{input} {output}'}},
+         "cannot be split into words"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)
@@ -683,6 +576,7 @@ class TestCli:
         ({"sa_n_base": "4096"}, "sa_n_base"),
         ({"mcmc": {"steps": 2e4}}, "mcmc.steps"),
         ({"mcmc": {"thin": None}}, "mcmc.thin"),
+        ({"mcmc": {"steps": 10**30}}, "mcmc.steps"),
     ])
     def test_mistyped_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)
@@ -702,6 +596,9 @@ class TestCli:
          "likelihood.relative_fraction must be a finite number, got -inf"),
         ({"likelihood": {"absolute_floor": math.nan}},
          "likelihood.absolute_floor must be a finite number, got nan"),
+        pytest.param({"likelihood": {"absolute_floor": 10**400}},
+                     f"likelihood.absolute_floor must be a finite number, got {10**400}",
+                     id="doc7-likelihood.absolute_floor-1e400"),
     ])
     def test_mistyped_section_value_reports_config_error(self, tmp_path, doc,
                                                           message):
