@@ -9,6 +9,12 @@ as the pipeline does by default), then times, per call:
 * the GP negative log marginal likelihood and its gradient, as the
   optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
   design (N=130) and of a design with 20 samples per condition (N=260);
+* the GP fits of both outputs, one after the other as the ``train`` stage
+  runs them, in seconds: ``train_n130_s`` on the bundled design, whose
+  starts run on one thread, and ``train_n260_s`` on the N=260 design,
+  whose starts run on ``surrogate.FIT_WORKERS`` threads.  Under threads a
+  tracer's per-call NLML time includes waits for the GIL, so this is where
+  the parallel fit is measured;
 * the conditioned GPs' two callers: ``ConditionedGp.predict`` at an
   in-box theta, both outputs in one call as the log posterior makes it,
   and ``ConditionedGp.averaged_mean`` of one output on a 1024-row batch of
@@ -59,6 +65,12 @@ from meltcal.inference import (
 from meltcal.surrogate import ConditionedGp, _nlml_and_grad, _PairDistances, fit_gp
 
 
+def fit_both(ts) -> tuple:
+    """The length and depth GPs on ``ts``, one after the other."""
+    return (fit_gp(ts, "length", RandomStream(1)),
+            fit_gp(ts, "depth", RandomStream(2)))
+
+
 def per_call_us(fn, calls: int, repeats: int) -> float:
     """Median over ``repeats`` batches of ``calls`` calls, in us per call."""
     times = []
@@ -97,8 +109,7 @@ def main() -> None:
     prior = prior_from_table2()
     dataset = load_dataset(bundled_dataset_path())
     ts = build_training_set(dataset, prior, 10, evaluate_reduced, RandomStream(0))
-    gps = (fit_gp(ts, "length", RandomStream(1)),
-           fit_gp(ts, "depth", RandomStream(2)))
+    gps = fit_both(ts)
 
     inbox = prior.nominal()
     outbox = inbox.copy()
@@ -118,6 +129,8 @@ def main() -> None:
         "nlml_n130_us": nlml_us(ts, gps[0], repeats),
         "nlml_n260_us": nlml_us(ts_dense, fit_gp(ts_dense, "length",
                                                  RandomStream(1)), repeats),
+        "train_n130_s": seconds(lambda: fit_both(ts), repeats),
+        "train_n260_s": seconds(lambda: fit_both(ts_dense), repeats),
         "predict_both_us": per_call_us(lambda: both.predict(inbox), 2000, repeats),
         "averaged_mean_1k_us": per_call_us(lambda: length.averaged_mean(chunk),
                                            20, repeats),

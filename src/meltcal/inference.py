@@ -260,10 +260,11 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
     Chain k >= 1 runs it on ``stream.split(k)`` at the same time, in a
     worker forked from this process, and sends its arrays back as raw
     bytes through a pipe.  Forking, not spawning, lets the worker call the
-    same ``target`` and its conditioned GPs without pickling them; meltcal
-    starts no threads of its own.  So each chain is bitwise what
-    ``adaptive_metropolis`` gives on its stream, at any scheduling of the
-    workers.  The result has a leading chain axis, in chain order.  The
+    same ``target`` and its conditioned GPs without pickling them.  The
+    only threads meltcal starts are ``fit_gp``'s, and it joins them before
+    it returns, so none is running at the fork.  Each chain is bitwise
+    what ``adaptive_metropolis`` gives on its stream, at any scheduling of
+    the workers.  The result has a leading chain axis, in chain order.  The
     chains run with the bundled OpenBLAS on one thread, so the processes
     do not contend for cores through it.
 

@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import time
 import typing
 from collections.abc import Callable
@@ -94,6 +95,14 @@ class McmcConfig:
             raise ValueError(
                 f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
                 f"per chain; need at least {inference.MIN_RETAINED}")
+        # every chain keeps each step's state and log posterior in memory
+        chains = inference.CHAINS * self.steps * (len(PARAM_NAMES) + 1) * 8
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if chains > memory:
+            raise ValueError(
+                f"mcmc.steps {self.steps} needs {chains / 2**30:.1f} GiB for "
+                f"{inference.CHAINS} chains, more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,29 @@ term of the calibration likelihood.  Leave-one-out predictions come from
 the closed-form identity on the factorized kernel matrix.  Fitting,
 reloading, LOO and conditioning run on one BLAS thread (``blas.py``), so
 their results do not depend on the BLAS thread count.
+
+A fit's L-BFGS starts run on ``FIT_WORKERS`` threads from
+``FIT_THREADS_MIN_N`` training rows on, and on one below.  The
+likelihood calls LAPACK through scipy's ``cython_lapack`` function
+pointers with ctypes, which releases the GIL, so two starts factor their
+kernel matrices at once.  Each start works on its own arrays and the best
+is picked in start order, so the fitted GP does not depend on the number
+of threads or on their scheduling; the threads are joined before
+``fit_gp`` returns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .blas import one_blas_thread
@@ -41,6 +51,12 @@ JITTER_FLOOR = 1e-10
 JITTER_CEILING = 1e-4
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 N_STARTS = 8
+# fit_gp runs its starts on FIT_WORKERS threads from FIT_THREADS_MIN_N
+# training rows on, and on one below.  A start gains from a second thread
+# by the share of its time spent in LAPACK, outside the GIL; that share
+# grows with N, and on a small design L-BFGS-B's own Python dominates.
+FIT_WORKERS = 2
+FIT_THREADS_MIN_N = 150
 GP_FORMAT = 1
 # ConditionedGp.predict pads its kernel rows to a multiple of this many rows:
 # the M-unroll of the dgemm kernel of OpenBLAS for SkylakeX.
@@ -269,6 +285,75 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+_capsule_name = ctypes.pythonapi.PyCapsule_GetName
+_capsule_name.restype, _capsule_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.restype, _capsule_pointer.argtypes = (
+    ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p])
+_DOUBLE_P = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"  # cython_lapack's double *
+_C_TYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int),
+            _DOUBLE_P: ctypes.c_void_p}
+
+
+def _cython_lapack(name: str, *args: str):
+    """scipy's ``cython_lapack.<name>``, of C argument types ``args``, as a
+    ctypes function.
+
+    A ctypes foreign call releases the GIL, which the f2py wrappers of
+    ``scipy.linalg.lapack`` hold; these are the same routines, so the bits
+    are the same.  The capsule's name is the routine's C signature, so a
+    missing routine or another signature raises here, at import.
+    """
+    capsule = cython_lapack.__pyx_capi__.get(name)
+    signature = f"void ({', '.join(args)})".encode()
+    if capsule is None or _capsule_name(capsule) != signature:
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} is not "
+                          f"{signature.decode()}")
+    return ctypes.CFUNCTYPE(None, *(_C_TYPES[a] for a in args))(
+        _capsule_pointer(capsule, signature))
+
+
+_POTRF = _cython_lapack("dpotrf", "char *", "int *", _DOUBLE_P, "int *", "int *")
+_POTRS = _cython_lapack("dpotrs", "char *", "int *", "int *", _DOUBLE_P, "int *",
+                        _DOUBLE_P, "int *", "int *")
+_POTRI = _cython_lapack("dpotri", "char *", "int *", _DOUBLE_P, "int *", "int *")
+
+
+def _address(a: np.ndarray, shape: tuple[int, ...]) -> int:
+    """The data address of a C-contiguous float64 array of ``shape``, for a
+    LAPACK call."""
+    if a.dtype != np.float64 or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"LAPACK buffers must be C-contiguous float64 of "
+                         f"shape {shape}")
+    return a.ctypes.data
+
+
+# The entries below take an (n, n) C-order buffer whose transpose is the
+# Fortran-order matrix LAPACK works on, with uplo 'L': they read and write
+# only the upper triangle of the buffer.  Each returns LAPACK's info.
+
+def _dpotrf(k_t: np.ndarray) -> int:
+    """Cholesky factor of ``k_t.T``, in place."""
+    n, info = ctypes.c_int(len(k_t)), ctypes.c_int()
+    _POTRF(b"L", n, _address(k_t, (n.value, n.value)), n, info)
+    return info.value
+
+
+def _dpotrs(low_t: np.ndarray, b: np.ndarray) -> int:
+    """Solve, in place of the (n,) ``b``, with the factor ``low_t.T``."""
+    n, one, info = ctypes.c_int(len(low_t)), ctypes.c_int(1), ctypes.c_int()
+    _POTRS(b"L", n, one, _address(low_t, (n.value, n.value)), n,
+           _address(b, (n.value,)), n, info)
+    return info.value
+
+
+def _dpotri(low_t: np.ndarray) -> int:
+    """Inverse of the matrix whose Cholesky factor is ``low_t.T``, in place."""
+    n, info = ctypes.c_int(len(low_t)), ctypes.c_int()
+    _POTRI(b"L", n, _address(low_t, (n.value, n.value)), n, info)
+    return info.value
+
+
 def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
                    pairs: _PairDistances) -> tuple[float, np.ndarray]:
     d = x.shape[1]
@@ -281,28 +366,26 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     k_p = sf2 * np.exp(pairs.sq @ (-0.5 / ell2))
     _require_finite(k_p)
     _require_finite(sf2 + sn2)
-    # dpotrf, dpotrs and dpotri with lower=True read and write only the
-    # lower triangle, which is the upper triangle of this C-order buffer
-    # seen as the Fortran-order array k_t.T that LAPACK takes uncopied.
-    # The other triangle stays zero, so the factor needs no clean pass.
+    # The LAPACK entries read and write only the upper triangle of this
+    # C-order buffer, the lower triangle of the matrix k_t.T.  The other
+    # triangle stays zero, so the factor needs no clean pass.
     k_t = np.zeros((n, n))
     flat = k_t.ravel()
     flat[pairs.flat] = k_p
     flat[::n + 1] = sf2 + sn2
-    low, info = dpotrf(k_t.T, lower=True, clean=False, overwrite_a=True)
-    if info != 0:
+    if _dpotrf(k_t) != 0:
         return 1e12, np.zeros_like(log_params)
     _require_finite(y)
-    alpha = dpotrs(low, y, lower=True)[0]
-    nlml = (0.5 * y @ alpha + np.log(np.diag(low)).sum()
+    alpha = np.array(y, dtype=float)
+    _dpotrs(k_t, alpha)
+    nlml = (0.5 * y @ alpha + np.log(np.diag(k_t)).sum()
             + 0.5 * n * np.log(2.0 * np.pi))
-    kinv, info = dpotri(low, lower=True, overwrite_c=True)
-    if info != 0:
+    if _dpotri(k_t) != 0:
         return 1e12, np.zeros_like(log_params)
     # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair twice
-    w = (kinv.T.take(pairs.flat)
+    w = (k_t.take(pairs.flat)
          - alpha.take(pairs.rows) * alpha.take(pairs.cols)) * k_p
-    m_diag = kinv.diagonal().sum() - alpha @ alpha      # tr(K^-1 - aa^T)
+    m_diag = k_t.diagonal().sum() - alpha @ alpha       # tr(K^-1 - aa^T)
     grad = np.empty_like(log_params)
     grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
     grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
@@ -310,9 +393,15 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     return float(nlml), grad
 
 
+def _fit_workers(n: int) -> int:
+    """Threads for the L-BFGS starts of a fit on ``n`` training rows."""
+    return FIT_WORKERS if n >= FIT_THREADS_MIN_N else 1
+
+
 @one_blas_thread()
 def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
-    """Train a GP on one output with 8 multi-started local optimizations."""
+    """Train a GP on one output with 8 multi-started local optimizations,
+    run on ``_fit_workers`` threads."""
     if output not in ("length", "depth"):
         raise ValueError("output must be 'length' or 'depth'")
     if ts.n < 10:
@@ -334,12 +423,19 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
                   + [(-10.0, 10.0), (np.log(JITTER_FLOOR), 0.0)])
     starts = latin_hypercube(N_STARTS, d + 2, stream) * 6.0 - 3.0
     starts[:, d + 1] = -3.0 - 6.0 * ((starts[:, d + 1] + 3.0) / 6.0)  # noise in [-9, -3]
+    starts = np.clip(starts, *zip(*log_bounds))
 
+    def local_fit(start: np.ndarray):
+        return minimize(_nlml_and_grad, start, args=(x, y, pairs), jac=True,
+                        method="L-BFGS-B", bounds=log_bounds)
+
+    # Each start is one L-BFGS-B run on its own arrays, and the best is
+    # picked in start order, so the fit does not depend on the number of
+    # workers or on their scheduling.  Leaving the block joins the workers.
+    with ThreadPoolExecutor(_fit_workers(ts.n)) as pool:
+        results = list(pool.map(local_fit, starts))
     best = None
-    for start in starts:
-        start = np.clip(start, [b[0] for b in log_bounds], [b[1] for b in log_bounds])
-        res = minimize(_nlml_and_grad, start, args=(x, y, pairs), jac=True,
-                       method="L-BFGS-B", bounds=log_bounds)
+    for res in results:
         cand_sn2 = np.exp(res.x[d + 1])
         if (best is None or res.fun < best[0] - 1e-9
                 or (abs(res.fun - best[0]) <= 1e-9 and cand_sn2 < best[2])):

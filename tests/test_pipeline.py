@@ -564,6 +564,8 @@ class TestCli:
         ({"run_table_path": "runs.csv"}, "unknown config keys: run_table_path"),
         ({"external": {"command_template": 'sim "{input} {output}'}},
          "cannot be split into words"),
+        pytest.param({"mcmc": {"steps": 4_000_000_000_000}},
+                     "mcmc.steps 4000000000000 needs", id="doc16-chain-past-memory"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)

@@ -1,6 +1,7 @@
 """GP surrogate: fitting, prediction, LOOCV, and serialization."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from meltcal.surrogate import (
 from nlml_reference import _nlml_and_grad as reference_nlml_and_grad
 from nlml_reference import nlml, packed_nlml_and_grad
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 
 def make_ts(x: np.ndarray, y: np.ndarray) -> TrainingSet:
@@ -361,7 +363,7 @@ class TestPackedNlml:
 
     def test_failed_inverse_gives_penalty(self, training, monkeypatch):
         x, y = training
-        monkeypatch.setattr(surrogate, "dpotri", lambda c, **kw: (c, 1))
+        monkeypatch.setattr(surrogate, "_dpotri", lambda low_t: 1)
         p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
         value, grad = _nlml_and_grad(p, x, y, _PairDistances.build(x))
         assert value == 1e12
@@ -407,6 +409,88 @@ class TestLapackNlml:
         for fn in (_nlml_and_grad, packed_nlml_and_grad):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 fn(p, x, y, pairs)
+
+
+class TestLapackEntries:
+    """The likelihood's ctypes entries to scipy's ``cython_lapack`` against
+    the f2py wrappers of ``scipy.linalg.lapack``: the same routines, so the
+    same bits, on the transposed C-order buffer the likelihood passes."""
+
+    @staticmethod
+    def spd(n: int) -> np.ndarray:
+        a = RandomStream(n).generator().standard_normal((n, n))
+        return a @ a.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [26, 130, 260])
+    def test_bitwise_equal_to_f2py_wrappers(self, n):
+        k = self.spd(n)
+        b = RandomStream(n + 1).generator().standard_normal(n)
+        low, info = dpotrf(k, lower=True, clean=False)
+        assert info == 0
+        k_t = np.ascontiguousarray(k.T)
+        assert surrogate._dpotrf(k_t) == 0
+        assert np.array_equal(k_t.T, low)
+
+        x, info = dpotrs(low, b, lower=True)
+        assert info == 0
+        x_entry = b.copy()
+        assert surrogate._dpotrs(k_t, x_entry) == 0
+        assert np.array_equal(x_entry, x)
+
+        inv, info = dpotri(low, lower=True)
+        assert info == 0
+        assert surrogate._dpotri(k_t) == 0
+        assert np.array_equal(k_t.T, inv)
+
+    @pytest.mark.parametrize("n", [26, 130])
+    def test_not_positive_definite_gives_positive_info(self, n):
+        k = self.spd(n)
+        k[n // 2, n // 2] = -1.0
+        assert surrogate._dpotrf(np.ascontiguousarray(k.T)) > 0
+        # a factor with a zero on its diagonal has no inverse
+        low = np.eye(n)
+        low[n // 3, n // 3] = 0.0
+        assert surrogate._dpotri(low) > 0
+
+    def test_foreign_buffers_rejected(self):
+        k_t = np.ascontiguousarray(self.spd(26).T)
+        for bad in (np.asfortranarray(k_t), k_t[:, :-1], k_t.astype(np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                surrogate._dpotrf(bad)
+        with pytest.raises(ValueError, match=r"shape \(26,\)"):
+            surrogate._dpotrs(k_t, np.ones(25))
+
+    def test_missing_routine_or_other_signature_raises(self):
+        with pytest.raises(ImportError, match="dpotrf is not"):
+            surrogate._cython_lapack("dpotrf", "char *", "int *")
+        with pytest.raises(ImportError, match="dnosuch is not"):
+            surrogate._cython_lapack("dnosuch", "char *")
+
+
+class TestFitWorkers:
+    """The multi-start fit on 1, 2 and 3 worker threads, below and above the
+    size at which it takes a second thread."""
+
+    @pytest.fixture(scope="class", params=[2, 12], ids=["N26", "N156"])
+    def ts(self, request, dataset):
+        return build_training_set(dataset, prior_from_table2(), request.param,
+                                  evaluate_reduced, RandomStream(0))
+
+    def test_same_bits_at_any_worker_count(self, ts, monkeypatch):
+        fits = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(surrogate, "_fit_workers", lambda n, w=workers: w)
+            before = threading.active_count()
+            fits.append(fit_gp(ts, "length", RandomStream(1)))
+            # no pool thread outlives the fit, so a later fork copies none
+            assert threading.active_count() == before
+        for gp in fits[1:]:
+            for name in ("ell", "sf2", "sn2", "chol", "weights"):
+                assert np.array_equal(getattr(gp, name), getattr(fits[0], name)), name
+
+    def test_worker_rule(self):
+        assert surrogate._fit_workers(26) == surrogate._fit_workers(149) == 1
+        assert surrogate._fit_workers(150) == surrogate._fit_workers(260) == 2
 
 
 class TestScreening:
