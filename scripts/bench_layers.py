@@ -10,9 +10,9 @@ as the pipeline does by default), then times, per call:
   optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
   design (N=130) and of a design with 20 samples per condition (N=260);
 * the GP fits of both outputs, one after the other as the ``train`` stage
-  runs them, in seconds: ``train_n130_s`` on the bundled design, whose
-  starts run on one thread, and ``train_n260_s`` on the N=260 design,
-  whose starts run on ``surrogate.FIT_WORKERS`` threads.  Under threads a
+  runs them, in seconds: ``train_n130_s`` on the bundled design and
+  ``train_n260_s`` on the N=260 design, their starts on
+  ``surrogate.FIT_WORKERS`` threads.  Under threads a
   tracer's per-call NLML time includes waits for the GIL, so this is where
   the parallel fit is measured;
 * the conditioned GPs' two callers: ``ConditionedGp.predict`` at an

@@ -95,12 +95,14 @@ class McmcConfig:
             raise ValueError(
                 f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
                 f"per chain; need at least {inference.MIN_RETAINED}")
-        # every chain keeps each step's state and log posterior in memory
-        chains = inference.CHAINS * self.steps * (len(PARAM_NAMES) + 1) * 8
+        # A chain keeps each step's state and log posterior.  run_chains
+        # peaks at 2 * CHAINS of them: chain 0 and the joined result in this
+        # process while each forked worker still holds its own.
+        peak = 2 * inference.CHAINS * self.steps * (len(PARAM_NAMES) + 1) * 8
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if chains > memory:
+        if peak > memory:
             raise ValueError(
-                f"mcmc.steps {self.steps} needs {chains / 2**30:.1f} GiB for "
+                f"mcmc.steps {self.steps} needs {peak / 2**30:.1f} GiB to run "
                 f"{inference.CHAINS} chains, more than the "
                 f"{memory / 2**30:.1f} GiB of physical memory")
 

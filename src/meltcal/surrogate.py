@@ -9,8 +9,7 @@ the closed-form identity on the factorized kernel matrix.  Fitting,
 reloading, LOO and conditioning run on one BLAS thread (``blas.py``), so
 their results do not depend on the BLAS thread count.
 
-A fit's L-BFGS starts run on ``FIT_WORKERS`` threads from
-``FIT_THREADS_MIN_N`` training rows on, and on one below.  The
+A fit's L-BFGS starts run on ``FIT_WORKERS`` threads.  The
 likelihood calls LAPACK through scipy's ``cython_lapack`` function
 pointers with ctypes, which releases the GIL, so two starts factor their
 kernel matrices at once.  Each start works on its own arrays and the best
@@ -51,12 +50,8 @@ JITTER_FLOOR = 1e-10
 JITTER_CEILING = 1e-4
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 N_STARTS = 8
-# fit_gp runs its starts on FIT_WORKERS threads from FIT_THREADS_MIN_N
-# training rows on, and on one below.  A start gains from a second thread
-# by the share of its time spent in LAPACK, outside the GIL; that share
-# grows with N, and on a small design L-BFGS-B's own Python dominates.
+# fit_gp runs its L-BFGS starts on this many threads
 FIT_WORKERS = 2
-FIT_THREADS_MIN_N = 150
 GP_FORMAT = 1
 # ConditionedGp.predict pads its kernel rows to a multiple of this many rows:
 # the M-unroll of the dgemm kernel of OpenBLAS for SkylakeX.
@@ -393,15 +388,10 @@ def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
     return float(nlml), grad
 
 
-def _fit_workers(n: int) -> int:
-    """Threads for the L-BFGS starts of a fit on ``n`` training rows."""
-    return FIT_WORKERS if n >= FIT_THREADS_MIN_N else 1
-
-
 @one_blas_thread()
 def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     """Train a GP on one output with 8 multi-started local optimizations,
-    run on ``_fit_workers`` threads."""
+    run on ``FIT_WORKERS`` threads."""
     if output not in ("length", "depth"):
         raise ValueError("output must be 'length' or 'depth'")
     if ts.n < 10:
@@ -432,7 +422,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     # Each start is one L-BFGS-B run on its own arrays, and the best is
     # picked in start order, so the fit does not depend on the number of
     # workers or on their scheduling.  Leaving the block joins the workers.
-    with ThreadPoolExecutor(_fit_workers(ts.n)) as pool:
+    with ThreadPoolExecutor(FIT_WORKERS) as pool:
         results = list(pool.map(local_fit, starts))
     best = None
     for res in results:

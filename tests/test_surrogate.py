@@ -468,8 +468,8 @@ class TestLapackEntries:
 
 
 class TestFitWorkers:
-    """The multi-start fit on 1, 2 and 3 worker threads, below and above the
-    size at which it takes a second thread."""
+    """The multi-start fit on 1, 2 and 3 worker threads, on a small and on a
+    dense design."""
 
     @pytest.fixture(scope="class", params=[2, 12], ids=["N26", "N156"])
     def ts(self, request, dataset):
@@ -479,7 +479,7 @@ class TestFitWorkers:
     def test_same_bits_at_any_worker_count(self, ts, monkeypatch):
         fits = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(surrogate, "_fit_workers", lambda n, w=workers: w)
+            monkeypatch.setattr(surrogate, "FIT_WORKERS", workers)
             before = threading.active_count()
             fits.append(fit_gp(ts, "length", RandomStream(1)))
             # no pool thread outlives the fit, so a later fork copies none
@@ -487,10 +487,6 @@ class TestFitWorkers:
         for gp in fits[1:]:
             for name in ("ell", "sf2", "sn2", "chol", "weights"):
                 assert np.array_equal(getattr(gp, name), getattr(fits[0], name)), name
-
-    def test_worker_rule(self):
-        assert surrogate._fit_workers(26) == surrogate._fit_workers(149) == 1
-        assert surrogate._fit_workers(150) == surrogate._fit_workers(260) == 2
 
 
 class TestScreening:
