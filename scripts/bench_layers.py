@@ -6,18 +6,22 @@ as the pipeline does by default), then times, per call:
 
 * one reduced forward-model evaluation, ``evaluate_reduced`` at the
   nominal theta and the bundled condition 1, at the default settings;
-* the GP negative log marginal likelihood and its gradient, as the
-  optimizer calls it (on one BLAS thread), at the fitted length hyperparameters of the bundled
-  design (N=130) and of a design with 20 samples per condition (N=260);
+* the GP negative log marginal likelihood and its gradient, as an L-BFGS
+  start calls it (one set of buffers for every call, on one BLAS thread),
+  at the fitted length hyperparameters of the bundled design (N=130) and
+  of a design with 20 samples per condition (N=260);
 * the GP fits of both outputs, one after the other as the ``train`` stage
   runs them, in seconds: ``train_n130_s`` on the bundled design and
   ``train_n260_s`` on the N=260 design, their starts on
   ``surrogate.FIT_WORKERS`` threads.  Under threads a
   tracer's per-call NLML time includes waits for the GIL, so this is where
   the parallel fit is measured;
+* the same fits' peak memory as tracemalloc sees it, in MB:
+  ``train_n130_peak_mb`` and ``train_n260_peak_mb``, one traced run each.
+  These do not drift with the host's speed, as the times do;
 * the conditioned GPs' two callers: ``ConditionedGp.predict`` at an
   in-box theta, both outputs in one call as the log posterior makes it,
-  and ``ConditionedGp.averaged_mean`` of one output on a 1024-row batch of
+  and ``ConditionedGp.averaged_mean`` of one output on a 256-row batch of
   prior draws, the chunk sensitivity analysis takes;
 * the log posterior at an in-box and an out-of-box theta, through the
   ``FixedTerms`` target the sampler calls;
@@ -40,6 +44,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +67,7 @@ from meltcal.inference import (
     run_chains,
     save_chain,
 )
-from meltcal.surrogate import ConditionedGp, _nlml_and_grad, _PairDistances, fit_gp
+from meltcal.surrogate import ConditionedGp, _Likelihood, _PairDistances, fit_gp
 
 
 def fit_both(ts) -> tuple:
@@ -82,6 +87,16 @@ def per_call_us(fn, calls: int, repeats: int) -> float:
     return statistics.median(times)
 
 
+def peak_mb(fn) -> float:
+    """The peak of the memory tracemalloc sees allocated during ``fn()``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def seconds(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -94,14 +109,12 @@ def seconds(fn, repeats: int) -> float:
 @one_blas_thread()
 def nlml_us(ts, gp, repeats: int) -> float:
     """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``, on
-    one BLAS thread as ``fit_gp`` calls it."""
-    x = ts.inputs_std()
+    one start's buffers and one BLAS thread, as ``fit_gp`` calls it."""
     params = np.r_[np.log(gp.ell), np.log(gp.sf2), np.log(gp.sn2)]
-    pairs = _PairDistances.build(x)
-    if _nlml_and_grad(params, x, gp.y_std, pairs)[0] >= 1e12:
+    likelihood = _Likelihood(gp.y_std, _PairDistances.build(ts.inputs_std()))
+    if likelihood(params)[0] >= 1e12:
         raise RuntimeError("kernel not positive definite at the fitted optimum")
-    return per_call_us(lambda: _nlml_and_grad(params, x, gp.y_std, pairs),
-                       200, repeats)
+    return per_call_us(lambda: likelihood(params), 200, repeats)
 
 
 def main() -> None:
@@ -116,7 +129,7 @@ def main() -> None:
     outbox[0] = 2.0 * prior.upper()[0]
     both = ConditionedGp.build(gps, dataset.design_matrix())
     length = ConditionedGp.build(gps[:1], dataset.design_matrix())
-    chunk = prior.lower() + (RandomStream(5).generator().random((1024, 8))
+    chunk = prior.lower() + (RandomStream(5).generator().random((256, 8))
                              * (prior.upper() - prior.lower()))
     target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior)
     ts_dense = build_training_set(dataset, prior, 20, evaluate_reduced,
@@ -131,9 +144,11 @@ def main() -> None:
                                                  RandomStream(1)), repeats),
         "train_n130_s": seconds(lambda: fit_both(ts), repeats),
         "train_n260_s": seconds(lambda: fit_both(ts_dense), repeats),
+        "train_n130_peak_mb": peak_mb(lambda: fit_both(ts)),
+        "train_n260_peak_mb": peak_mb(lambda: fit_both(ts_dense)),
         "predict_both_us": per_call_us(lambda: both.predict(inbox), 2000, repeats),
-        "averaged_mean_1k_us": per_call_us(lambda: length.averaged_mean(chunk),
-                                           20, repeats),
+        "averaged_mean_256_us": per_call_us(lambda: length.averaged_mean(chunk),
+                                            80, repeats),
         "logpost_inbox_us": per_call_us(lambda: target(inbox), 2000, repeats),
         "logpost_outbox_us": per_call_us(lambda: target(outbox), 20000, repeats),
     }

@@ -268,9 +268,10 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
         rng = stream.split(col + 1).split(99).generator()
         a = prior.lower() + rng.random((n_base, n_params)) * (prior.upper() - prior.lower())
         # in chunks, with the same bits: the mean is computed per row, and
-        # one 4096-row call would hold a 34 MB difference tensor
-        f_a = np.concatenate([cgp.averaged_mean(a[i:i + 1024])[0]
-                              for i in range(0, n_base, 1024)])
+        # a 256-row chunk holds a 2.1 MB difference tensor, where one
+        # 4096-row call would hold 34 MB
+        f_a = np.concatenate([cgp.averaged_mean(a[i:i + 256])[0]
+                              for i in range(0, n_base, 256)])
         for i in range(n_params):
             r_pcc[i, col] = pcc(a[:, i], f_a)
             r_srcc[i, col] = srcc(a[:, i], f_a)

@@ -12,10 +12,12 @@ their results do not depend on the BLAS thread count.
 A fit's L-BFGS starts run on ``FIT_WORKERS`` threads.  The
 likelihood calls LAPACK through scipy's ``cython_lapack`` function
 pointers with ctypes, which releases the GIL, so two starts factor their
-kernel matrices at once.  Each start works on its own arrays and the best
-is picked in start order, so the fitted GP does not depend on the number
-of threads or on their scheduling; the threads are joined before
-``fit_gp`` returns.
+kernel matrices at once.  Each start allocates its likelihood buffers
+once and reuses them across its calls, and the best start is picked in
+start order, so the fitted GP does not depend on the number of threads or
+on their scheduling; the threads are joined before ``fit_gp`` returns.
+A fit holds the packed pair differences, one set of buffers per running
+start and, once the starts are done, the N x N kernel and its factor.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ GP_FORMAT = 1
 # ConditionedGp.predict pads its kernel rows to a multiple of this many rows:
 # the M-unroll of the dgemm kernel of OpenBLAS for SkylakeX.
 PAD_ROWS = 16
+# _se_kernel forms its scaled input differences this many rows at a time
+KERNEL_BLOCK_ROWS = 16
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -64,8 +68,22 @@ class IllConditionedError(np.linalg.LinAlgError):
 
 def _se_kernel(x1: np.ndarray, x2: np.ndarray, sf2: float,
                ell: np.ndarray) -> np.ndarray:
-    d = (x1[:, None, :] - x2[None, :, :]) / ell
-    return sf2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
+    """sf2 exp(-|x1_i - x2_j|^2 / 2 ell^2), built ``KERNEL_BLOCK_ROWS`` rows
+    of x1 at a time: the scaled differences are a (block, N, d) tensor, not
+    an (n1, N, d) one.  Each entry is reduced over the inputs on its own,
+    so the blocks round as the one-shot tensor would."""
+    k = np.empty((len(x1), len(x2)))
+    buf = np.empty((min(len(x1), KERNEL_BLOCK_ROWS), *x2.shape))
+    for i in range(0, len(x1), KERNEL_BLOCK_ROWS):
+        rows = x1[i:i + KERNEL_BLOCK_ROWS]
+        d = buf[:len(rows)]
+        np.subtract(rows[:, None, :], x2[None, :, :], out=d)
+        d /= ell
+        np.einsum("ijk,ijk->ij", d, d, out=k[i:i + KERNEL_BLOCK_ROWS])
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= sf2
+    return k
 
 
 @dataclass(frozen=True)
@@ -269,9 +287,15 @@ class _PairDistances:
 
     @classmethod
     def build(cls, x: np.ndarray) -> "_PairDistances":
-        rows, cols = np.triu_indices(x.shape[0], k=1)
-        return cls(rows=rows, cols=cols, flat=rows * x.shape[0] + cols,
-                   sq=(x[rows] - x[cols]) ** 2)
+        """The pairs of ``x``'s rows, ``sq`` filled one input column at a
+        time, so no second (M, d) array is formed."""
+        n, d = x.shape
+        rows, cols = np.triu_indices(n, k=1)
+        sq = np.empty((len(rows), d))
+        for k in range(d):
+            np.subtract(x[:, k].take(rows), x[:, k].take(cols), out=sq[:, k])
+        np.square(sq, out=sq)
+        return cls(rows=rows, cols=cols, flat=rows * n + cols, sq=sq)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -349,43 +373,72 @@ def _dpotri(low_t: np.ndarray) -> int:
     return info.value
 
 
-def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   pairs: _PairDistances) -> tuple[float, np.ndarray]:
-    d = x.shape[1]
-    n = y.size
-    log_ell, log_sf2, log_sn2 = log_params[:d], log_params[d], log_params[d + 1]
-    ell2 = np.exp(2.0 * log_ell)
-    sf2, sn2 = np.exp(log_sf2), np.exp(log_sn2)
-    # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
-    # it into the weights rounds exactly as scaling the sum would
-    k_p = sf2 * np.exp(pairs.sq @ (-0.5 / ell2))
-    _require_finite(k_p)
-    _require_finite(sf2 + sn2)
-    # The LAPACK entries read and write only the upper triangle of this
-    # C-order buffer, the lower triangle of the matrix k_t.T.  The other
-    # triangle stays zero, so the factor needs no clean pass.
-    k_t = np.zeros((n, n))
-    flat = k_t.ravel()
-    flat[pairs.flat] = k_p
-    flat[::n + 1] = sf2 + sn2
-    if _dpotrf(k_t) != 0:
-        return 1e12, np.zeros_like(log_params)
-    _require_finite(y)
-    alpha = np.array(y, dtype=float)
-    _dpotrs(k_t, alpha)
-    nlml = (0.5 * y @ alpha + np.log(np.diag(k_t)).sum()
-            + 0.5 * n * np.log(2.0 * np.pi))
-    if _dpotri(k_t) != 0:
-        return 1e12, np.zeros_like(log_params)
-    # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair twice
-    w = (k_t.take(pairs.flat)
-         - alpha.take(pairs.rows) * alpha.take(pairs.cols)) * k_p
-    m_diag = k_t.diagonal().sum() - alpha @ alpha       # tr(K^-1 - aa^T)
-    grad = np.empty_like(log_params)
-    grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
-    grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
-    grad[d + 1] = 0.5 * sn2 * m_diag                    # d/dlog sn2
-    return float(nlml), grad
+class _Likelihood:
+    """The negative log marginal likelihood and its gradient in the log
+    hyperparameters (log ell_1..d, log sf2, log sn2), as one L-BFGS start
+    calls it.
+
+    The buffers are allocated once, here, and every call writes into them,
+    so a call allocates no (M,) or (N, N) array.  Each start makes its own,
+    so starts on other threads share none.  A call writes every buffer
+    entry before it reads it, so its result does not depend on what an
+    earlier call, failed or not, left in the buffers.
+    """
+
+    def __init__(self, y: np.ndarray, pairs: _PairDistances):
+        _require_finite(y)
+        n, m = y.size, len(pairs.flat)
+        self.y, self.pairs = y, pairs
+        # The LAPACK entries read and write only the upper triangle of this
+        # C-order buffer, the lower triangle of the matrix k_t.T.  The other
+        # triangle stays zero, so the factor needs no clean pass.
+        self.k_t = np.zeros((n, n))
+        self.k_p = np.empty(m)       # kernel per pair
+        self.aa = np.empty(m)        # alpha_i alpha_j per pair
+        self.w = np.empty(m)         # gradient weight per pair
+        self.alpha = np.empty(n)
+
+    def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
+        y, pairs, k_t, k_p, aa, w, alpha = (
+            self.y, self.pairs, self.k_t, self.k_p, self.aa, self.w, self.alpha)
+        d = pairs.sq.shape[1]
+        n = y.size
+        log_ell, log_sf2, log_sn2 = log_params[:d], log_params[d], log_params[d + 1]
+        ell2 = np.exp(2.0 * log_ell)
+        sf2, sn2 = np.exp(log_sf2), np.exp(log_sn2)
+        # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
+        # it into the weights rounds exactly as scaling the sum would
+        np.matmul(pairs.sq, -0.5 / ell2, out=k_p)
+        np.exp(k_p, out=k_p)
+        k_p *= sf2
+        _require_finite(k_p)
+        _require_finite(sf2 + sn2)
+        flat = k_t.ravel()
+        flat[pairs.flat] = k_p
+        flat[::n + 1] = sf2 + sn2
+        if _dpotrf(k_t) != 0:
+            return 1e12, np.zeros_like(log_params)
+        alpha[:] = y
+        _dpotrs(k_t, alpha)
+        nlml = (0.5 * y @ alpha + np.log(np.diag(k_t)).sum()
+                + 0.5 * n * np.log(2.0 * np.pi))
+        if _dpotri(k_t) != 0:
+            return 1e12, np.zeros_like(log_params)
+        # dNLML/dh = 0.5 tr((K^-1 - aa^T) dK/dh), each off-diagonal pair
+        # twice.  mode="clip" takes straight into ``out``; "raise" would go
+        # through a hidden (M,) copy.
+        alpha.take(pairs.rows, out=aa, mode="clip")
+        alpha.take(pairs.cols, out=w, mode="clip")
+        aa *= w
+        k_t.take(pairs.flat, out=w, mode="clip")
+        w -= aa
+        w *= k_p
+        m_diag = k_t.diagonal().sum() - alpha @ alpha       # tr(K^-1 - aa^T)
+        grad = np.empty_like(log_params)
+        grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
+        grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
+        grad[d + 1] = 0.5 * sn2 * m_diag                    # d/dlog sn2
+        return float(nlml), grad
 
 
 @one_blas_thread()
@@ -416,14 +469,15 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     starts = np.clip(starts, *zip(*log_bounds))
 
     def local_fit(start: np.ndarray):
-        return minimize(_nlml_and_grad, start, args=(x, y, pairs), jac=True,
+        return minimize(_Likelihood(y, pairs), start, jac=True,
                         method="L-BFGS-B", bounds=log_bounds)
 
-    # Each start is one L-BFGS-B run on its own arrays, and the best is
+    # Each start is one L-BFGS-B run on its own buffers, and the best is
     # picked in start order, so the fit does not depend on the number of
     # workers or on their scheduling.  Leaving the block joins the workers.
     with ThreadPoolExecutor(FIT_WORKERS) as pool:
         results = list(pool.map(local_fit, starts))
+    del pairs  # the final factorization below need not hold them too
     best = None
     for res in results:
         cand_sn2 = np.exp(res.x[d + 1])

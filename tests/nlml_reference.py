@@ -1,9 +1,9 @@
 """Reference GP negative log marginal likelihood and gradient for oracle tests.
 
 ``nlml`` is the library's value alone, for finite-difference checks of its
-gradient.  ``_nlml_and_grad`` is a verbatim copy of
-``meltcal.surrogate._nlml_and_grad`` as written before it moved to packed
-pair distances: it takes the full (N, N, d) tensor of squared input
+gradient.  ``_nlml_and_grad`` is a verbatim copy of the library likelihood,
+then ``meltcal.surrogate._nlml_and_grad``, as written before it moved to
+packed pair distances: it takes the full (N, N, d) tensor of squared input
 differences and forms the gradient from dense N x N matrices (Rasmussen &
 Williams 2006, sec. 5.4.1).  The tests assert that the library function
 still agrees with it to rounding.
@@ -20,14 +20,12 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotri
 
-from meltcal.surrogate import _nlml_and_grad as library_nlml_and_grad
-from meltcal.surrogate import _PairDistances
+from meltcal.surrogate import _Likelihood, _PairDistances
 
 
 def nlml(gp_like, x: np.ndarray, y: np.ndarray) -> float:
     """Library NLML at (log ell..., log sf2, log sn2)."""
-    return library_nlml_and_grad(np.asarray(gp_like, float), x, y,
-                                 _PairDistances.build(x))[0]
+    return _Likelihood(y, _PairDistances.build(x))(np.asarray(gp_like, float))[0]
 
 
 def _nlml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray,

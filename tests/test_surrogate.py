@@ -13,11 +13,12 @@ from meltcal.domain import RandomStream, prior_from_table2
 from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import (
     JITTER_FLOOR,
+    KERNEL_BLOCK_ROWS,
     LENGTHSCALE_BOUNDS,
     ConditionedGp,
     GpSurrogate,
     _chol_with_escalation,
-    _nlml_and_grad,
+    _Likelihood,
     _PairDistances,
     _se_kernel,
     fit_gp,
@@ -40,6 +41,16 @@ def make_ts(x: np.ndarray, y: np.ndarray) -> TrainingSet:
     return TrainingSet(inputs_raw=x, outputs=outputs,
                        condition_index=np.ones(x.shape[0], dtype=int),
                        input_map=AffineMap(lo=lo, hi=hi))
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory tracemalloc sees allocated during ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -288,10 +299,10 @@ class TestGradient:
         rng = RandomStream(7).generator()
         x = rng.random((12, 3))
         y = np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(12)
-        pairs = _PairDistances.build(x)
+        likelihood = _Likelihood(y, _PairDistances.build(x))
         for _ in range(20):
             p = rng.uniform(-2.0, 2.0, size=5)
-            _, grad = _nlml_and_grad(p, x, y, pairs)
+            _, grad = likelihood(p)
             fd = np.empty_like(grad)
             h = 1e-6
             for j in range(p.size):
@@ -318,7 +329,7 @@ class TestPackedNlml:
     def test_matches_dense_reference(self, training):
         x, y = training
         d = x.shape[1]
-        pairs = _PairDistances.build(x)
+        likelihood = _Likelihood(y, _PairDistances.build(x))
         sq = (x[:, None, :] - x[None, :, :]) ** 2
         lo = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[0])), -10.0,
                    np.log(JITTER_FLOOR)]
@@ -329,7 +340,7 @@ class TestPackedNlml:
         draws += [np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
                   for _ in range(12)]
         for p in draws:
-            value, grad = _nlml_and_grad(p, x, y, pairs)
+            value, grad = likelihood(p)
             ref_value, ref_grad = reference_nlml_and_grad(p, x, y, sq)
             assert ref_value < 1e12
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -342,30 +353,37 @@ class TestPackedNlml:
         # sf2 * 11^T to working precision
         p = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[1])), 10.0, -40.0]
         sq = (x[:, None, :] - x[None, :, :]) ** 2
-        for value, grad in (_nlml_and_grad(p, x, y, _PairDistances.build(x)),
+        for value, grad in (_Likelihood(y, _PairDistances.build(x))(p),
                             reference_nlml_and_grad(p, x, y, sq)):
             assert value == 1e12
             assert np.array_equal(grad, np.zeros(d + 2))
 
     def test_call_allocates_no_pair_tensor(self, training):
+        """A start's first call, its buffers included."""
         x, y = training
         n, d = x.shape
         pairs = _PairDistances.build(x)
         p = np.r_[np.zeros(d + 1), -5.0]
-        _nlml_and_grad(p, x, y, pairs)
-        tracemalloc.start()
-        try:
-            _nlml_and_grad(p, x, y, pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _Likelihood(y, pairs)(p)
+        peak = traced_peak(lambda: _Likelihood(y, pairs)(p))
         assert peak < n * n * d * 8 / 2
+
+    def test_later_call_allocates_less_than_a_pair_vector(self, training):
+        """Once a start has its buffers, a call writes into them: it
+        allocates no (M,) vector and no (N, N) matrix."""
+        x, y = training
+        pairs = _PairDistances.build(x)
+        likelihood = _Likelihood(y, pairs)
+        p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
+        likelihood(p)
+        peak = traced_peak(lambda: likelihood(p))
+        assert peak < len(pairs.flat) * 8
 
     def test_failed_inverse_gives_penalty(self, training, monkeypatch):
         x, y = training
         monkeypatch.setattr(surrogate, "_dpotri", lambda low_t: 1)
         p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
-        value, grad = _nlml_and_grad(p, x, y, _PairDistances.build(x))
+        value, grad = _Likelihood(y, _PairDistances.build(x))(p)
         assert value == 1e12
         assert np.array_equal(grad, np.zeros_like(p))
 
@@ -391,11 +409,52 @@ class TestLapackNlml:
         draws = [lo + rng.random(d + 2) * (hi - lo) for _ in range(50)]
         draws += [np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
                   for _ in range(50)]
+        likelihood = _Likelihood(y, pairs)
         for p in draws:
-            value, grad = _nlml_and_grad(p, x, y, pairs)
+            value, grad = likelihood(p)
             ref_value, ref_grad = packed_nlml_and_grad(p, x, y, pairs)
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
+
+    def test_reused_buffers_bitwise_across_failed_calls(self, training,
+                                                        monkeypatch):
+        """One start's buffers over a sequence of calls that takes in a
+        failed factorization and a failed inverse: every call gives the
+        reference's bits, so what a failed call leaves half written in the
+        buffers never reaches a later one."""
+        x, y, pairs = training
+        d = x.shape[1]
+        rng = RandomStream(44).generator()
+        good = [np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
+                for _ in range(4)]
+        # K is the rank-one sf2 * 11^T to working precision: dpotrf writes
+        # part of the factor, then stops
+        singular = np.r_[np.full(d, np.log(LENGTHSCALE_BOUNDS[1])), 10.0, -40.0]
+        likelihood = _Likelihood(y, pairs)
+
+        def assert_reference(p):
+            value, grad = likelihood(p)
+            ref_value, ref_grad = packed_nlml_and_grad(p, x, y, pairs)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+            return value
+
+        def scribble(low_t):
+            """A dpotri that fails after writing over part of its triangle."""
+            upper = np.triu_indices(len(low_t))
+            low_t[upper[0][::2], upper[1][::2]] = np.nan
+            return 1
+
+        assert_reference(good[0])
+        assert assert_reference(singular) == 1e12
+        assert_reference(good[1])
+        with monkeypatch.context() as m:
+            m.setattr(surrogate, "_dpotri", scribble)
+            value, grad = likelihood(good[2])
+        assert value == 1e12
+        assert np.array_equal(grad, np.zeros(d + 2))
+        for p in (good[2], good[3], singular, good[0]):
+            assert_reference(p)
 
     @pytest.mark.parametrize("where", ["log sn2", "log sf2", "y"])
     def test_nan_input_raises(self, training, where):
@@ -406,7 +465,10 @@ class TestLapackNlml:
             y[3] = np.nan
         else:
             p[-1 if where == "log sn2" else -2] = np.nan
-        for fn in (_nlml_and_grad, packed_nlml_and_grad):
+        def library(p, x, y, pairs):
+            return _Likelihood(y, pairs)(p)
+
+        for fn in (library, packed_nlml_and_grad):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 fn(p, x, y, pairs)
 
@@ -487,6 +549,61 @@ class TestFitWorkers:
         for gp in fits[1:]:
             for name in ("ell", "sf2", "sn2", "chol", "weights"):
                 assert np.array_equal(getattr(gp, name), getattr(fits[0], name)), name
+
+
+class TestFitMemory:
+    def test_fit_holds_one_pair_array(self, training_set):
+        """``fit_gp`` at N=130 peaks below 1.5 times its pair arrays plus
+        one set of likelihood buffers per worker thread (the N x N factor
+        buffer, three (M,) vectors and alpha): it holds no (N, N, d)
+        tensor and no second (M, d) array."""
+        n = training_set.n
+        pairs = _PairDistances.build(training_set.inputs_std())
+        m = len(pairs.flat)
+        pair_bytes = sum(a.nbytes for a in (pairs.rows, pairs.cols, pairs.flat,
+                                            pairs.sq))
+        start_bytes = (n * n + 3 * m + n) * 8
+        peak = traced_peak(lambda: fit_gp(training_set, "length", RandomStream(1)))
+        assert peak < 1.5 * pair_bytes + surrogate.FIT_WORKERS * start_bytes
+
+
+class TestInPlaceBuilds:
+    """The kernel built in row blocks and the pair differences built a
+    column at a time, against verbatim copies of their one-shot forms."""
+
+    @staticmethod
+    def one_shot_kernel(x1, x2, sf2, ell):
+        d = (x1[:, None, :] - x2[None, :, :]) / ell
+        return sf2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", d, d))
+
+    @pytest.mark.parametrize("n1", [1, KERNEL_BLOCK_ROWS - 1, KERNEL_BLOCK_ROWS,
+                                    KERNEL_BLOCK_ROWS + 5,
+                                    3 * KERNEL_BLOCK_ROWS + 7, 130])
+    def test_se_kernel_bitwise_equal_to_one_shot(self, n1):
+        rng = RandomStream(n1).generator()
+        for d in (3, 8, 11):
+            x1, x2 = rng.random((n1, d)), rng.random((130, d))
+            ell = rng.uniform(0.05, 3.0, d)
+            assert np.array_equal(_se_kernel(x1, x2, 1.7, ell),
+                                  self.one_shot_kernel(x1, x2, 1.7, ell))
+            # column slices, as GpSurrogate.predict passes them
+            both = np.hstack([x1, x1])
+            assert np.array_equal(_se_kernel(both[:, d:], x2, 1.0, ell),
+                                  self.one_shot_kernel(x1, x2, 1.0, ell))
+        x = rng.random((n1, 11))
+        ell = rng.uniform(0.05, 3.0, 11)
+        assert np.array_equal(_se_kernel(x, x, 0.3, ell),
+                              self.one_shot_kernel(x, x, 0.3, ell))
+
+    @pytest.mark.parametrize("n", [26, 130, 260])
+    def test_pair_differences_bitwise_equal_to_one_shot(self, n):
+        x = RandomStream(n).generator().random((n, 11))
+        pairs = _PairDistances.build(x)
+        rows, cols = np.triu_indices(n, k=1)
+        assert np.array_equal(pairs.rows, rows)
+        assert np.array_equal(pairs.cols, cols)
+        assert np.array_equal(pairs.flat, rows * n + cols)
+        assert np.array_equal(pairs.sq, (x[rows] - x[cols]) ** 2)
 
 
 class TestScreening:
