@@ -26,13 +26,18 @@ as the pipeline does by default), then times, per call:
 * the log posterior at an in-box and an out-of-box theta, through the
   ``FixedTerms`` target the sampler calls;
 * the adaptive-Metropolis loop's own cost per step, on an 8-d standard
-  normal target whose per-call time is subtracted;
-* the calibration's chains on the bundled target, in seconds:
-  ``chains_two_s`` runs two 25k-step chains through ``run_chains``, the
-  second in a forked worker, and ``chain_one_s`` one 50k-step chain in
-  this process.  A tracer in this process sees only chain 0, so this is
-  where the parallel layer is measured;
-* ``save_chain`` and ``load_chain`` on two synthetic 25k-step chains.
+  normal target whose per-call time is subtracted, keeping every
+  ``thin``-th state after ``burn`` as the calibration does;
+* the calibration's chains on the bundled target, at the default ``mcmc``
+  counts: ``chains_two_s`` runs two 25k-step chains through
+  ``run_chains``, the second in a forked worker, and ``chain_one_s`` one
+  50k-step chain in this process, with twice the burn-in.  A tracer in
+  this process sees only chain 0, so this is where the parallel layer is
+  measured.  ``chains_two_peak_mb`` is the peak of the memory tracemalloc
+  sees ``run_chains`` allocate in this process, the worker's not included;
+* ``save_chain`` and ``load_chain`` on two synthetic chains of the shape
+  the pipeline writes at the defaults: 1000 retained states and 25k accept
+  flags each.
 
 Each figure is the median over ``repeats`` batches.  Prints one JSON line.
 
@@ -67,6 +72,7 @@ from meltcal.inference import (
     run_chains,
     save_chain,
 )
+from meltcal.pipeline import McmcConfig
 from meltcal.surrogate import ConditionedGp, _Likelihood, _PairDistances, fit_gp
 
 
@@ -156,24 +162,37 @@ def main() -> None:
     def gauss(x):
         return -0.5 * float(x @ x)
 
+    mcmc = McmcConfig()
     steps = 20_000
     z = np.zeros(8)
     gauss_us = per_call_us(lambda: gauss(z), steps, repeats)
-    chain_s = seconds(lambda: adaptive_metropolis(gauss, z, steps, 1_000,
-                                                  RandomStream(3)), repeats)
+    chain_s = seconds(lambda: adaptive_metropolis(
+        gauss, z, steps, mcmc.adapt_start, RandomStream(3), burn=mcmc.burn,
+        thin=mcmc.thin), repeats)
     out["am_overhead_us"] = chain_s / steps * 1e6 - gauss_us
 
     step0 = (prior.upper() - prior.lower()) / 10.0
-    out["chains_two_s"] = seconds(lambda: run_chains(
-        target, inbox, 25_000, 1_000, RandomStream(5), step0), repeats)
+
+    def chains_two():
+        return run_chains(target, inbox, mcmc.steps, mcmc.adapt_start,
+                          RandomStream(5), step0, burn=mcmc.burn, thin=mcmc.thin)
+
+    out["chains_two_s"] = seconds(chains_two, repeats)
+    out["chains_two_peak_mb"] = peak_mb(chains_two)
     out["chain_one_s"] = seconds(lambda: adaptive_metropolis(
-        target, inbox, 50_000, 1_000, RandomStream(5), step0), repeats)
+        target, inbox, 2 * mcmc.steps, mcmc.adapt_start, RandomStream(5), step0,
+        burn=2 * mcmc.burn, thin=mcmc.thin), repeats)
 
     rng = RandomStream(4).generator()
-    lead = (2, 25_000)  # (chains, steps)
-    chain = PosteriorChain(samples=prior.lower() + rng.random((*lead, 8))
-                           * (prior.upper() - prior.lower()),
-                           log_post=-300.0 + rng.standard_normal(lead))
+    retained = len(range(mcmc.burn, mcmc.steps, mcmc.thin))
+    chain = PosteriorChain(
+        samples=prior.lower() + rng.random((2, retained, 8)) * (prior.upper()
+                                                                - prior.lower()),
+        log_post=-300.0 + rng.standard_normal((2, retained)),
+        accepted=rng.random((2, mcmc.steps)) < 0.25,
+        mode=np.tile(inbox, (2, 1)), mode_log_post=np.full(2, -250.0),
+        target_calls=np.full(2, mcmc.steps + 1),
+        target_neginf=np.full(2, 3 * mcmc.steps // 4), chol_fallbacks=np.zeros(2, int))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)

@@ -10,7 +10,7 @@ code-uncertainty term).  Model discrepancy is taken as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -38,7 +38,6 @@ __all__ = [
     "CHAINS",
     "ChainWorkerError",
     "run_chains",
-    "burn_thin",
     "autocorrelation",
     "effective_sample_size",
     "split_rhat",
@@ -139,32 +138,48 @@ def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Every visited state (repeats on rejection included).
+    """What a run of the sampler keeps.
 
-    A state differs from the one before it exactly when its proposal was
-    taken, so the states also tell which proposals were accepted.  One
-    chain's arrays have the shapes below; chains run side by side
-    (``run_chains``) add a leading chain axis.
+    The retained states are those of steps ``burn``, ``burn + thin``, ...
+    (repeats on rejection included), with their log densities.  The accept
+    flags cover every step, and the mode is the first state of highest log
+    density over every step, burn-in included.  The counts say what the
+    run did: its calls of the target, the initial state's included, those
+    that returned -inf, and the block ends whose proposal covariance failed
+    to factor.  One chain's arrays have the shapes below; chains run side
+    by side (``run_chains``) add a leading chain axis.
     """
 
-    samples: np.ndarray      # (steps, d) raw units
-    log_post: np.ndarray     # (steps,)
+    samples: np.ndarray         # (retained, d) raw units
+    log_post: np.ndarray        # (retained,)
+    accepted: np.ndarray        # (steps,) bool, True where the proposal was taken
+    mode: np.ndarray            # (d,)
+    mode_log_post: np.ndarray   # ()
+    target_calls: np.ndarray    # () int
+    target_neginf: np.ndarray   # () int
+    chol_fallbacks: np.ndarray  # () int
 
     @property
     def steps(self) -> int:
-        """Steps per chain."""
-        return self.samples.shape[-2]
+        """Steps run per chain; ``samples.shape[-2]`` of them are retained."""
+        return self.accepted.shape[-1]
 
     def acceptance_rate(self, after: int = 0) -> float:
         """Share of the steps t >= max(after, 1), over every chain, whose
-        state differs from the state at step t - 1."""
-        moved = (self.samples[..., 1:, :] != self.samples[..., :-1, :]).any(axis=-1)
-        return float(moved[..., max(after, 1) - 1:].mean())
+        proposal was taken."""
+        return float(self.accepted[..., max(after, 1):].mean())
 
-    def pooled(self) -> "PosteriorChain":
-        """One chain of every chain's states in turn, chain 0's first."""
-        return PosteriorChain(samples=self.samples.reshape(-1, self.samples.shape[-1]),
-                              log_post=self.log_post.reshape(-1))
+    def pooled_samples(self) -> np.ndarray:
+        """Every chain's retained states in turn, chain 0's first."""
+        return self.samples.reshape(-1, self.samples.shape[-1])
+
+    def posterior_mode(self) -> np.ndarray:
+        """The first state of highest log density, chain 0's first."""
+        modes = self.mode.reshape(-1, self.mode.shape[-1])
+        return modes[int(np.argmax(self.mode_log_post.reshape(-1)))]
+
+
+_CHAIN_ARRAYS = tuple(f.name for f in fields(PosteriorChain))
 
 
 def _merge_block(seen: int, mean: np.ndarray, m2: np.ndarray,
@@ -183,25 +198,33 @@ def _merge_block(seen: int, mean: np.ndarray, m2: np.ndarray,
 
 def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                         steps: int, adapt_start: int, stream: RandomStream,
-                        initial_step: np.ndarray | None = None) -> PosteriorChain:
+                        initial_step: np.ndarray | None = None,
+                        burn: int = 0, thin: int = 1) -> PosteriorChain:
     """Random-walk Metropolis with empirical-covariance adaptation in blocks.
 
     The proposal covariance is diagonal (initial_step^2 per dimension,
     defaulting to 1/100 of unit scale squared) until adaptation starts, and
     afterwards (2.38^2/d) * covariance + 1e-10 I, the covariance being that
-    of the initial state and every stored state so far.  The moments are
+    of the initial state and every visited state so far.  The moments are
     brought up to date, and the proposal refreshed, every ``AM_BLOCK``
-    steps: at the end of each block of stored states, which is merged into
+    steps: at the end of each block of visited states, which is merged into
     the running mean and sum of squared deviations at once (Haario et al.
     2001 adapt at intervals too).  Adaptation starts at the first block end
     at or after ``adapt_start`` steps, so at ``adapt_start`` itself when
     ``AM_BLOCK`` divides it.  A proposal covariance that fails to factor
     gives the diagonal proposal until the next block end.
+
+    The states of steps ``burn``, ``burn + thin``, ... are retained; the
+    defaults keep every state.
     """
     init = np.asarray(init, float)
     d = init.size
     if not (steps > adapt_start >= 100):
         raise ValueError("need steps > adapt_start >= 100")
+    if not (0 <= burn < steps):
+        raise ValueError(f"burn {burn} must be in [0, steps {steps})")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
     lp0 = target(init)
     if not np.isfinite(lp0):
         raise ValueError("target is not finite at the initial state")
@@ -211,12 +234,18 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
 
     rng = stream.generator()
     normal, uniform, log = rng.standard_normal, rng.random, np.log
+    minus_inf = -math.inf
     sqrt_diag0 = np.sqrt(diag0)
     scale = AM_SCALE / d
     regularizer = AM_REGULARIZER * np.eye(d)
-    samples = np.empty((steps, d))
-    log_post = np.empty(steps)
+    retained = len(range(burn, steps, thin))
+    samples = np.empty((retained, d))
+    log_post = np.empty(retained)
+    accepted = np.zeros(steps, dtype=bool)
+    block = np.empty((AM_BLOCK, d))  # the visited states since the last block end
     current, lp = init.copy(), lp0
+    mode, mode_lp = current, lp  # init is the step-0 state unless step 0 accepts
+    keep, kept, filled, neginf, fallbacks = burn, 0, 0, 0, 0
 
     seen, mean, m2 = 1, current.copy(), np.zeros((d, d))  # init counts once
     chol = None
@@ -228,18 +257,33 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
         lp_prop = target(proposal)
         if log(uniform()) < lp_prop - lp:
             current, lp = proposal, lp_prop
-        samples[step] = current
-        log_post[step] = lp
-        if (step + 1) % AM_BLOCK:
+            accepted[step] = True
+            if lp > mode_lp or not step:
+                mode, mode_lp = current, lp
+        elif lp_prop == minus_inf:
+            neginf += 1
+        if step == keep:
+            samples[kept] = current
+            log_post[kept] = lp
+            kept += 1
+            keep += thin
+        block[filled] = current
+        filled += 1
+        if filled < AM_BLOCK:
             continue
-        seen, mean, m2 = _merge_block(seen, mean, m2,
-                                      samples[step + 1 - AM_BLOCK:step + 1])
+        filled = 0
+        seen, mean, m2 = _merge_block(seen, mean, m2, block)
         if step + 1 >= adapt_start:
             try:
                 chol = np.linalg.cholesky((scale / (seen - 1)) * m2 + regularizer)
             except np.linalg.LinAlgError:
                 chol = None
-    return PosteriorChain(samples=samples, log_post=log_post)
+                fallbacks += 1
+    return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
+                          mode=np.array(mode), mode_log_post=np.array(mode_lp),
+                          target_calls=np.array(steps + 1),
+                          target_neginf=np.array(neginf),
+                          chol_fallbacks=np.array(fallbacks))
 
 
 class ChainWorkerError(RuntimeError):
@@ -253,7 +297,8 @@ class ChainWorkerError(RuntimeError):
 @one_blas_thread()
 def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
                steps: int, adapt_start: int, stream: RandomStream,
-               initial_step: np.ndarray | None = None) -> PosteriorChain:
+               initial_step: np.ndarray | None = None,
+               burn: int = 0, thin: int = 1) -> PosteriorChain:
     """``CHAINS`` adaptive-Metropolis chains from ``init``, run side by side.
 
     Chain 0 runs ``adaptive_metropolis`` on ``stream`` in this process.
@@ -281,7 +326,8 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
 
     def run(k: int) -> PosteriorChain:
         return adaptive_metropolis(target, init, steps, adapt_start,
-                                   stream.split(k) if k else stream, initial_step)
+                                   stream.split(k) if k else stream, initial_step,
+                                   burn, thin)
 
     def work(k: int, pipe) -> None:
         try:
@@ -290,8 +336,8 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             pipe.send(exc)  # one that does not pickle ends the worker here
             raise SystemExit(1) from None
         pipe.send(None)  # no error: the arrays follow
-        for array in (chain.samples, chain.log_post):
-            pipe.send_bytes(array)
+        for name in _CHAIN_ARRAYS:
+            pipe.send_bytes(getattr(chain, name))
 
     workers = []
     try:
@@ -303,17 +349,20 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             workers.append((worker, pipe))
             sender.close()  # so that a worker's death reads as EOF
         first = run(0)
-        out = PosteriorChain(samples=np.empty((CHAINS, steps, init.size)),
-                             log_post=np.empty((CHAINS, steps)))
-        out.samples[0], out.log_post[0] = first.samples, first.log_post
+        out = PosteriorChain(**{
+            name: np.empty((CHAINS, *array.shape), array.dtype)
+            for name in _CHAIN_ARRAYS for array in [getattr(first, name)]})
+        for name in _CHAIN_ARRAYS:
+            getattr(out, name)[0] = getattr(first, name)
         del first  # copied: free it before the workers' arrays arrive
         for k, (worker, pipe) in enumerate(workers, 1):
             try:
                 if (exc := pipe.recv()) is not None:
                     raise ChainWorkerError(k, f"{type(exc).__name__}: {exc}") from exc
-                # recv_bytes_into sizes a buffer by its first axis: pass flat views
-                for array in (out.samples[k], out.log_post[k]):
-                    pipe.recv_bytes_into(array.reshape(-1))
+                # recv_bytes_into sizes a buffer by its first axis: pass flat
+                # views, one element long for a chain's 0-d counts
+                for name in _CHAIN_ARRAYS:
+                    pipe.recv_bytes_into(getattr(out, name)[k, ...].reshape(-1))
             except EOFError:
                 worker.join()
                 raise ChainWorkerError(
@@ -325,17 +374,6 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             worker.join()
             pipe.close()
     return out
-
-
-def burn_thin(chain: PosteriorChain, burn: int, thin: int) -> PosteriorChain:
-    """Drop each chain's first ``burn`` states, then keep every ``thin``-th one."""
-    if burn >= chain.steps:
-        raise ValueError(f"burn {burn} >= chain length {chain.steps}")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
-    sel = slice(burn, None, thin)
-    return PosteriorChain(samples=chain.samples[..., sel, :],
-                          log_post=chain.log_post[..., sel])
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -429,17 +467,18 @@ class PosteriorSummary:
         }
 
 
-def summarize(chain: PosteriorChain) -> PosteriorSummary:
+def summarize(samples: np.ndarray) -> PosteriorSummary:
     """Moments, equal-tailed 95% intervals and cross-correlations of the
-    pooled states; the ESS summed over chains; split-R-hat per parameter.
+    pooled retained states ``samples``, (chains, retained, d); the ESS
+    summed over chains; split-R-hat per parameter.
 
-    A chain without a leading chain axis counts as one chain.
+    States without a leading chain axis count as one chain.
     """
-    if chain.steps < MIN_RETAINED:
+    retained, d = samples.shape[-2:]
+    if retained < MIN_RETAINED:
         raise ValueError(f"need at least {MIN_RETAINED} retained samples per "
-                         f"chain, got {chain.steps}")
-    d = chain.samples.shape[-1]
-    per_chain = chain.samples.reshape(-1, chain.steps, d)
+                         f"chain, got {retained}")
+    per_chain = samples.reshape(-1, retained, d)
     ess = np.array([sum(effective_sample_size(c[:, j]) for c in per_chain)
                     for j in range(d)])
     rhat = np.array([split_rhat(per_chain[:, :, j]) for j in range(d)])
@@ -463,26 +502,29 @@ def summarize(chain: PosteriorChain) -> PosteriorSummary:
                             correlation=corr, retained=n)
 
 
-_CHAIN_ARRAYS = ("samples", "log_post")
-
-
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:
-    """Write the chains' arrays, leading chain axis included, as an
+    """Write every array of the chains, leading chain axis included, as an
     uncompressed .npz at ``path``.
 
     The arrays are stored in binary, so a reloaded chain is bitwise the
     one in memory and summarizes to the same numbers.
     """
     with open(path, "wb") as fh:
-        np.savez(fh, samples=chain.samples, log_post=chain.log_post)
+        np.savez(fh, **{name: getattr(chain, name) for name in _CHAIN_ARRAYS})
 
 
 def load_chain(path: str | Path) -> PosteriorChain:
-    with np.load(path) as arrays:
-        if sorted(arrays.files) != sorted(_CHAIN_ARRAYS):
-            raise ValueError(f"{path}: unexpected chain arrays {arrays.files}")
-        samples, log_post = (arrays[name] for name in _CHAIN_ARRAYS)
-    lead = log_post.shape  # (chains, steps)
-    if len(lead) != 2 or samples.shape != (*lead, len(PARAM_NAMES)):
+    with np.load(path) as stored:
+        if sorted(stored.files) != sorted(_CHAIN_ARRAYS):
+            raise ValueError(f"{path}: unexpected chain arrays {stored.files}")
+        arrays = {name: stored[name] for name in _CHAIN_ARRAYS}
+    shapes = {name: array.shape for name, array in arrays.items()}
+    if len(shapes["log_post"]) != 2 or len(shapes["accepted"]) != 2:
         raise ValueError(f"{path}: inconsistent chain array shapes")
-    return PosteriorChain(samples=samples, log_post=log_post)
+    (chains, retained), steps = shapes["log_post"], shapes["accepted"][1]
+    d = len(PARAM_NAMES)
+    expected = {"samples": (chains, retained, d), "log_post": (chains, retained),
+                "accepted": (chains, steps), "mode": (chains, d)}
+    if any(shapes[name] != expected.get(name, (chains,)) for name in _CHAIN_ARRAYS):
+        raise ValueError(f"{path}: inconsistent chain array shapes")
+    return PosteriorChain(**arrays)

@@ -95,15 +95,18 @@ class McmcConfig:
             raise ValueError(
                 f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
                 f"per chain; need at least {inference.MIN_RETAINED}")
-        # A chain keeps each step's state and log posterior.  run_chains
-        # peaks at 2 * CHAINS of them: chain 0 and the joined result in this
-        # process while each forked worker still holds its own.
-        peak = 2 * inference.CHAINS * self.steps * (len(PARAM_NAMES) + 1) * 8
+        # A chain keeps each retained state with its log posterior, and one
+        # accept flag per step.  run_chains peaks at 2 * CHAINS chains:
+        # chain 0 and the joined result in this process while each forked
+        # worker still holds its own.
+        chain = retained * (len(PARAM_NAMES) + 1) * 8 + self.steps
+        peak = 2 * inference.CHAINS * chain
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:
             raise ValueError(
                 f"mcmc.steps {self.steps} needs {peak / 2**30:.1f} GiB to run "
-                f"{inference.CHAINS} chains, more than the "
+                f"{inference.CHAINS} chains of {retained} retained states and "
+                f"{self.steps} accept flags each, more than the "
                 f"{memory / 2**30:.1f} GiB of physical memory")
 
 
@@ -268,15 +271,14 @@ def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
                                              inference.PosteriorSummary]:
     target = inference.FixedTerms.build(p.dataset, *gps, p.cfg.likelihood, p.prior)
     step0 = (p.prior.upper() - p.prior.lower()) / 10.0
-    chain = inference.run_chains(
-        target, p.prior.nominal(), p.cfg.mcmc.steps, p.cfg.mcmc.adapt_start,
-        p.stream.split(5), initial_step=step0)
-    return _with_summary(p, chain)
+    mcmc = p.cfg.mcmc
+    return _with_summary(inference.run_chains(
+        target, p.prior.nominal(), mcmc.steps, mcmc.adapt_start, p.stream.split(5),
+        initial_step=step0, burn=mcmc.burn, thin=mcmc.thin))
 
 
-def _with_summary(p: "Pipeline", chain: inference.PosteriorChain):
-    retained = inference.burn_thin(chain, p.cfg.mcmc.burn, p.cfg.mcmc.thin)
-    return chain, inference.summarize(retained)
+def _with_summary(chain: inference.PosteriorChain):
+    return chain, inference.summarize(chain.samples)
 
 
 def _save_calibration(result, chain_path: Path, summary_path: Path) -> None:
@@ -342,7 +344,7 @@ _STAGES = {
         compute=_calibrate,
         save=_save_calibration,
         load=lambda p, chain_path, _summary: _with_summary(
-            p, inference.load_chain(chain_path))),
+            inference.load_chain(chain_path))),
     "validate": _Stage(
         upstream=("calibrate",),
         artifacts=("validation_errors.json",),
@@ -429,10 +431,9 @@ class Pipeline:
         sa_report = self.sa()
         chain, summary = self.calibrate()
         errors = self.validate()
-        pooled = chain.pooled()
         doc = {
             "posterior": summary.to_dict(),
-            "posterior_mode": pooled.samples[int(np.argmax(pooled.log_post))].tolist(),
+            "posterior_mode": chain.posterior_mode().tolist(),
             "validation": errors,
             "surrogate_q2": q2,
             "sensitivity": {
@@ -449,8 +450,7 @@ class Pipeline:
             },
         }
         _write_json(doc, self.out / "report.json")
-        retained = inference.burn_thin(chain, self.cfg.mcmc.burn, self.cfg.mcmc.thin)
-        emit_plots(doc, retained.pooled(), self.dataset, self.out)
+        emit_plots(doc, chain.pooled_samples(), self.dataset, self.out)
         return doc
 
 
@@ -500,12 +500,13 @@ def run_stage(cfg: RunConfig, stage: str):
     return getattr(Pipeline(cfg), _attr("report" if stage == "run-all" else stage))()
 
 
-def emit_plots(report: dict, retained: inference.PosteriorChain,
+def emit_plots(report: dict, retained: np.ndarray,
                dataset: ExperimentalDataset, out_dir: Path) -> list[Path]:
-    """SVG figures for one completed run, with CSV data twins:
-    ``posterior_pairs.csv`` holds the states every trace plots."""
+    """SVG figures for one completed run from its (n, 8) pooled retained
+    states, with CSV data twins: ``posterior_pairs.csv`` holds the states
+    every trace plots."""
     out_dir = Path(out_dir)
-    if retained.steps == 0:
+    if len(retained) == 0:
         raise ValueError("empty chain")
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -523,7 +524,7 @@ def emit_plots(report: dict, retained: inference.PosteriorChain,
         written.append(path)
 
     for j, name in enumerate(PARAM_NAMES):
-        series = retained.samples[:, j]
+        series = retained[:, j]
         tpath = out_dir / f"trace_{name}.svg"
         plots.trace_plot(series, name, tpath)
         written.append(tpath)
@@ -536,7 +537,7 @@ def emit_plots(report: dict, retained: inference.PosteriorChain,
         written.append(apath)
 
     ppath = out_dir / "posterior_pairs.svg"
-    plots.pairs_grid(retained.samples, PARAM_NAMES, ppath)
+    plots.pairs_grid(retained, PARAM_NAMES, ppath)
     written.append(ppath)
 
     sens = report["sensitivity"]

@@ -251,10 +251,17 @@ class ConditionedGp:
 
 
 def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]:
+    """The lower Cholesky factor of ``k`` plus jitter on its diagonal, the
+    jitter escalated tenfold from ``max(sn2, JITTER_FLOOR)`` until the sum
+    factors; and that jitter.  Each attempt factors one Fortran-order copy
+    of ``k`` in place."""
     jitter = max(sn2, JITTER_FLOOR)
+    diagonal = np.diag_indices(k.shape[0])
     while True:
+        a = np.array(k, order="F")
+        a[diagonal] += jitter
         try:
-            return cholesky(k + jitter * np.eye(k.shape[0]), lower=True), jitter
+            return cholesky(a, lower=True, overwrite_a=True), jitter
         except np.linalg.LinAlgError:
             if jitter >= JITTER_CEILING:
                 raise IllConditionedError(

@@ -22,7 +22,7 @@ from meltcal.domain import (
     write_dataset,
 )
 from meltcal.forward import evaluate_reduced
-from meltcal.inference import adaptive_metropolis, burn_thin, effective_sample_size
+from meltcal.inference import adaptive_metropolis, effective_sample_size
 from meltcal.pipeline import RunConfig, run_stage
 from meltcal.sensitivity import sobol_indices
 from meltcal.surrogate import fit_gp, loocv_q2
@@ -86,9 +86,9 @@ def test_criterion_2_mcmc_gaussian_oracle(capsys):
 
     start = time.perf_counter()
     chain = adaptive_metropolis(target, np.zeros(2), 50_000, 1_000,
-                                RandomStream(2))
+                                RandomStream(2), burn=10_000, thin=20)
     elapsed = time.perf_counter() - start
-    kept = burn_thin(chain, 10_000, 20).samples
+    kept = chain.samples
     mean_ok = True
     for j in range(2):
         ess = effective_sample_size(kept[:, j])

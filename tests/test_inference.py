@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from am_reference import adaptive_metropolis as reference_adaptive_metropolis
+from am_reference import burn_thin
 from meltcal import cli, inference
 from meltcal.domain import (
     ExperimentalDataset,
@@ -27,7 +28,6 @@ from meltcal.inference import (
     _merge_block,
     adaptive_metropolis,
     autocorrelation,
-    burn_thin,
     effective_sample_size,
     experimental_sigmas,
     load_chain,
@@ -161,8 +161,9 @@ class TestAdaptiveMetropolis:
             return -0.5 * float(x[0] ** 2)
 
         chain = adaptive_metropolis(target, np.zeros(1), 50_000, 1_000,
-                                    RandomStream(10), initial_step=np.array([1.0]))
-        kept = burn_thin(chain, 10_000, 20).samples[:, 0]
+                                    RandomStream(10), initial_step=np.array([1.0]),
+                                    burn=10_000, thin=20)
+        kept = chain.samples[:, 0]
         ess = effective_sample_size(kept)
         assert abs(kept.mean()) < 3.0 * kept.std() / np.sqrt(ess)
         assert kept.var() == pytest.approx(1.0, rel=0.10)
@@ -171,9 +172,8 @@ class TestAdaptiveMetropolis:
         def target(x):
             return 0.0 if np.all((x >= 0.0) & (x <= 1.0)) else -np.inf
 
-        chain = adaptive_metropolis(target, np.full(2, 0.5), 50_000, 1_000,
-                                    RandomStream(11))
-        kept = burn_thin(chain, 5_000, 25).samples
+        kept = adaptive_metropolis(target, np.full(2, 0.5), 50_000, 1_000,
+                                   RandomStream(11), burn=5_000, thin=25).samples
         n = kept.shape[0]
         crit = 1.63 / np.sqrt(n)  # 1% Kolmogorov-Smirnov critical value
         for j in range(2):
@@ -228,6 +228,8 @@ class TestAdaptiveMetropolis:
         chain = adaptive_metropolis(target, np.zeros(3), 500, 100, RandomStream(1))
         assert chain.steps == 500
         assert chain.samples.shape == (500, 3) and chain.log_post.shape == (500,)
+        assert chain.accepted.shape == (500,) and chain.accepted.dtype == bool
+        assert chain.mode.shape == (3,) and chain.mode_log_post.shape == ()
         assert 0.0 <= chain.acceptance_rate() <= 1.0
 
     def test_adaptation_starts_at_a_block_end(self):
@@ -269,26 +271,58 @@ class TestMergeBlock:
             np.testing.assert_allclose(m2 / (seen - 1), np.cov(every.T), rtol=1e-12)
 
 
+class CountingTarget:
+    """A target that counts its calls and the calls that return -inf."""
+
+    def __init__(self, target):
+        self.target, self.calls, self.neginf = target, 0, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        lp = self.target(x)
+        self.neginf += lp == -np.inf
+        return lp
+
+
 class TestAdaptiveMetropolisOracle:
     """The sampler against a plain implementation of its rule
-    (``am_reference``): every visited state and log density must be bitwise
-    equal, a state must move exactly where the reference accepted, and the
-    acceptance rate must be the share of the reference's accepts."""
+    (``am_reference``), which stores every state: at each burn and thin,
+    the retained states and log densities must be bitwise those
+    ``burn_thin`` keeps of the reference's, the mode must be the first of
+    its highest log densities, the accept flags must be its accepts, and
+    the counts must be a counting target's and the reference's fallbacks.
+    A state must move exactly where the reference accepted."""
 
-    @staticmethod
-    def assert_same_chain(target, init, steps, adapt_start, seed,
+    RETENTION = ((0, 1), (100, 2), (137, 7), (500, 20))
+
+    @classmethod
+    def assert_same_chain(cls, make_target, init, steps, adapt_start, seed,
                           initial_step=None):
-        new = adaptive_metropolis(target, init, steps, adapt_start,
-                                  RandomStream(seed), initial_step=initial_step)
-        ref, accepted = reference_adaptive_metropolis(target, init, steps, adapt_start,
-                                                      RandomStream(seed),
-                                                      initial_step=initial_step)
-        assert np.array_equal(new.samples, ref.samples)
-        assert np.array_equal(new.log_post, ref.log_post)
-        before = np.vstack([init, new.samples[:-1]])  # step 0 moves from init
-        assert np.array_equal((new.samples != before).any(axis=1), accepted)
-        for after in (0, 1, 2, adapt_start, steps - 1):
-            assert new.acceptance_rate(after) == accepted[max(after, 1):].mean()
+        """Runs the reference once and the sampler at each of ``RETENTION``,
+        each on a fresh ``make_target()``; returns the sampler's last chain."""
+        ref = reference_adaptive_metropolis(make_target(), init, steps, adapt_start,
+                                            RandomStream(seed),
+                                            initial_step=initial_step)
+        before = np.vstack([init, ref.samples[:-1]])  # step 0 moves from init
+        assert np.array_equal((ref.samples != before).any(axis=1), ref.accepted)
+        best = int(np.argmax(ref.log_post))
+        for burn, thin in cls.RETENTION:
+            target = CountingTarget(make_target())
+            new = adaptive_metropolis(target, init, steps, adapt_start,
+                                      RandomStream(seed), initial_step=initial_step,
+                                      burn=burn, thin=thin)
+            samples, log_post = burn_thin(ref, burn, thin)
+            assert np.array_equal(new.samples, samples)
+            assert np.array_equal(new.log_post, log_post)
+            assert np.array_equal(new.mode, ref.samples[best])
+            assert new.mode_log_post == ref.log_post[best]
+            assert np.array_equal(new.accepted, ref.accepted)
+            assert new.steps == steps
+            assert (new.target_calls, new.target_neginf) == (target.calls,
+                                                             target.neginf)
+            assert new.chol_fallbacks == ref.chol_fallbacks
+            for after in (0, 1, 2, adapt_start, steps - 1):
+                assert new.acceptance_rate(after) == ref.accepted[max(after, 1):].mean()
         return new
 
     def test_correlated_gaussian(self):
@@ -297,53 +331,95 @@ class TestAdaptiveMetropolisOracle:
         def target(x):
             return -0.5 * float(x @ prec @ x)
 
-        chain = self.assert_same_chain(target, np.zeros(2), 5_000, 500, 31)
+        chain = self.assert_same_chain(lambda: target, np.zeros(2), 5_000, 500, 31)
         assert 0.1 < chain.acceptance_rate(500) < 0.9
 
     def test_box_with_minus_inf_region(self):
         def target(x):
             return 0.0 if np.all(np.abs(x) <= 1.0) else -np.inf
 
-        chain = self.assert_same_chain(target, np.zeros(3), 5_000, 500, 32,
+        chain = self.assert_same_chain(lambda: target, np.zeros(3), 5_000, 500, 32,
                                        initial_step=np.full(3, 0.8))
         assert chain.acceptance_rate() < 1.0  # proposals fell outside the box
+        assert chain.target_neginf > 0
 
     def test_bundled_log_posterior(self, dataset, gps):
         target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), PRIOR)
         step0 = (PRIOR.upper() - PRIOR.lower()) / 10.0
-        chain = self.assert_same_chain(target, PRIOR.nominal(), 3_000, 1_000, 33,
-                                       initial_step=step0)
+        chain = self.assert_same_chain(lambda: target, PRIOR.nominal(), 3_000, 1_000,
+                                       33, initial_step=step0)
         assert chain.acceptance_rate(1_000) > 0.0  # the adapted proposal moved
+
+    def test_step_0_accepts_a_downhill_proposal(self):
+        """Every state but the initial one is below it and is nearly always
+        taken, so the initial state, which is not stored, is no mode."""
+        def target(x):
+            return -1e-3 * (1.0 + float(x @ x)) if x.any() else 0.0
+
+        chain = self.assert_same_chain(lambda: target, np.zeros(2), 2_000, 200, 34)
+        assert chain.accepted[0] and chain.mode_log_post < 0.0
+
+    def test_rank_deficient_block_covariance_falls_back(self):
+        """The chain visits three states, the initial one and two taken
+        proposals, which span a plane in 3-d; at a scale of 1e8 the rounding
+        of that rank-2 covariance outweighs the 1e-10 regularizer, and the
+        factor fails at block ends."""
+        def make_target():
+            calls = 0
+
+            def target(x):
+                nonlocal calls
+                calls += 1
+                return 0.0 if calls <= 3 else -np.inf
+            return target
+
+        chain = self.assert_same_chain(make_target, np.zeros(3), 3_000, 200, 0,
+                                       initial_step=np.full(3, 1e8))
+        assert chain.chol_fallbacks > 0
 
 
 class TestBurnThin:
+    """The sampler keeps the states of steps burn, burn + thin, ... and
+    every step's accept flag."""
+
     def test_paper_schedule_keeps_2000(self):
-        chain = _dummy_chain(50_000)
-        assert burn_thin(chain, 10_000, 20).steps == 2_000
+        chain = adaptive_metropolis(_gaussian, np.zeros(2), 50_000, 1_000,
+                                    RandomStream(9), burn=10_000, thin=20)
+        assert chain.samples.shape == (2_000, 2) and chain.log_post.shape == (2_000,)
+        assert chain.steps == 50_000
 
     def test_identity(self):
-        chain = _dummy_chain(100)
-        out = burn_thin(chain, 0, 1)
-        np.testing.assert_array_equal(out.samples, chain.samples)
+        """The defaults, burn 0 and thin 1, keep every state."""
+        chain = adaptive_metropolis(_gaussian, np.zeros(2), 300, 100, RandomStream(9))
+        ref = reference_adaptive_metropolis(_gaussian, np.zeros(2), 300, 100,
+                                            RandomStream(9))
+        assert np.array_equal(chain.samples, ref.samples)
+        assert np.array_equal(chain.log_post, ref.log_post)
 
     def test_burn_too_large(self):
-        with pytest.raises(ValueError):
-            burn_thin(_dummy_chain(100), 100, 1)
+        for burn in (200, 201, -1):
+            with pytest.raises(ValueError, match="burn"):
+                adaptive_metropolis(_gaussian, np.zeros(2), 200, 100, RandomStream(0),
+                                    burn=burn)
 
-    @given(st.integers(1, 500), st.integers(0, 499), st.integers(1, 50))
-    @settings(max_examples=60, deadline=None)
+    def test_thin_below_one(self):
+        with pytest.raises(ValueError, match="thin"):
+            adaptive_metropolis(_gaussian, np.zeros(2), 200, 100, RandomStream(0),
+                                thin=0)
+
+    @given(st.integers(101, 400), st.integers(0, 399), st.integers(1, 50))
+    @settings(max_examples=30, deadline=None)
     def test_length_formula(self, steps, burn, thin):
         if burn >= steps:
             return
-        out = burn_thin(_dummy_chain(steps), burn, thin)
-        assert out.steps == (steps - burn - 1) // thin + 1
+        chain = adaptive_metropolis(_gaussian, np.zeros(1), steps, 100,
+                                    RandomStream(0), burn=burn, thin=thin)
+        assert chain.samples.shape[-2] == (steps - burn - 1) // thin + 1
+        assert chain.accepted.shape == (steps,)
 
 
-def _dummy_chain(steps):
-    rng = RandomStream(99).generator()
-    from meltcal.inference import PosteriorChain
-    return PosteriorChain(samples=rng.random((steps, 2)),
-                          log_post=rng.random(steps))
+def _dummy_samples(steps):
+    return RandomStream(99).generator().random((steps, 2))
 
 
 class TestAutocorrelation:
@@ -376,10 +452,7 @@ class TestAutocorrelation:
 
 class TestSummarize:
     def test_iid_uniform_summary(self):
-        rng = RandomStream(8).generator()
-        chain = _dummy_chain(2_000)
-        chain = dataclasses.replace(chain, samples=rng.random((2_000, 2)))
-        s = summarize(chain)
+        s = summarize(RandomStream(8).generator().random((2_000, 2)))
         assert s.mean[0] == pytest.approx(0.5, abs=0.02)
         assert s.ci_lower[0] == pytest.approx(0.025, abs=0.03)
         assert s.ci_upper[0] == pytest.approx(0.975, abs=0.03)
@@ -387,9 +460,7 @@ class TestSummarize:
         assert np.all((s.ess > 0) & (s.ess <= 2_000))
 
     def test_constant_chain(self):
-        chain = _dummy_chain(100)
-        chain = dataclasses.replace(chain, samples=np.full((100, 2), 3.0))
-        s = summarize(chain)
+        s = summarize(np.full((100, 2), 3.0))
         assert np.all(s.std == 0.0)
         assert np.all(s.ci_lower == 3.0)
         assert np.all(s.ci_upper == 3.0)
@@ -397,13 +468,11 @@ class TestSummarize:
     def test_stuck_chains_count_one_draw_each(self):
         """A chain that never moves holds one effective draw, not all of them."""
         assert effective_sample_size(np.full(1_000, 3.0)) == 1.0
-        stuck = PosteriorChain(samples=np.full((2, 100, 2), 3.0),
-                               log_post=np.zeros((2, 100)))
-        assert summarize(stuck).ess.tolist() == [2.0, 2.0]
+        assert summarize(np.full((2, 100, 2), 3.0)).ess.tolist() == [2.0, 2.0]
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="50"):
-            summarize(_dummy_chain(10))
+            summarize(_dummy_samples(10))
 
 
 def _gaussian(x):
@@ -414,14 +483,33 @@ class TestRunChains:
     def test_each_chain_is_adaptive_metropolis_on_its_stream(self):
         stream = RandomStream(16)
         step0 = np.full(3, 0.5)
-        chains = run_chains(_gaussian, np.zeros(3), 800, 100, stream, step0)
-        assert chains.samples.shape == (CHAINS, 800, 3)
-        for k in range(CHAINS):
-            alone = adaptive_metropolis(_gaussian, np.zeros(3), 800, 100,
-                                        stream.split(k) if k else stream, step0)
-            np.testing.assert_array_equal(chains.samples[k], alone.samples)
-            np.testing.assert_array_equal(chains.log_post[k], alone.log_post)
-        assert not np.array_equal(chains.samples[0], chains.samples[1])
+        for burn, thin in ((0, 1), (137, 7)):
+            chains = run_chains(_gaussian, np.zeros(3), 800, 100, stream, step0,
+                                burn=burn, thin=thin)
+            assert chains.samples.shape == (CHAINS, len(range(burn, 800, thin)), 3)
+            assert chains.accepted.shape == (CHAINS, 800) and chains.steps == 800
+            for k in range(CHAINS):
+                alone = adaptive_metropolis(_gaussian, np.zeros(3), 800, 100,
+                                            stream.split(k) if k else stream, step0,
+                                            burn=burn, thin=thin)
+                for field in dataclasses.fields(PosteriorChain):
+                    expected = getattr(alone, field.name)
+                    got = getattr(chains, field.name)[k]
+                    assert got.dtype == expected.dtype, field.name
+                    np.testing.assert_array_equal(got, expected, err_msg=field.name)
+            assert not np.array_equal(chains.samples[0], chains.samples[1])
+
+    @pytest.mark.parametrize("target", [
+        _gaussian, lambda x: 0.0 if np.all(np.abs(x) <= 1.0) else -np.inf],
+        ids=["gaussian", "flat-box"])
+    def test_mode_is_the_first_best_pooled_state(self, target):
+        """The mode is the state ``argmax`` finds first over every chain's
+        states in turn, chain 0's first: on the flat box every state ties,
+        and chain 0's step-0 state wins."""
+        chains = run_chains(target, np.zeros(3), 600, 100, RandomStream(17))
+        pooled = chains.pooled_samples()
+        first = pooled[int(np.argmax(chains.log_post.reshape(-1)))]
+        assert np.array_equal(chains.posterior_mode(), first)
 
     def test_failure_in_worker_names_its_chain(self, capsys):
         parent = os.getpid()
@@ -494,51 +582,61 @@ class TestSplitRhat:
 
     def test_summary_pools_chains(self):
         rng = RandomStream(23).generator()
-        chains = PosteriorChain(samples=rng.standard_normal((2, 400, 3)),
-                                log_post=rng.standard_normal((2, 400)))
+        chains = rng.standard_normal((2, 400, 3))
         s = summarize(chains)
         for j in range(3):
-            assert s.ess[j] == sum(effective_sample_size(chains.samples[k, :, j])
+            assert s.ess[j] == sum(effective_sample_size(chains[k, :, j])
                                    for k in range(2))
-            assert s.rhat[j] == split_rhat(chains.samples[:, :, j])
-        np.testing.assert_array_equal(s.mean, chains.pooled().samples.mean(axis=0))
+            assert s.rhat[j] == split_rhat(chains[:, :, j])
+        np.testing.assert_array_equal(s.mean, chains.reshape(-1, 3).mean(axis=0))
         assert s.retained == 800
 
 
 class TestChainSerialization:
-    def test_round_trip(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def chains(self):
         init = PRIOR.nominal()
 
         def target(x):
             z = (x - init) / init
             return -0.5 * float(z @ z)
 
-        chains = run_chains(target, init, 500, 100, RandomStream(16))
+        return run_chains(target, init, 500, 100, RandomStream(16), burn=100, thin=4)
+
+    def test_round_trip(self, chains, tmp_path):
         path = tmp_path / "chain.npz"
         save_chain(chains, path)
         back = load_chain(path)
-        np.testing.assert_array_equal(back.samples, chains.samples)
-        np.testing.assert_array_equal(back.log_post, chains.log_post)
+        for field in dataclasses.fields(PosteriorChain):
+            expected, got = getattr(chains, field.name), getattr(back, field.name)
+            assert got.dtype == expected.dtype, field.name
+            np.testing.assert_array_equal(got, expected, err_msg=field.name)
 
-    def test_npz_arrays(self, tmp_path):
-        chain = _dummy_chain(50)
-        chains = PosteriorChain(samples=np.tile(PRIOR.nominal(), (2, 50, 1)),
-                                log_post=np.stack([chain.log_post] * 2))
+    def test_npz_arrays(self, chains, tmp_path):
         path = tmp_path / "chain.npz"
         save_chain(chains, path)
         with np.load(path) as arrays:
-            assert sorted(arrays.files) == ["log_post", "samples"]
-            assert arrays["samples"].shape == (2, 50, 8)
-        np.savez(path, samples=chains.samples)
+            assert sorted(arrays.files) == sorted(
+                field.name for field in dataclasses.fields(PosteriorChain))
+            assert arrays["samples"].shape == (2, 100, 8)
+            assert arrays["accepted"].shape == (2, 500)
+            assert arrays["mode"].shape == (2, 8)
+            assert arrays["target_calls"].tolist() == [501, 501]
+        arrays = {field.name: getattr(chains, field.name)
+                  for field in dataclasses.fields(PosteriorChain)}
+        np.savez(path, **{**arrays, "extra": np.zeros(2)})
         with pytest.raises(ValueError, match="unexpected chain arrays"):
             load_chain(path)
-        # as older versions wrote it, with the accept flags
-        np.savez(path, samples=chains.samples, log_post=chains.log_post,
-                 accepted=np.ones((2, 50), dtype=bool))
+        # as older versions wrote it: every state, and no flags, mode or counts
+        np.savez(path, samples=chains.samples, log_post=chains.log_post)
         with pytest.raises(ValueError, match="unexpected chain arrays"):
             load_chain(path)
         # one chain without the leading chain axis
-        np.savez(path, samples=chains.samples[0], log_post=chains.log_post[0])
+        np.savez(path, **{name: array[0] for name, array in arrays.items()})
+        with pytest.raises(ValueError, match="inconsistent chain array shapes"):
+            load_chain(path)
+        # the log densities of other states than those stored
+        np.savez(path, **{**arrays, "log_post": arrays["log_post"][:, 1:]})
         with pytest.raises(ValueError, match="inconsistent chain array shapes"):
             load_chain(path)
 

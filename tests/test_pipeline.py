@@ -31,7 +31,6 @@ from meltcal.domain import (
     write_dataset,
 )
 from meltcal.forward import ExternalModelSpec, evaluate_reduced
-from meltcal.inference import adaptive_metropolis, burn_thin
 from meltcal.pipeline import (
     McmcConfig,
     Pipeline,
@@ -144,6 +143,16 @@ class TestRunConfig:
             small_config(tmp_path, samples_per_condition=1)
         with pytest.raises(ValueError):
             McmcConfig(steps=100, burn=10, thin=1, adapt_start=100)
+
+    def test_memory_bound_counts_retained_states(self):
+        """A long chain thinned hard fits: 2000 retained states and 2e8
+        one-byte accept flags per chain, under 1 GB for the run, where every
+        stored state would be 57.6 GB.  Loaded only, not run."""
+        cfg = RunConfig.from_dict({"mcmc": {"steps": 2 * 10**8, "thin": 10**5}})
+        assert len(range(cfg.mcmc.burn, cfg.mcmc.steps, cfg.mcmc.thin)) == 2_000
+        with pytest.raises(ValueError, match=r"of 199999999750 retained states and "
+                           r"4000000000000 accept flags each"):
+            McmcConfig(steps=4_000_000_000_000)
 
 
 class TestValidateAtPoint:
@@ -500,10 +509,9 @@ class TestEmitPlots:
         with open(out / "posterior_pairs.csv", newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         assert header == list(PARAM_NAMES)
-        retained = burn_thin(inference.load_chain(out / "chain.npz"),
-                             cfg.mcmc.burn, cfg.mcmc.thin).pooled()
+        retained = inference.load_chain(out / "chain.npz").pooled_samples()
         for j, name in enumerate(PARAM_NAMES):
-            series = retained.samples[:, j]
+            series = retained[:, j]
             assert [row[j] for row in rows] == [format(v, ".6g") for v in series]
             plots.trace_plot(series, name, tmp_path / "trace.svg")
             assert ((tmp_path / "trace.svg").read_bytes()
@@ -518,14 +526,9 @@ class TestEmitPlots:
 
     def test_empty_chain_rejected(self, small_run, tmp_path):
         cfg, report = small_run
-        chain = adaptive_metropolis(lambda x: -0.5 * float(x @ x), np.zeros(2),
-                                    200, 100, RandomStream(0))
-        empty = burn_thin(chain, 199, 1)
-        empty = dataclasses.replace(empty, samples=empty.samples[:0],
-                                    log_post=empty.log_post[:0])
         dataset = load_dataset(bundled_dataset_path())
         with pytest.raises(ValueError, match="empty"):
-            emit_plots(report, empty, dataset, tmp_path)
+            emit_plots(report, np.empty((0, 8)), dataset, tmp_path)
 
 
 class TestCli:

@@ -12,11 +12,13 @@ from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hyperc
 from meltcal.domain import RandomStream, prior_from_table2
 from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import (
+    JITTER_CEILING,
     JITTER_FLOOR,
     KERNEL_BLOCK_ROWS,
     LENGTHSCALE_BOUNDS,
     ConditionedGp,
     GpSurrogate,
+    IllConditionedError,
     _chol_with_escalation,
     _Likelihood,
     _PairDistances,
@@ -28,7 +30,7 @@ from meltcal.surrogate import (
 )
 from nlml_reference import _nlml_and_grad as reference_nlml_and_grad
 from nlml_reference import nlml, packed_nlml_and_grad
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 
@@ -604,6 +606,66 @@ class TestInPlaceBuilds:
         assert np.array_equal(pairs.cols, cols)
         assert np.array_equal(pairs.flat, rows * n + cols)
         assert np.array_equal(pairs.sq, (x[rows] - x[cols]) ** 2)
+
+
+class TestJitterInPlace:
+    """The GP factored with its jitter added to one copy of the kernel's
+    diagonal, against a verbatim copy of the form that added a scaled
+    identity, on bundled designs of 26, 130 and 260 rows."""
+
+    @staticmethod
+    def identity_form(k, sn2):
+        jitter = max(sn2, JITTER_FLOOR)
+        while True:
+            try:
+                return cholesky(k + jitter * np.eye(k.shape[0]), lower=True), jitter
+            except np.linalg.LinAlgError:
+                if jitter >= JITTER_CEILING:
+                    raise IllConditionedError(
+                        f"kernel matrix not positive definite at jitter {jitter:g}")
+                jitter = min(jitter * 10.0, JITTER_CEILING)
+
+    @pytest.fixture(scope="class")
+    def designs(self, dataset, training_set):
+        """The bundled design at 2, 10 and 20 per condition, by row count."""
+        return {26: build_training_set(dataset, prior_from_table2(), 2,
+                                       evaluate_reduced, RandomStream(0)),
+                130: training_set,
+                260: build_training_set(dataset, prior_from_table2(), 20,
+                                        evaluate_reduced, RandomStream(0))}
+
+    @staticmethod
+    def factored(x, ts, sf2, ell, sn2):
+        y = ts.outputs[:, 0]
+        return surrogate._factored_gp(x, (y - y.mean()) / y.std(), sf2, ell, sn2,
+                                      ts.input_map, 0.0, 1.0, "length")
+
+    @pytest.mark.parametrize("n", [26, 130, 260])
+    def test_gp_bitwise_equal_to_identity_form(self, designs, gps, n, monkeypatch):
+        """At the bundled length GP's hyperparameters; and with the last row
+        a copy of the first at sf2 1e9, where the jitter floor is lost to
+        rounding and the factor needs escalation."""
+        gp, ts = gps[0], designs[n]
+        duplicated = ts.inputs_std().copy()
+        duplicated[-1] = duplicated[0]
+        cases = ((ts.inputs_std(), gp.sf2, gp.ell, gp.sn2),
+                 (duplicated, 1e9, np.full(gp.ell.size, 0.5), 0.0))
+        new = [self.factored(x, ts, *hyper) for x, *hyper in cases]
+        monkeypatch.setattr(surrogate, "_chol_with_escalation", self.identity_form)
+        old = [self.factored(x, ts, *hyper) for x, *hyper in cases]
+        assert new[1].sn2 > 10 * JITTER_FLOOR
+        for a, b in zip(new, old):
+            assert a.sn2 == b.sn2
+            for name in ("chol", "weights"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_peak_below_three_kernels(self, designs, gps):
+        """At N=260, ``_factored_gp`` holds the kernel and one copy, where
+        the identity form held the kernel, the scaled identity and the sum."""
+        ts, gp = designs[260], gps[0]
+        peak = traced_peak(lambda: self.factored(ts.inputs_std(), ts, gp.sf2, gp.ell,
+                                                 gp.sn2))
+        assert peak < 3 * ts.n * ts.n * 8
 
 
 class TestScreening:
