@@ -65,7 +65,6 @@ from meltcal.domain import (
 from meltcal.forward import evaluate_reduced
 from meltcal.inference import (
     FixedTerms,
-    LikelihoodConfig,
     PosteriorChain,
     adaptive_metropolis,
     load_chain,
@@ -137,7 +136,7 @@ def main() -> None:
     length = ConditionedGp.build(gps[:1], dataset.design_matrix())
     chunk = prior.lower() + (RandomStream(5).generator().random((256, 8))
                              * (prior.upper() - prior.lower()))
-    target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), prior)
+    target = FixedTerms.build(dataset, *gps, prior)
     ts_dense = build_training_set(dataset, prior, 20, evaluate_reduced,
                                   RandomStream(0))
     condition_1 = dataset.rows[0].design

@@ -4,7 +4,15 @@ and chain post-processing.
 The likelihood stacks residuals between measured pool sizes and the GP
 surrogate mean over (conditions x both outputs), with a diagonal
 covariance of experimental noise plus the GP predictive variance (the
-code-uncertainty term).  Model discrepancy is taken as zero.
+code-uncertainty term).  Model discrepancy is taken as zero.  A row's
+experimental sigma is its own where the dataset gives one, else
+``NOISE_FRACTION`` of the measured value, at least ``NOISE_FLOOR``.
+
+The calibrate stage keys on this module's source and on nothing of the
+package that its upstream stages do not key, so every rule a calibration
+computes with lives here: the noise rule, the sampler, and the rank
+transform of ``split_rhat``, which ``sensitivity`` imports for Spearman's
+correlation.
 """
 
 from __future__ import annotations
@@ -24,11 +32,9 @@ from .domain import (
     PriorSpec,
     RandomStream,
 )
-from .sensitivity import _average_ranks
 from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
-    "LikelihoodConfig",
     "PosteriorChain",
     "PosteriorSummary",
     "experimental_sigmas",
@@ -55,32 +61,21 @@ MIN_RETAINED = 50
 # Chains per calibration.  A constant, not a setting and not the host's core
 # count, so that a run's bytes do not depend on the machine.
 CHAINS = 2
+# Experimental sigma of a row without sigma columns: this fraction of the
+# measured value, at least the floor.
+NOISE_FRACTION = 0.05
+NOISE_FLOOR = 1e-5  # m
 
 
-@dataclass(frozen=True)
-class LikelihoodConfig:
-    """Noise rule for the calibration likelihood."""
-
-    relative_fraction: float = 0.05
-    absolute_floor: float = 1e-5  # m
-
-    def __post_init__(self):
-        if not (0 < self.relative_fraction <= 0.5):
-            raise ValueError("relative_fraction must be in (0, 0.5]")
-        if self.absolute_floor <= 0:
-            raise ValueError("absolute_floor must be positive")
-
-
-def experimental_sigmas(dataset: ExperimentalDataset,
-                        cfg: LikelihoodConfig) -> np.ndarray:
+def experimental_sigmas(dataset: ExperimentalDataset) -> np.ndarray:
     """(n, 2) measurement standard deviations; explicit per-row sigmas win
-    over the relative-fraction rule."""
+    over the relative rule."""
     sig = np.empty((len(dataset), 2))
     for i, row in enumerate(dataset):
         sig[i, 0] = (row.length_sigma if row.length_sigma is not None
-                     else max(cfg.relative_fraction * row.length, cfg.absolute_floor))
+                     else max(NOISE_FRACTION * row.length, NOISE_FLOOR))
         sig[i, 1] = (row.depth_sigma if row.depth_sigma is not None
-                     else max(cfg.relative_fraction * row.depth, cfg.absolute_floor))
+                     else max(NOISE_FRACTION * row.depth, NOISE_FLOOR))
     return sig
 
 
@@ -103,12 +98,11 @@ class FixedTerms:
 
     @classmethod
     def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
-              gp_depth: GpSurrogate, cfg: LikelihoodConfig,
-              prior: PriorSpec) -> "FixedTerms":
+              gp_depth: GpSurrogate, prior: PriorSpec) -> "FixedTerms":
         gps = ConditionedGp.build([gp_length, gp_depth], dataset.design_matrix())
         return cls(lower=prior.lower(), upper=prior.upper(), gps=gps,
                    y=dataset.measurements().T,
-                   s2=(experimental_sigmas(dataset, cfg) ** 2).T)
+                   s2=(experimental_sigmas(dataset) ** 2).T)
 
     def __call__(self, theta: np.ndarray) -> float:
         # the module-level name, so that whatever wraps it sees every call
@@ -415,6 +409,25 @@ def effective_sample_size(series: np.ndarray) -> float:
         t += 2
     ess = n / (1.0 + 2.0 * total)
     return float(min(max(ess, 1.0), n))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d sample, ties sharing their average rank.
+
+    ``scipy.stats.rankdata`` with its defaults, NaN propagating to every
+    rank, without importing ``scipy.stats``.
+    """
+    x = np.asarray(x, float).ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]      # each tie group's first place
+    group = np.cumsum(first)                    # 1-based tie group, sorted order
+    bounds = np.r_[np.flatnonzero(first), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group - 1] + 1)
+    return ranks
 
 
 def split_rhat(draws: np.ndarray) -> float:

@@ -10,16 +10,18 @@ canonical rows, the numpy and scipy versions, the digest of each package
 module's source, and ``model``, the reduced model's source digest unless
 ``external`` is set.  A stage's digest hashes its name, the values of its
 reads and its upstream digests, so a stage names only what its upstream
-stages do not cover; a meta file beside the artifacts stores it.  The
-stage loads when the stored digest matches and every declared artifact
-exists; otherwise it fetches its upstream results, computes, deletes the
-meta file, saves, and writes the meta file anew, so a save that stops
-partway leaves no digest.  Either way the result is kept on the Pipeline,
-so one run computes or loads each stage once.  Deleting any artifact
-recomputes the stage that wrote it; a changed setting, dataset, library
-version or module source recomputes the stages that read it and all
-stages downstream of them.  ``report`` is not cached: it always rewrites
-report.json and the figures.
+stages do not cover; a meta file beside the artifacts stores it.  Every
+package module that a read module imports is read by the stage or by an
+upstream stage, so an edit to any code a stage runs changes its digest.
+The stage loads when the stored digest matches and every declared
+artifact exists; otherwise it fetches its upstream results, computes,
+deletes the meta file, saves, and writes the meta file anew, so a save
+that stops partway leaves no digest.  Either way the result is kept on
+the Pipeline, so one run computes or loads each stage once.  Deleting any
+artifact recomputes the stage that wrote it; a changed setting, dataset,
+library version or module source recomputes the stages that read it and
+all stages downstream of them.  ``report`` is not cached: it always
+rewrites report.json and the figures.
 """
 
 from __future__ import annotations
@@ -117,8 +119,6 @@ class RunConfig:
     samples_per_condition: int = 10
     sa_n_base: int = 4096
     mcmc: McmcConfig = field(default_factory=McmcConfig)
-    likelihood: inference.LikelihoodConfig = field(
-        default_factory=inference.LikelihoodConfig)
     seed: int = 0
     out_dir: str = "meltcal_out"
 
@@ -251,7 +251,7 @@ class _Stage:
     name (``doe.py``), a setting by its ``RunConfig.to_dict`` key.
     ``compute(pipeline, *upstream_results)`` returns the result,
     ``save(result, *artifact_paths)`` writes every artifact, and
-    ``load(pipeline, *artifact_paths)`` reads back a result equal to it.
+    ``load(*artifact_paths)`` reads back a result equal to it.
     """
 
     upstream: tuple[str, ...]
@@ -269,7 +269,7 @@ def _save_gps(gps, *paths: Path) -> None:
 
 def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
                                              inference.PosteriorSummary]:
-    target = inference.FixedTerms.build(p.dataset, *gps, p.cfg.likelihood, p.prior)
+    target = inference.FixedTerms.build(p.dataset, *gps, p.prior)
     step0 = (p.prior.upper() - p.prior.lower()) / 10.0
     mcmc = p.cfg.mcmc
     return _with_summary(inference.run_chains(
@@ -308,7 +308,7 @@ _STAGES = {
             p.dataset, p.prior, p.cfg.samples_per_condition, p.cfg.forward(),
             p.stream.split(1)),
         save=doe.save_training_set,
-        load=lambda p, *paths: doe.load_training_set(*paths)),
+        load=doe.load_training_set),
     "train": _Stage(
         # pipeline.py holds every stage's draws and glue; keyed here and not
         # at the design, an edit to it reruns no design run of a simulator
@@ -319,7 +319,7 @@ _STAGES = {
             surrogate.fit_gp(design, "length", p.stream.split(2)),
             surrogate.fit_gp(design, "depth", p.stream.split(3))),
         save=_save_gps,
-        load=lambda p, *paths: tuple(map(surrogate.load_gp, paths))),
+        load=lambda *paths: tuple(map(surrogate.load_gp, paths))),
     "validate-surrogate": _Stage(
         upstream=("train",),
         artifacts=("surrogate_quality.json",),
@@ -328,29 +328,30 @@ _STAGES = {
             "q2_depth": surrogate.loocv_q2(gps[1])[0],
             "samples_per_condition": p.cfg.samples_per_condition},
         save=_write_json,
-        load=lambda p, path: _read_json(path)),
+        load=_read_json),
     "sa": _Stage(
-        reads=("sa_n_base", "sensitivity.py"),
+        # sensitivity.py imports the rank transform from inference.py
+        reads=("sa_n_base", "sensitivity.py", "inference.py"),
         upstream=("train",),
         artifacts=("sensitivity.json", "sensitivity.csv"),
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
             *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
         save=sensitivity.save_report,
-        load=lambda p, json_path, _csv: sensitivity.load_report(json_path)),
+        load=lambda json_path, _csv: sensitivity.load_report(json_path)),
     "calibrate": _Stage(
-        reads=("mcmc", "likelihood", "inference.py"),
+        reads=("mcmc", "inference.py"),
         upstream=("train",),
         artifacts=("chain.npz", "posterior.json"),
         compute=_calibrate,
         save=_save_calibration,
-        load=lambda p, chain_path, _summary: _with_summary(
+        load=lambda chain_path, _summary: _with_summary(
             inference.load_chain(chain_path))),
     "validate": _Stage(
         upstream=("calibrate",),
         artifacts=("validation_errors.json",),
         compute=_validate,
         save=_write_json,
-        load=lambda p, path: _read_json(path)),
+        load=_read_json),
 }
 
 STAGES = (*_STAGES, "report")
@@ -411,7 +412,7 @@ class Pipeline:
         meta = self.out / f"{_attr(name)}.meta.json"
         digest = self._stage_digest(name)
         if all(path.exists() for path in paths) and _stored_digest(meta) == digest:
-            result = stage.load(self, *paths)
+            result = stage.load(*paths)
         else:
             upstream = [getattr(self, _attr(up))() for up in stage.upstream]
             try:
@@ -442,7 +443,8 @@ class Pipeline:
                 "sobol_total_depth": sa_report.sobol_total[:, 1].tolist(),
             },
             "training": {"n": ts.n, "rejections": len(ts.rejections)},
-            "likelihood": dataclasses.asdict(self.cfg.likelihood),
+            "likelihood": {"relative_fraction": inference.NOISE_FRACTION,
+                           "absolute_floor": inference.NOISE_FLOOR},
             "provenance": {
                 "seed": self.cfg.seed,
                 "config_digest": self.config_digest(),

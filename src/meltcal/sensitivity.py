@@ -7,6 +7,11 @@ variance the indices need is a sum over training pairs of products of
 1-d integrals (Oakley & O'Hagan 2004; Marrel et al. 2009).  For any
 function, the Saltelli two-matrix scheme (first-order estimator for S_i
 with f_B centred, Jansen estimator for T_i) with bootstrap standard errors.
+
+Spearman's ranks come from ``inference._average_ranks``, which the
+calibration's split-R-hat shares; it lives in ``inference`` so that an
+edit to it recomputes the calibration, and the SA stage keys on both
+modules' sources.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from scipy.special import erf, erfc
 
 from .blas import one_blas_thread
 from .domain import ExperimentalDataset, PARAM_NAMES, PriorSpec, RandomStream
+from .inference import _average_ranks
 from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
@@ -62,25 +68,6 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
         raise UndefinedStatisticError("correlation undefined for constant sample")
     cov = ((x - x.mean()) * (y - y.mean())).sum() / (x.size - 1)
     return float(cov / (sx * sy))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d sample, ties sharing their average rank.
-
-    ``scipy.stats.rankdata`` with its defaults, NaN propagating to every
-    rank, without importing ``scipy.stats``.
-    """
-    x = np.asarray(x, float).ravel()
-    if np.isnan(x).any():
-        return np.full(x.size, np.nan)
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    first = np.r_[True, xs[1:] != xs[:-1]]      # each tie group's first place
-    group = np.cumsum(first)                    # 1-based tie group, sorted order
-    bounds = np.r_[np.flatnonzero(first), x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = 0.5 * (bounds[group] + bounds[group - 1] + 1)
-    return ranks
 
 
 def srcc(x: np.ndarray, y: np.ndarray) -> float:

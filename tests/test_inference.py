@@ -21,9 +21,10 @@ from meltcal.forward import NumericsError
 from meltcal.inference import (
     AM_BLOCK,
     CHAINS,
+    NOISE_FLOOR,
+    NOISE_FRACTION,
     ChainWorkerError,
     FixedTerms,
-    LikelihoodConfig,
     PosteriorChain,
     _merge_block,
     adaptive_metropolis,
@@ -42,38 +43,23 @@ from meltcal.pipeline import StageError
 PRIOR = prior_from_table2()
 
 
-def posterior_at(theta, dataset, gps, cfg=LikelihoodConfig()):
+def posterior_at(theta, dataset, gps):
     """``log_posterior`` at ``theta`` with the terms fixed by these arguments."""
-    return log_posterior(theta, FixedTerms.build(dataset, *gps, cfg, PRIOR))
-
-
-class TestLikelihoodConfig:
-    def test_defaults_valid(self):
-        cfg = LikelihoodConfig()
-        assert cfg.relative_fraction == 0.05
-
-    @pytest.mark.parametrize("kwargs", [
-        {"relative_fraction": 0.0},
-        {"relative_fraction": 0.6},
-        {"absolute_floor": 0.0},
-        {"absolute_floor": -1e-5},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            LikelihoodConfig(**kwargs)
+    return log_posterior(theta, FixedTerms.build(dataset, *gps, PRIOR))
 
 
 class TestExperimentalSigmas:
     def test_relative_rule(self, dataset):
-        sig = experimental_sigmas(dataset, LikelihoodConfig())
+        sig = experimental_sigmas(dataset)
         meas = dataset.measurements()
-        np.testing.assert_allclose(sig, np.maximum(0.05 * meas, 1e-5))
+        np.testing.assert_array_equal(
+            sig, np.maximum(NOISE_FRACTION * meas, NOISE_FLOOR))
 
     def test_explicit_sigmas_win(self, dataset):
         rows = tuple(dataclasses.replace(r, length_sigma=1e-4, depth_sigma=2e-4)
                      for r in dataset)
         ds = ExperimentalDataset(rows=rows)
-        sig = experimental_sigmas(ds, LikelihoodConfig())
+        sig = experimental_sigmas(ds)
         assert np.all(sig[:, 0] == 1e-4)
         assert np.all(sig[:, 1] == 2e-4)
 
@@ -96,12 +82,11 @@ class TestLogPosterior:
         log-density differences, the GP variance on the diagonal."""
         from scipy.stats import multivariate_normal
 
-        cfg = LikelihoodConfig()
         gp_l, gp_d = gps
-        sig = experimental_sigmas(dataset, cfg)
+        sig = experimental_sigmas(dataset)
         meas = dataset.measurements()
         designs = dataset.design_matrix()
-        fixed = FixedTerms.build(dataset, *gps, cfg, PRIOR)
+        fixed = FixedTerms.build(dataset, *gps, PRIOR)
 
         def oracle(theta):
             rows = np.concatenate([designs, np.tile(theta, (13, 1))], axis=1)
@@ -115,8 +100,8 @@ class TestLogPosterior:
 
         t1 = PRIOR.nominal()
         t2 = PRIOR.nominal() * 0.98
-        lp1 = posterior_at(t1, dataset, gps, cfg)
-        lp2 = posterior_at(t2, dataset, gps, cfg)
+        lp1 = posterior_at(t1, dataset, gps)
+        lp2 = posterior_at(t2, dataset, gps)
         assert lp1 - lp2 == pytest.approx(oracle(t1) - oracle(t2), rel=1e-9)
 
     def test_invariant_under_row_reordering(self, dataset, gps):
@@ -145,7 +130,7 @@ class TestLogPosterior:
         theta = PRIOR.nominal()
         designs = dataset.design_matrix()
         rows = np.concatenate([designs, np.tile(theta, (13, 1))], axis=1)
-        sig = experimental_sigmas(dataset, LikelihoodConfig())
+        sig = experimental_sigmas(dataset)
         meas = dataset.measurements()
         for c, gp in enumerate((gp_l, gp_d)):
             mean, var = gp.predict(rows)
@@ -344,7 +329,7 @@ class TestAdaptiveMetropolisOracle:
         assert chain.target_neginf > 0
 
     def test_bundled_log_posterior(self, dataset, gps):
-        target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), PRIOR)
+        target = FixedTerms.build(dataset, *gps, PRIOR)
         step0 = (PRIOR.upper() - PRIOR.lower()) / 10.0
         chain = self.assert_same_chain(lambda: target, PRIOR.nominal(), 3_000, 1_000,
                                        33, initial_step=step0)
@@ -645,10 +630,9 @@ class TestMakeLogPosterior:
     """``FixedTerms`` called on theta, the target the sampler calls."""
 
     def test_closure_matches_direct_call(self, dataset, gps, monkeypatch):
-        cfg = LikelihoodConfig()
-        target = FixedTerms.build(dataset, *gps, cfg, PRIOR)
+        target = FixedTerms.build(dataset, *gps, PRIOR)
         theta = PRIOR.nominal()
-        assert target(theta) == posterior_at(theta, dataset, gps, cfg)
+        assert target(theta) == posterior_at(theta, dataset, gps)
         # through the module's name, so that a wrapper of it sees every call
         calls = []
         monkeypatch.setattr(inference, "log_posterior",
@@ -656,7 +640,7 @@ class TestMakeLogPosterior:
         assert target(theta) == 0.0 and calls[0] is target
 
     def test_non_finite_theta_raises(self, dataset, gps):
-        target = FixedTerms.build(dataset, *gps, LikelihoodConfig(), PRIOR)
+        target = FixedTerms.build(dataset, *gps, PRIOR)
         theta = PRIOR.nominal()
         theta[2] = np.nan
         with pytest.raises(ValueError, match="finite"):

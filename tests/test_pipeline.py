@@ -1,5 +1,6 @@
 """Orchestration: configuration, staging, caching, reports, plots, CLI."""
 
+import ast
 import collections
 import csv
 import dataclasses
@@ -421,6 +422,32 @@ class TestDigests:
             for up in ancestors(name):
                 assert not set(stage.reads) & set(pipeline._STAGES[up].reads), (name, up)
 
+    def test_stage_reads_cover_their_imports(self):
+        """Each module a stage reads, pipeline.py aside, imports only package
+        modules that the stage or an upstream stage reads, so an edit to any
+        code the stage runs changes its digest.  The BLAS pin changes no
+        result, and forward.py is read through ``model``."""
+        package = Path(pipeline.__file__).parent
+
+        def imports(module):
+            tree = ast.parse((package / module).read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    names = [node.module] if node.module else [a.name for a in node.names]
+                    yield from (f"{name}.py" for name in names)
+
+        def keyed(name):
+            stage = pipeline._STAGES[name]
+            return set(stage.reads).union(*map(keyed, stage.upstream))
+
+        for name, stage in pipeline._STAGES.items():
+            covered = keyed(name) | {"blas.py"}
+            if "model" in covered:
+                covered.add("forward.py")
+            for module in stage.reads:
+                if module.endswith(".py") and module != "pipeline.py":
+                    assert not set(imports(module)) - covered, (name, module)
+
     def test_readme_lists_every_stage(self):
         """The README's stage table has one row per cached stage, in run
         order, with the stage's upstream and artifacts; its reads column
@@ -442,7 +469,9 @@ class TestDigests:
 
     @pytest.mark.parametrize("module, recomputed", [
         ("forward.py", set(pipeline._STAGES)),
-        ("inference.py", {"calibrate", "validate"}),
+        # sa reads inference.py too: sensitivity.py imports its rank transform
+        ("inference.py", {"sa", "calibrate", "validate"}),
+        ("sensitivity.py", {"sa"}),
     ])
     def test_source_edit_recomputes_its_stages_once(self, small_run, tmp_path,
                                                     monkeypatch, module, recomputed):
@@ -560,9 +589,10 @@ class TestCli:
         ({"constants": {"density": 7000}}, "constants"),
         pytest.param({"reduced": {"loss_correction": False}},
                      "unknown config keys: reduced", id="doc10-reduced.loss_correction"),
-        ({"likelihood": {"outputs": "length"}}, "likelihood.outputs"),
+        pytest.param({"likelihood": {"outputs": "length"}},
+                     "unknown config keys: likelihood", id="doc11-likelihood.outputs"),
         ({"likelihood": {"include_code_uncertainty": True}},
-         "unknown config keys: likelihood.include_code_uncertainty"),
+         "unknown config keys: likelihood"),
         ({"model": "table"}, "unknown config keys: model"),
         ({"run_table_path": "runs.csv"}, "unknown config keys: run_table_path"),
         ({"external": {"command_template": 'sim "{input} {output}'}},
@@ -592,18 +622,21 @@ class TestCli:
          "external.timeout must be a finite number, got nan"),
         ({"external": {"command_template": "sim {input} {output}", "timeout": math.inf}},
          "external.timeout must be a finite number, got inf"),
-        ({"likelihood": {"relative_fraction": True}},
-         "likelihood.relative_fraction must be a number"),
+        pytest.param({"external": {"command_template": "sim {input} {output}",
+                                   "timeout": True}},
+                     "external.timeout must be a number, got True",
+                     id="doc2-external.timeout-true"),
         ({"external": {"command_template": "sim {input} {output}", "timeout": "5"}},
          "external.timeout must be a number"),
         ({"dataset_path": 5}, "dataset_path must be a string"),
-        ({"likelihood": {"relative_fraction": -math.inf}},
-         "likelihood.relative_fraction must be a finite number, got -inf"),
-        ({"likelihood": {"absolute_floor": math.nan}},
-         "likelihood.absolute_floor must be a finite number, got nan"),
-        pytest.param({"likelihood": {"absolute_floor": 10**400}},
-                     f"likelihood.absolute_floor must be a finite number, got {10**400}",
-                     id="doc7-likelihood.absolute_floor-1e400"),
+        pytest.param({"external": {"command_template": "sim {input} {output}",
+                                   "timeout": -math.inf}},
+                     "external.timeout must be a finite number, got -inf",
+                     id="doc5-external.timeout--Infinity"),
+        pytest.param({"external": {"command_template": "sim {input} {output}",
+                                   "timeout": 10**400}},
+                     f"external.timeout must be a finite number, got {10**400}",
+                     id="doc6-external.timeout-1e400"),
     ])
     def test_mistyped_section_value_reports_config_error(self, tmp_path, doc,
                                                           message):
