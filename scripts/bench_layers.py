@@ -190,7 +190,6 @@ def main() -> None:
         log_post=-300.0 + rng.standard_normal((2, retained)),
         accepted=rng.random((2, mcmc.steps)) < 0.25,
         mode=np.tile(inbox, (2, 1)), mode_log_post=np.full(2, -250.0),
-        target_calls=np.full(2, mcmc.steps + 1),
         target_neginf=np.full(2, 3 * mcmc.steps // 4), chol_fallbacks=np.zeros(2, int))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.npz"

@@ -15,8 +15,9 @@ import click
 
 from .doe import TrainingSetError
 from .domain import DatasetFormatError
-from .forward import AdapterError, NumericsError
+from .forward import NumericsError
 from .pipeline import RunConfig, StageError, run_stage
+from .simulator import AdapterError
 from .surrogate import IllConditionedError
 
 # Errors that say what failed.  A stage failure takes the category of the

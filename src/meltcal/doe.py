@@ -18,11 +18,11 @@ import numpy as np
 from .domain import (
     CalibrationParams,
     ExperimentalDataset,
+    ForwardModel,
     PARAM_SYMBOLS,
     PriorSpec,
     RandomStream,
 )
-from .forward import ForwardModel
 
 __all__ = [
     "TrainingSet",

@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "ExperimentRow",
     "ExperimentalDataset",
     "MeltPoolSize",
+    "ForwardModel",
     "RandomStream",
     "PARAM_NAMES",
     "PARAM_SYMBOLS",
@@ -200,6 +201,13 @@ class MeltPoolSize:
                 raise ValueError("melted pool dimensions must be positive")
 
 
+class ForwardModel(Protocol):
+    """A forward model: ``forward.evaluate_reduced``, or an external
+    simulator bound to its spec (``simulator.evaluate_external``)."""
+
+    def __call__(self, design: DesignVars, theta: CalibrationParams) -> MeltPoolSize: ...
+
+
 def _mix64(x: int) -> int:
     """splitmix64 finalizer; deterministic 64-bit avalanche."""
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -321,16 +329,14 @@ def write_dataset(dataset: ExperimentalDataset, path: str | Path) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def synthetic_dataset(base: ExperimentalDataset,
-                      model: Callable[[DesignVars, CalibrationParams], MeltPoolSize],
+def synthetic_dataset(base: ExperimentalDataset, model: ForwardModel,
                       theta: CalibrationParams, noise: float = 0.0,
                       stream: RandomStream | None = None) -> ExperimentalDataset:
     """``base``'s conditions with the pool sizes ``model`` gives at ``theta``.
 
-    ``model`` is a forward model, ``(DesignVars, CalibrationParams) ->
-    MeltPoolSize``.  With ``noise`` > 0 each size is scaled by
-    1 + noise * z, z standard normal from ``stream``, drawn row by row,
-    the length's before the depth's.
+    With ``noise`` > 0 each size is scaled by 1 + noise * z, z standard
+    normal from ``stream``, drawn row by row, the length's before the
+    depth's.
     """
     rng = stream.generator() if noise else None
     rows = []

@@ -10,9 +10,11 @@ experimental sigma is its own where the dataset gives one, else
 
 The calibrate stage keys on this module's source and on nothing of the
 package that its upstream stages do not key, so every rule a calibration
-computes with lives here: the noise rule, the sampler, and the rank
-transform of ``split_rhat``, which ``sensitivity`` imports for Spearman's
-correlation.
+computes with lives here: the noise rule and the sampler.  The stage's
+result is the chain alone; its summary, split-R-hat included, is computed
+from the chain each time the report is built.  The rank transform of
+``split_rhat`` lives here too, and ``sensitivity`` imports it for
+Spearman's correlation.
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ class PosteriorChain:
     (repeats on rejection included), with their log densities.  The accept
     flags cover every step, and the mode is the first state of highest log
     density over every step, burn-in included.  The counts say what the
-    run did: its calls of the target, the initial state's included, those
-    that returned -inf, and the block ends whose proposal covariance failed
-    to factor.  One chain's arrays have the shapes below; chains run side
+    run did: its calls of the target that returned -inf, of ``steps + 1``
+    calls in all, and the block ends whose proposal covariance failed to
+    factor.  One chain's arrays have the shapes below; chains run side
     by side (``run_chains``) add a leading chain axis.
     """
 
@@ -149,7 +151,6 @@ class PosteriorChain:
     accepted: np.ndarray        # (steps,) bool, True where the proposal was taken
     mode: np.ndarray            # (d,)
     mode_log_post: np.ndarray   # ()
-    target_calls: np.ndarray    # () int
     target_neginf: np.ndarray   # () int
     chol_fallbacks: np.ndarray  # () int
 
@@ -275,7 +276,6 @@ def adaptive_metropolis(target: Callable[[np.ndarray], float], init: np.ndarray,
                 fallbacks += 1
     return PosteriorChain(samples=samples, log_post=log_post, accepted=accepted,
                           mode=np.array(mode), mode_log_post=np.array(mode_lp),
-                          target_calls=np.array(steps + 1),
                           target_neginf=np.array(neginf),
                           chol_fallbacks=np.array(fallbacks))
 
@@ -297,15 +297,16 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
 
     Chain 0 runs ``adaptive_metropolis`` on ``stream`` in this process.
     Chain k >= 1 runs it on ``stream.split(k)`` at the same time, in a
-    worker forked from this process, and sends its arrays back as raw
-    bytes through a pipe.  Forking, not spawning, lets the worker call the
-    same ``target`` and its conditioned GPs without pickling them.  The
-    only threads meltcal starts are ``fit_gp``'s, and it joins them before
-    it returns, so none is running at the fork.  Each chain is bitwise
-    what ``adaptive_metropolis`` gives on its stream, at any scheduling of
-    the workers.  The result has a leading chain axis, in chain order.  The
-    chains run with the bundled OpenBLAS on one thread, so the processes
-    do not contend for cores through it.
+    worker forked from this process, and sends the chain back pickled, in
+    one message through a pipe.  Forking, not spawning, lets the worker
+    call the same ``target`` and its conditioned GPs without pickling them.
+    The only threads meltcal starts are ``fit_gp``'s, and it joins them
+    before it returns, so none is running at the fork.  Each chain is
+    bitwise what ``adaptive_metropolis`` gives on its stream, at any
+    scheduling of the workers.  The result stacks each array of the chains
+    along a leading chain axis, in chain order.  The chains run with the
+    bundled OpenBLAS on one thread, so the processes do not contend for
+    cores through it.
 
     A worker's failure is a ``ChainWorkerError`` naming the chain, raised
     from the worker's exception; a worker that dies without sending one, or
@@ -329,9 +330,7 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
         except Exception as exc:
             pipe.send(exc)  # one that does not pickle ends the worker here
             raise SystemExit(1) from None
-        pipe.send(None)  # no error: the arrays follow
-        for name in _CHAIN_ARRAYS:
-            pipe.send_bytes(getattr(chain, name))
+        pipe.send(chain)
 
     workers = []
     try:
@@ -342,32 +341,25 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
             worker.start()
             workers.append((worker, pipe))
             sender.close()  # so that a worker's death reads as EOF
-        first = run(0)
-        out = PosteriorChain(**{
-            name: np.empty((CHAINS, *array.shape), array.dtype)
-            for name in _CHAIN_ARRAYS for array in [getattr(first, name)]})
-        for name in _CHAIN_ARRAYS:
-            getattr(out, name)[0] = getattr(first, name)
-        del first  # copied: free it before the workers' arrays arrive
+        chains = [run(0)]
         for k, (worker, pipe) in enumerate(workers, 1):
             try:
-                if (exc := pipe.recv()) is not None:
-                    raise ChainWorkerError(k, f"{type(exc).__name__}: {exc}") from exc
-                # recv_bytes_into sizes a buffer by its first axis: pass flat
-                # views, one element long for a chain's 0-d counts
-                for name in _CHAIN_ARRAYS:
-                    pipe.recv_bytes_into(getattr(out, name)[k, ...].reshape(-1))
+                sent = pipe.recv()
             except EOFError:
                 worker.join()
                 raise ChainWorkerError(
                     k, f"worker exited with code {worker.exitcode}") from None
+            if isinstance(sent, Exception):
+                raise ChainWorkerError(k, f"{type(sent).__name__}: {sent}") from sent
+            chains.append(sent)
     finally:
         for worker, pipe in workers:
             if worker.is_alive():
                 worker.terminate()
             worker.join()
             pipe.close()
-    return out
+    return PosteriorChain(**{name: np.stack([getattr(chain, name) for chain in chains])
+                             for name in _CHAIN_ARRAYS})
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:

@@ -7,10 +7,11 @@ it writes (sidecars included), and how to compute, save and load its
 result.  One runner, ``Pipeline._run``, serves them all.  ``Pipeline.keys``
 holds everything a stage may read: the config entries, the dataset's
 canonical rows, the numpy and scipy versions, the digest of each package
-module's source, and ``model``, the reduced model's source digest unless
-``external`` is set.  A stage's digest hashes its name, the values of its
-reads and its upstream digests, so a stage names only what its upstream
-stages do not cover; a meta file beside the artifacts stores it.  Every
+module's source, and ``model``, the source digest of the forward model the
+config chooses: ``simulator.py`` under ``external``, else ``forward.py``.
+A stage's digest hashes its name, the values of its reads and its
+upstream digests, so a stage names only what its upstream stages do not
+cover; a meta file beside the artifacts stores it.  Every
 package module that a read module imports is read by the stage or by an
 upstream stage, so an edit to any code a stage runs changes its digest.
 The stage loads when the stored digest matches and every declared
@@ -21,7 +22,8 @@ the Pipeline, so one run computes or loads each stage once.  Deleting any
 artifact recomputes the stage that wrote it; a changed setting, dataset,
 library version or module source recomputes the stages that read it and
 all stages downstream of them.  ``report`` is not cached: it always
-rewrites report.json and the figures.
+summarizes the calibration's chain and rewrites report.json and the
+figures.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import doe, forward, inference, plots, sensitivity, surrogate
+from . import doe, forward, inference, plots, sensitivity, simulator, surrogate
 from .domain import (
     CalibrationParams,
     ExperimentRow,
     ExperimentalDataset,
+    ForwardModel,
     PARAM_NAMES,
     PriorSpec,
     RandomStream,
@@ -53,7 +56,7 @@ from .domain import (
     load_dataset,
     prior_from_table2,
 )
-from .forward import ExternalModelSpec, ForwardModel
+from .simulator import ExternalModelSpec
 
 __all__ = [
     "StageError",
@@ -98,11 +101,13 @@ class McmcConfig:
                 f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
                 f"per chain; need at least {inference.MIN_RETAINED}")
         # A chain keeps each retained state with its log posterior, and one
-        # accept flag per step.  run_chains peaks at 2 * CHAINS chains:
-        # chain 0 and the joined result in this process while each forked
-        # worker still holds its own.
+        # accept flag per step.  run_chains peaks at 3 * CHAINS - 1 chains
+        # while the last worker's message arrives: this process holds every
+        # earlier chain, the message and the chain read from it, and each
+        # worker its chain and that chain pickled.  The joined result comes
+        # after the workers exit, at 2 * CHAINS.
         chain = retained * (len(PARAM_NAMES) + 1) * 8 + self.steps
-        peak = 2 * inference.CHAINS * chain
+        peak = (3 * inference.CHAINS - 1) * chain
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:
             raise ValueError(
@@ -133,9 +138,6 @@ class RunConfig:
         """Plain JSON values; every ``Path`` becomes its string."""
         return json.loads(json.dumps(dataclasses.asdict(self), default=str))
 
-    def to_json(self, path: str | Path) -> None:
-        _write_json(self.to_dict(), Path(path))
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Inverse of ``to_dict``; a bad key or value is a ValueError naming it."""
@@ -148,7 +150,7 @@ class RunConfig:
     def forward(self) -> ForwardModel:
         """The external model if ``external`` is set, else the reduced model."""
         if self.external is not None:
-            return functools.partial(forward.evaluate_external, self.external)
+            return functools.partial(simulator.evaluate_external, self.external)
         # the module attribute, read at each call, so whatever wraps
         # forward.evaluate_reduced sees every evaluation
         return forward.evaluate_reduced
@@ -267,31 +269,23 @@ def _save_gps(gps, *paths: Path) -> None:
         surrogate.save_gp(gp, path)
 
 
-def _calibrate(p: "Pipeline", gps) -> tuple[inference.PosteriorChain,
-                                             inference.PosteriorSummary]:
+def _calibrate(p: "Pipeline", gps) -> inference.PosteriorChain:
     target = inference.FixedTerms.build(p.dataset, *gps, p.prior)
     step0 = (p.prior.upper() - p.prior.lower()) / 10.0
     mcmc = p.cfg.mcmc
-    return _with_summary(inference.run_chains(
+    return inference.run_chains(
         target, p.prior.nominal(), mcmc.steps, mcmc.adapt_start, p.stream.split(5),
-        initial_step=step0, burn=mcmc.burn, thin=mcmc.thin))
+        initial_step=step0, burn=mcmc.burn, thin=mcmc.thin)
 
 
-def _with_summary(chain: inference.PosteriorChain):
-    return chain, inference.summarize(chain.samples)
-
-
-def _save_calibration(result, chain_path: Path, summary_path: Path) -> None:
-    inference.save_chain(result[0], chain_path)
-    _write_json(result[1].to_dict(), summary_path)
-
-
-def _validate(p: "Pipeline", calibrated) -> dict:
+def _validate(p: "Pipeline", chain: inference.PosteriorChain) -> dict:
     model = p.cfg.forward()
+    # the pooled mean, bitwise the report's posterior mean (summarize)
+    mean = chain.pooled_samples().mean(axis=0)
     return {
         "prior_nominal": validate_at_point(p.prior.nominal_params(), p.dataset, model),
         "posterior_mean": validate_at_point(
-            CalibrationParams.from_array(calibrated[1].mean), p.dataset, model),
+            CalibrationParams.from_array(mean), p.dataset, model),
         "note": "in-sample comparison: the validation dataset equals the "
                 "calibration dataset",
     }
@@ -341,11 +335,10 @@ _STAGES = {
     "calibrate": _Stage(
         reads=("mcmc", "inference.py"),
         upstream=("train",),
-        artifacts=("chain.npz", "posterior.json"),
+        artifacts=("chain.npz",),
         compute=_calibrate,
-        save=_save_calibration,
-        load=lambda chain_path, _summary: _with_summary(
-            inference.load_chain(chain_path))),
+        save=lambda chain, path: inference.save_chain(chain, path),
+        load=lambda path: inference.load_chain(path)),
     "validate": _Stage(
         upstream=("calibrate",),
         artifacts=("validation_errors.json",),
@@ -380,7 +373,7 @@ class Pipeline:
         self.keys = {
             **config, **sources, "numpy": np.__version__, "scipy": scipy.__version__,
             "dataset": [_row_values(row) for row in self.dataset],
-            "model": None if cfg.external is not None else sources["forward.py"]}
+            "model": sources["forward.py" if cfg.external is None else "simulator.py"]}
         self._results: dict[str, object] = {}
 
     # -- digests -----------------------------------------------------------
@@ -430,10 +423,10 @@ class Pipeline:
         ts = self.design()
         q2 = self.validate_surrogate()
         sa_report = self.sa()
-        chain, summary = self.calibrate()
+        chain = self.calibrate()
         errors = self.validate()
         doc = {
-            "posterior": summary.to_dict(),
+            "posterior": inference.summarize(chain.samples).to_dict(),
             "posterior_mode": chain.posterior_mode().tolist(),
             "validation": errors,
             "surrogate_q2": q2,

@@ -18,19 +18,17 @@ from meltcal.domain import (
     prior_from_table2,
 )
 from meltcal.forward import (
-    AdapterError,
-    ExternalModelSpec,
     NumericsError,
     _max_extent,
     _RiseField,
     _Source,
     effective_conductivity,
-    evaluate_external,
     evaluate_reduced,
     loss_fraction,
     temperature_rise,
 )
 from meltcal.pipeline import RunConfig
+from meltcal.simulator import AdapterError, ExternalModelSpec, evaluate_external
 
 NOMINAL = prior_from_table2().nominal_params()
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)

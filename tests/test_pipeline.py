@@ -31,7 +31,7 @@ from meltcal.domain import (
     synthetic_dataset,
     write_dataset,
 )
-from meltcal.forward import ExternalModelSpec, evaluate_reduced
+from meltcal.forward import evaluate_reduced
 from meltcal.pipeline import (
     McmcConfig,
     Pipeline,
@@ -40,6 +40,7 @@ from meltcal.pipeline import (
     run_stage,
     validate_at_point,
 )
+from meltcal.simulator import ExternalModelSpec
 
 PRIOR = prior_from_table2()
 
@@ -58,6 +59,10 @@ def small_run(tmp_path_factory):
     cfg = small_config(out)
     report = run_stage(cfg, "run-all")
     return cfg, report
+
+
+def _write_config(cfg: RunConfig, path: Path) -> None:
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
 
 
 def _report_sans_timestamp(path: Path) -> dict:
@@ -109,7 +114,7 @@ class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        _write_config(cfg, path)
         assert RunConfig.from_json(path).to_dict() == cfg.to_dict()
 
     def test_missing_dataset_rejected(self, tmp_path):
@@ -147,7 +152,7 @@ class TestRunConfig:
 
     def test_memory_bound_counts_retained_states(self):
         """A long chain thinned hard fits: 2000 retained states and 2e8
-        one-byte accept flags per chain, under 1 GB for the run, where every
+        one-byte accept flags per chain, about 1 GB for the run, where every
         stored state would be 57.6 GB.  Loaded only, not run."""
         cfg = RunConfig.from_dict({"mcmc": {"steps": 2 * 10**8, "thin": 10**5}})
         assert len(range(cfg.mcmc.burn, cfg.mcmc.steps, cfg.mcmc.thin)) == 2_000
@@ -179,8 +184,8 @@ class TestRunCalibration:
         out = Path(cfg.out_dir)
         for name in ("training_set.csv", "gp_length.json", "gp_depth.json",
                      "surrogate_quality.json", "sensitivity.json",
-                     "sensitivity.csv", "chain.npz", "posterior.json",
-                     "validation_errors.json", "report.json"):
+                     "sensitivity.csv", "chain.npz", "validation_errors.json",
+                     "report.json"):
             assert (out / name).exists(), name
 
     def test_every_written_file_is_declared(self, tmp_path):
@@ -254,6 +259,18 @@ class TestRunCalibration:
         run_stage(cfg, "run-all")  # every stage cached; only the report needs the chain
         assert calls == {"load_chain": 1, "load_gp": 0}
 
+    def test_report_summarizes_the_stored_chain(self, tmp_path, monkeypatch):
+        """A cached rerun computes no stage, and its report's posterior is
+        summarized anew from the stored chain."""
+        cfg = small_config(tmp_path / "out")
+        run_stage(cfg, "run-all")
+        computed = _count_computes(monkeypatch)
+        monkeypatch.setattr(inference, "effective_sample_size", lambda series: 7.0)
+        report = run_stage(cfg, "run-all")
+        assert not computed
+        ess = json.loads((tmp_path / "out" / "report.json").read_text())["posterior"]["ess"]
+        assert ess == report["posterior"]["ess"] == [inference.CHAINS * 7.0] * 8
+
     def test_stage_by_stage_matches_run_all(self, tmp_path):
         whole = small_config(tmp_path / "whole")
         run_stage(whole, "run-all")
@@ -281,7 +298,7 @@ class TestRunCalibration:
                            mcmc=McmcConfig(steps=3_000, burn=1_000, thin=10,
                                            adapt_start=1_000))
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
+        _write_config(cfg, cfg_path)
         src = str(Path(pipeline.__file__).resolve().parents[1])
         reports = []
         for threads in ("1", "2", None):
@@ -402,8 +419,8 @@ class TestDigests:
 
     def test_stage_reads_cover_the_package(self, tmp_path):
         """Every module but the CLI, the figures and the BLAS pin is read by
-        some stage, forward.py through ``model``; no stage reads a key that
-        one of its upstream stages reads already."""
+        some stage, the two forward models through ``model``; no stage reads
+        a key that one of its upstream stages reads already."""
         keys = Pipeline(small_config(tmp_path)).keys
         modules = {path.name for path in Path(pipeline.__file__).parent.glob("*.py")}
         assert {key for key in keys if key.endswith(".py")} == modules
@@ -411,7 +428,8 @@ class TestDigests:
         assert reads <= set(keys)
         read_modules = {key for key in reads if key.endswith(".py")}
         assert read_modules <= modules
-        assert modules - read_modules == {"cli.py", "plots.py", "blas.py", "forward.py"}
+        assert modules - read_modules == {"cli.py", "plots.py", "blas.py", "forward.py",
+                                          "simulator.py"}
 
         def ancestors(name):
             for up in pipeline._STAGES[name].upstream:
@@ -426,7 +444,9 @@ class TestDigests:
         """Each module a stage reads, pipeline.py aside, imports only package
         modules that the stage or an upstream stage reads, so an edit to any
         code the stage runs changes its digest.  The BLAS pin changes no
-        result, and forward.py is read through ``model``."""
+        result.  A stage that reads ``model`` reads forward.py or
+        simulator.py, by the config, so both count as read there, and no
+        other module may import either."""
         package = Path(pipeline.__file__).parent
 
         def imports(module):
@@ -442,11 +462,11 @@ class TestDigests:
 
         for name, stage in pipeline._STAGES.items():
             covered = keyed(name) | {"blas.py"}
-            if "model" in covered:
-                covered.add("forward.py")
-            for module in stage.reads:
-                if module.endswith(".py") and module != "pipeline.py":
-                    assert not set(imports(module)) - covered, (name, module)
+            modules = [m for m in stage.reads if m.endswith(".py") and m != "pipeline.py"]
+            if "model" in stage.reads:
+                modules += ["forward.py", "simulator.py"]
+            for module in modules:
+                assert not set(imports(module)) - covered, (name, module)
 
     def test_readme_lists_every_stage(self):
         """The README's stage table has one row per cached stage, in run
@@ -472,6 +492,7 @@ class TestDigests:
         # sa reads inference.py too: sensitivity.py imports its rank transform
         ("inference.py", {"sa", "calibrate", "validate"}),
         ("sensitivity.py", {"sa"}),
+        ("simulator.py", set()),  # a reduced model's run runs no simulator
     ])
     def test_source_edit_recomputes_its_stages_once(self, small_run, tmp_path,
                                                     monkeypatch, module, recomputed):
@@ -488,8 +509,9 @@ class TestDigests:
 
     def test_model_source_keys_the_design_unless_external(self, tmp_path,
                                                            monkeypatch):
-        """The reduced model never runs under ``external``, so an edit to it
-        keeps every simulator run."""
+        """The design keys on the forward model the config chooses: an edit
+        to the reduced model keeps every simulator run, and an edit to the
+        simulator's adapter keeps the reduced model's design."""
         spec = ExternalModelSpec(command_template="sim {input} {output}")
         configs = {"external": small_config(tmp_path, external=spec),
                    "reduced": small_config(tmp_path)}
@@ -498,10 +520,11 @@ class TestDigests:
             return {k: Pipeline(cfg)._stage_digest("design") for k, cfg in configs.items()}
 
         before = design_digests()
-        _edit_source(monkeypatch, "forward.py")
-        after = design_digests()
-        assert after["external"] == before["external"]
-        assert after["reduced"] != before["reduced"]
+        for module, changed in (("forward.py", "reduced"), ("simulator.py", "external")):
+            with monkeypatch.context() as m:
+                _edit_source(m, module)
+                after = design_digests()
+            assert {k for k in after if after[k] != before[k]} == {changed}, module
 
     def test_train_alone_is_fresh_on_rerun(self, tmp_path, monkeypatch):
         """``train`` run alone, then run again, fits nothing."""
@@ -564,7 +587,7 @@ class TestCli:
     def test_design_succeeds(self, tmp_path):
         cfg = small_config(tmp_path / "out")
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
+        _write_config(cfg, cfg_path)
         result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "training_set.csv").exists()
@@ -654,7 +677,7 @@ class TestCli:
     def test_out_flag_beats_config_out_dir(self, tmp_path):
         cfg = small_config(tmp_path / "ignored")
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
+        _write_config(cfg, cfg_path)
         flag_out = tmp_path / "flag_out"
         result = CliRunner().invoke(
             cli_main, ["design", "--config", str(cfg_path), "--out", str(flag_out)])
@@ -666,7 +689,7 @@ class TestCli:
         """Only the config and --out choose the output directory."""
         cfg = small_config(tmp_path / "out")
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
+        _write_config(cfg, cfg_path)
         result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)],
                                     env={"MELTCAL_OUT": str(tmp_path / "env_out")})
         assert result.exit_code == 0, result.output
@@ -680,7 +703,7 @@ class TestCli:
         spec = ExternalModelSpec(command_template=f"{script} {{input}} {{output}}",
                                  working_dir=tmp_path, timeout=10.0)
         cfg_path = tmp_path / "cfg.json"
-        small_config(tmp_path / "out", external=spec).to_json(cfg_path)
+        _write_config(small_config(tmp_path / "out", external=spec), cfg_path)
         result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path)])
         assert result.exit_code == 1
         err = _stderr(result)
