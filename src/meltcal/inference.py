@@ -38,13 +38,13 @@ from .surrogate import ConditionedGp, GpSurrogate
 
 __all__ = [
     "PosteriorChain",
-    "PosteriorSummary",
     "experimental_sigmas",
     "FixedTerms",
     "log_posterior",
     "adaptive_metropolis",
     "CHAINS",
     "ChainWorkerError",
+    "chains_peak_bytes",
     "run_chains",
     "autocorrelation",
     "effective_sample_size",
@@ -288,6 +288,20 @@ class ChainWorkerError(RuntimeError):
         self.chain = chain
 
 
+def chains_peak_bytes(retained: int, steps: int) -> int:
+    """Peak bytes of the chains ``run_chains`` holds at once, each of
+    ``retained`` states and ``steps`` accept flags.
+
+    A chain keeps each retained state with its log posterior, and one
+    accept flag per step.  ``run_chains`` peaks at 3 * CHAINS - 1 chains
+    while the last worker's message arrives: this process holds every
+    earlier chain, the message and the chain read from it, and each worker
+    its chain and that chain pickled.  The joined result comes after the
+    workers exit, at 2 * CHAINS.
+    """
+    return (3 * CHAINS - 1) * (retained * (len(PARAM_NAMES) + 1) * 8 + steps)
+
+
 @one_blas_thread()
 def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
                steps: int, adapt_start: int, stream: RandomStream,
@@ -446,38 +460,15 @@ def split_rhat(draws: np.ndarray) -> float:
     return float(math.sqrt(((half - 1) / half * within + between) / within))
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    parameters: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
-    ci_lower: np.ndarray   # 2.5% quantile
-    ci_upper: np.ndarray   # 97.5% quantile
-    ess: np.ndarray        # summed over chains
-    rhat: np.ndarray       # rank-normalised split-R-hat
-    correlation: np.ndarray
-    retained: int          # pooled over chains
-
-    def to_dict(self) -> dict:
-        return {
-            "parameters": list(self.parameters),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "ci_lower": self.ci_lower.tolist(),
-            "ci_upper": self.ci_upper.tolist(),
-            "ess": self.ess.tolist(),
-            "rhat": self.rhat.tolist(),
-            "correlation": self.correlation.tolist(),
-            "retained": self.retained,
-        }
-
-
-def summarize(samples: np.ndarray) -> PosteriorSummary:
+def summarize(samples: np.ndarray) -> dict:
     """Moments, equal-tailed 95% intervals and cross-correlations of the
     pooled retained states ``samples``, (chains, retained, d); the ESS
     summed over chains; split-R-hat per parameter.
 
-    States without a leading chain axis count as one chain.
+    States without a leading chain axis count as one chain.  The result is
+    a JSON document: ``ci_lower`` and ``ci_upper`` are the 2.5% and 97.5%
+    quantiles, ``rhat`` is the rank-normalised split-R-hat, ``retained``
+    counts the pooled states, and each per-parameter value is a list.
     """
     retained, d = samples.shape[-2:]
     if retained < MIN_RETAINED:
@@ -502,9 +493,10 @@ def summarize(samples: np.ndarray) -> PosteriorSummary:
                 c = 0.0
             corr[i, j] = corr[j, i] = c
     names = PARAM_NAMES if d == len(PARAM_NAMES) else tuple(f"x{j}" for j in range(d))
-    return PosteriorSummary(parameters=names, mean=mean, std=std,
-                            ci_lower=ci_lo, ci_upper=ci_hi, ess=ess, rhat=rhat,
-                            correlation=corr, retained=n)
+    return {"parameters": list(names), "mean": mean.tolist(), "std": std.tolist(),
+            "ci_lower": ci_lo.tolist(), "ci_upper": ci_hi.tolist(),
+            "ess": ess.tolist(), "rhat": rhat.tolist(),
+            "correlation": corr.tolist(), "retained": n}
 
 
 def save_chain(chain: PosteriorChain, path: str | Path) -> None:

@@ -100,14 +100,7 @@ class McmcConfig:
             raise ValueError(
                 f"mcmc.steps, mcmc.burn and mcmc.thin retain {retained} states "
                 f"per chain; need at least {inference.MIN_RETAINED}")
-        # A chain keeps each retained state with its log posterior, and one
-        # accept flag per step.  run_chains peaks at 3 * CHAINS - 1 chains
-        # while the last worker's message arrives: this process holds every
-        # earlier chain, the message and the chain read from it, and each
-        # worker its chain and that chain pickled.  The joined result comes
-        # after the workers exit, at 2 * CHAINS.
-        chain = retained * (len(PARAM_NAMES) + 1) * 8 + self.steps
-        peak = (3 * inference.CHAINS - 1) * chain
+        peak = inference.chains_peak_bytes(retained, self.steps)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:
             raise ValueError(
@@ -327,11 +320,11 @@ _STAGES = {
         # sensitivity.py imports the rank transform from inference.py
         reads=("sa_n_base", "sensitivity.py", "inference.py"),
         upstream=("train",),
-        artifacts=("sensitivity.json", "sensitivity.csv"),
+        artifacts=("sensitivity.json",),
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
             *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
-        save=sensitivity.save_report,
-        load=lambda json_path, _csv: sensitivity.load_report(json_path)),
+        save=_write_json,
+        load=_read_json),
     "calibrate": _Stage(
         reads=("mcmc", "inference.py"),
         upstream=("train",),
@@ -422,18 +415,18 @@ class Pipeline:
     def report(self) -> dict:
         ts = self.design()
         q2 = self.validate_surrogate()
-        sa_report = self.sa()
+        sa = self.sa()
         chain = self.calibrate()
         errors = self.validate()
         doc = {
-            "posterior": inference.summarize(chain.samples).to_dict(),
+            "posterior": inference.summarize(chain.samples),
             "posterior_mode": chain.posterior_mode().tolist(),
             "validation": errors,
             "surrogate_q2": q2,
             "sensitivity": {
-                "parameters": list(sa_report.parameters),
-                "sobol_total_length": sa_report.sobol_total[:, 0].tolist(),
-                "sobol_total_depth": sa_report.sobol_total[:, 1].tolist(),
+                "parameters": sa["parameters"],
+                "sobol_total_length": [row[0] for row in sa["sobol_total"]],
+                "sobol_total_depth": [row[1] for row in sa["sobol_total"]],
             },
             "training": {"n": ts.n, "rejections": len(ts.rejections)},
             "likelihood": {"relative_fraction": inference.NOISE_FRACTION,

@@ -16,12 +16,9 @@ modules' sources.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -35,14 +32,11 @@ from .surrogate import ConditionedGp, GpSurrogate
 __all__ = [
     "UndefinedStatisticError",
     "SobolResult",
-    "SensitivityReport",
     "pcc",
     "srcc",
     "sobol_indices",
     "gp_mean_sobol",
     "sa_on_surrogate",
-    "save_report",
-    "load_report",
 ]
 
 BOOTSTRAP_RESAMPLES = 100
@@ -214,27 +208,15 @@ def gp_mean_sobol(x: np.ndarray, ell: np.ndarray, v: np.ndarray,
     return main / var, total / var
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Per-parameter, per-output PCC/SRCC/Sobol measures."""
-
-    parameters: tuple[str, ...]
-    outputs: tuple[str, ...]
-    pcc: np.ndarray       # (n_params, n_outputs)
-    srcc: np.ndarray
-    sobol_main: np.ndarray
-    sobol_total: np.ndarray
-    n_base: int           # size of the correlation sample
-    aggregation: str = "mean over conditions"
-
-
 def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
                     dataset: ExperimentalDataset, prior: PriorSpec,
-                    n_base: int, stream: RandomStream) -> SensitivityReport:
+                    n_base: int, stream: RandomStream) -> dict:
     """SA of the GP predictive mean averaged over the dataset conditions.
 
     The Sobol indices are exact for that mean (``gp_mean_sobol``) over the
-    prior box; the correlations come from n_base uniform prior draws.
+    prior box; the correlations come from n_base uniform prior draws.  The
+    result is a JSON document: ``pcc``, ``srcc``, ``sobol_main`` and
+    ``sobol_total`` are (parameters, outputs) nested lists.
     """
     _check_n_base(n_base)
     designs = dataset.design_matrix()
@@ -262,47 +244,7 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
         for i in range(n_params):
             r_pcc[i, col] = pcc(a[:, i], f_a)
             r_srcc[i, col] = srcc(a[:, i], f_a)
-    return SensitivityReport(parameters=PARAM_NAMES, outputs=tuple(gps),
-                             pcc=r_pcc, srcc=r_srcc,
-                             sobol_main=s_main, sobol_total=s_total,
-                             n_base=n_base)
-
-
-_ARRAY_FIELDS = ("pcc", "srcc", "sobol_main", "sobol_total")
-
-
-def save_report(report: SensitivityReport, json_path: str | Path,
-                csv_path: str | Path) -> None:
-    doc = {
-        "parameters": list(report.parameters),
-        "outputs": list(report.outputs),
-        "n_base": report.n_base,
-        "aggregation": report.aggregation,
-        **{name: getattr(report, name).tolist() for name in _ARRAY_FIELDS},
-    }
-    Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["parameter"]
-        for out in report.outputs:
-            header += [f"{out}_pcc", f"{out}_srcc",
-                       f"{out}_sobol_main", f"{out}_sobol_total"]
-        writer.writerow(header)
-        for i, name in enumerate(report.parameters):
-            row = [name]
-            for j in range(len(report.outputs)):
-                row += [format(report.pcc[i, j], ".6g"),
-                        format(report.srcc[i, j], ".6g"),
-                        format(report.sobol_main[i, j], ".6g"),
-                        format(report.sobol_total[i, j], ".6g")]
-            writer.writerow(row)
-
-
-def load_report(json_path: str | Path) -> SensitivityReport:
-    """Inverse of ``save_report`` on its JSON document."""
-    doc = json.loads(Path(json_path).read_text(encoding="utf-8"))
-    return SensitivityReport(
-        parameters=tuple(doc["parameters"]), outputs=tuple(doc["outputs"]),
-        n_base=doc["n_base"], aggregation=doc["aggregation"],
-        **{name: np.array(doc[name]) for name in _ARRAY_FIELDS})
+    return {"parameters": list(PARAM_NAMES), "outputs": list(gps),
+            "n_base": n_base, "aggregation": "mean over conditions",
+            "pcc": r_pcc.tolist(), "srcc": r_srcc.tolist(),
+            "sobol_main": s_main.tolist(), "sobol_total": s_total.tolist()}

@@ -200,7 +200,7 @@ class TestAgainstReference:
                 _max_extent(field, COND1.beam_radius, 1e-6, 100.0, axis)
 
 
-class TestReducedModelConfig:
+class TestReducedModelConstants:
     """The reduced model's inputs are constants: no config section sets them."""
 
     @pytest.mark.parametrize("kwargs", [

@@ -436,25 +436,30 @@ class TestAutocorrelation:
             autocorrelation(np.ones(100), 5)
 
 
+def _summary_arrays(samples) -> dict:
+    """``summarize``'s document with each value as an array."""
+    return {key: np.asarray(value) for key, value in summarize(samples).items()}
+
+
 class TestSummarize:
     def test_iid_uniform_summary(self):
-        s = summarize(RandomStream(8).generator().random((2_000, 2)))
-        assert s.mean[0] == pytest.approx(0.5, abs=0.02)
-        assert s.ci_lower[0] == pytest.approx(0.025, abs=0.03)
-        assert s.ci_upper[0] == pytest.approx(0.975, abs=0.03)
-        assert np.all(s.ci_lower < s.ci_upper)
-        assert np.all((s.ess > 0) & (s.ess <= 2_000))
+        s = _summary_arrays(RandomStream(8).generator().random((2_000, 2)))
+        assert s["mean"][0] == pytest.approx(0.5, abs=0.02)
+        assert s["ci_lower"][0] == pytest.approx(0.025, abs=0.03)
+        assert s["ci_upper"][0] == pytest.approx(0.975, abs=0.03)
+        assert np.all(s["ci_lower"] < s["ci_upper"])
+        assert np.all((s["ess"] > 0) & (s["ess"] <= 2_000))
 
     def test_constant_chain(self):
-        s = summarize(np.full((100, 2), 3.0))
-        assert np.all(s.std == 0.0)
-        assert np.all(s.ci_lower == 3.0)
-        assert np.all(s.ci_upper == 3.0)
+        s = _summary_arrays(np.full((100, 2), 3.0))
+        assert np.all(s["std"] == 0.0)
+        assert np.all(s["ci_lower"] == 3.0)
+        assert np.all(s["ci_upper"] == 3.0)
 
     def test_stuck_chains_count_one_draw_each(self):
         """A chain that never moves holds one effective draw, not all of them."""
         assert effective_sample_size(np.full(1_000, 3.0)) == 1.0
-        assert summarize(np.full((2, 100, 2), 3.0)).ess.tolist() == [2.0, 2.0]
+        assert summarize(np.full((2, 100, 2), 3.0))["ess"] == [2.0, 2.0]
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="50"):
@@ -569,13 +574,13 @@ class TestSplitRhat:
     def test_summary_pools_chains(self):
         rng = RandomStream(23).generator()
         chains = rng.standard_normal((2, 400, 3))
-        s = summarize(chains)
+        s = _summary_arrays(chains)
         for j in range(3):
-            assert s.ess[j] == sum(effective_sample_size(chains[k, :, j])
-                                   for k in range(2))
-            assert s.rhat[j] == split_rhat(chains[:, :, j])
-        np.testing.assert_array_equal(s.mean, chains.reshape(-1, 3).mean(axis=0))
-        assert s.retained == 800
+            assert s["ess"][j] == sum(effective_sample_size(chains[k, :, j])
+                                      for k in range(2))
+            assert s["rhat"][j] == split_rhat(chains[:, :, j])
+        np.testing.assert_array_equal(s["mean"], chains.reshape(-1, 3).mean(axis=0))
+        assert s["retained"] == 800
 
 
 class TestChainSerialization:
@@ -631,7 +636,7 @@ class TestChainSerialization:
             load_chain(path)
 
 
-class TestMakeLogPosterior:
+class TestFixedTermsTarget:
     """``FixedTerms`` called on theta, the target the sampler calls."""
 
     def test_closure_matches_direct_call(self, dataset, gps, monkeypatch):

@@ -183,9 +183,8 @@ class TestRunCalibration:
         cfg, _ = small_run
         out = Path(cfg.out_dir)
         for name in ("training_set.csv", "gp_length.json", "gp_depth.json",
-                     "surrogate_quality.json", "sensitivity.json",
-                     "sensitivity.csv", "chain.npz", "validation_errors.json",
-                     "report.json"):
+                     "surrogate_quality.json", "sensitivity.json", "chain.npz",
+                     "validation_errors.json", "report.json"):
             assert (out / name).exists(), name
 
     def test_every_written_file_is_declared(self, tmp_path):

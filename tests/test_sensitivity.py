@@ -1,6 +1,5 @@
 """Correlation coefficients and Sobol indices."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -19,18 +18,16 @@ from meltcal.domain import (
 )
 from meltcal.sensitivity import (
     QUADRATURE_MIN_ELL,
-    SensitivityReport,
     UndefinedStatisticError,
     _average_ranks,
     _factor_moments,
     gp_mean_sobol,
-    load_report,
     pcc,
     sa_on_surrogate,
-    save_report,
     sobol_indices,
     srcc,
 )
+from meltcal.pipeline import _read_json, _write_json
 from meltcal.surrogate import ConditionedGp
 
 PRIOR = prior_from_table2()
@@ -305,41 +302,21 @@ class TestGpMeanSobol:
 
             mc = sobol_indices(f, PRIOR.lower(), PRIOR.upper(), 8192,
                                RandomStream(30 + col))
-            assert np.all(np.abs(report.sobol_main[:, col] - mc.main) <= 4 * mc.main_se)
-            assert np.all(np.abs(report.sobol_total[:, col] - mc.total)
-                          <= 4 * mc.total_se)
+            main = np.asarray(report["sobol_main"])[:, col]
+            total = np.asarray(report["sobol_total"])[:, col]
+            assert np.all(np.abs(main - mc.main) <= 4 * mc.main_se)
+            assert np.all(np.abs(total - mc.total) <= 4 * mc.total_se)
 
 
 class TestReportSerialization:
-    def test_csv_layout(self, tmp_path):
-        d = 8
-        report = SensitivityReport(
-            parameters=tuple(f"p{i}" for i in range(d)),
-            outputs=("length", "depth"),
-            pcc=np.zeros((d, 2)), srcc=np.zeros((d, 2)),
-            sobol_main=np.zeros((d, 2)), sobol_total=np.zeros((d, 2)),
-            n_base=256)
-        jpath, cpath = tmp_path / "sa.json", tmp_path / "sa.csv"
-        save_report(report, jpath, cpath)
-        lines = cpath.read_text().splitlines()
-        assert lines[0].startswith("parameter,length_pcc,length_srcc")
-        assert len(lines) == d + 1
-
-    def test_json_round_trip(self, tmp_path):
-        rng = RandomStream(3).generator()
-        d = 8
-        report = SensitivityReport(
-            parameters=tuple(f"p{i}" for i in range(d)),
-            outputs=("length", "depth"),
-            **{name: rng.random((d, 2)) for name in (
-                "pcc", "srcc", "sobol_main", "sobol_total")},
-            n_base=512, aggregation="mean over conditions")
-        path = tmp_path / "sa.json"
-        save_report(report, path, tmp_path / "sa.csv")
-        back = load_report(path)
-        for field in dataclasses.fields(SensitivityReport):
-            a, b = getattr(back, field.name), getattr(report, field.name)
-            if isinstance(b, np.ndarray):
-                assert np.array_equal(a, b), field.name
-            else:
-                assert a == b, field.name
+    def test_json_round_trip(self, tmp_path, dataset, gps):
+        """The SA document comes back from its file equal, each float bitwise."""
+        doc = sa_on_surrogate(*gps, dataset, PRIOR, 256, RandomStream(3))
+        path = tmp_path / "sensitivity.json"
+        _write_json(doc, path)
+        back = _read_json(path)
+        assert back == doc
+        for name in ("pcc", "srcc", "sobol_main", "sobol_total"):
+            a, b = np.asarray(back[name]), np.asarray(doc[name])
+            assert a.shape == b.shape == (8, 2), name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
