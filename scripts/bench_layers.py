@@ -57,10 +57,13 @@ import numpy as np
 from meltcal.blas import one_blas_thread
 from meltcal.doe import build_training_set
 from meltcal.domain import (
+    CalibrationParams,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
     bundled_dataset_path,
     load_dataset,
-    prior_from_table2,
 )
 from meltcal.forward import evaluate_reduced
 from meltcal.inference import (
@@ -124,23 +127,21 @@ def nlml_us(ts, gp, repeats: int) -> float:
 
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    prior = prior_from_table2()
     dataset = load_dataset(bundled_dataset_path())
-    ts = build_training_set(dataset, prior, 10, evaluate_reduced, RandomStream(0))
+    ts = build_training_set(dataset, 10, evaluate_reduced, RandomStream(0))
     gps = fit_both(ts)
 
-    inbox = prior.nominal()
+    inbox = PRIOR_NOMINAL
     outbox = inbox.copy()
-    outbox[0] = 2.0 * prior.upper()[0]
+    outbox[0] = 2.0 * PRIOR_UPPER[0]
     both = ConditionedGp.build(gps, dataset.design_matrix())
     length = ConditionedGp.build(gps[:1], dataset.design_matrix())
-    chunk = prior.lower() + (RandomStream(5).generator().random((256, 8))
-                             * (prior.upper() - prior.lower()))
-    target = FixedTerms.build(dataset, *gps, prior)
-    ts_dense = build_training_set(dataset, prior, 20, evaluate_reduced,
-                                  RandomStream(0))
+    chunk = PRIOR_LOWER + (RandomStream(5).generator().random((256, 8))
+                           * (PRIOR_UPPER - PRIOR_LOWER))
+    target = FixedTerms.build(dataset, *gps)
+    ts_dense = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
     condition_1 = dataset.rows[0].design
-    nominal = prior.nominal_params()
+    nominal = CalibrationParams.from_array(PRIOR_NOMINAL)
     out = {
         "forward_eval_us": per_call_us(lambda: evaluate_reduced(condition_1, nominal),
                                        100, repeats),
@@ -170,7 +171,7 @@ def main() -> None:
         thin=mcmc.thin), repeats)
     out["am_overhead_us"] = chain_s / steps * 1e6 - gauss_us
 
-    step0 = (prior.upper() - prior.lower()) / 10.0
+    step0 = (PRIOR_UPPER - PRIOR_LOWER) / 10.0
 
     def chains_two():
         return run_chains(target, inbox, mcmc.steps, mcmc.adapt_start,
@@ -185,8 +186,7 @@ def main() -> None:
     rng = RandomStream(4).generator()
     retained = len(range(mcmc.burn, mcmc.steps, mcmc.thin))
     chain = PosteriorChain(
-        samples=prior.lower() + rng.random((2, retained, 8)) * (prior.upper()
-                                                                - prior.lower()),
+        samples=PRIOR_LOWER + rng.random((2, retained, 8)) * (PRIOR_UPPER - PRIOR_LOWER),
         log_post=-300.0 + rng.standard_normal((2, retained)),
         accepted=rng.random((2, mcmc.steps)) < 0.25,
         mode=np.tile(inbox, (2, 1)), mode_log_post=np.full(2, -250.0),

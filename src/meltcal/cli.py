@@ -8,8 +8,9 @@ stderr.
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -52,13 +53,14 @@ def _fail(exc: Exception) -> "NoReturn":  # noqa: F821
 
 
 def _load_config(config: str | None, out: str | None, seed: int | None) -> RunConfig:
-    cfg = RunConfig() if config is None else RunConfig.from_json(config)
-    overrides = {}
-    if out is not None:
-        overrides["out_dir"] = out
-    if seed is not None:
-        overrides["seed"] = seed
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    """The config document with ``--out`` and ``--seed`` written into it,
+    read by the same rules as the file."""
+    doc = {} if config is None else json.loads(Path(config).read_text(encoding="utf-8"))
+    if isinstance(doc, dict):  # from_dict names any other document
+        for key, value in (("out_dir", out), ("seed", seed)):
+            if value is not None:
+                doc[key] = value
+    return RunConfig.from_dict(doc)
 
 
 def _stage_command(name: str, help_text: str):

@@ -20,7 +20,8 @@ from .domain import (
     ExperimentalDataset,
     ForwardModel,
     PARAM_SYMBOLS,
-    PriorSpec,
+    PRIOR_LOWER,
+    PRIOR_UPPER,
     RandomStream,
 )
 
@@ -28,7 +29,6 @@ __all__ = [
     "TrainingSet",
     "TrainingSetError",
     "latin_hypercube",
-    "scale_to_prior",
     "build_training_set",
     "save_training_set",
     "load_training_set",
@@ -57,15 +57,6 @@ def latin_hypercube(n: int, d: int, stream: RandomStream) -> np.ndarray:
     return values
 
 
-def scale_to_prior(u: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Affine map from the unit hypercube into the realized prior box."""
-    u = np.asarray(u)
-    lo, hi = prior.lower(), prior.upper()
-    if u.ndim != 2 or u.shape[1] != lo.size:
-        raise ValueError(f"expected (n, {lo.size}) unit sample, got {u.shape}")
-    return lo + u * (hi - lo)
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """Per-dimension [lo, hi] -> [0, 1] standardization."""
@@ -80,7 +71,7 @@ class AffineMap:
         return self.lo + u * (self.hi - self.lo)
 
 
-def design_affine(dataset: ExperimentalDataset, prior: PriorSpec) -> AffineMap:
+def design_affine(dataset: ExperimentalDataset) -> AffineMap:
     """[0,1] map over the 11 GP input dimensions (3 design + 8 parameters).
 
     Design ranges come from the dataset conditions; a constant design
@@ -91,8 +82,8 @@ def design_affine(dataset: ExperimentalDataset, prior: PriorSpec) -> AffineMap:
     flat = hi_d == lo_d
     lo_d = np.where(flat, lo_d * 0.95, lo_d)
     hi_d = np.where(flat, hi_d * 1.05, hi_d)
-    return AffineMap(lo=np.concatenate([lo_d, prior.lower()]),
-                     hi=np.concatenate([hi_d, prior.upper()]))
+    return AffineMap(lo=np.concatenate([lo_d, PRIOR_LOWER]),
+                     hi=np.concatenate([hi_d, PRIOR_UPPER]))
 
 
 @dataclass(frozen=True)
@@ -100,12 +91,11 @@ class TrainingSet:
     """Assembled surrogate training data.
 
     inputs_raw: (N, 11) raw-unit rows [power, radius, pulse, 8 params];
-    outputs: (N, 2) [length, depth] in meters; condition_index: (N,) 1-based.
+    outputs: (N, 2) [length, depth] in meters.
     """
 
     inputs_raw: np.ndarray
     outputs: np.ndarray
-    condition_index: np.ndarray
     input_map: AffineMap
     rejections: tuple[str, ...] = ()
 
@@ -117,9 +107,8 @@ class TrainingSet:
         return self.input_map.forward(self.inputs_raw)
 
 
-def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
-                       samples_per_condition: int, model: ForwardModel,
-                       stream: RandomStream) -> TrainingSet:
+def build_training_set(dataset: ExperimentalDataset, samples_per_condition: int,
+                       model: ForwardModel, stream: RandomStream) -> TrainingSet:
     """Per-condition Latin hypercubes evaluated through the forward model.
 
     Non-melting draws are re-drawn uniformly from the prior (up to
@@ -128,14 +117,13 @@ def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
     """
     if samples_per_condition < 2:
         raise ValueError("samples_per_condition must be >= 2")
-    inputs, outputs, cond_idx = [], [], []
+    inputs, outputs = [], []
     rejections: list[str] = []
     for row in dataset:
         sub = stream.split(row.index)
         design = latin_hypercube(samples_per_condition, len(PARAM_SYMBOLS), sub)
-        thetas = scale_to_prior(design, prior)
+        thetas = PRIOR_LOWER + design * (PRIOR_UPPER - PRIOR_LOWER)
         redraw_rng = sub.split(0).generator()
-        lo, hi = prior.lower(), prior.upper()
         for k in range(samples_per_condition):
             theta_vec = thetas[k]
             size = None
@@ -153,21 +141,20 @@ def build_training_set(dataset: ExperimentalDataset, prior: PriorSpec,
                 rejections.append(
                     f"condition {row.index} sample {k} attempt {attempt}: "
                     f"no melting at theta={theta_vec.tolist()}")
-                theta_vec = lo + redraw_rng.random(lo.size) * (hi - lo)
+                theta_vec = (PRIOR_LOWER + redraw_rng.random(PRIOR_LOWER.size)
+                             * (PRIOR_UPPER - PRIOR_LOWER))
             if size is None:
                 raise TrainingSetError(
                     f"condition {row.index}, sample {k}: no melting after "
                     f"{MAX_REDRAWS} redraws")
             inputs.append(np.concatenate([row.design.as_array(), theta_vec]))
             outputs.append([size.length, size.depth])
-            cond_idx.append(row.index)
     return TrainingSet(inputs_raw=np.array(inputs), outputs=np.array(outputs),
-                       condition_index=np.array(cond_idx, dtype=int),
-                       input_map=design_affine(dataset, prior),
+                       input_map=design_affine(dataset),
                        rejections=tuple(rejections))
 
 
-_TS_COLUMNS = (["condition", "power_W", "beam_radius_m", "pulse_s"]
+_TS_COLUMNS = (["power_W", "beam_radius_m", "pulse_s"]
                + list(PARAM_SYMBOLS) + ["length_m", "depth_m"])
 
 
@@ -181,9 +168,8 @@ def save_training_set(ts: TrainingSet, csv_path: str | Path,
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TS_COLUMNS)
-        for c, x, y in zip(ts.condition_index.tolist(), ts.inputs_raw.tolist(),
-                           ts.outputs.tolist()):
-            writer.writerow([c, *map(repr, x + y)])
+        for x, y in zip(ts.inputs_raw.tolist(), ts.outputs.tolist()):
+            writer.writerow(map(repr, x + y))
     sidecar = {
         "input_map": {"lo": ts.input_map.lo.tolist(),
                       "hi": ts.input_map.hi.tolist()},
@@ -195,20 +181,18 @@ def save_training_set(ts: TrainingSet, csv_path: str | Path,
 
 def load_training_set(csv_path: str | Path, json_path: str | Path) -> TrainingSet:
     sidecar = json.loads(Path(json_path).read_text(encoding="utf-8"))
-    inputs, outputs, cond_idx = [], [], []
+    inputs, outputs = [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _TS_COLUMNS:
             raise TrainingSetError(f"{csv_path}: bad header {header!r}")
         for rec in reader:
-            cond_idx.append(int(rec[0]))
-            values = [float(v) for v in rec[1:]]
+            values = [float(v) for v in rec]
             inputs.append(values[:-2])
             outputs.append(values[-2:])
     return TrainingSet(
         inputs_raw=np.array(inputs), outputs=np.array(outputs),
-        condition_index=np.array(cond_idx, dtype=int),
         input_map=AffineMap(lo=np.array(sidecar["input_map"]["lo"]),
                             hi=np.array(sidecar["input_map"]["hi"])),
         rejections=tuple(sidecar["rejections"]))

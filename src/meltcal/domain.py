@@ -1,5 +1,5 @@
-"""Core data types: design variables, calibration parameters, priors,
-experimental dataset I/O, and deterministic random streams.
+"""Core data types: design variables, calibration parameters, the prior
+box, experimental dataset I/O, and deterministic random streams.
 
 Internal units are SI (m, s, K).  The dataset CSV keeps mm/ms because that
 is how the measurements are tabulated.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -20,8 +20,6 @@ __all__ = [
     "DatasetFormatError",
     "DesignVars",
     "CalibrationParams",
-    "PriorEntry",
-    "PriorSpec",
     "ExperimentRow",
     "ExperimentalDataset",
     "MeltPoolSize",
@@ -29,11 +27,13 @@ __all__ = [
     "RandomStream",
     "PARAM_NAMES",
     "PARAM_SYMBOLS",
+    "PRIOR_NOMINAL",
+    "PRIOR_LOWER",
+    "PRIOR_UPPER",
     "load_dataset",
     "write_dataset",
     "synthetic_dataset",
     "bundled_dataset_path",
-    "prior_from_table2",
     "in_support",
 ]
 
@@ -43,6 +43,34 @@ PARAM_NAMES = (
 )
 # Symbols used in on-disk key=value / CSV formats.
 PARAM_SYMBOLS = ("alpha", "A_h", "epsilon", "c_l", "k_l", "L", "mu_l", "gamma_T")
+
+# The uniform prior of the paper's Table 2: each parameter's nominal value
+# and the two multipliers of its bounds.
+_PRIOR_TABLE = {
+    "alpha": (0.27, 0.5, 1.5),
+    "a_h": (100.0, 0.8, 1.2),
+    "emissivity": (0.59, 0.5, 1.5),
+    "c_l": (837.4, 0.9, 1.1),
+    "k_l": (209.3, 0.9, 1.1),
+    "latent_heat": (2.5e5, 0.9, 1.1),
+    "mu_l": (0.1, 0.5, 2.0),
+    "gamma_t": (-4.3e-4, 0.9, 1.1),
+}
+
+
+def _prior_box() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nominal, lower and upper arrays in PARAM_NAMES order.  A
+    bound is the min or max of the nominal times its two multipliers, so a
+    negative nominal's interval comes out sorted."""
+    nominal, lo, hi = map(np.array, zip(*(_PRIOR_TABLE[n] for n in PARAM_NAMES)))
+    box = (nominal, np.minimum(nominal * lo, nominal * hi),
+           np.maximum(nominal * lo, nominal * hi))
+    for array in box:
+        array.flags.writeable = False
+    return box
+
+
+PRIOR_NOMINAL, PRIOR_LOWER, PRIOR_UPPER = _prior_box()
 
 CSV_HEADER = ["index", "power_W", "beam_radius_mm", "pulse_ms", "length_mm", "depth_mm"]
 CSV_SIGMA_COLS = ["length_sigma_mm", "depth_sigma_mm"]
@@ -105,48 +133,6 @@ class CalibrationParams:
         if values.shape != (len(PARAM_NAMES),):
             raise ValueError(f"expected {len(PARAM_NAMES)} values, got shape {values.shape}")
         return cls(**dict(zip(PARAM_NAMES, values.tolist())))
-
-
-@dataclass(frozen=True)
-class PriorEntry:
-    name: str
-    nominal: float
-    lower_mult: float
-    upper_mult: float
-
-    def __post_init__(self):
-        if not (0 < self.lower_mult < self.upper_mult):
-            raise ValueError("multipliers must satisfy 0 < lower < upper")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        """Realized support, endpoints sorted so negative nominals work."""
-        a = self.nominal * self.lower_mult
-        b = self.nominal * self.upper_mult
-        return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    entries: tuple[PriorEntry, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(PARAM_NAMES):
-            raise ValueError(f"expected {len(PARAM_NAMES)} prior entries")
-        if tuple(e.name for e in self.entries) != PARAM_NAMES:
-            raise ValueError("prior entries must match calibration parameter order")
-
-    def lower(self) -> np.ndarray:
-        return np.array([e.interval[0] for e in self.entries])
-
-    def upper(self) -> np.ndarray:
-        return np.array([e.interval[1] for e in self.entries])
-
-    def nominal(self) -> np.ndarray:
-        return np.array([e.nominal for e in self.entries])
-
-    def nominal_params(self) -> CalibrationParams:
-        return CalibrationParams.from_array(self.nominal())
 
 
 @dataclass(frozen=True)
@@ -351,27 +337,7 @@ def synthetic_dataset(base: ExperimentalDataset, model: ForwardModel,
     return ExperimentalDataset(rows=tuple(rows))
 
 
-# Nominal values and multiplicative bounds for the 8 calibration parameters.
-_PRIOR_TABLE = (
-    ("alpha", 0.27, 0.5, 1.5),
-    ("a_h", 100.0, 0.8, 1.2),
-    ("emissivity", 0.59, 0.5, 1.5),
-    ("c_l", 837.4, 0.9, 1.1),
-    ("k_l", 209.3, 0.9, 1.1),
-    ("latent_heat", 2.5e5, 0.9, 1.1),
-    ("mu_l", 0.1, 0.5, 2.0),
-    ("gamma_t", -4.3e-4, 0.9, 1.1),
-)
-
-
-def prior_from_table2() -> PriorSpec:
-    """Uniform prior over the 8 parameters: nominal times [lo, hi] multipliers."""
-    return PriorSpec(entries=tuple(
-        PriorEntry(name=n, nominal=v, lower_mult=lo, upper_mult=hi)
-        for n, v, lo, hi in _PRIOR_TABLE))
-
-
-def in_support(theta: CalibrationParams | np.ndarray, prior: PriorSpec) -> bool:
-    """True iff every component lies in its realized closed interval."""
+def in_support(theta: CalibrationParams | np.ndarray) -> bool:
+    """True iff every component lies in its closed prior interval."""
     vec = theta.as_array() if isinstance(theta, CalibrationParams) else np.asarray(theta)
-    return bool(np.all(vec >= prior.lower()) and np.all(vec <= prior.upper()))
+    return bool(np.all(vec >= PRIOR_LOWER) and np.all(vec <= PRIOR_UPPER))

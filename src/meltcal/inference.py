@@ -31,7 +31,8 @@ from .blas import one_blas_thread
 from .domain import (
     ExperimentalDataset,
     PARAM_NAMES,
-    PriorSpec,
+    PRIOR_LOWER,
+    PRIOR_UPPER,
     RandomStream,
 )
 from .surrogate import ConditionedGp, GpSurrogate
@@ -86,24 +87,21 @@ class FixedTerms:
     """The parts of the log posterior that do not depend on theta, and the
     target the sampler calls.
 
-    The prior box, and for length and depth the GPs conditioned on the
-    dataset's designs, the measurements and the experimental variances,
-    as (outputs, conditions) arrays.  Called on theta, it returns
+    For length and depth, the GPs conditioned on the dataset's designs, the
+    measurements and the experimental variances, as (outputs, conditions)
+    arrays.  Called on theta, it returns
     ``log_posterior(theta, self)``.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
     gps: ConditionedGp
     y: np.ndarray
     s2: np.ndarray
 
     @classmethod
     def build(cls, dataset: ExperimentalDataset, gp_length: GpSurrogate,
-              gp_depth: GpSurrogate, prior: PriorSpec) -> "FixedTerms":
+              gp_depth: GpSurrogate) -> "FixedTerms":
         gps = ConditionedGp.build([gp_length, gp_depth], dataset.design_matrix())
-        return cls(lower=prior.lower(), upper=prior.upper(), gps=gps,
-                   y=dataset.measurements().T,
+        return cls(gps=gps, y=dataset.measurements().T,
                    s2=(experimental_sigmas(dataset) ** 2).T)
 
     def __call__(self, theta: np.ndarray) -> float:
@@ -123,7 +121,7 @@ def log_posterior(theta: np.ndarray, fixed: FixedTerms) -> float:
     theta = np.asarray(theta, float)
     # most proposals land outside the box; a NaN passes this test and
     # raises in predict
-    if (theta < fixed.lower).any() or (theta > fixed.upper).any():
+    if (theta < PRIOR_LOWER).any() or (theta > PRIOR_UPPER).any():
         return -np.inf
     mean, var = fixed.gps.predict(theta)
     variance = fixed.s2 + var

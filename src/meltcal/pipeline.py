@@ -50,11 +50,12 @@ from .domain import (
     ExperimentalDataset,
     ForwardModel,
     PARAM_NAMES,
-    PriorSpec,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
     bundled_dataset_path,
     load_dataset,
-    prior_from_table2,
 )
 from .simulator import ExternalModelSpec
 
@@ -135,10 +136,6 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Inverse of ``to_dict``; a bad key or value is a ValueError naming it."""
         return _from_doc(cls, doc, "")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def forward(self) -> ForwardModel:
         """The external model if ``external`` is set, else the reduced model."""
@@ -263,11 +260,11 @@ def _save_gps(gps, *paths: Path) -> None:
 
 
 def _calibrate(p: "Pipeline", gps) -> inference.PosteriorChain:
-    target = inference.FixedTerms.build(p.dataset, *gps, p.prior)
-    step0 = (p.prior.upper() - p.prior.lower()) / 10.0
+    target = inference.FixedTerms.build(p.dataset, *gps)
+    step0 = (PRIOR_UPPER - PRIOR_LOWER) / 10.0
     mcmc = p.cfg.mcmc
     return inference.run_chains(
-        target, p.prior.nominal(), mcmc.steps, mcmc.adapt_start, p.stream.split(5),
+        target, PRIOR_NOMINAL, mcmc.steps, mcmc.adapt_start, p.stream.split(5),
         initial_step=step0, burn=mcmc.burn, thin=mcmc.thin)
 
 
@@ -276,7 +273,8 @@ def _validate(p: "Pipeline", chain: inference.PosteriorChain) -> dict:
     # the pooled mean, bitwise the report's posterior mean (summarize)
     mean = chain.pooled_samples().mean(axis=0)
     return {
-        "prior_nominal": validate_at_point(p.prior.nominal_params(), p.dataset, model),
+        "prior_nominal": validate_at_point(
+            CalibrationParams.from_array(PRIOR_NOMINAL), p.dataset, model),
         "posterior_mean": validate_at_point(
             CalibrationParams.from_array(mean), p.dataset, model),
         "note": "in-sample comparison: the validation dataset equals the "
@@ -292,7 +290,7 @@ _STAGES = {
         upstream=(),
         artifacts=("training_set.csv", "training_set.json"),
         compute=lambda p: doe.build_training_set(
-            p.dataset, p.prior, p.cfg.samples_per_condition, p.cfg.forward(),
+            p.dataset, p.cfg.samples_per_condition, p.cfg.forward(),
             p.stream.split(1)),
         save=doe.save_training_set,
         load=doe.load_training_set),
@@ -322,7 +320,7 @@ _STAGES = {
         upstream=("train",),
         artifacts=("sensitivity.json",),
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
-            *gps, p.dataset, p.prior, p.cfg.sa_n_base, p.stream.split(4)),
+            *gps, p.dataset, p.cfg.sa_n_base, p.stream.split(4)),
         save=_write_json,
         load=_read_json),
     "calibrate": _Stage(
@@ -358,7 +356,6 @@ class Pipeline:
             dataclasses.replace(row, index=i) for i, row in enumerate(rows, start=1)))
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.prior: PriorSpec = prior_from_table2()
         self.stream = RandomStream(cfg.seed)
         config, sources = cfg.to_dict(), _source_digests()
         if cfg.external is not None:  # where the simulator runs, not what it gives

@@ -106,11 +106,11 @@ class _Axes:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    # one template per row: "%.6g" formats a float as _fmt does
+    template = ",".join(["%.6g"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % row for row in zip(*columns))
 
 
 def parity_plot(measured: np.ndarray, prior_pred: np.ndarray,

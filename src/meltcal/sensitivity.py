@@ -25,7 +25,13 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .blas import one_blas_thread
-from .domain import ExperimentalDataset, PARAM_NAMES, PriorSpec, RandomStream
+from .domain import (
+    ExperimentalDataset,
+    PARAM_NAMES,
+    PRIOR_LOWER,
+    PRIOR_UPPER,
+    RandomStream,
+)
 from .inference import _average_ranks
 from .surrogate import ConditionedGp, GpSurrogate
 
@@ -209,8 +215,8 @@ def gp_mean_sobol(x: np.ndarray, ell: np.ndarray, v: np.ndarray,
 
 
 def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
-                    dataset: ExperimentalDataset, prior: PriorSpec,
-                    n_base: int, stream: RandomStream) -> dict:
+                    dataset: ExperimentalDataset, n_base: int,
+                    stream: RandomStream) -> dict:
     """SA of the GP predictive mean averaged over the dataset conditions.
 
     The Sobol indices are exact for that mean (``gp_mean_sobol``) over the
@@ -232,10 +238,10 @@ def sa_on_surrogate(gp_length: GpSurrogate, gp_depth: GpSurrogate,
         # in the GP's theta coordinates t
         s_main[:, col], s_total[:, col] = gp_mean_sobol(
             cgp.x_theta[0], cgp.ell_theta[0, 0], cgp.v[0],
-            (prior.lower() - cgp.lo[0]) / cgp.span[0],
-            (prior.upper() - cgp.lo[0]) / cgp.span[0])
+            (PRIOR_LOWER - cgp.lo[0]) / cgp.span[0],
+            (PRIOR_UPPER - cgp.lo[0]) / cgp.span[0])
         rng = stream.split(col + 1).split(99).generator()
-        a = prior.lower() + rng.random((n_base, n_params)) * (prior.upper() - prior.lower())
+        a = PRIOR_LOWER + rng.random((n_base, n_params)) * (PRIOR_UPPER - PRIOR_LOWER)
         # in chunks, with the same bits: the mean is computed per row, and
         # a 256-row chunk holds a 2.1 MB difference tensor, where one
         # 4096-row call would hold 34 MB

@@ -17,7 +17,6 @@ from meltcal.domain import (
     RandomStream,
     bundled_dataset_path,
     load_dataset,
-    prior_from_table2,
 )
 from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import fit_gp
@@ -30,8 +29,7 @@ def dataset():
 
 @pytest.fixture(scope="session")
 def training_set(dataset):
-    return build_training_set(dataset, prior_from_table2(), 10, evaluate_reduced,
-                              RandomStream(0))
+    return build_training_set(dataset, 10, evaluate_reduced, RandomStream(0))
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,12 @@ import pytest
 from fd_oracle import solve_fd
 from meltcal.doe import build_training_set
 from meltcal.domain import (
+    CalibrationParams,
     PARAM_NAMES,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
-    prior_from_table2,
     synthetic_dataset,
     write_dataset,
 )
@@ -27,8 +30,7 @@ from meltcal.pipeline import RunConfig, run_stage
 from meltcal.sensitivity import sobol_indices
 from meltcal.surrogate import fit_gp, loocv_q2
 
-PRIOR = prior_from_table2()
-NOMINAL = PRIOR.nominal_params()
+NOMINAL = CalibrationParams.from_array(PRIOR_NOMINAL)
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -107,7 +109,7 @@ def test_criterion_3_gp_quality(capsys, dataset, bundled_run):
     _, report = bundled_run
     q2_10 = (report["surrogate_q2"]["q2_length"],
              report["surrogate_q2"]["q2_depth"])
-    ts20 = build_training_set(dataset, PRIOR, 20, evaluate_reduced, RandomStream(0))
+    ts20 = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
     q2_20 = (loocv_q2(fit_gp(ts20, "length", RandomStream(1)))[0],
              loocv_q2(fit_gp(ts20, "depth", RandomStream(2)))[0])
     ok = (min(q2_10) >= 0.90
@@ -137,7 +139,7 @@ def test_criterion_4_forward_model_oracle(capsys, dataset):
 def test_criterion_5_synthetic_identifiability(capsys, synthetic_run):
     truth, report = synthetic_run
     post = report["posterior"]
-    prior_std = (PRIOR.upper() - PRIOR.lower()) / np.sqrt(12.0)  # uniform
+    prior_std = (PRIOR_UPPER - PRIOR_LOWER) / np.sqrt(12.0)  # uniform
     ia = PARAM_NAMES.index("alpha")
     covered = post["ci_lower"][ia] <= truth.alpha <= post["ci_upper"][ia]
     alpha_tight = post["std"][ia] <= 0.3 * prior_std[ia]
@@ -200,7 +202,7 @@ def test_criterion_9_property_suites(capsys):
     """Compact re-run of the named module properties; the full suites live
     in the per-module test files alongside this one."""
     from meltcal.doe import latin_hypercube
-    from meltcal.domain import CalibrationParams, in_support
+    from meltcal.domain import in_support
     from meltcal.inference import autocorrelation
     from meltcal.surrogate import _Likelihood, _PairDistances
     from nlml_reference import nlml
@@ -238,8 +240,7 @@ def test_criterion_9_property_suites(capsys):
         for steps in (100, 50_000) for burn in (0, 10) for thin in (1, 20))
 
     theta = dataclasses.replace(NOMINAL, alpha=0.5)
-    shrunk = PRIOR  # full prior already rejects alpha = 0.5
-    checks["support_monotone"] = not in_support(theta, shrunk)
+    checks["support_monotone"] = not in_support(theta)  # alpha above 0.405
 
     ok = all(checks.values())
     failing = [k for k, v in checks.items() if not v]

@@ -13,18 +13,16 @@ from meltcal.doe import (
     latin_hypercube,
     load_training_set,
     save_training_set,
-    scale_to_prior,
 )
 from meltcal.domain import (
-    CalibrationParams,
     MeltPoolSize,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
     in_support,
-    prior_from_table2,
 )
 from meltcal.forward import evaluate_reduced
-
-PRIOR = prior_from_table2()
 
 # 99% chi-square critical value for 9 degrees of freedom (10 bins)
 CHI2_99_DF9 = 21.666
@@ -63,31 +61,6 @@ class TestLatinHypercube:
         np.testing.assert_array_equal(a, b)
 
 
-class TestScaleToPrior:
-    def test_midpoint_is_nominal_for_alpha(self):
-        u = np.full((1, 8), 0.5)
-        vals = scale_to_prior(u, PRIOR)
-        assert vals[0, 0] == pytest.approx(0.27)
-
-    def test_zero_maps_to_lower_mu_l(self):
-        u = np.zeros((1, 8))
-        vals = scale_to_prior(u, PRIOR)
-        assert vals[0, 6] == pytest.approx(0.05)
-
-    def test_one_approaches_sorted_gamma_t_upper(self):
-        u = np.full((1, 8), 1.0 - 1e-12)
-        vals = scale_to_prior(u, PRIOR)
-        assert vals[0, 7] == pytest.approx(-3.87e-4, rel=1e-6)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_always_in_support(self, seed):
-        u = latin_hypercube(16, 8, RandomStream(seed))
-        vals = scale_to_prior(u, PRIOR)
-        for row in vals:
-            assert in_support(CalibrationParams.from_array(row), PRIOR)
-
-
 class TestAffineMap:
     @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
            st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
@@ -100,9 +73,9 @@ class TestAffineMap:
         np.testing.assert_allclose(amap.inverse(amap.forward(x)), x, rtol=1e-12)
 
     def test_design_affine_covers_dataset(self, dataset):
-        amap = design_affine(dataset, PRIOR)
+        amap = design_affine(dataset)
         u = amap.forward(np.concatenate([dataset.design_matrix(),
-                                         np.tile(PRIOR.nominal(), (13, 1))], axis=1))
+                                         np.tile(PRIOR_NOMINAL, (13, 1))], axis=1))
         assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
 
 
@@ -111,7 +84,7 @@ class TestBuildTrainingSet:
         assert training_set.n == 130
 
     def test_thirteen_by_twenty_gives_260_rows(self, dataset):
-        ts = build_training_set(dataset, PRIOR, 20, evaluate_reduced, RandomStream(5))
+        ts = build_training_set(dataset, 20, evaluate_reduced, RandomStream(5))
         assert ts.n == 260
 
     def test_outputs_finite_and_positive(self, training_set):
@@ -119,8 +92,8 @@ class TestBuildTrainingSet:
         assert np.all(training_set.outputs > 0)
 
     def test_reproducible_for_equal_seed(self, dataset):
-        a = build_training_set(dataset, PRIOR, 5, evaluate_reduced, RandomStream(11))
-        b = build_training_set(dataset, PRIOR, 5, evaluate_reduced, RandomStream(11))
+        a = build_training_set(dataset, 5, evaluate_reduced, RandomStream(11))
+        b = build_training_set(dataset, 5, evaluate_reduced, RandomStream(11))
         np.testing.assert_array_equal(a.inputs_raw, b.inputs_raw)
         np.testing.assert_array_equal(a.outputs, b.outputs)
 
@@ -132,7 +105,7 @@ class TestBuildTrainingSet:
         """
         count = 0
         for row in dataset:
-            mask = training_set.condition_index == row.index
+            mask = np.all(training_set.inputs_raw[:, :3] == row.design.as_array(), axis=1)
             lengths = training_set.outputs[mask, 0]
             if lengths.min() <= row.length <= lengths.max():
                 count += 1
@@ -143,7 +116,31 @@ class TestBuildTrainingSet:
             return MeltPoolSize(length=0.0, depth=0.0, melted=False)
 
         with pytest.raises(TrainingSetError):
-            build_training_set(dataset, PRIOR, 3, frozen, RandomStream(0))
+            build_training_set(dataset, 3, frozen, RandomStream(0))
+
+    def test_thetas_are_the_hypercube_in_the_box(self, dataset):
+        """With no redraws, each condition's thetas are its Latin hypercube
+        mapped affinely onto the prior box, bitwise."""
+        def melts(design, theta):
+            return MeltPoolSize(length=1e-4, depth=1e-5, melted=True)
+
+        ts = build_training_set(dataset, 4, melts, RandomStream(7))
+        for i, row in enumerate(dataset):
+            u = latin_hypercube(4, 8, RandomStream(7).split(row.index))
+            np.testing.assert_array_equal(ts.inputs_raw[4 * i:4 * i + 4, 3:],
+                                          PRIOR_LOWER + u * (PRIOR_UPPER - PRIOR_LOWER))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_design_theta_in_support(self, dataset, seed):
+        """Hypercube points and no-melt redraws alike lie in the prior box."""
+        def model(design, theta):  # no melt in the lowest ~6% of alpha
+            if theta.alpha < 0.15:
+                return MeltPoolSize(length=0.0, depth=0.0, melted=False)
+            return MeltPoolSize(length=1e-4, depth=1e-5, melted=True)
+
+        ts = build_training_set(dataset, 16, model, RandomStream(seed))
+        assert all(in_support(theta) for theta in ts.inputs_raw[:, 3:])
 
     def test_standardized_inputs_in_unit_box(self, training_set):
         u = training_set.inputs_std()
@@ -155,8 +152,6 @@ class TestBuildTrainingSet:
         back = load_training_set(*paths)
         np.testing.assert_array_equal(back.inputs_raw, training_set.inputs_raw)
         np.testing.assert_array_equal(back.outputs, training_set.outputs)
-        np.testing.assert_array_equal(back.condition_index,
-                                      training_set.condition_index)
         np.testing.assert_array_equal(back.input_map.lo, training_set.input_map.lo)
         np.testing.assert_array_equal(back.input_map.hi, training_set.input_map.hi)
         assert back.rejections == training_set.rejections

@@ -1,4 +1,4 @@
-"""Domain types, dataset I/O, prior construction, and random streams."""
+"""Domain types, dataset I/O, the prior box, and random streams."""
 
 import dataclasses
 import re
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meltcal import domain
 from meltcal.domain import (
     CalibrationParams,
     DatasetFormatError,
@@ -15,17 +16,18 @@ from meltcal.domain import (
     ExperimentalDataset,
     MeltPoolSize,
     PARAM_NAMES,
-    PriorEntry,
-    PriorSpec,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
     in_support,
     load_dataset,
-    prior_from_table2,
     synthetic_dataset,
     write_dataset,
 )
 
 HEADER = "index,power_W,beam_radius_mm,pulse_ms,length_mm,depth_mm"
+NOMINAL = CalibrationParams.from_array(PRIOR_NOMINAL)
 
 
 def cell_error(path, column: str) -> str:
@@ -152,79 +154,53 @@ class TestLoadDataset:
 
 class TestPrior:
     def test_alpha_interval(self):
-        prior = prior_from_table2()
-        assert prior.entries[0].interval == pytest.approx((0.135, 0.405))
+        assert (PRIOR_LOWER[0], PRIOR_UPPER[0]) == pytest.approx((0.135, 0.405))
 
     def test_gamma_t_interval_sorted(self):
-        prior = prior_from_table2()
-        lo, hi = prior.entries[PARAM_NAMES.index("gamma_t")].interval
-        assert lo == pytest.approx(-4.73e-4)
-        assert hi == pytest.approx(-3.87e-4)
+        i = PARAM_NAMES.index("gamma_t")
+        assert PRIOR_LOWER[i] == pytest.approx(-4.73e-4)
+        assert PRIOR_UPPER[i] == pytest.approx(-3.87e-4)
 
     def test_mu_l_interval(self):
-        prior = prior_from_table2()
-        lo, hi = prior.entries[PARAM_NAMES.index("mu_l")].interval
-        assert (lo, hi) == pytest.approx((0.05, 0.2))
+        i = PARAM_NAMES.index("mu_l")
+        assert (PRIOR_LOWER[i], PRIOR_UPPER[i]) == pytest.approx((0.05, 0.2))
 
     def test_intervals_contain_nominal(self):
-        prior = prior_from_table2()
-        assert np.all(prior.lower() <= prior.nominal())
-        assert np.all(prior.nominal() <= prior.upper())
+        assert np.all(PRIOR_LOWER <= PRIOR_NOMINAL)
+        assert np.all(PRIOR_NOMINAL <= PRIOR_UPPER)
 
-    def test_bad_multipliers_rejected(self):
-        with pytest.raises(ValueError):
-            PriorEntry(name="alpha", nominal=0.27, lower_mult=1.5, upper_mult=0.5)
+    @pytest.mark.parametrize("name", ["PRIOR_NOMINAL", "PRIOR_LOWER", "PRIOR_UPPER"])
+    def test_constants_are_read_only(self, name):
+        array = getattr(domain, name)
+        assert array.dtype == np.float64 and array.shape == (len(PARAM_NAMES),)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
 
 
 class TestInSupport:
     def test_nominal_inside(self):
-        prior = prior_from_table2()
-        assert in_support(prior.nominal_params(), prior)
+        assert in_support(NOMINAL)
 
     def test_alpha_above_bound(self):
-        prior = prior_from_table2()
-        theta = dataclasses.replace(prior.nominal_params(), alpha=0.406)
-        assert not in_support(theta, prior)
+        assert not in_support(dataclasses.replace(NOMINAL, alpha=0.406))
 
     def test_boundary_is_inside(self):
-        prior = prior_from_table2()
-        theta = dataclasses.replace(prior.nominal_params(), alpha=0.405)
-        assert in_support(theta, prior)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_shrinking_intervals_is_monotone(self, seed):
-        """A point rejected by the wide prior stays rejected by any shrunk one."""
-        prior = prior_from_table2()
-        rng = RandomStream(seed).generator()
-        span = prior.upper() - prior.lower()
-        vals = prior.lower() - 0.5 * span + 2.0 * span * rng.random(8)
-        try:
-            theta = CalibrationParams.from_array(vals)
-        except ValueError:
-            return  # draw violated a type invariant, not a support question
-        shrunk = PriorSpec(entries=tuple(
-            dataclasses.replace(e,
-                                lower_mult=e.lower_mult + 0.05 * (e.upper_mult - e.lower_mult),
-                                upper_mult=e.upper_mult - 0.05 * (e.upper_mult - e.lower_mult))
-            for e in prior.entries))
-        if not in_support(theta, prior):
-            assert not in_support(theta, shrunk)
+        assert in_support(dataclasses.replace(NOMINAL, alpha=0.405))
 
 
 class TestCalibrationParams:
     @given(st.lists(st.floats(0.01, 10.0), min_size=8, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_array_round_trip(self, mults):
-        prior = prior_from_table2()
-        vals = prior.nominal() * np.clip(mults, 0.5, 1.5)
+        vals = PRIOR_NOMINAL * np.clip(mults, 0.5, 1.5)
         theta = CalibrationParams.from_array(vals)
         np.testing.assert_array_equal(theta.as_array(), vals)
 
     def test_positive_gamma_t_rejected(self):
-        prior = prior_from_table2()
         with pytest.raises(ValueError):
-            dataclasses.replace(prior.nominal_params(), gamma_t=4.3e-4)
+            dataclasses.replace(NOMINAL, gamma_t=4.3e-4)
 
 
 class TestMeltPoolSize:
@@ -264,7 +240,7 @@ class TestRandomStream:
 
 
 class TestSyntheticDataset:
-    THETA = prior_from_table2().nominal_params()
+    THETA = NOMINAL
 
     @staticmethod
     def model(design, theta):

@@ -15,7 +15,9 @@ from meltcal.domain import (
     CalibrationParams,
     DesignVars,
     MeltPoolSize,
-    prior_from_table2,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
 )
 from meltcal.forward import (
     NumericsError,
@@ -30,7 +32,7 @@ from meltcal.forward import (
 from meltcal.pipeline import RunConfig
 from meltcal.simulator import AdapterError, ExternalModelSpec, evaluate_external
 
-NOMINAL = prior_from_table2().nominal_params()
+NOMINAL = CalibrationParams.from_array(PRIOR_NOMINAL)
 COND1 = DesignVars(power=530.0, beam_radius=1.59e-4, pulse_duration=4e-3)
 
 
@@ -151,12 +153,11 @@ class TestAgainstReference:
             self.assert_same(row.design, NOMINAL)
 
     def test_prior_draws(self, dataset):
-        prior = prior_from_table2()
         rng = np.random.default_rng(11)
         for row in dataset:
             for _ in range(16):
                 theta = CalibrationParams.from_array(
-                    prior.lower() + rng.random(8) * (prior.upper() - prior.lower()))
+                    PRIOR_LOWER + rng.random(8) * (PRIOR_UPPER - PRIOR_LOWER))
                 self.assert_same(row.design, theta)
 
     def test_rise_along_each_axis_is_bitwise_the_reference(self, dataset):

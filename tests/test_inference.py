@@ -14,8 +14,10 @@ from am_reference import burn_thin
 from meltcal import cli, inference
 from meltcal.domain import (
     ExperimentalDataset,
+    PRIOR_LOWER,
+    PRIOR_NOMINAL,
+    PRIOR_UPPER,
     RandomStream,
-    prior_from_table2,
 )
 from meltcal.forward import NumericsError
 from meltcal.inference import (
@@ -40,12 +42,9 @@ from meltcal.inference import (
 )
 from meltcal.pipeline import StageError
 
-PRIOR = prior_from_table2()
-
-
 def posterior_at(theta, dataset, gps):
     """``log_posterior`` at ``theta`` with the terms fixed by these arguments."""
-    return log_posterior(theta, FixedTerms.build(dataset, *gps, PRIOR))
+    return log_posterior(theta, FixedTerms.build(dataset, *gps))
 
 
 class TestExperimentalSigmas:
@@ -66,14 +65,14 @@ class TestExperimentalSigmas:
 
 class TestLogPosterior:
     def test_outside_support_is_minus_inf(self, dataset, gps):
-        theta = PRIOR.nominal()
+        theta = PRIOR_NOMINAL.copy()
         theta[0] = 0.5  # above the alpha upper bound
         lp = posterior_at(theta, dataset, gps)
         assert lp == -np.inf
 
     def test_boundary_is_finite(self, dataset, gps):
-        theta = PRIOR.nominal()
-        theta[0] = PRIOR.upper()[0]
+        theta = PRIOR_NOMINAL.copy()
+        theta[0] = PRIOR_UPPER[0]
         lp = posterior_at(theta, dataset, gps)
         assert np.isfinite(lp)
 
@@ -86,7 +85,7 @@ class TestLogPosterior:
         sig = experimental_sigmas(dataset)
         meas = dataset.measurements()
         designs = dataset.design_matrix()
-        fixed = FixedTerms.build(dataset, *gps, PRIOR)
+        fixed = FixedTerms.build(dataset, *gps)
 
         def oracle(theta):
             rows = np.concatenate([designs, np.tile(theta, (13, 1))], axis=1)
@@ -98,14 +97,14 @@ class TestLogPosterior:
             cov = np.diag(np.concatenate([sig[:, 0], sig[:, 1]]) ** 2 + var)
             return multivariate_normal.logpdf(y, mean=mu, cov=cov)
 
-        t1 = PRIOR.nominal()
-        t2 = PRIOR.nominal() * 0.98
+        t1 = PRIOR_NOMINAL
+        t2 = PRIOR_NOMINAL * 0.98
         lp1 = posterior_at(t1, dataset, gps)
         lp2 = posterior_at(t2, dataset, gps)
         assert lp1 - lp2 == pytest.approx(oracle(t1) - oracle(t2), rel=1e-9)
 
     def test_invariant_under_row_reordering(self, dataset, gps):
-        theta = PRIOR.nominal()
+        theta = PRIOR_NOMINAL
         lp = posterior_at(theta, dataset, gps)
         rows = list(dataset.rows)[::-1]
         reordered = ExperimentalDataset(rows=tuple(
@@ -115,7 +114,7 @@ class TestLogPosterior:
 
     def test_exactly_invariant_under_random_row_permutation(self, dataset, gps):
         rng = RandomStream(5).generator()
-        theta = PRIOR.lower() + (0.2 + 0.6 * rng.random(8)) * (PRIOR.upper() - PRIOR.lower())
+        theta = PRIOR_LOWER + (0.2 + 0.6 * rng.random(8)) * (PRIOR_UPPER - PRIOR_LOWER)
         lp = posterior_at(theta, dataset, gps)
         assert np.isfinite(lp)
         for _ in range(20):
@@ -127,7 +126,7 @@ class TestLogPosterior:
     def test_code_uncertainty_widens_every_quadratic_term(self, dataset, gps):
         """Inflating the variance can only shrink each |r^2 / Sigma_ii|."""
         gp_l, gp_d = gps
-        theta = PRIOR.nominal()
+        theta = PRIOR_NOMINAL
         designs = dataset.design_matrix()
         rows = np.concatenate([designs, np.tile(theta, (13, 1))], axis=1)
         sig = experimental_sigmas(dataset)
@@ -330,10 +329,10 @@ class TestAdaptiveMetropolisOracle:
         assert chain.target_neginf > 0
 
     def test_bundled_log_posterior(self, dataset, gps):
-        target = FixedTerms.build(dataset, *gps, PRIOR)
-        step0 = (PRIOR.upper() - PRIOR.lower()) / 10.0
-        chain = self.assert_same_chain(lambda: target, PRIOR.nominal(), 3_000, 1_000,
-                                       33, initial_step=step0)
+        target = FixedTerms.build(dataset, *gps)
+        step0 = (PRIOR_UPPER - PRIOR_LOWER) / 10.0
+        chain = self.assert_same_chain(lambda: target, PRIOR_NOMINAL, 3_000, 1_000, 33,
+                                       initial_step=step0)
         assert chain.acceptance_rate(1_000) > 0.0  # the adapted proposal moved
 
     def test_step_0_accepts_a_downhill_proposal(self):
@@ -586,7 +585,7 @@ class TestSplitRhat:
 class TestChainSerialization:
     @pytest.fixture(scope="class")
     def chains(self):
-        init = PRIOR.nominal()
+        init = PRIOR_NOMINAL
 
         def target(x):
             z = (x - init) / init
@@ -640,8 +639,8 @@ class TestFixedTermsTarget:
     """``FixedTerms`` called on theta, the target the sampler calls."""
 
     def test_closure_matches_direct_call(self, dataset, gps, monkeypatch):
-        target = FixedTerms.build(dataset, *gps, PRIOR)
-        theta = PRIOR.nominal()
+        target = FixedTerms.build(dataset, *gps)
+        theta = PRIOR_NOMINAL
         assert target(theta) == posterior_at(theta, dataset, gps)
         # through the module's name, so that a wrapper of it sees every call
         calls = []
@@ -650,8 +649,8 @@ class TestFixedTermsTarget:
         assert target(theta) == 0.0 and calls[0] is target
 
     def test_non_finite_theta_raises(self, dataset, gps):
-        target = FixedTerms.build(dataset, *gps, PRIOR)
-        theta = PRIOR.nominal()
+        target = FixedTerms.build(dataset, *gps)
+        theta = PRIOR_NOMINAL.copy()
         theta[2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             target(theta)

@@ -22,12 +22,13 @@ from meltcal import doe, inference, pipeline, plots, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
 from meltcal.domain import (
+    CalibrationParams,
     ExperimentalDataset,
     PARAM_NAMES,
+    PRIOR_NOMINAL,
     RandomStream,
     bundled_dataset_path,
     load_dataset,
-    prior_from_table2,
     synthetic_dataset,
     write_dataset,
 )
@@ -42,7 +43,7 @@ from meltcal.pipeline import (
 )
 from meltcal.simulator import ExternalModelSpec
 
-PRIOR = prior_from_table2()
+NOMINAL = CalibrationParams.from_array(PRIOR_NOMINAL)
 
 
 def small_config(out_dir: Path, **overrides) -> RunConfig:
@@ -115,7 +116,8 @@ class TestRunConfig:
         cfg = small_config(tmp_path)
         path = tmp_path / "cfg.json"
         _write_config(cfg, path)
-        assert RunConfig.from_json(path).to_dict() == cfg.to_dict()
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert RunConfig.from_dict(doc).to_dict() == cfg.to_dict()
 
     def test_missing_dataset_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -164,15 +166,15 @@ class TestRunConfig:
 class TestValidateAtPoint:
     @pytest.fixture(scope="class")
     def synthetic(self, dataset):
-        return synthetic_dataset(dataset, evaluate_reduced, PRIOR.nominal_params())
+        return synthetic_dataset(dataset, evaluate_reduced, NOMINAL)
 
     def test_self_consistent_synthetic_data(self, synthetic):
-        tab = validate_at_point(PRIOR.nominal_params(), synthetic, evaluate_reduced)
+        tab = validate_at_point(NOMINAL, synthetic, evaluate_reduced)
         assert tab["average_length_error_mm"] == pytest.approx(0.0, abs=1e-9)
         assert tab["average_depth_error_mm"] == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbed_alpha_gives_positive_errors(self, synthetic):
-        theta = PRIOR.nominal_params()
+        theta = NOMINAL
         bumped = dataclasses.replace(theta, alpha=theta.alpha + 0.1)
         tab = validate_at_point(bumped, synthetic, evaluate_reduced)
         assert all(r["length_error_mm"] > 0 for r in tab["rows"])
@@ -683,6 +685,18 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (flag_out / "training_set.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
+    def test_seed_flag_outside_int64_reports_config_error(self, tmp_path, seed):
+        """--seed is checked as a config file's seed is; masked to 64 bits,
+        2**64 would run as seed 0."""
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["design", "--out", str(out),
+                                               "--seed", str(seed)])
+        assert result.exit_code == 1
+        assert _stderr(result) == ("error:config: seed must be an integer from "
+                                   f"-2**63 to 2**63 - 1, got {seed}\n")
+        assert not out.exists()
 
     def test_environment_does_not_move_the_output(self, tmp_path):
         """Only the config and --out choose the output directory."""

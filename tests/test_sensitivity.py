@@ -12,10 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from meltcal import sensitivity
-from meltcal.domain import (
-    RandomStream,
-    prior_from_table2,
-)
+from meltcal.domain import PRIOR_LOWER, PRIOR_UPPER, RandomStream
 from meltcal.sensitivity import (
     QUADRATURE_MIN_ELL,
     UndefinedStatisticError,
@@ -29,8 +26,6 @@ from meltcal.sensitivity import (
 )
 from meltcal.pipeline import _read_json, _write_json
 from meltcal.surrogate import ConditionedGp
-
-PRIOR = prior_from_table2()
 
 nonconstant_samples = st.lists(
     st.floats(-100.0, 100.0), min_size=5, max_size=40).filter(
@@ -137,12 +132,10 @@ def _box(d):
 
 class TestSobolIndices:
     def test_single_active_variable(self):
-        lower, upper = PRIOR.lower(), PRIOR.upper()
-
         def f(thetas):
             return thetas[:, 0]
 
-        res = sobol_indices(f, lower, upper, 4096, RandomStream(1))
+        res = sobol_indices(f, PRIOR_LOWER, PRIOR_UPPER, 4096, RandomStream(1))
         assert res.main[0] == pytest.approx(1.0, abs=0.02)
         assert res.total[0] == pytest.approx(1.0, abs=0.02)
         assert np.all(np.abs(res.main[1:]) < 0.02)
@@ -292,7 +285,7 @@ class TestGpMeanSobol:
                           np.zeros(2), np.ones(2))
 
     def test_bundled_surrogates_match_saltelli(self, dataset, gps):
-        report = sa_on_surrogate(*gps, dataset, PRIOR, 256, RandomStream(3))
+        report = sa_on_surrogate(*gps, dataset, 256, RandomStream(3))
         for col, gp in enumerate(gps):
             cgp = ConditionedGp.build([gp], dataset.design_matrix())
 
@@ -300,7 +293,7 @@ class TestGpMeanSobol:
                 return np.concatenate([cgp.averaged_mean(thetas[i:i + 4096])[0]
                                        for i in range(0, len(thetas), 4096)])
 
-            mc = sobol_indices(f, PRIOR.lower(), PRIOR.upper(), 8192,
+            mc = sobol_indices(f, PRIOR_LOWER, PRIOR_UPPER, 8192,
                                RandomStream(30 + col))
             main = np.asarray(report["sobol_main"])[:, col]
             total = np.asarray(report["sobol_total"])[:, col]
@@ -311,7 +304,7 @@ class TestGpMeanSobol:
 class TestReportSerialization:
     def test_json_round_trip(self, tmp_path, dataset, gps):
         """The SA document comes back from its file equal, each float bitwise."""
-        doc = sa_on_surrogate(*gps, dataset, PRIOR, 256, RandomStream(3))
+        doc = sa_on_surrogate(*gps, dataset, 256, RandomStream(3))
         path = tmp_path / "sensitivity.json"
         _write_json(doc, path)
         back = _read_json(path)

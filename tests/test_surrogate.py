@@ -9,7 +9,7 @@ import pytest
 
 from meltcal import surrogate
 from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
-from meltcal.domain import RandomStream, prior_from_table2
+from meltcal.domain import PRIOR_LOWER, PRIOR_UPPER, RandomStream
 from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import (
     JITTER_CEILING,
@@ -41,7 +41,6 @@ def make_ts(x: np.ndarray, y: np.ndarray) -> TrainingSet:
     hi = np.array([x.max() + 1e-9])
     outputs = np.column_stack([y, y])
     return TrainingSet(inputs_raw=x, outputs=outputs,
-                       condition_index=np.ones(x.shape[0], dtype=int),
                        input_map=AffineMap(lo=lo, hi=hi))
 
 
@@ -134,7 +133,6 @@ class TestBatchLayout:
         x = latin_hypercube(40, 4, RandomStream(12))
         y = np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 2 - x[:, 3]
         ts = TrainingSet(inputs_raw=x, outputs=np.column_stack([y, y]),
-                         condition_index=np.ones(40, dtype=int),
                          input_map=AffineMap(lo=np.zeros(4), hi=np.ones(4)))
         return fit_gp(ts, "length", RandomStream(13)), rng.random((37, 4))
 
@@ -163,9 +161,8 @@ class TestConditionedGp:
 
     @pytest.fixture(scope="class")
     def setup(self, dataset, gps):
-        prior = prior_from_table2()
         rng = RandomStream(21).generator()
-        thetas = prior.lower() + rng.random((64, 8)) * (prior.upper() - prior.lower())
+        thetas = PRIOR_LOWER + rng.random((64, 8)) * (PRIOR_UPPER - PRIOR_LOWER)
         return gps, dataset.design_matrix(), thetas
 
     @staticmethod
@@ -322,8 +319,7 @@ class TestPackedNlml:
     def training(self, request, dataset):
         """The session training set, and the same design at 20 per condition."""
         ts = (request.getfixturevalue("training_set") if request.param == "N130"
-              else build_training_set(dataset, prior_from_table2(), 20,
-                                      evaluate_reduced, RandomStream(0)))
+              else build_training_set(dataset, 20, evaluate_reduced, RandomStream(0)))
         x = ts.inputs_std()
         y = ts.outputs[:, 0]
         return x, (y - y.mean()) / y.std()
@@ -537,8 +533,8 @@ class TestFitWorkers:
 
     @pytest.fixture(scope="class", params=[2, 12], ids=["N26", "N156"])
     def ts(self, request, dataset):
-        return build_training_set(dataset, prior_from_table2(), request.param,
-                                  evaluate_reduced, RandomStream(0))
+        return build_training_set(dataset, request.param, evaluate_reduced,
+                                  RandomStream(0))
 
     def test_same_bits_at_any_worker_count(self, ts, monkeypatch):
         fits = []
@@ -628,11 +624,9 @@ class TestJitterInPlace:
     @pytest.fixture(scope="class")
     def designs(self, dataset, training_set):
         """The bundled design at 2, 10 and 20 per condition, by row count."""
-        return {26: build_training_set(dataset, prior_from_table2(), 2,
-                                       evaluate_reduced, RandomStream(0)),
+        return {26: build_training_set(dataset, 2, evaluate_reduced, RandomStream(0)),
                 130: training_set,
-                260: build_training_set(dataset, prior_from_table2(), 20,
-                                        evaluate_reduced, RandomStream(0))}
+                260: build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))}
 
     @staticmethod
     def factored(x, ts, sf2, ell, sn2):
