@@ -61,6 +61,28 @@ class TestLatinHypercube:
         np.testing.assert_array_equal(a, b)
 
 
+class TestScaleToPrior:
+    """The unit hypercube's map onto the prior box: the theta columns of
+    design_affine, whose inverse is the map build_training_set applies."""
+
+    @staticmethod
+    def _to_box(dataset, u):
+        amap = design_affine(dataset)
+        return AffineMap(lo=amap.lo[3:], hi=amap.hi[3:]).inverse(u)
+
+    def test_midpoint_is_nominal_for_alpha(self, dataset):
+        vals = self._to_box(dataset, np.full((1, 8), 0.5))
+        assert vals[0, 0] == pytest.approx(0.27)
+
+    def test_zero_maps_to_lower_mu_l(self, dataset):
+        vals = self._to_box(dataset, np.zeros((1, 8)))
+        assert vals[0, 6] == pytest.approx(0.05)
+
+    def test_one_approaches_sorted_gamma_t_upper(self, dataset):
+        vals = self._to_box(dataset, np.full((1, 8), 1.0 - 1e-12))
+        assert vals[0, 7] == pytest.approx(-3.87e-4, rel=1e-6)
+
+
 class TestAffineMap:
     @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
            st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
