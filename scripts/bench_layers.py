@@ -39,7 +39,10 @@ as the pipeline does by default), then times, per call:
   the pipeline writes at the defaults: 1000 retained states and 25k accept
   flags each.
 
-Each figure is the median over ``repeats`` batches.  Prints one JSON line.
+The meltcal modules imported here pin the process to one BLAS thread
+(``meltcal.blas``), so every figure is taken on one BLAS thread, as a run
+takes it.  Each figure is the median over ``repeats`` batches.  Prints
+one JSON line.
 
 Usage: PYTHONPATH=src python3 scripts/bench_layers.py [repeats]
 """
@@ -54,7 +57,6 @@ from pathlib import Path
 
 import numpy as np
 
-from meltcal.blas import one_blas_thread
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     CalibrationParams,
@@ -114,7 +116,6 @@ def seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-@one_blas_thread()
 def nlml_us(ts, gp, repeats: int) -> float:
     """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``, on
     one start's buffers and one BLAS thread, as ``fit_gp`` calls it."""

@@ -1,29 +1,33 @@
-"""One BLAS thread for the calls whose result must not depend on it.
+"""One BLAS thread for the whole process.
 
 OpenBLAS splits a large enough factorization or product over its threads,
 and the split changes the order of the floating-point sums.  L-BFGS-B
 amplifies those last bits into the fitted hyperparameters, so a fitted
 GP, and everything computed from it, would depend on the thread count.
-``one_blas_thread`` pins the OpenBLAS copies bundled with numpy and with
-scipy to one thread for the duration of a call and then restores their
-previous counts.  It nests: only the outermost entry sets and restores.
-At the GP's sizes one thread is also faster than two.
+Importing this module pins the OpenBLAS copies bundled with numpy and
+with scipy to one thread for the rest of the process.  ``surrogate``
+imports it, and ``inference``, ``sensitivity`` and ``pipeline`` import
+``surrogate``, so a run is pinned before its first BLAS call; the fit's
+threads and the forked chain workers inherit the pin.  At the GP's sizes
+one thread is also faster than two.
 
-The libraries are looked up on first use, not at import.  A numpy or
-scipy built against another BLAS has no such setter; that is reported
-with a ``BlasThreadWarning`` rather than ignored.
+numpy and ``scipy.linalg`` are imported first, so the libraries looked up
+here are the ones they already hold.  A numpy or scipy built against
+another BLAS has no such setter; that is reported with a
+``BlasThreadWarning`` rather than ignored.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import importlib.util
-import threading
 import warnings
 from pathlib import Path
 
-__all__ = ["BlasThreadWarning", "one_blas_thread"]
+import numpy  # noqa: F401 - loads numpy's OpenBLAS before it is looked up
+import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS likewise
+
+__all__ = ["BlasThreadWarning"]
 
 # package, its bundled OpenBLAS, and that library's thread getter and setter
 _OPENBLAS = (
@@ -56,42 +60,16 @@ def _thread_control(package: str, pattern: str, getter: str, setter: str):
     return None
 
 
-_lock = threading.Lock()
-_controls: list | None = None
-_depth = 0
-_saved: list[tuple] = []
+def _pin_one_thread() -> None:
+    """Set each bundled OpenBLAS to one thread; warn for any not found."""
+    for package, *names in _OPENBLAS:
+        control = _thread_control(package, *names)
+        if control is None:
+            warnings.warn(f"no OpenBLAS thread setter found for {package}; "
+                          "results may depend on the BLAS thread count",
+                          BlasThreadWarning)
+        else:
+            control[1](1)
 
 
-def _all_controls() -> list:
-    global _controls
-    if _controls is None:
-        _controls = []
-        for package, *names in _OPENBLAS:
-            control = _thread_control(package, *names)
-            if control is None:
-                warnings.warn(f"no OpenBLAS thread setter found for {package}; "
-                              "results may depend on the BLAS thread count",
-                              BlasThreadWarning)
-            else:
-                _controls.append(control)
-    return _controls
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Context manager and decorator: bundled OpenBLAS runs on one thread."""
-    global _depth
-    with _lock:
-        if _depth == 0:
-            _saved[:] = [(set_, get()) for get, set_ in _all_controls()]
-            for set_, _ in _saved:
-                set_(1)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for set_, count in _saved:
-                    set_(count)
+_pin_one_thread()

@@ -52,10 +52,21 @@ def _fail(exc: Exception) -> "NoReturn":  # noqa: F821
     sys.exit(1)
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object of ``pairs``; a repeated key is an error, not the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"config repeats key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_config(config: str | None, out: str | None, seed: int | None) -> RunConfig:
     """The config document with ``--out`` and ``--seed`` written into it,
     read by the same rules as the file."""
-    doc = {} if config is None else json.loads(Path(config).read_text(encoding="utf-8"))
+    doc = {} if config is None else json.loads(Path(config).read_text(encoding="utf-8"),
+                                               object_pairs_hook=_unique_keys)
     if isinstance(doc, dict):  # from_dict names any other document
         for key, value in (("out_dir", out), ("seed", seed)):
             if value is not None:

@@ -23,7 +23,6 @@ from .domain import CalibrationParams, DesignVars, MeltPoolSize
 
 __all__ = [
     "NumericsError",
-    "temperature_rise",
     "evaluate_reduced",
     "effective_conductivity",
     "melting_threshold",
@@ -177,16 +176,6 @@ class _RiseField:
     @np.errstate(divide="ignore", invalid="ignore")
     def __call__(self, r: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.rise(self.r_term(r) - self.z_term(z))
-
-
-def temperature_rise(design: DesignVars, theta: CalibrationParams,
-                     r: float, z: float, t: float) -> float:
-    """Temperature (K) at radius r, depth z, time t for one spot weld."""
-    if r < 0 or z < 0 or t < 0:
-        raise ValueError("r, z, t must be non-negative")
-    field = _RiseField(_Source.build(design, theta), t)
-    rise = field(np.asarray(r, float), np.asarray(z, float))
-    return float(AMBIENT_TEMPERATURE + rise)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .blas import one_blas_thread
 from .domain import (
     ExperimentalDataset,
     PARAM_NAMES,
@@ -300,7 +299,6 @@ def chains_peak_bytes(retained: int, steps: int) -> int:
     return (3 * CHAINS - 1) * (retained * (len(PARAM_NAMES) + 1) * 8 + steps)
 
 
-@one_blas_thread()
 def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
                steps: int, adapt_start: int, stream: RandomStream,
                initial_step: np.ndarray | None = None,
@@ -316,9 +314,9 @@ def run_chains(target: Callable[[np.ndarray], float], init: np.ndarray,
     before it returns, so none is running at the fork.  Each chain is
     bitwise what ``adaptive_metropolis`` gives on its stream, at any
     scheduling of the workers.  The result stacks each array of the chains
-    along a leading chain axis, in chain order.  The chains run with the
-    bundled OpenBLAS on one thread, so the processes do not contend for
-    cores through it.
+    along a leading chain axis, in chain order.  The workers inherit this
+    process's pin to one BLAS thread (``blas``), so the processes do not
+    contend for cores through it.
 
     A worker's failure is a ``ChainWorkerError`` naming the chain, raised
     from the worker's exception; a worker that dies without sending one, or

@@ -385,8 +385,9 @@ class Pipeline:
         """The result of stage ``name``: kept, loaded if fresh, else computed.
 
         Upstream results are fetched through the stage methods, and only
-        when the stage computes.  Only ``compute``'s errors become a
-        StageError; saving and loading keep their own error types.
+        when the stage computes.  An error of ``compute``, or of ``load``
+        on a cached artifact, becomes a StageError raised from it; a load's
+        names the artifact files.  Saving keeps its own error types.
         """
         if name in self._results:
             return self._results[name]
@@ -395,7 +396,11 @@ class Pipeline:
         meta = self.out / f"{_attr(name)}.meta.json"
         digest = self._stage_digest(name)
         if all(path.exists() for path in paths) and _stored_digest(meta) == digest:
-            result = stage.load(*paths)
+            try:
+                result = stage.load(*paths)
+            except Exception as exc:
+                files = ", ".join(map(str, paths))
+                raise StageError(name, f"cannot load {files}: {exc}") from exc
         else:
             upstream = [getattr(self, _attr(up))() for up in stage.upstream]
             try:

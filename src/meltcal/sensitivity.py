@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf, erfc
 
-from .blas import one_blas_thread
 from .domain import (
     ExperimentalDataset,
     PARAM_NAMES,
@@ -179,7 +178,6 @@ def _product(factors) -> np.ndarray | float:
     return reduce(np.multiply, factors, 1.0)
 
 
-@one_blas_thread()
 def gp_mean_sobol(x: np.ndarray, ell: np.ndarray, v: np.ndarray,
                   lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact main and total Sobol indices of an SE-kernel GP mean.

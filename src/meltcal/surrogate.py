@@ -5,9 +5,10 @@ hyperparameters by multi-start maximization of the log marginal likelihood
 with analytic gradients, evaluated on the packed squared differences of
 each training pair.  The predictive variance is the code-uncertainty
 term of the calibration likelihood.  Leave-one-out predictions come from
-the closed-form identity on the factorized kernel matrix.  Fitting,
-reloading, LOO and conditioning run on one BLAS thread (``blas.py``), so
-their results do not depend on the BLAS thread count.
+the closed-form identity on the factorized kernel matrix.  Importing
+this module imports ``blas``, which pins the process to one BLAS thread,
+so fits, reloads, LOO, conditioning and predictions do not depend on the
+BLAS thread count.
 
 A fit's L-BFGS starts run on ``FIT_WORKERS`` threads.  The
 likelihood calls LAPACK through scipy's ``cython_lapack`` function
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
 from scipy.optimize import minimize
 
-from .blas import one_blas_thread
+from . import blas  # noqa: F401 - pins the process to one BLAS thread
 from .doe import AffineMap, TrainingSet, latin_hypercube
 from .domain import PARAM_NAMES, RandomStream
 
@@ -163,7 +164,6 @@ class ConditionedGp:
     y_scale2: np.ndarray     # (O, 1) y_scale**2, as predict squares it
 
     @classmethod
-    @one_blas_thread()
     def build(cls, gps: Sequence[GpSurrogate],
               designs: np.ndarray) -> "ConditionedGp":
         """Condition each of ``gps`` on the raw (C, m) design rows ``designs``."""
@@ -448,7 +448,6 @@ class _Likelihood:
         return float(nlml), grad
 
 
-@one_blas_thread()
 def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     """Train a GP on one output with 8 multi-started local optimizations,
     run on ``FIT_WORKERS`` threads."""
@@ -498,7 +497,6 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     return _factored_gp(x, y, sf2, ell, sn2, ts.input_map, y_mean, y_scale, output)
 
 
-@one_blas_thread()
 def loocv_q2(gp: GpSurrogate) -> tuple[float, np.ndarray]:
     """Leave-one-out Q2 and per-point residuals (standardized units).
 
@@ -533,7 +531,6 @@ def save_gp(gp: GpSurrogate, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
-@one_blas_thread()
 def load_gp(path: str | Path) -> GpSurrogate:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("gp_format") != GP_FORMAT:

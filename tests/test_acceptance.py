@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fd_oracle import solve_fd
+from helpers import synthetic_dataset, write_dataset
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     CalibrationParams,
@@ -21,8 +22,6 @@ from meltcal.domain import (
     PRIOR_NOMINAL,
     PRIOR_UPPER,
     RandomStream,
-    synthetic_dataset,
-    write_dataset,
 )
 from meltcal.forward import evaluate_reduced
 from meltcal.inference import adaptive_metropolis, effective_sample_size
@@ -202,7 +201,7 @@ def test_criterion_9_property_suites(capsys):
     """Compact re-run of the named module properties; the full suites live
     in the per-module test files alongside this one."""
     from meltcal.doe import latin_hypercube
-    from meltcal.domain import in_support
+    from helpers import in_support
     from meltcal.inference import autocorrelation
     from meltcal.surrogate import _Likelihood, _PairDistances
     from nlml_reference import nlml

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import in_support
 from meltcal.doe import (
     AffineMap,
     TrainingSetError,
@@ -20,7 +21,6 @@ from meltcal.domain import (
     PRIOR_NOMINAL,
     PRIOR_UPPER,
     RandomStream,
-    in_support,
 )
 from meltcal.forward import evaluate_reduced
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import in_support, synthetic_dataset, write_dataset
 from meltcal import domain
 from meltcal.domain import (
     CalibrationParams,
@@ -20,10 +21,7 @@ from meltcal.domain import (
     PRIOR_NOMINAL,
     PRIOR_UPPER,
     RandomStream,
-    in_support,
     load_dataset,
-    synthetic_dataset,
-    write_dataset,
 )
 
 HEADER = "index,power_W,beam_radius_mm,pulse_ms,length_mm,depth_mm"

@@ -10,6 +10,7 @@ import pytest
 
 from fd_oracle import solve_fd
 import forward_reference
+from helpers import temperature_rise
 from meltcal import forward
 from meltcal.domain import (
     CalibrationParams,
@@ -27,7 +28,6 @@ from meltcal.forward import (
     effective_conductivity,
     evaluate_reduced,
     loss_fraction,
-    temperature_rise,
 )
 from meltcal.pipeline import RunConfig
 from meltcal.simulator import AdapterError, ExternalModelSpec, evaluate_external

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import synthetic_dataset, write_dataset
 from meltcal import doe, inference, pipeline, plots, surrogate
 from meltcal.cli import main as cli_main
 from meltcal.doe import build_training_set
@@ -29,8 +30,6 @@ from meltcal.domain import (
     RandomStream,
     bundled_dataset_path,
     load_dataset,
-    synthetic_dataset,
-    write_dataset,
 )
 from meltcal.forward import evaluate_reduced
 from meltcal.pipeline import (
@@ -99,11 +98,11 @@ def _edit_source(monkeypatch, module: str) -> None:
                         lambda: {**digests(), module: "edited"})
 
 
-def _design_failure(tmp_path: Path, doc: dict) -> str:
-    """stderr of the design command on config ``doc``, which must fail and
-    leave no output directory."""
+def _design_failure(tmp_path: Path, doc: dict | str) -> str:
+    """stderr of the design command on config ``doc``, a document or its
+    JSON text, which must fail and leave no output directory."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     result = CliRunner().invoke(cli_main, ["design", "--config", str(cfg_path),
                                            "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
@@ -623,6 +622,13 @@ class TestCli:
          "cannot be split into words"),
         pytest.param({"mcmc": {"steps": 4_000_000_000_000}},
                      "mcmc.steps 4000000000000 needs", id="doc16-chain-past-memory"),
+        pytest.param('{"seed": 1, "seed": 2, "samples_per_condition": 2}',
+                     "config repeats key 'seed'", id="repeated-seed"),
+        pytest.param('{"mcmc": {"thin": 10, "thin": 20}}',
+                     "config repeats key 'thin'", id="repeated-mcmc.thin"),
+        pytest.param('{"external": {"command_template": "sim {input} {output}", '
+                     '"timeout": 5, "timeout": 6}}',
+                     "config repeats key 'timeout'", id="repeated-external.timeout"),
     ])
     def test_malformed_config_reports_config_error(self, tmp_path, doc, key):
         err = _design_failure(tmp_path, doc)
@@ -722,6 +728,29 @@ class TestCli:
         err = _stderr(result)
         assert err.startswith("error:adapter:") and "status 3" in err, err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("stage, artifact, damage, category", [
+        ("sa", "sensitivity.json", lambda data: data[:len(data) // 2], "stage"),
+        ("calibrate", "chain.npz", lambda data: b"garbage", "stage"),
+        ("design", "training_set.csv", lambda data: b"bogus\n", "training"),
+    ], ids=["sa", "calibrate", "design"])
+    def test_unloadable_artifact_names_its_stage_and_file(self, small_run, tmp_path,
+                                                          stage, artifact, damage,
+                                                          category):
+        """A cached artifact that fails to load is a failure of its stage,
+        named with the file; a typed cause keeps its category."""
+        cfg, _ = small_run
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.out_dir, out)
+        path = out / artifact
+        path.write_bytes(damage(path.read_bytes()))
+        cfg_path = tmp_path / "cfg.json"
+        _write_config(dataclasses.replace(cfg, out_dir=str(out)), cfg_path)
+        result = CliRunner().invoke(cli_main, [stage, "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        err = _stderr(result)
+        assert err.startswith(f"error:{category}: stage {stage!r}: cannot load"), err
+        assert str(path) in err and len(err.strip().splitlines()) == 1, err
 
     def test_all_subcommands_registered(self):
         result = CliRunner().invoke(cli_main, ["--help"])
