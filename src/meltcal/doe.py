@@ -2,8 +2,7 @@
 
 The surrogate training set spans (design condition x calibration sample):
 a fresh per-condition Latin hypercube over the 8-parameter prior, with the
-forward model evaluated at every point.  Inputs are standardized to [0, 1]
-per dimension for the Gaussian-process stage.
+forward model evaluated at every point.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ __all__ = [
     "TrainingSet",
     "TrainingSetError",
     "latin_hypercube",
+    "input_bounds",
     "build_training_set",
     "save_training_set",
     "load_training_set",
@@ -38,7 +38,8 @@ MAX_REDRAWS = 5
 
 
 class TrainingSetError(RuntimeError):
-    """Forward-model failure or retry exhaustion during set assembly."""
+    """Forward-model failure or retry exhaustion during set assembly, or a
+    training-set file that cannot be read back."""
 
 
 def latin_hypercube(n: int, d: int, stream: RandomStream) -> np.ndarray:
@@ -57,33 +58,19 @@ def latin_hypercube(n: int, d: int, stream: RandomStream) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Per-dimension [lo, hi] -> [0, 1] standardization."""
+def input_bounds(inputs_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds that scale each of the 11 GP inputs
+    (3 design + 8 parameters) to [0, 1].
 
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.lo) / (self.hi - self.lo)
-
-    def inverse(self, u: np.ndarray) -> np.ndarray:
-        return self.lo + u * (self.hi - self.lo)
-
-
-def design_affine(dataset: ExperimentalDataset) -> AffineMap:
-    """[0,1] map over the 11 GP input dimensions (3 design + 8 parameters).
-
-    Design ranges come from the dataset conditions; a constant design
-    column gets a +/-5% pad so the map stays invertible.
+    A design column's bounds are its range over the rows ``inputs_raw``; a
+    constant column gets a +/-5% pad so the scaling stays invertible.  The
+    parameters' bounds are the prior box.
     """
-    dmat = dataset.design_matrix()
-    lo_d, hi_d = dmat.min(axis=0), dmat.max(axis=0)
+    design = inputs_raw[:, :-len(PARAM_SYMBOLS)]
+    lo_d, hi_d = design.min(axis=0), design.max(axis=0)
     flat = hi_d == lo_d
-    lo_d = np.where(flat, lo_d * 0.95, lo_d)
-    hi_d = np.where(flat, hi_d * 1.05, hi_d)
-    return AffineMap(lo=np.concatenate([lo_d, PRIOR_LOWER]),
-                     hi=np.concatenate([hi_d, PRIOR_UPPER]))
+    return (np.concatenate([np.where(flat, lo_d * 0.95, lo_d), PRIOR_LOWER]),
+            np.concatenate([np.where(flat, hi_d * 1.05, hi_d), PRIOR_UPPER]))
 
 
 @dataclass(frozen=True)
@@ -91,12 +78,14 @@ class TrainingSet:
     """Assembled surrogate training data.
 
     inputs_raw: (N, 11) raw-unit rows [power, radius, pulse, 8 params];
-    outputs: (N, 2) [length, depth] in meters.
+    outputs: (N, 2) [length, depth] in meters;
+    lo, hi: (11,) input bounds, which ``inputs_std`` scales to [0, 1].
     """
 
     inputs_raw: np.ndarray
     outputs: np.ndarray
-    input_map: AffineMap
+    lo: np.ndarray
+    hi: np.ndarray
     rejections: tuple[str, ...] = ()
 
     @property
@@ -104,7 +93,7 @@ class TrainingSet:
         return self.inputs_raw.shape[0]
 
     def inputs_std(self) -> np.ndarray:
-        return self.input_map.forward(self.inputs_raw)
+        return (self.inputs_raw - self.lo) / (self.hi - self.lo)
 
 
 def build_training_set(dataset: ExperimentalDataset, samples_per_condition: int,
@@ -149,8 +138,8 @@ def build_training_set(dataset: ExperimentalDataset, samples_per_condition: int,
                     f"{MAX_REDRAWS} redraws")
             inputs.append(np.concatenate([row.design.as_array(), theta_vec]))
             outputs.append([size.length, size.depth])
-    return TrainingSet(inputs_raw=np.array(inputs), outputs=np.array(outputs),
-                       input_map=design_affine(dataset),
+    inputs_raw = np.array(inputs)
+    return TrainingSet(inputs_raw, np.array(outputs), *input_bounds(inputs_raw),
                        rejections=tuple(rejections))
 
 
@@ -161,7 +150,7 @@ _TS_COLUMNS = (["power_W", "beam_radius_m", "pulse_s"]
 def save_training_set(ts: TrainingSet, csv_path: str | Path,
                       json_path: str | Path) -> None:
     """CSV of SI rows at ``csv_path``, and at ``json_path`` a JSON sidecar
-    with the input map and the no-melt rejections.
+    with the no-melt rejections.
 
     Every float is written with ``repr``, so the set reads back bitwise.
     """
@@ -170,29 +159,33 @@ def save_training_set(ts: TrainingSet, csv_path: str | Path,
         writer.writerow(_TS_COLUMNS)
         for x, y in zip(ts.inputs_raw.tolist(), ts.outputs.tolist()):
             writer.writerow(map(repr, x + y))
-    sidecar = {
-        "input_map": {"lo": ts.input_map.lo.tolist(),
-                      "hi": ts.input_map.hi.tolist()},
-        "rejections": list(ts.rejections),
-    }
     Path(json_path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps({"rejections": list(ts.rejections)}, indent=2) + "\n",
+        encoding="utf-8")
 
 
 def load_training_set(csv_path: str | Path, json_path: str | Path) -> TrainingSet:
-    sidecar = json.loads(Path(json_path).read_text(encoding="utf-8"))
+    """The set ``save_training_set`` wrote, with its input bounds computed
+    from its rows.  Blank lines are skipped; a row of the wrong cell count
+    or with a non-numeric or non-finite cell is a ``TrainingSetError``."""
+    rejections = json.loads(Path(json_path).read_text(encoding="utf-8"))["rejections"]
     inputs, outputs = [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TS_COLUMNS:
+        if (header := next(reader, None)) != _TS_COLUMNS:
             raise TrainingSetError(f"{csv_path}: bad header {header!r}")
-        for rec in reader:
-            values = [float(v) for v in rec]
+        for row_num, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            try:
+                values = [float(v) for v in cells]
+            except ValueError:
+                values = []
+            if len(values) != len(_TS_COLUMNS) or not np.isfinite(values).all():
+                raise TrainingSetError(f"{csv_path}: row {row_num} is not "
+                                       f"{len(_TS_COLUMNS)} finite numbers: {cells!r}")
             inputs.append(values[:-2])
             outputs.append(values[-2:])
-    return TrainingSet(
-        inputs_raw=np.array(inputs), outputs=np.array(outputs),
-        input_map=AffineMap(lo=np.array(sidecar["input_map"]["lo"]),
-                            hi=np.array(sidecar["input_map"]["hi"])),
-        rejections=tuple(sidecar["rejections"]))
+    inputs_raw = np.array(inputs)
+    return TrainingSet(inputs_raw, np.array(outputs), *input_bounds(inputs_raw),
+                       rejections=tuple(rejections))

@@ -36,7 +36,7 @@ from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
 from scipy.optimize import minimize
 
 from . import blas  # noqa: F401 - pins the process to one BLAS thread
-from .doe import AffineMap, TrainingSet, latin_hypercube
+from .doe import TrainingSet, latin_hypercube
 from .domain import PARAM_NAMES, RandomStream
 
 __all__ = [
@@ -98,7 +98,8 @@ class GpSurrogate:
     sn2: float               # noise variance (>= jitter floor)
     chol: np.ndarray         # lower-triangular factor of K + sn2 I
     weights: np.ndarray      # (K + sn2 I)^{-1} y_std
-    input_map: AffineMap     # raw 11-vector -> [0, 1]
+    lo: np.ndarray           # (d,) raw inputs standardized to 0
+    hi: np.ndarray           # (d,) raw inputs standardized to 1
     y_mean: float            # target destandardization (meters)
     y_scale: float
     output: str              # "length" or "depth"
@@ -113,7 +114,7 @@ class GpSurrogate:
         x_raw = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if not np.all(np.isfinite(x_raw)):
             raise ValueError("prediction inputs must be finite")
-        xs = self.input_map.forward(x_raw)
+        xs = (x_raw - self.lo) / (self.hi - self.lo)
         # The SE kernel factors over inputs: the design block's factor
         # (with sf2) times the parameters'.  ConditionedGp stores the first
         # factor, so its kernel rows and means are bitwise these.
@@ -174,8 +175,7 @@ class ConditionedGp:
         m = designs.shape[1]
         kd, v, linv_t = [], [], []
         for gp in gps:
-            ds = AffineMap(lo=gp.input_map.lo[:m],
-                           hi=gp.input_map.hi[:m]).forward(designs)
+            ds = (designs - gp.lo[:m]) / (gp.hi[:m] - gp.lo[:m])
             # k = sf2 Kd(d_c) Ktheta(theta), the same factors as gp.predict's.
             # Averaged over the rows, the mean is then Ktheta . v.  Exact
             # column sums keep v independent of the order of the rows.
@@ -185,9 +185,8 @@ class ConditionedGp:
             linv_t.append(solve_triangular(gp.chol, np.eye(len(gp.x)), lower=True).T)
         return cls(kd=np.stack(kd), x_theta=np.stack([gp.x[:, m:] for gp in gps]),
                    ell_theta=np.stack([gp.ell[None, m:] for gp in gps]),
-                   lo=np.stack([gp.input_map.lo[m:] for gp in gps]),
-                   span=np.stack([gp.input_map.hi[m:] - gp.input_map.lo[m:]
-                                  for gp in gps]),
+                   lo=np.stack([gp.lo[m:] for gp in gps]),
+                   span=np.stack([gp.hi[m:] - gp.lo[m:] for gp in gps]),
                    sf2=np.array([[gp.sf2] for gp in gps]),
                    weights=np.stack([gp.weights for gp in gps]), v=np.stack(v),
                    linv_t=np.stack(linv_t),
@@ -270,12 +269,12 @@ def _chol_with_escalation(k: np.ndarray, sn2: float) -> tuple[np.ndarray, float]
 
 
 def _factored_gp(x: np.ndarray, y: np.ndarray, sf2: float, ell: np.ndarray,
-                 sn2: float, input_map: AffineMap, y_mean: float, y_scale: float,
-                 output: str) -> GpSurrogate:
+                 sn2: float, lo: np.ndarray, hi: np.ndarray, y_mean: float,
+                 y_scale: float, output: str) -> GpSurrogate:
     """The GP with these hyperparameters, factored on its training data."""
     low, jitter = _chol_with_escalation(_se_kernel(x, x, sf2, ell), sn2)
     return GpSurrogate(x=x, y_std=y, sf2=sf2, ell=ell, sn2=float(jitter), chol=low,
-                       weights=cho_solve((low, True), y), input_map=input_map,
+                       weights=cho_solve((low, True), y), lo=lo, hi=hi,
                        y_mean=y_mean, y_scale=y_scale, output=output)
 
 
@@ -494,7 +493,7 @@ def fit_gp(ts: TrainingSet, output: str, stream: RandomStream) -> GpSurrogate:
     ell = np.exp(log_opt[:d])
     sf2 = float(np.exp(log_opt[d]))
     sn2 = float(np.exp(log_opt[d + 1]))
-    return _factored_gp(x, y, sf2, ell, sn2, ts.input_map, y_mean, y_scale, output)
+    return _factored_gp(x, y, sf2, ell, sn2, ts.lo, ts.hi, y_mean, y_scale, output)
 
 
 def loocv_q2(gp: GpSurrogate) -> tuple[float, np.ndarray]:
@@ -524,7 +523,7 @@ def save_gp(gp: GpSurrogate, path: str | Path) -> None:
         "sf2": gp.sf2,
         "ell": gp.ell.tolist(),
         "sn2": gp.sn2,
-        "input_map": {"lo": gp.input_map.lo.tolist(), "hi": gp.input_map.hi.tolist()},
+        "input_map": {"lo": gp.lo.tolist(), "hi": gp.hi.tolist()},
         "y_mean": gp.y_mean,
         "y_scale": gp.y_scale,
     }
@@ -535,8 +534,7 @@ def load_gp(path: str | Path) -> GpSurrogate:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("gp_format") != GP_FORMAT:
         raise ValueError(f"unsupported gp_format {doc.get('gp_format')!r}")
+    lo, hi = (np.array(doc["input_map"][key]) for key in ("lo", "hi"))
     return _factored_gp(np.array(doc["x"]), np.array(doc["y_std"]), doc["sf2"],
-                        np.array(doc["ell"]), doc["sn2"],
-                        AffineMap(lo=np.array(doc["input_map"]["lo"]),
-                                  hi=np.array(doc["input_map"]["hi"])),
-                        doc["y_mean"], doc["y_scale"], doc["output"])
+                        np.array(doc["ell"]), doc["sn2"], lo, hi, doc["y_mean"],
+                        doc["y_scale"], doc["output"])

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from helpers import in_support
 from meltcal.doe import (
-    AffineMap,
     TrainingSetError,
     build_training_set,
-    design_affine,
+    input_bounds,
     latin_hypercube,
     load_training_set,
     save_training_set,
 )
 from meltcal.domain import (
+    ExperimentalDataset,
     MeltPoolSize,
     PRIOR_LOWER,
     PRIOR_NOMINAL,
@@ -62,43 +62,58 @@ class TestLatinHypercube:
 
 
 class TestScaleToPrior:
-    """The unit hypercube's map onto the prior box: the theta columns of
-    design_affine, whose inverse is the map build_training_set applies."""
+    """The unit hypercube's map onto the prior box, the map
+    build_training_set applies."""
 
     @staticmethod
-    def _to_box(dataset, u):
-        amap = design_affine(dataset)
-        return AffineMap(lo=amap.lo[3:], hi=amap.hi[3:]).inverse(u)
+    def _to_box(u):
+        return PRIOR_LOWER + u * (PRIOR_UPPER - PRIOR_LOWER)
 
-    def test_midpoint_is_nominal_for_alpha(self, dataset):
-        vals = self._to_box(dataset, np.full((1, 8), 0.5))
+    def test_midpoint_is_nominal_for_alpha(self):
+        vals = self._to_box(np.full((1, 8), 0.5))
         assert vals[0, 0] == pytest.approx(0.27)
 
-    def test_zero_maps_to_lower_mu_l(self, dataset):
-        vals = self._to_box(dataset, np.zeros((1, 8)))
+    def test_zero_maps_to_lower_mu_l(self):
+        vals = self._to_box(np.zeros((1, 8)))
         assert vals[0, 6] == pytest.approx(0.05)
 
-    def test_one_approaches_sorted_gamma_t_upper(self, dataset):
-        vals = self._to_box(dataset, np.full((1, 8), 1.0 - 1e-12))
+    def test_one_approaches_sorted_gamma_t_upper(self):
+        vals = self._to_box(np.full((1, 8), 1.0 - 1e-12))
         assert vals[0, 7] == pytest.approx(-3.87e-4, rel=1e-6)
 
 
-class TestAffineMap:
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
-           st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, lo, width):
-        lo = np.array(lo)
-        hi = lo + np.array(width)
-        amap = AffineMap(lo=lo, hi=hi)
-        x = lo + 0.37 * (hi - lo)
-        np.testing.assert_allclose(amap.inverse(amap.forward(x)), x, rtol=1e-12)
+def _melts(design, theta):
+    return MeltPoolSize(length=1e-4, depth=1e-5, melted=True)
 
-    def test_design_affine_covers_dataset(self, dataset):
-        amap = design_affine(dataset)
-        u = amap.forward(np.concatenate([dataset.design_matrix(),
-                                         np.tile(PRIOR_NOMINAL, (13, 1))], axis=1))
+
+class TestInputBounds:
+    def test_bounds_cover_dataset(self, dataset, training_set):
+        """The bundled training set's bounds scale the dataset's design
+        rows, at the nominal parameters, into [0, 1]."""
+        lo, hi = input_bounds(training_set.inputs_raw)
+        x = np.concatenate([dataset.design_matrix(),
+                            np.tile(PRIOR_NOMINAL, (13, 1))], axis=1)
+        u = (x - lo) / (hi - lo)
         assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
+
+    def test_constant_design_columns_are_padded(self, dataset, tmp_path):
+        """Rows 1-5 share their power and pulse: those two columns get a
+        +/-5% pad, the radius its range and the parameters the prior box."""
+        ts = build_training_set(ExperimentalDataset(dataset.rows[:5]), 4, _melts,
+                                RandomStream(3))
+        assert (ts.lo[0], ts.hi[0]) == (530.0 * 0.95, 530.0 * 1.05)
+        assert (ts.lo[2], ts.hi[2]) == (4e-3 * 0.95, 4e-3 * 1.05)
+        radii = [row.design.beam_radius for row in dataset.rows[:5]]
+        assert (ts.lo[1], ts.hi[1]) == (min(radii), max(radii))
+        assert ts.lo[3:].tobytes() == PRIOR_LOWER.tobytes()
+        assert ts.hi[3:].tobytes() == PRIOR_UPPER.tobytes()
+        u = ts.inputs_std()
+        assert np.all(u >= 0.0) and np.all(u <= 1.0)
+        paths = tmp_path / "ts.csv", tmp_path / "ts.json"
+        save_training_set(ts, *paths)
+        back = load_training_set(*paths)
+        assert back.lo.tobytes() == ts.lo.tobytes()
+        assert back.hi.tobytes() == ts.hi.tobytes()
 
 
 class TestBuildTrainingSet:
@@ -143,10 +158,7 @@ class TestBuildTrainingSet:
     def test_thetas_are_the_hypercube_in_the_box(self, dataset):
         """With no redraws, each condition's thetas are its Latin hypercube
         mapped affinely onto the prior box, bitwise."""
-        def melts(design, theta):
-            return MeltPoolSize(length=1e-4, depth=1e-5, melted=True)
-
-        ts = build_training_set(dataset, 4, melts, RandomStream(7))
+        ts = build_training_set(dataset, 4, _melts, RandomStream(7))
         for i, row in enumerate(dataset):
             u = latin_hypercube(4, 8, RandomStream(7).split(row.index))
             np.testing.assert_array_equal(ts.inputs_raw[4 * i:4 * i + 4, 3:],
@@ -169,11 +181,16 @@ class TestBuildTrainingSet:
         assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
 
     def test_save_load_round_trip(self, training_set, tmp_path):
+        """The set reads back bitwise, also with blank lines between and
+        after its rows."""
         paths = tmp_path / "ts.csv", tmp_path / "ts.json"
         save_training_set(training_set, *paths)
-        back = load_training_set(*paths)
-        np.testing.assert_array_equal(back.inputs_raw, training_set.inputs_raw)
-        np.testing.assert_array_equal(back.outputs, training_set.outputs)
-        np.testing.assert_array_equal(back.input_map.lo, training_set.input_map.lo)
-        np.testing.assert_array_equal(back.input_map.hi, training_set.input_map.hi)
-        assert back.rejections == training_set.rejections
+        lines = paths[0].read_text(encoding="utf-8").splitlines(keepends=True)
+        for text in ("".join(lines), "".join(lines[:5] + ["\n"] + lines[5:] + ["\n\n"])):
+            paths[0].write_text(text, encoding="utf-8")
+            back = load_training_set(*paths)
+            np.testing.assert_array_equal(back.inputs_raw, training_set.inputs_raw)
+            np.testing.assert_array_equal(back.outputs, training_set.outputs)
+            np.testing.assert_array_equal(back.lo, training_set.lo)
+            np.testing.assert_array_equal(back.hi, training_set.hi)
+            assert back.rejections == training_set.rejections

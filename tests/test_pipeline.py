@@ -21,7 +21,6 @@ from click.testing import CliRunner
 from helpers import synthetic_dataset, write_dataset
 from meltcal import doe, inference, pipeline, plots, surrogate
 from meltcal.cli import main as cli_main
-from meltcal.doe import build_training_set
 from meltcal.domain import (
     CalibrationParams,
     ExperimentalDataset,
@@ -733,7 +732,11 @@ class TestCli:
         ("sa", "sensitivity.json", lambda data: data[:len(data) // 2], "stage"),
         ("calibrate", "chain.npz", lambda data: b"garbage", "stage"),
         ("design", "training_set.csv", lambda data: b"bogus\n", "training"),
-    ], ids=["sa", "calibrate", "design"])
+        ("design", "training_set.csv",
+         lambda data: data.rstrip(b"\n").rsplit(b",", 1)[0] + b"\n", "training"),
+        ("design", "training_set.csv",
+         lambda data: data.rstrip(b"\n").rsplit(b",", 1)[0] + b",nan\n", "training"),
+    ], ids=["sa", "calibrate", "design", "design-short-row", "design-nan"])
     def test_unloadable_artifact_names_its_stage_and_file(self, small_run, tmp_path,
                                                           stage, artifact, damage,
                                                           category):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from meltcal import surrogate
-from meltcal.doe import AffineMap, TrainingSet, build_training_set, latin_hypercube
+from meltcal.doe import TrainingSet, build_training_set, latin_hypercube
 from meltcal.domain import PRIOR_LOWER, PRIOR_UPPER, RandomStream
 from meltcal.forward import evaluate_reduced
 from meltcal.surrogate import (
@@ -40,8 +40,7 @@ def make_ts(x: np.ndarray, y: np.ndarray) -> TrainingSet:
     lo = np.array([x.min() - 1e-9])
     hi = np.array([x.max() + 1e-9])
     outputs = np.column_stack([y, y])
-    return TrainingSet(inputs_raw=x, outputs=outputs,
-                       input_map=AffineMap(lo=lo, hi=hi))
+    return TrainingSet(inputs_raw=x, outputs=outputs, lo=lo, hi=hi)
 
 
 def traced_peak(fn) -> int:
@@ -91,7 +90,7 @@ class TestFitGp:
 
 class TestPredict:
     def test_interpolates_training_points(self, sine_gp):
-        mean, var = sine_gp.predict(sine_gp.input_map.inverse(sine_gp.x))
+        mean, var = sine_gp.predict(sine_gp.lo + sine_gp.x * (sine_gp.hi - sine_gp.lo))
         target = sine_gp.y_mean + sine_gp.y_scale * sine_gp.y_std
         np.testing.assert_allclose(mean, target,
                                    atol=10.0 * np.sqrt(sine_gp.sn2) * sine_gp.y_scale)
@@ -133,7 +132,7 @@ class TestBatchLayout:
         x = latin_hypercube(40, 4, RandomStream(12))
         y = np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 2 - x[:, 3]
         ts = TrainingSet(inputs_raw=x, outputs=np.column_stack([y, y]),
-                         input_map=AffineMap(lo=np.zeros(4), hi=np.ones(4)))
+                         lo=np.zeros(4), hi=np.ones(4))
         return fit_gp(ts, "length", RandomStream(13)), rng.random((37, 4))
 
     def test_mean_bitwise_equal_permuted_and_alone(self, gp_and_batch):
@@ -199,7 +198,7 @@ class TestConditionedGp:
         for t in thetas:
             rows, mean = cgp._kernel_rows(t), cgp.predict(t)[0]
             for o, gp in enumerate(gps):
-                xs = gp.input_map.forward(self.stacked(designs, t))
+                xs = (self.stacked(designs, t) - gp.lo) / (gp.hi - gp.lo)
                 k_full = _se_kernel(xs, gp.x, gp.sf2, gp.ell)
                 np.testing.assert_allclose(rows[o], k_full, rtol=2e-15, atol=0)
                 mean_full = gp.y_mean + gp.y_scale * (k_full @ gp.weights)
@@ -632,7 +631,7 @@ class TestJitterInPlace:
     def factored(x, ts, sf2, ell, sn2):
         y = ts.outputs[:, 0]
         return surrogate._factored_gp(x, (y - y.mean()) / y.std(), sf2, ell, sn2,
-                                      ts.input_map, 0.0, 1.0, "length")
+                                      ts.lo, ts.hi, 0.0, 1.0, "length")
 
     @pytest.mark.parametrize("n", [26, 130, 260])
     def test_gp_bitwise_equal_to_identity_form(self, designs, gps, n, monkeypatch):
@@ -673,7 +672,7 @@ class TestScreening:
         bigger = GpSurrogate(x=x_new, y_std=y_new, sf2=sine_gp.sf2,
                              ell=sine_gp.ell, sn2=sine_gp.sn2, chol=low,
                              weights=cho_solve((low, True), y_new),
-                             input_map=sine_gp.input_map, y_mean=sine_gp.y_mean,
+                             lo=sine_gp.lo, hi=sine_gp.hi, y_mean=sine_gp.y_mean,
                              y_scale=sine_gp.y_scale, output="length")
         xs = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
         _, var_small = sine_gp.predict(xs)
