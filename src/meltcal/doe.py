@@ -22,6 +22,7 @@ from .domain import (
     PRIOR_LOWER,
     PRIOR_UPPER,
     RandomStream,
+    read_table,
 )
 
 __all__ = [
@@ -166,26 +167,10 @@ def save_training_set(ts: TrainingSet, csv_path: str | Path,
 
 def load_training_set(csv_path: str | Path, json_path: str | Path) -> TrainingSet:
     """The set ``save_training_set`` wrote, with its input bounds computed
-    from its rows.  Blank lines are skipped; a row of the wrong cell count
-    or with a non-numeric or non-finite cell is a ``TrainingSetError``."""
+    from its rows.  The CSV is read by ``domain.read_table``, so a file it
+    rejects is a ``TrainingSetError``."""
     rejections = json.loads(Path(json_path).read_text(encoding="utf-8"))["rejections"]
-    inputs, outputs = [], []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if (header := next(reader, None)) != _TS_COLUMNS:
-            raise TrainingSetError(f"{csv_path}: bad header {header!r}")
-        for row_num, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            try:
-                values = [float(v) for v in cells]
-            except ValueError:
-                values = []
-            if len(values) != len(_TS_COLUMNS) or not np.isfinite(values).all():
-                raise TrainingSetError(f"{csv_path}: row {row_num} is not "
-                                       f"{len(_TS_COLUMNS)} finite numbers: {cells!r}")
-            inputs.append(values[:-2])
-            outputs.append(values[-2:])
-    inputs_raw = np.array(inputs)
-    return TrainingSet(inputs_raw, np.array(outputs), *input_bounds(inputs_raw),
-                       rejections=tuple(rejections))
+    _, rows = read_table(csv_path, [_TS_COLUMNS], TrainingSetError)
+    inputs_raw = np.array([values[:-2] for _, values in rows])
+    return TrainingSet(inputs_raw, np.array([values[-2:] for _, values in rows]),
+                       *input_bounds(inputs_raw), rejections=tuple(rejections))

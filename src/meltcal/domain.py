@@ -29,6 +29,8 @@ __all__ = [
     "PRIOR_NOMINAL",
     "PRIOR_LOWER",
     "PRIOR_UPPER",
+    "finite_float",
+    "read_table",
     "load_dataset",
     "bundled_dataset_path",
 ]
@@ -224,66 +226,79 @@ def bundled_dataset_path() -> Path:
     return Path(__file__).parent / "data" / "table3.csv"
 
 
-def _parse_cell(path: Path, text: str, row_num: int, col: str) -> float:
+def finite_float(text: str, where: str, error: type[Exception]) -> float:
+    """``text`` read as a finite float, else an ``error`` whose message
+    starts with ``where``, the place the text was read from."""
     try:
         value = float(text)
     except ValueError:
-        raise DatasetFormatError(
-            f"{path}: row {row_num}, column {col!r}: non-numeric value {text!r}") from None
+        raise error(f"{where}: non-numeric value {text!r}") from None
     if not math.isfinite(value):
-        raise DatasetFormatError(
-            f"{path}: row {row_num}, column {col!r}: non-finite value {text!r}")
+        raise error(f"{where}: non-finite value {text!r}")
     return value
+
+
+def read_table(path: str | Path, headers: Sequence[list[str]],
+               error: type[Exception]) -> tuple[list[str], list[tuple[int, list[float]]]]:
+    """The header of the CSV at ``path``, one of ``headers``, and its rows
+    as (row number, finite floats).  Blank lines are skipped.  A missing or
+    other header, a row of another cell count, a cell that is not a finite
+    number, or no rows at all is an ``error`` naming the file, and the row
+    and column where it has them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        if header not in headers:
+            raise error(f"{path}: bad header {header!r}; expected one of {list(headers)}")
+        rows = []
+        for row_num, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise error(f"{path}: row {row_num} has {len(cells)} cells, "
+                            f"expected {len(header)}")
+            rows.append((row_num, [finite_float(text, f"{path}: row {row_num}, column {col!r}",
+                                                error)
+                                   for col, text in zip(header, cells)]))
+    if not rows:
+        raise error(f"{path}: no data rows")
+    return header, rows
 
 
 def load_dataset(path: str | Path) -> ExperimentalDataset:
     """Read a measurement CSV (mm/ms units on disk, SI in memory)."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
-        has_sigma = header == CSV_HEADER + CSV_SIGMA_COLS
-        if not has_sigma and header != CSV_HEADER:
+    header, table = read_table(path, [CSV_HEADER, CSV_HEADER + CSV_SIGMA_COLS],
+                               DatasetFormatError)
+    has_sigma = len(header) > len(CSV_HEADER)
+    rows = []
+    for row_num, values in table:
+        vals = dict(zip(header, values))
+        if not vals["index"].is_integer():
             raise DatasetFormatError(
-                f"{path}: bad header {header!r}; expected {CSV_HEADER} "
-                f"optionally followed by {CSV_SIGMA_COLS}")
-        cols = CSV_HEADER + CSV_SIGMA_COLS if has_sigma else CSV_HEADER
-        rows = []
-        for row_num, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(cols):
+                f"{path}: row {row_num}, column 'index': "
+                f"non-integral value {vals['index']!r}")
+        for col in header[4:]:  # the measurements and their sigmas
+            if vals[col] <= 0:
                 raise DatasetFormatError(
-                    f"{path}: row {row_num} has {len(cells)} cells, expected {len(cols)}")
-            vals = {c: _parse_cell(path, v, row_num, c) for c, v in zip(cols, cells)}
-            if not vals["index"].is_integer():
-                raise DatasetFormatError(
-                    f"{path}: row {row_num}, column 'index': "
-                    f"non-integral value {cells[0]!r}")
-            for col in cols[4:]:  # the measurements and their sigmas
-                if vals[col] <= 0:
-                    raise DatasetFormatError(
-                        f"{path}: row {row_num}, column {col!r}: "
-                        f"non-positive value {vals[col]}")
-            try:
-                design = DesignVars(power=vals["power_W"],
-                                    beam_radius=vals["beam_radius_mm"] * 1e-3,
-                                    pulse_duration=vals["pulse_ms"] * 1e-3)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: row {row_num}: {exc}") from None
-            rows.append(ExperimentRow(
-                index=int(vals["index"]),
-                design=design,
-                length=vals["length_mm"] * 1e-3,
-                depth=vals["depth_mm"] * 1e-3,
-                length_sigma=vals["length_sigma_mm"] * 1e-3 if has_sigma else None,
-                depth_sigma=vals["depth_sigma_mm"] * 1e-3 if has_sigma else None,
-            ))
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
+                    f"{path}: row {row_num}, column {col!r}: "
+                    f"non-positive value {vals[col]}")
+        try:
+            design = DesignVars(power=vals["power_W"],
+                                beam_radius=vals["beam_radius_mm"] * 1e-3,
+                                pulse_duration=vals["pulse_ms"] * 1e-3)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: row {row_num}: {exc}") from None
+        rows.append(ExperimentRow(
+            index=int(vals["index"]),
+            design=design,
+            length=vals["length_mm"] * 1e-3,
+            depth=vals["depth_mm"] * 1e-3,
+            length_sigma=vals["length_sigma_mm"] * 1e-3 if has_sigma else None,
+            depth_sigma=vals["depth_sigma_mm"] * 1e-3 if has_sigma else None,
+        ))
     try:
         return ExperimentalDataset(rows=tuple(rows))
     except ValueError as exc:

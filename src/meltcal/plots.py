@@ -8,7 +8,6 @@ that the pairs grid's CSV holds.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +228,5 @@ def bar_chart(values: np.ndarray, labels: tuple[str, ...], title: str,
         svg.text(float(ax.px(i + 0.5)), ax.y0 + 14, labels[i], size=8, anchor="middle")
     svg.write(path)
     with open(path.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["parameter", "value"])
-        for label, val in zip(labels, values):
-            writer.writerow([label, _fmt(val)])
+        fh.write("parameter,value\n")
+        fh.writelines("%s,%.6g\n" % row for row in zip(labels, values))

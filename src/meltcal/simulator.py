@@ -10,7 +10,6 @@ to the protocol reruns the simulator.
 
 from __future__ import annotations
 
-import math
 import re
 import shlex
 import subprocess
@@ -23,6 +22,7 @@ from .domain import (
     DesignVars,
     MeltPoolSize,
     PARAM_SYMBOLS,
+    finite_float,
 )
 
 __all__ = [
@@ -87,12 +87,7 @@ def _parse_output_file(path: Path) -> MeltPoolSize:
     for key in ("length_mm", "depth_mm"):
         if key not in kv:
             raise AdapterError(f"output file missing key {key!r}")
-        try:
-            dims[key] = float(kv[key])
-        except ValueError:
-            raise AdapterError(f"output key {key!r} has non-numeric value {kv[key]!r}") from None
-        if not math.isfinite(dims[key]):
-            raise AdapterError(f"output key {key!r} is not finite: {kv[key]!r}")
+        dims[key] = finite_float(kv[key], f"output key {key!r}", AdapterError)
     return _size_from_mm(dims["length_mm"], dims["depth_mm"])
 
 

@@ -247,7 +247,8 @@ class TestExternalAdapter:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_output_raises(self, tmp_path, value):
         spec = _stub(tmp_path, f'printf "length_mm={value}\\ndepth_mm=0.2\\n" > "$2"')
-        with pytest.raises(AdapterError, match="length_mm.*not finite"):
+        with pytest.raises(AdapterError,
+                           match=f"^output key 'length_mm': non-finite value '{value}'$"):
             evaluate_external(spec, COND1, NOMINAL)
 
     @pytest.mark.parametrize("length, depth, key", [("-0.4", "0.2", "length_mm"),
