@@ -38,6 +38,9 @@ as the pipeline does by default), then times, per call:
 * ``save_chain`` and ``load_chain`` on two synthetic chains of the shape
   the pipeline writes at the defaults: 1000 retained states and 25k accept
   flags each.
+* ``pairs_grid_ms``: ``plots.pairs_grid`` on the same chains' 2000
+  pooled states, the pairs figure and its CSV twin that ``report`` writes
+  at the defaults, in ms per call.
 
 The meltcal modules imported here pin the process to one BLAS thread
 (``meltcal.blas``), so every figure is taken on one BLAS thread, as a run
@@ -60,6 +63,7 @@ import numpy as np
 from meltcal.doe import build_training_set
 from meltcal.domain import (
     CalibrationParams,
+    PARAM_NAMES,
     PRIOR_LOWER,
     PRIOR_NOMINAL,
     PRIOR_UPPER,
@@ -77,6 +81,7 @@ from meltcal.inference import (
     save_chain,
 )
 from meltcal.pipeline import McmcConfig
+from meltcal.plots import pairs_grid
 from meltcal.surrogate import ConditionedGp, _Likelihood, _PairDistances, fit_gp
 
 
@@ -196,6 +201,9 @@ def main() -> None:
         path = Path(tmp) / "chain.npz"
         out["save_chain_s"] = seconds(lambda: save_chain(chain, path), repeats)
         out["load_chain_s"] = seconds(lambda: load_chain(path), repeats)
+        pooled, svg = chain.pooled_samples(), Path(tmp) / "posterior_pairs.svg"
+        out["pairs_grid_ms"] = 1e3 * seconds(
+            lambda: pairs_grid(pooled, PARAM_NAMES, svg), repeats)
     print(json.dumps({k: round(v, 3) for k, v in out.items()}))
 
 

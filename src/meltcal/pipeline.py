@@ -3,12 +3,13 @@ validation -> report, with JSON configuration and cached stage artifacts.
 
 The cached stages are declared in one table, ``_STAGES``.  Each entry
 names the keys the stage reads, its upstream stages, every artifact file
-it writes (sidecars included), and how to compute, save and load its
-result.  One runner, ``Pipeline._run``, serves them all.  ``Pipeline.keys``
-holds everything a stage may read: the config entries, the dataset's
-canonical rows, the numpy and scipy versions, the digest of each package
-module's source, and ``model``, the source digest of the forward model the
-config chooses: ``simulator.py`` under ``external``, else ``forward.py``.
+it writes (sidecars included), and how to compute its result and, unless
+it is one JSON document, how to save and load it.  One runner,
+``Pipeline._run``, serves them all.  ``Pipeline.keys`` holds everything a
+stage may read: the config entries, the dataset's canonical rows, the
+numpy and scipy versions, the digest of each package module's source, and
+``model``, the source digest of the forward model the config chooses:
+``simulator.py`` under ``external``, else ``forward.py``.
 A stage's digest hashes its name, the values of its reads and its
 upstream digests, so a stage names only what its upstream stages do not
 cover; a meta file beside the artifacts stores it.  Every
@@ -243,14 +244,15 @@ class _Stage:
     name (``doe.py``), a setting by its ``RunConfig.to_dict`` key.
     ``compute(pipeline, *upstream_results)`` returns the result,
     ``save(result, *artifact_paths)`` writes every artifact, and
-    ``load(*artifact_paths)`` reads back a result equal to it.
+    ``load(*artifact_paths)`` reads back a result equal to it.  By default
+    the result is a JSON document in the stage's one artifact.
     """
 
     upstream: tuple[str, ...]
     artifacts: tuple[str, ...]
     compute: Callable
-    save: Callable
-    load: Callable
+    save: Callable = _write_json
+    load: Callable = _read_json
     reads: tuple[str, ...] = ()
 
 
@@ -311,18 +313,14 @@ _STAGES = {
         compute=lambda p, gps: {
             "q2_length": surrogate.loocv_q2(gps[0])[0],
             "q2_depth": surrogate.loocv_q2(gps[1])[0],
-            "samples_per_condition": p.cfg.samples_per_condition},
-        save=_write_json,
-        load=_read_json),
+            "samples_per_condition": p.cfg.samples_per_condition}),
     "sa": _Stage(
         # sensitivity.py imports the rank transform from inference.py
         reads=("sa_n_base", "sensitivity.py", "inference.py"),
         upstream=("train",),
         artifacts=("sensitivity.json",),
         compute=lambda p, gps: sensitivity.sa_on_surrogate(
-            *gps, p.dataset, p.cfg.sa_n_base, p.stream.split(4)),
-        save=_write_json,
-        load=_read_json),
+            *gps, p.dataset, p.cfg.sa_n_base, p.stream.split(4))),
     "calibrate": _Stage(
         reads=("mcmc", "inference.py"),
         upstream=("train",),
@@ -333,9 +331,7 @@ _STAGES = {
     "validate": _Stage(
         upstream=("calibrate",),
         artifacts=("validation_errors.json",),
-        compute=_validate,
-        save=_write_json,
-        load=_read_json),
+        compute=_validate),
 }
 
 STAGES = (*_STAGES, "report")

@@ -1,9 +1,14 @@
 """Dependency-free SVG plot emission.
 
-Every figure is drawn from primitive shapes.  Each but a trace is written
-alongside a CSV of its data series, so the results can be re-plotted with
-any external tool.  A trace writes none: it plots a column of the states
-that the pairs grid's CSV holds.
+Every figure is drawn from primitive shapes, each kind written through one
+``%`` template per element from columns of numbers, so a figure's marks
+are drawn from arrays and not one call at a time.  ``"%.6g"`` writes every
+coordinate.  A pairs-grid scatter panel is one ``<path>`` of zero-length
+subpaths, one at each plotted state, which a round line cap draws as a
+dot.  Each figure but a trace is written alongside a CSV of its data
+series, so the results can be re-plotted with any external tool.  A trace
+writes none: it plots a column of the states that the pairs grid's CSV
+holds.
 """
 
 from __future__ import annotations
@@ -23,11 +28,16 @@ __all__ = [
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+def _rows(template: str, *columns) -> list[str]:
+    """``template % row`` for each row of the broadcast ``columns``."""
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*columns)]
+    return [template % row for row in zip(*cols)]
 
 
 class _Svg:
+    """An SVG document; each shape method takes scalars or arrays and
+    writes one element per entry of its broadcast coordinate columns."""
+
     def __init__(self, width: int, height: int):
         self.width, self.height = width, height
         self.parts = [
@@ -38,12 +48,12 @@ class _Svg:
 
     def line(self, x1, y1, x2, y2, color="#333", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>')
+        self.parts += _rows(
+            '<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" '
+            f'stroke="{color}" stroke-width="{width}"{d}/>', x1, y1, x2, y2)
 
     def polyline(self, xs, ys, color="#1f77b4", width=1.0):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        pts = " ".join(_rows("%.6g,%.6g", xs, ys))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
@@ -51,17 +61,17 @@ class _Svg:
     def circle(self, cx, cy, r=3.0, color="#1f77b4", fill=True):
         style = (f'fill="{color}"' if fill
                  else f'fill="none" stroke="{color}" stroke-width="1.2"')
-        self.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" {style}/>')
+        self.parts += _rows(f'<circle cx="%.6g" cy="%.6g" r="{r}" {style}/>', cx, cy)
 
     def rect(self, x, y, w, h, color="#1f77b4"):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{color}"/>')
+        self.parts += _rows(
+            f'<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="{color}"/>',
+            x, y, w, h)
 
     def text(self, x, y, s, size=11, anchor="start", color="#222"):
-        self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}" fill="{color}">{s}</text>')
+        self.parts += _rows(
+            f'<text x="%.6g" y="%.6g" font-size="{size}" font-family="sans-serif" '
+            f'text-anchor="{anchor}" fill="{color}">%s</text>', x, y, s)
 
     def write(self, path: Path) -> None:
         Path(path).write_text("\n".join(self.parts) + "\n</svg>\n", encoding="utf-8")
@@ -94,8 +104,8 @@ class _Axes:
         for frac in (0.0, 0.5, 1.0):
             xv = self.xlim[0] + frac * (self.xlim[1] - self.xlim[0])
             yv = self.ylim[0] + frac * (self.ylim[1] - self.ylim[0])
-            s.text(float(self.px(xv)), self.y0 + 14, _fmt(xv), size=9, anchor="middle")
-            s.text(self.x0 - 4, float(self.py(yv)) + 3, _fmt(yv), size=9, anchor="end")
+            s.text(self.px(xv), self.y0 + 14, "%.6g" % xv, size=9, anchor="middle")
+            s.text(self.x0 - 4, self.py(yv) + 3, "%.6g" % yv, size=9, anchor="end")
         if xlabel:
             s.text((self.x0 + self.x1) / 2, s.height - 6, xlabel, anchor="middle")
         if ylabel:
@@ -105,11 +115,10 @@ class _Axes:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # one template per row: "%.6g" formats a float as _fmt does
     template = ",".join(["%.6g"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % row for row in zip(*columns))
+        fh.writelines(_rows(template, *columns))
 
 
 def parity_plot(measured: np.ndarray, prior_pred: np.ndarray,
@@ -125,12 +134,10 @@ def parity_plot(measured: np.ndarray, prior_pred: np.ndarray,
     ax = _Axes(svg, lims, lims)
     ax.frame(xlabel=f"measured {label}", ylabel=f"predicted {label}",
              title=f"Parity: {label}")
-    svg.line(float(ax.px(lims[0])), float(ax.py(lims[0])),
-             float(ax.px(lims[1])), float(ax.py(lims[1])), color="#888", dash="4,3")
-    for m, p in zip(measured, prior_pred):
-        svg.circle(float(ax.px(m)), float(ax.py(p)), color=_COLORS[1], fill=False)
-    for m, p in zip(measured, posterior_pred):
-        svg.circle(float(ax.px(m)), float(ax.py(p)), color=_COLORS[0])
+    svg.line(ax.px(lims[0]), ax.py(lims[0]), ax.px(lims[1]), ax.py(lims[1]),
+             color="#888", dash="4,3")
+    svg.circle(ax.px(measured), ax.py(prior_pred), color=_COLORS[1], fill=False)
+    svg.circle(ax.px(measured), ax.py(posterior_pred), color=_COLORS[0])
     svg.text(ax.x0 + 8, ax.y1 + 12, "open: prior nominal", size=10, color=_COLORS[1])
     svg.text(ax.x0 + 8, ax.y1 + 26, "filled: posterior mean", size=10, color=_COLORS[0])
     svg.write(path)
@@ -140,14 +147,13 @@ def parity_plot(measured: np.ndarray, prior_pred: np.ndarray,
 
 
 def trace_plot(series: np.ndarray, name: str, path: Path) -> None:
-    path = Path(path)
     n = series.size
     svg = _Svg(520, 240)
     ax = _Axes(svg, (0, n), (float(series.min()), float(series.max())))
     ax.frame(xlabel="step", ylabel=name, title=f"Trace: {name}")
     step = max(1, n // 2000)  # cap the polyline size
     idx = np.arange(0, n, step)
-    ax.svg.polyline(ax.px(idx), ax.py(series[idx]))
+    svg.polyline(ax.px(idx), ax.py(series[idx]))
     svg.write(path)
 
 
@@ -157,11 +163,10 @@ def acf_plot(acf: np.ndarray, name: str, path: Path) -> None:
     svg = _Svg(420, 240)
     ax = _Axes(svg, (0, float(acf.size)), (min(0.0, float(acf.min())), 1.0))
     ax.frame(xlabel="lag", ylabel="acf", title=f"Autocorrelation: {name}")
-    zero_y = float(ax.py(0.0))
+    zero_y = ax.py(0.0)
     svg.line(ax.x0, zero_y, ax.x1, zero_y, color="#888", dash="2,3")
-    for lag, val in zip(lags, acf):
-        x = float(ax.px(float(lag) + 0.5))
-        svg.line(x, zero_y, x, float(ax.py(val)), color=_COLORS[0], width=2.0)
+    x = ax.px(lags + 0.5)
+    svg.line(x, zero_y, x, ax.py(acf), color=_COLORS[0], width=2.0)
     svg.write(path)
     _write_csv(path.with_suffix(".csv"), ["lag", "acf"], [lags.astype(float), acf])
 
@@ -176,38 +181,29 @@ def pairs_grid(samples: np.ndarray, names: tuple[str, ...], path: Path,
     panel, gap, margin = 95, 8, 40
     size = margin * 2 + d * panel + (d - 1) * gap
     svg = _Svg(size, size)
-    csv_cols, csv_head = [], []
-    for i in range(d):
-        csv_head.append(names[i])
-        csv_cols.append(samples[:, i])
+    kept = samples[::max(1, samples.shape[0] // 500)]
     for i in range(d):
         for j in range(i + 1):
-            x0 = margin + j * (panel + gap)
-            y0 = margin + i * (panel + gap)
-            xi, xj = samples[:, j], samples[:, i]
+            x0, y0 = margin + j * (panel + gap), margin + i * (panel + gap)
             if i == j:
-                counts, edges = np.histogram(xi, bins=bins)
-                peak = counts.max() or 1
-                for b in range(bins):
-                    h = counts[b] / peak * (panel - 12)
-                    bx = x0 + b / bins * panel
-                    svg.rect(bx, y0 + panel - h, panel / bins, h, color=_COLORS[0])
+                counts, _ = np.histogram(samples[:, i], bins=bins)
+                h = counts / (counts.max() or 1) * (panel - 12)
+                svg.rect(x0 + np.arange(bins) / bins * panel, y0 + panel - h,
+                         panel / bins, h, color=_COLORS[0])
                 svg.text(x0 + panel / 2, y0 - 3, names[i], size=9, anchor="middle")
             else:
-                lo_x, hi_x = float(xi.min()), float(xi.max())
-                lo_y, hi_y = float(xj.min()), float(xj.max())
-                sx = (hi_x - lo_x) or 1.0
-                sy = (hi_y - lo_y) or 1.0
-                step = max(1, samples.shape[0] // 500)
-                for k in range(0, samples.shape[0], step):
-                    px = x0 + (xi[k] - lo_x) / sx * panel
-                    py = y0 + panel - (xj[k] - lo_y) / sy * panel
-                    svg.circle(px, py, r=1.2, color=_COLORS[0])
+                ax = _Axes(svg, (samples[:, j].min(), samples[:, j].max()),
+                           (samples[:, i].min(), samples[:, i].max()),
+                           margin=(x0, size - x0 - panel, y0, size - y0 - panel))
+                # zero-length subpaths: each round cap is a dot of radius 1.2
+                dots = "".join(_rows("M%.6g %.6gh0", ax.px(kept[:, j]), ax.py(kept[:, i])))
+                svg.parts.append(f'<path d="{dots}" fill="none" stroke="{_COLORS[0]}" '
+                                 'stroke-width="2.4" stroke-linecap="round"/>')
             svg.parts.append(
                 f'<rect x="{x0}" y="{y0}" width="{panel}" height="{panel}" '
                 f'fill="none" stroke="#999" stroke-width="0.7"/>')
     svg.write(path)
-    _write_csv(path.with_suffix(".csv"), csv_head, csv_cols)
+    _write_csv(path.with_suffix(".csv"), list(names), list(samples.T))
 
 
 def bar_chart(values: np.ndarray, labels: tuple[str, ...], title: str,

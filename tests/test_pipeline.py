@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -541,6 +542,73 @@ class TestEmitPlots:
         dataset = load_dataset(bundled_dataset_path())
         with pytest.raises(ValueError, match="empty"):
             emit_plots(report, np.empty((0, 8)), dataset, tmp_path)
+
+    def test_returns_each_svg_it_writes_once(self, small_run, tmp_path):
+        cfg, report = small_run
+        retained = inference.load_chain(Path(cfg.out_dir) / "chain.npz").pooled_samples()
+        written = emit_plots(report, retained, Pipeline(cfg).dataset, tmp_path)
+        assert len(written) == len(set(written)) == 21
+        assert sorted(written) == sorted(tmp_path.glob("*.svg"))
+
+    def test_pairs_scatter_paths_map_the_chain(self, small_run):
+        """Each lower-triangle panel, row-major, is one path whose points
+        are the thinned pooled states of columns j (x) and i (y), mapped
+        from their full range into the panel's 95-pixel box."""
+        cfg, _ = small_run
+        out = Path(cfg.out_dir)
+        svg = (out / "posterior_pairs.svg").read_text()
+        assert "<circle" not in svg
+        paths = re.findall(r'<path d="([^"]*)" fill="none" stroke="#1f77b4" '
+                           r'stroke-width="2.4" stroke-linecap="round"/>', svg)
+        assert svg.count("<path") == len(paths) == 28
+        retained = inference.load_chain(out / "chain.npz").pooled_samples()
+        kept = retained[::max(1, len(retained) // 500)]
+        panels = [(i, j) for i in range(8) for j in range(i)]
+        for d, (i, j) in zip(paths, panels):
+            x0, y0 = 40 + j * (95 + 8), 40 + i * (95 + 8)
+            lo_x, lo_y = retained[:, j].min(), retained[:, i].min()
+            xs = x0 + (kept[:, j] - lo_x) / (retained[:, j].max() - lo_x) * 95
+            ys = y0 + 95 - (kept[:, i] - lo_y) / (retained[:, i].max() - lo_y) * 95
+            expected = [("%.6g" % x, "%.6g" % y) for x, y in zip(xs, ys)]
+            assert re.findall(r"M(\S+) (\S+?)h0", d) == expected, (i, j)
+            assert "".join(f"M{x} {y}h0" for x, y in expected) == d
+
+    def test_parity_circles_map_the_csv(self, small_run):
+        """Open circles sit at (measured, prior), filled ones at (measured,
+        posterior), on axes that span the data padded by 5%."""
+        cfg, _ = small_run
+        out = Path(cfg.out_dir)
+        for label in ("length", "depth"):
+            data = np.loadtxt(out / f"parity_{label}.csv", delimiter=",", skiprows=1)
+            lo, hi = data.min(), data.max()
+            lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+            svg = (out / f"parity_{label}.svg").read_text()
+            for col, style in ((1, 'fill="none" stroke="#d62728"'), (2, 'fill="#1f77b4"')):
+                centres = re.findall(rf'<circle cx="(\S+)" cy="(\S+)" r="3.0" {style}', svg)
+                np.testing.assert_allclose(
+                    np.array(centres, dtype=float),
+                    np.c_[55 + (data[:, 0] - lo) / (hi - lo) * 350,
+                          340 - (data[:, col] - lo) / (hi - lo) * 320], atol=1e-2)
+
+    def test_acf_bar_tops_map_the_csv(self, small_run):
+        """Bar k rises from the zero line to the lag-k autocorrelation, at
+        the centre of its lag's slot."""
+        cfg, _ = small_run
+        out = Path(cfg.out_dir)
+        for name in PARAM_NAMES:
+            lags, acf = np.loadtxt(out / f"acf_{name}.csv", delimiter=",",
+                                   skiprows=1, ndmin=2).T
+            lo = min(0.0, acf.min())
+            svg = (out / f"acf_{name}.svg").read_text()
+            bars = re.findall(r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)" '
+                              r'stroke="#1f77b4" stroke-width="2.0"/>', svg)
+            x1, y1, x2, y2 = np.array(bars, dtype=float).T
+            zero = 200 - (0 - lo) / (1 - lo) * 180
+            np.testing.assert_allclose(x1, x2)
+            np.testing.assert_allclose(y1, zero, atol=1e-3)
+            np.testing.assert_allclose(
+                np.c_[x2, y2], np.c_[55 + (lags + 0.5) / lags.size * 350,
+                                     200 - (acf - lo) / (1 - lo) * 180], atol=1e-2)
 
 
 class TestCli:
