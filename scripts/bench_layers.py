@@ -9,7 +9,15 @@ as the pipeline does by default), then times, per call:
 * the GP negative log marginal likelihood and its gradient, as an L-BFGS
   start calls it (one set of buffers for every call, on one BLAS thread),
   at the fitted length hyperparameters of the bundled design (N=130) and
-  of a design with 20 samples per condition (N=260);
+  of a design with 20 samples per condition (N=260): ``nlml_n130_us`` and
+  ``nlml_n260_us`` on one thread, and ``nlml2t_n130_us`` and
+  ``nlml2t_n260_us``, the wall time per call of two threads that each
+  call their own likelihood, as a fit's two workers do.  Two threads
+  overlap only the calls that release the GIL, so the second pair shows
+  what a split of those calls costs or gains on two threads;
+* ``kinv_n130_us`` and ``kinv_n260_us``: the likelihood's K^-1 alone,
+  ``surrogate._dpotri`` on the same GPs' Cholesky factors, on one thread,
+  the copy of the factor into its buffer before each call not counted;
 * the GP fits of both outputs, one after the other as the ``train`` stage
   runs them, in seconds: ``train_n130_s`` on the bundled design and
   ``train_n260_s`` on the N=260 design, their starts on
@@ -56,6 +64,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +91,13 @@ from meltcal.inference import (
 )
 from meltcal.pipeline import McmcConfig
 from meltcal.plots import pairs_grid
-from meltcal.surrogate import ConditionedGp, _Likelihood, _PairDistances, fit_gp
+from meltcal.surrogate import (
+    ConditionedGp,
+    _dpotri,
+    _Likelihood,
+    _PairDistances,
+    fit_gp,
+)
 
 
 def fit_both(ts) -> tuple:
@@ -121,14 +136,56 @@ def seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def nlml_us(ts, gp, repeats: int) -> float:
-    """Per-call NLML + gradient at ``gp``'s hyperparameters on ``ts``, on
-    one start's buffers and one BLAS thread, as ``fit_gp`` calls it."""
+def fitted_nlml(ts, gp, starts: int = 1) -> list:
+    """``starts`` calls of the NLML + gradient at ``gp``'s hyperparameters
+    on ``ts``, each on its own start's buffers, as ``fit_gp`` makes them."""
     params = np.r_[np.log(gp.ell), np.log(gp.sf2), np.log(gp.sn2)]
-    likelihood = _Likelihood(gp.y_std, _PairDistances.build(ts.inputs_std()))
-    if likelihood(params)[0] >= 1e12:
-        raise RuntimeError("kernel not positive definite at the fitted optimum")
-    return per_call_us(lambda: likelihood(params), 200, repeats)
+    pairs = _PairDistances.build(ts.inputs_std())
+    calls = []
+    for _ in range(starts):
+        likelihood = _Likelihood(gp.y_std, pairs)
+        if likelihood(params)[0] >= 1e12:
+            raise RuntimeError("kernel not positive definite at the fitted optimum")
+        calls.append(lambda likelihood=likelihood: likelihood(params))
+    return calls
+
+
+def nlml_us(ts, gp, repeats: int) -> float:
+    """Per-call NLML + gradient, on one start's buffers and one thread."""
+    return per_call_us(fitted_nlml(ts, gp)[0], 200, repeats)
+
+
+def nlml_two_threads_us(ts, gp, repeats: int) -> float:
+    """Wall time per call of two threads making 200 calls each, each on its
+    own start's buffers."""
+    calls = fitted_nlml(ts, gp, starts=2)
+
+    def run(call):
+        for _ in range(200):
+            call()
+
+    with ThreadPoolExecutor(2) as pool:
+        return 1e6 / 200 * seconds(lambda: list(pool.map(run, calls)), repeats)
+
+
+def kinv_us(gp, repeats: int) -> float:
+    """Per-call K^-1 from ``gp``'s Cholesky factor, the likelihood's entry
+    on the buffer layout it uses; each call's copy of the factor into the
+    buffer is not timed."""
+    factor_t = np.ascontiguousarray(gp.chol.T)
+    buf = np.empty_like(factor_t)
+    times = []
+    for _ in range(repeats):
+        total = 0.0
+        for _ in range(200):
+            np.copyto(buf, factor_t)
+            t0 = time.perf_counter()
+            info = _dpotri(buf)
+            total += time.perf_counter() - t0
+            if info != 0:
+                raise RuntimeError(f"K^-1 failed with info {info}")
+        times.append(total / 200 * 1e6)
+    return statistics.median(times)
 
 
 def main() -> None:
@@ -146,14 +203,18 @@ def main() -> None:
                            * (PRIOR_UPPER - PRIOR_LOWER))
     target = FixedTerms.build(dataset, *gps)
     ts_dense = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
+    gp_dense = fit_gp(ts_dense, "length", RandomStream(1))
     condition_1 = dataset.rows[0].design
     nominal = CalibrationParams.from_array(PRIOR_NOMINAL)
     out = {
         "forward_eval_us": per_call_us(lambda: evaluate_reduced(condition_1, nominal),
                                        100, repeats),
         "nlml_n130_us": nlml_us(ts, gps[0], repeats),
-        "nlml_n260_us": nlml_us(ts_dense, fit_gp(ts_dense, "length",
-                                                 RandomStream(1)), repeats),
+        "nlml_n260_us": nlml_us(ts_dense, gp_dense, repeats),
+        "nlml2t_n130_us": nlml_two_threads_us(ts, gps[0], repeats),
+        "nlml2t_n260_us": nlml_two_threads_us(ts_dense, gp_dense, repeats),
+        "kinv_n130_us": kinv_us(gps[0], repeats),
+        "kinv_n260_us": kinv_us(gp_dense, repeats),
         "train_n130_s": seconds(lambda: fit_both(ts), repeats),
         "train_n260_s": seconds(lambda: fit_both(ts_dense), repeats),
         "train_n130_peak_mb": peak_mb(lambda: fit_both(ts)),

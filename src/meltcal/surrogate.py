@@ -3,20 +3,24 @@
 Anisotropic squared-exponential kernel, zero mean on standardized targets,
 hyperparameters by multi-start maximization of the log marginal likelihood
 with analytic gradients, evaluated on the packed squared differences of
-each training pair.  The predictive variance is the code-uncertainty
-term of the calibration likelihood.  Leave-one-out predictions come from
-the closed-form identity on the factorized kernel matrix.  Importing
-this module imports ``blas``, which pins the process to one BLAS thread,
-so fits, reloads, LOO, conditioning and predictions do not depend on the
-BLAS thread count.
+each training pair, a (d, N(N-1)/2) array with one row per input.  K^-1
+comes from the kernel's Cholesky factor: one dpotri call up to
+``KINV_SPLIT_ROWS`` rows, above them the factor inverted by recursive
+halving into dtrtri blocks joined by dtrmm, then dlauum.  The predictive
+variance is the code-uncertainty term of the calibration likelihood.
+Leave-one-out predictions come from the closed-form identity on the
+factorized kernel matrix.  Importing this module imports ``blas``,
+which pins the process to one BLAS thread, so fits, reloads, LOO,
+conditioning and predictions do not depend on the BLAS thread count.
 
 A fit's L-BFGS starts run on ``FIT_WORKERS`` threads.  The
-likelihood calls LAPACK through scipy's ``cython_lapack`` function
-pointers with ctypes, which releases the GIL, so two starts factor their
-kernel matrices at once.  Each start allocates its likelihood buffers
-once and reuses them across its calls, and the best start is picked in
-start order, so the fitted GP does not depend on the number of threads or
-on their scheduling; the threads are joined before ``fit_gp`` returns.
+likelihood calls LAPACK and BLAS through scipy's ``cython_lapack`` and
+``cython_blas`` function pointers with ctypes, which releases the GIL, so
+two starts factor their kernel matrices at once.  Each start allocates
+its likelihood buffers once and reuses them across its calls, and the
+best start is picked in start order, so the fitted GP does not depend on
+the number of threads or on their scheduling; the threads are joined
+before ``fit_gp`` returns.
 A fit holds the packed pair differences, one set of buffers per running
 start and, once the starts are done, the N x N kernel and its factor.
 """
@@ -32,7 +36,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
+from scipy.linalg import (cho_solve, cholesky, cython_blas, cython_lapack,
+                          solve_triangular)
 from scipy.optimize import minimize
 
 from . import blas  # noqa: F401 - pins the process to one BLAS thread
@@ -61,6 +66,13 @@ GP_FORMAT = 1
 PAD_ROWS = 16
 # _se_kernel forms its scaled input differences this many rows at a time
 KERNEL_BLOCK_ROWS = 16
+# The likelihood's K^-1 is one dpotri call up to this many rows.  Above, the
+# factor is inverted by recursive halving into blocks of at most half as
+# many rows: OpenBLAS's dtrtri, which dpotri calls, runs at a third of
+# dpotrf's speed above about 100 rows.  The split adds calls that each
+# release and retake the GIL, and at 130 rows on two fit threads those
+# calls are too short to pay for that.
+KINV_SPLIT_ROWS = 200
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -283,23 +295,26 @@ class _PairDistances:
     """The squared input differences of each training pair i < j, once.
 
     The SE kernel is symmetric with the diagonal sf2, so the marginal
-    likelihood and its gradient need each unordered pair only.
+    likelihood and its gradient need each unordered pair only.  ``sq``
+    holds one row per input, so the likelihood's two passes over it, the
+    kernel's weighted sum over the inputs and the gradient's sum over the
+    pairs, each read it row by row.
     """
 
     rows: np.ndarray         # (M,) i of each pair, M = N(N-1)/2
     cols: np.ndarray         # (M,) j of each pair
     flat: np.ndarray         # (M,) i*N + j, the pair's place in a C-order N x N
-    sq: np.ndarray           # (M, d) (x_i - x_j)**2
+    sq: np.ndarray           # (d, M) (x_i - x_j)**2, one row per input
 
     @classmethod
     def build(cls, x: np.ndarray) -> "_PairDistances":
-        """The pairs of ``x``'s rows, ``sq`` filled one input column at a
-        time, so no second (M, d) array is formed."""
+        """The pairs of ``x``'s rows, ``sq`` filled one input row at a
+        time, so no second (d, M) array is formed."""
         n, d = x.shape
         rows, cols = np.triu_indices(n, k=1)
-        sq = np.empty((len(rows), d))
+        sq = np.empty((d, len(rows)))
         for k in range(d):
-            np.subtract(x[:, k].take(rows), x[:, k].take(cols), out=sq[:, k])
+            np.subtract(x[:, k].take(rows), x[:, k].take(cols), out=sq[k])
         np.square(sq, out=sq)
         return cls(rows=rows, cols=cols, flat=rows * n + cols, sq=sq)
 
@@ -315,33 +330,45 @@ _capsule_name.restype, _capsule_name.argtypes = ctypes.c_char_p, [ctypes.py_obje
 _capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
 _capsule_pointer.restype, _capsule_pointer.argtypes = (
     ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p])
-_DOUBLE_P = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"  # cython_lapack's double *
 _C_TYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int),
-            _DOUBLE_P: ctypes.c_void_p}
+            "double *": ctypes.c_void_p}
 
 
-def _cython_lapack(name: str, *args: str):
-    """scipy's ``cython_lapack.<name>``, of C argument types ``args``, as a
-    ctypes function.
+def _cython_routine(module, name: str, *args: str):
+    """scipy's ``<module>.<name>``, of C argument types ``args``, as a
+    ctypes function; ``module`` is ``cython_lapack`` or ``cython_blas``.
 
     A ctypes foreign call releases the GIL, which the f2py wrappers of
-    ``scipy.linalg.lapack`` hold; these are the same routines, so the bits
-    are the same.  The capsule's name is the routine's C signature, so a
-    missing routine or another signature raises here, at import.
+    ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hold; these are the
+    same routines, so the bits are the same.  The capsule's name is the
+    routine's C signature, in which ``double *`` is spelled as the module's
+    own typedef (``__pyx_t_5scipy_6linalg_11cython_blas_d *``), so a missing
+    routine or another signature raises here, at import.
     """
-    capsule = cython_lapack.__pyx_capi__.get(name)
-    signature = f"void ({', '.join(args)})".encode()
+    double_p = "__pyx_t_" + "".join(
+        f"{len(part)}{part}_" for part in module.__name__.split(".")) + "d *"
+    capsule = module.__pyx_capi__.get(name)
+    signature = f"void ({', '.join(args)})".replace("double *", double_p).encode()
     if capsule is None or _capsule_name(capsule) != signature:
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} is not "
-                          f"{signature.decode()}")
+        raise ImportError(f"{module.__name__}.{name} is not {signature.decode()}")
     return ctypes.CFUNCTYPE(None, *(_C_TYPES[a] for a in args))(
         _capsule_pointer(capsule, signature))
 
 
-_POTRF = _cython_lapack("dpotrf", "char *", "int *", _DOUBLE_P, "int *", "int *")
-_POTRS = _cython_lapack("dpotrs", "char *", "int *", "int *", _DOUBLE_P, "int *",
-                        _DOUBLE_P, "int *", "int *")
-_POTRI = _cython_lapack("dpotri", "char *", "int *", _DOUBLE_P, "int *", "int *")
+_POTRF = _cython_routine(cython_lapack, "dpotrf", "char *", "int *", "double *",
+                         "int *", "int *")
+_POTRS = _cython_routine(cython_lapack, "dpotrs", "char *", "int *", "int *",
+                         "double *", "int *", "double *", "int *", "int *")
+_POTRI = _cython_routine(cython_lapack, "dpotri", "char *", "int *", "double *",
+                         "int *", "int *")
+_TRTRI = _cython_routine(cython_lapack, "dtrtri", "char *", "char *", "int *",
+                         "double *", "int *", "int *")
+_LAUUM = _cython_routine(cython_lapack, "dlauum", "char *", "int *", "double *",
+                         "int *", "int *")
+_TRMM = _cython_routine(cython_blas, "dtrmm", "char *", "char *", "char *", "char *",
+                        "int *", "int *", "double *", "double *", "int *",
+                        "double *", "int *")
+_ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
 
 def _address(a: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -373,10 +400,52 @@ def _dpotrs(low_t: np.ndarray, b: np.ndarray) -> int:
 
 
 def _dpotri(low_t: np.ndarray) -> int:
-    """Inverse of the matrix whose Cholesky factor is ``low_t.T``, in place."""
-    n, info = ctypes.c_int(len(low_t)), ctypes.c_int()
-    _POTRI(b"L", n, _address(low_t, (n.value, n.value)), n, info)
+    """Inverse of the matrix whose Cholesky factor is ``low_t.T``, in place.
+
+    Up to ``KINV_SPLIT_ROWS`` rows this is one dpotri call, which inverts
+    the factor with dtrtri and multiplies the inverse by its transpose with
+    dlauum.  Above, the factor's inverse comes from ``_trtri_halves``
+    instead, then dlauum.
+    """
+    n, info = len(low_t), ctypes.c_int()
+    address = _address(low_t, (n, n))
+    if n <= KINV_SPLIT_ROWS:
+        _POTRI(b"L", ctypes.c_int(n), address, ctypes.c_int(n), info)
+        return info.value
+    failed = _trtri_halves(address, n, 0, n)
+    if failed:
+        return failed
+    _LAUUM(b"L", ctypes.c_int(n), address, ctypes.c_int(n), info)
     return info.value
+
+
+def _trtri_halves(address: int, n: int, lo: int, hi: int) -> int:
+    """Invert, in place, the diagonal block of rows and columns ``lo:hi``
+    of the lower-triangular (n, n) Fortran-order matrix at ``address``.
+
+    A block of at most ``KINV_SPLIT_ROWS // 2`` rows is one dtrtri call.
+    A larger one is split into halves, each inverted the same way, which
+    two dtrmm calls join: [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1,
+    C^-1]].  Returns 0, or as dtrtri does the 1-based row of the first
+    zero on the diagonal.
+    """
+    lda, info = ctypes.c_int(n), ctypes.c_int()
+    if hi - lo <= KINV_SPLIT_ROWS // 2:
+        _TRTRI(b"L", b"N", ctypes.c_int(hi - lo), address + 8 * (lo * n + lo),
+               lda, info)
+        return info.value and lo + info.value
+    mid = (lo + hi) // 2
+    failed = _trtri_halves(address, n, lo, mid) or _trtri_halves(address, n, mid, hi)
+    if failed:
+        return failed
+    a, b, c = (address + 8 * (col * n + row)
+               for row, col in ((lo, lo), (mid, lo), (mid, mid)))
+    rows, cols = ctypes.c_int(hi - mid), ctypes.c_int(mid - lo)
+    # B := B A^-1, then B := -C^-1 B
+    _TRMM(b"R", b"L", b"N", b"N", rows, cols, ctypes.addressof(_ONE), a, lda, b, lda)
+    _TRMM(b"L", b"L", b"N", b"N", rows, cols, ctypes.addressof(_MINUS_ONE), c, lda,
+          b, lda)
+    return 0
 
 
 class _Likelihood:
@@ -407,14 +476,14 @@ class _Likelihood:
     def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
         y, pairs, k_t, k_p, aa, w, alpha = (
             self.y, self.pairs, self.k_t, self.k_p, self.aa, self.w, self.alpha)
-        d = pairs.sq.shape[1]
+        d = pairs.sq.shape[0]
         n = y.size
         log_ell, log_sf2, log_sn2 = log_params[:d], log_params[d], log_params[d + 1]
         ell2 = np.exp(2.0 * log_ell)
         sf2, sn2 = np.exp(log_sf2), np.exp(log_sn2)
         # (M,) kernel per pair; the factor -0.5 is a power of two, so folding
         # it into the weights rounds exactly as scaling the sum would
-        np.matmul(pairs.sq, -0.5 / ell2, out=k_p)
+        np.matmul(-0.5 / ell2, pairs.sq, out=k_p)
         np.exp(k_p, out=k_p)
         k_p *= sf2
         _require_finite(k_p)
@@ -441,7 +510,7 @@ class _Likelihood:
         w *= k_p
         m_diag = k_t.diagonal().sum() - alpha @ alpha       # tr(K^-1 - aa^T)
         grad = np.empty_like(log_params)
-        grad[:d] = (w @ pairs.sq) / ell2                    # d/dlog ell_k
+        grad[:d] = (pairs.sq @ w) / ell2                    # d/dlog ell_k
         grad[d] = w.sum() + 0.5 * sf2 * m_diag              # d/dlog sf2
         grad[d + 1] = 0.5 * sn2 * m_diag                    # d/dlog sn2
         return float(nlml), grad

@@ -29,8 +29,8 @@ from meltcal.surrogate import (
     save_gp,
 )
 from nlml_reference import _nlml_and_grad as reference_nlml_and_grad
-from nlml_reference import nlml, packed_nlml_and_grad
-from scipy.linalg import cho_solve, cholesky
+from nlml_reference import inverse_from_factor, nlml, packed_nlml_and_grad
+from scipy.linalg import cho_solve, cholesky, cython_blas, cython_lapack
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 
@@ -384,6 +384,26 @@ class TestPackedNlml:
         assert value == 1e12
         assert np.array_equal(grad, np.zeros_like(p))
 
+    def test_zero_pivot_in_last_block_gives_penalty(self, training, monkeypatch):
+        """The real inverse entry on a factor with a zero on its diagonal
+        near its end, which at N=260 lies in the split's last dtrtri block:
+        its positive info reaches the likelihood as the penalty."""
+        x, y = training
+        inverse = surrogate._dpotri
+        infos = []
+
+        def zero_pivot(low_t):
+            low_t[-2, -2] = 0.0
+            infos.append(inverse(low_t))
+            return infos[-1]
+
+        monkeypatch.setattr(surrogate, "_dpotri", zero_pivot)
+        p = np.r_[np.zeros(x.shape[1] + 1), -5.0]
+        value, grad = _Likelihood(y, _PairDistances.build(x))(p)
+        assert infos == [len(x) - 1]
+        assert value == 1e12
+        assert np.array_equal(grad, np.zeros_like(p))
+
 
 class TestLapackNlml:
     """The marginal likelihood on direct LAPACK calls against a verbatim
@@ -410,6 +430,25 @@ class TestLapackNlml:
         for p in draws:
             value, grad = likelihood(p)
             ref_value, ref_grad = packed_nlml_and_grad(p, x, y, pairs)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    def test_bitwise_equal_to_packed_reference_above_the_split(self, dataset):
+        """At N=260 the inverse is split: the reference splits it the same
+        way through the f2py wrappers."""
+        ts = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
+        x = ts.inputs_std()
+        y = (ts.outputs[:, 0] - ts.outputs[:, 0].mean()) / ts.outputs[:, 0].std()
+        pairs = _PairDistances.build(x)
+        assert len(x) > surrogate.KINV_SPLIT_ROWS
+        d = x.shape[1]
+        rng = RandomStream(45).generator()
+        likelihood = _Likelihood(y, pairs)
+        for _ in range(12):
+            p = np.r_[rng.uniform(-3.0, 3.0, d + 1), rng.uniform(-9.0, -3.0)]
+            value, grad = likelihood(p)
+            ref_value, ref_grad = packed_nlml_and_grad(p, x, y, pairs)
+            assert ref_value < 1e12
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
 
@@ -480,7 +519,7 @@ class TestLapackEntries:
         a = RandomStream(n).generator().standard_normal((n, n))
         return a @ a.T + n * np.eye(n)
 
-    @pytest.mark.parametrize("n", [26, 130, 260])
+    @pytest.mark.parametrize("n", [26, 130, 260, 261])
     def test_bitwise_equal_to_f2py_wrappers(self, n):
         k = self.spd(n)
         b = RandomStream(n + 1).generator().standard_normal(n)
@@ -496,10 +535,19 @@ class TestLapackEntries:
         assert surrogate._dpotrs(k_t, x_entry) == 0
         assert np.array_equal(x_entry, x)
 
-        inv, info = dpotri(low, lower=True)
+        # the inverse: the library's route through the f2py wrappers gives
+        # its bits; below the split that route is dpotri itself
+        inv, info = inverse_from_factor(low)
         assert info == 0
         assert surrogate._dpotri(k_t) == 0
         assert np.array_equal(k_t.T, inv)
+        potri, info = dpotri(low, lower=True)
+        assert info == 0
+        lower = np.tril_indices(n)
+        assert (np.abs(inv[lower] - potri[lower]).max()
+                <= 1e-13 * np.abs(potri[lower]).max())
+        if n <= surrogate.KINV_SPLIT_ROWS:
+            assert np.array_equal(inv, potri)
 
     @pytest.mark.parametrize("n", [26, 130])
     def test_not_positive_definite_gives_positive_info(self, n):
@@ -511,6 +559,43 @@ class TestLapackEntries:
         low[n // 3, n // 3] = 0.0
         assert surrogate._dpotri(low) > 0
 
+    @pytest.mark.parametrize("n", [26, 130, 260, 261])
+    def test_zero_pivot_gives_dpotris_info(self, n):
+        """A zero on the diagonal of the factor's last block: the split
+        reports its row as dpotri does."""
+        low = np.eye(n)
+        low[n - 2, n - 2] = 0.0
+        assert dpotri(low, lower=True)[1] == n - 1
+        assert surrogate._dpotri(low) == n - 1
+
+    @pytest.mark.parametrize("n", [130, 260])
+    def test_split_into_blocks_of_64_to_100_rows_above_130(self, n, monkeypatch):
+        """130 rows take one dpotri call; 260 are split into dtrtri blocks
+        of 64 to 100 rows, the leaves the split pays off with on two fit
+        threads."""
+        calls = {"potri": 0, "trtri": []}
+        potri, trtri = surrogate._POTRI, surrogate._TRTRI
+
+        def count_potri(*args):
+            calls["potri"] += 1
+            potri(*args)
+
+        def record_trtri(*args):
+            calls["trtri"].append(args[2].value)
+            trtri(*args)
+
+        monkeypatch.setattr(surrogate, "_POTRI", count_potri)
+        monkeypatch.setattr(surrogate, "_TRTRI", record_trtri)
+        k_t = np.ascontiguousarray(self.spd(n).T)
+        assert surrogate._dpotrf(k_t) == 0
+        assert surrogate._dpotri(k_t) == 0
+        if n == 130:
+            assert calls == {"potri": 1, "trtri": []}
+        else:
+            assert calls["potri"] == 0
+            assert sum(calls["trtri"]) == n
+            assert all(64 <= rows <= 100 for rows in calls["trtri"])
+
     def test_foreign_buffers_rejected(self):
         k_t = np.ascontiguousarray(self.spd(26).T)
         for bad in (np.asfortranarray(k_t), k_t[:, :-1], k_t.astype(np.float32)):
@@ -520,17 +605,22 @@ class TestLapackEntries:
             surrogate._dpotrs(k_t, np.ones(25))
 
     def test_missing_routine_or_other_signature_raises(self):
-        with pytest.raises(ImportError, match="dpotrf is not"):
-            surrogate._cython_lapack("dpotrf", "char *", "int *")
+        with pytest.raises(ImportError, match="cython_lapack.dpotrf is not"):
+            surrogate._cython_routine(cython_lapack, "dpotrf", "char *", "int *")
         with pytest.raises(ImportError, match="dnosuch is not"):
-            surrogate._cython_lapack("dnosuch", "char *")
+            surrogate._cython_routine(cython_lapack, "dnosuch", "char *")
+        # dtrmm's arguments without alpha
+        with pytest.raises(ImportError, match="cython_blas.dtrmm is not"):
+            surrogate._cython_routine(cython_blas, "dtrmm", "char *", "char *",
+                                      "char *", "char *", "int *", "int *",
+                                      "double *", "int *", "double *", "int *")
 
 
 class TestFitWorkers:
-    """The multi-start fit on 1, 2 and 3 worker threads, on a small and on a
-    dense design."""
+    """The multi-start fit on 1, 2 and 3 worker threads, on a small and on
+    two dense designs, the densest above the likelihood's inverse split."""
 
-    @pytest.fixture(scope="class", params=[2, 12], ids=["N26", "N156"])
+    @pytest.fixture(scope="class", params=[2, 12, 20], ids=["N26", "N156", "N260"])
     def ts(self, request, dataset):
         return build_training_set(dataset, request.param, evaluate_reduced,
                                   RandomStream(0))
@@ -565,8 +655,8 @@ class TestFitMemory:
 
 
 class TestInPlaceBuilds:
-    """The kernel built in row blocks and the pair differences built a
-    column at a time, against verbatim copies of their one-shot forms."""
+    """The kernel built in row blocks and the pair differences built an
+    input at a time, against verbatim copies of their one-shot forms."""
 
     @staticmethod
     def one_shot_kernel(x1, x2, sf2, ell):
@@ -600,7 +690,7 @@ class TestInPlaceBuilds:
         assert np.array_equal(pairs.rows, rows)
         assert np.array_equal(pairs.cols, cols)
         assert np.array_equal(pairs.flat, rows * n + cols)
-        assert np.array_equal(pairs.sq, (x[rows] - x[cols]) ** 2)
+        assert np.array_equal(pairs.sq, ((x[rows] - x[cols]) ** 2).T)
 
 
 class TestJitterInPlace:
