@@ -5,7 +5,10 @@ Fits the two surrogates on the bundled dataset (10 samples per condition,
 as the pipeline does by default), then times, per call:
 
 * one reduced forward-model evaluation, ``evaluate_reduced`` at the
-  nominal theta and the bundled condition 1, at the default settings;
+  nominal theta and the bundled condition 1, at the default settings:
+  ``forward_eval_us``; and ``forward_eval_prior_us``, the mean per call
+  over the 13 bundled conditions at each of 4 prior draws, the traffic
+  the design stage sends the model;
 * the GP negative log marginal likelihood and its gradient, as an L-BFGS
   start calls it (one set of buffers for every call, on one BLAS thread),
   at the fitted length hyperparameters of the bundled design (N=130) and
@@ -206,9 +209,15 @@ def main() -> None:
     gp_dense = fit_gp(ts_dense, "length", RandomStream(1))
     condition_1 = dataset.rows[0].design
     nominal = CalibrationParams.from_array(PRIOR_NOMINAL)
+    draws = [CalibrationParams.from_array(PRIOR_LOWER + u * (PRIOR_UPPER - PRIOR_LOWER))
+             for u in RandomStream(6).generator().random((4, 8))]
+    prior_traffic = [(row.design, theta) for row in dataset for theta in draws]
     out = {
         "forward_eval_us": per_call_us(lambda: evaluate_reduced(condition_1, nominal),
                                        100, repeats),
+        "forward_eval_prior_us": per_call_us(
+            lambda: [evaluate_reduced(*pair) for pair in prior_traffic], 2,
+            repeats) / len(prior_traffic),
         "nlml_n130_us": nlml_us(ts, gps[0], repeats),
         "nlml_n260_us": nlml_us(ts_dense, gp_dense, repeats),
         "nlml2t_n130_us": nlml_two_threads_us(ts, gps[0], repeats),

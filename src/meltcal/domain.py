@@ -112,6 +112,9 @@ class CalibrationParams:
     gamma_t: float      # thermal capillary coefficient, N/(m K)
 
     def __post_init__(self):
+        for name in PARAM_NAMES:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.alpha <= 1):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (0 < self.emissivity <= 1):

@@ -14,7 +14,7 @@ calibration parameters influence the predicted pool size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
 
 import numpy as np
@@ -92,31 +92,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _absorbed_power(design: DesignVars, theta: CalibrationParams) -> float:
-    """Absorbed laser power less the surface losses."""
-    return theta.alpha * design.power * (1.0 - loss_fraction(design, theta))
-
-
-@dataclass(frozen=True)
-class _Source:
-    """The scalars of the rise formula for one weld (design, theta)."""
-
-    a: float                # effective thermal diffusivity, m^2/s
-    rb2: float              # beam radius squared, m^2
-    c0: float               # 4 q / (rho c pi^{3/2} sqrt(a))
-    pulse_duration: float
-
-    @classmethod
-    def build(cls, design: DesignVars, theta: CalibrationParams) -> "_Source":
-        k_eff = effective_conductivity(design, theta)
-        rho_c = THERMAL_MASS_FRACTION * DENSITY * theta.c_l
-        a = k_eff / rho_c
-        q = _absorbed_power(design, theta)
-        return cls(a=a, rb2=design.beam_radius**2,
-                   c0=4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a)),
-                   pulse_duration=design.pulse_duration)
-
-
 class _RiseField:
     """Temperature rise above ambient at fixed times t, as a function of (r, z).
 
@@ -128,16 +103,21 @@ class _RiseField:
         dT = (4 q / (rho c pi^{3/2} sqrt(a))) *
              int exp(-z^2/(4 a u^2) - 2 r^2/(Rb^2 + 8 a u^2)) / (Rb^2 + 8 a u^2) du
 
-    Every term that depends on t alone is computed here once.  The exponent
+    with q the absorbed power less the surface losses.  Every term that
+    depends on (design, theta, t) alone is computed here once.  The exponent
     is ``r_term(r) - z_term(z)``, so a probe along one axis computes only
     that axis's term.  The terms and ``rise`` are called, as ``__call__``
     calls them, with divide and invalid floating-point warnings ignored.
     """
 
-    def __init__(self, source: _Source, t: float | np.ndarray):
+    def __init__(self, design: DesignVars, theta: CalibrationParams,
+                 t: float | np.ndarray):
+        rho_c = THERMAL_MASS_FRACTION * DENSITY * theta.c_l
+        a = effective_conductivity(design, theta) / rho_c
+        q = theta.alpha * design.power * (1.0 - loss_fraction(design, theta))
         self.t = t = np.asarray(t, float)
         # elapsed-time window is [t - t_p, t] clipped at 0
-        tau_lo = np.maximum(t - source.pulse_duration, 0.0)
+        tau_lo = np.maximum(t - design.pulse_duration, 0.0)
         u_lo = np.sqrt(tau_lo)
         u_hi = np.sqrt(np.maximum(t, 0.0))
         nodes, self.weights = _leggauss(QUAD_POINTS)
@@ -146,10 +126,10 @@ class _RiseField:
         mid = 0.5 * (u_hi + u_lo)
         u = mid[..., None] + half[..., None] * nodes  # (..., n)
         u2 = u * u
-        self.denom = source.rb2 + 8.0 * source.a * u2
+        self.denom = design.beam_radius**2 + 8.0 * a * u2
         self.unheated = ~(u2 > 0)
-        self.diffusion = 4.0 * source.a * np.maximum(u2, 1e-300)
-        self.scale = source.c0 * half
+        self.diffusion = 4.0 * a * np.maximum(u2, 1e-300)
+        self.scale = 4.0 * q / (rho_c * math.pi**1.5 * math.sqrt(a)) * half
         self.window = u_hi > u_lo
 
     def r_term(self, r: np.ndarray) -> np.ndarray:
@@ -179,60 +159,55 @@ class _RiseField:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _max_extent(field: _RiseField, start: float, tolerance: float,
-                threshold_rise: float, axis: str) -> float:
+def _max_extent(field: _RiseField, exponent: Callable[[np.ndarray], np.ndarray],
+                above: np.ndarray, start: float, threshold_rise: float) -> float:
     """Largest coordinate with rise >= threshold at any of the field's times.
 
-    axis='r' probes the surface (z=0); axis='z' probes the centerline (r=0).
-    The rise is monotone decreasing along each axis, so bisection is exact.
-    Bisections for all scan times run in lockstep, the bracket growing from
-    ``start`` and the bisection stopping at ``tolerance``.
+    ``exponent(x)`` is the field's exponent at distance x along one axis,
+    the other axis's term fixed at zero; ``above`` flags the times at which
+    the origin melts, the only times whose extent counts.  The rise is
+    monotone decreasing along each axis, so bisection is exact.  Bisections
+    for all scan times run in lockstep, the bracket growing from ``start``
+    and the bisection stopping at ``SEARCH_TOLERANCE``.
     """
-    zero = np.zeros_like(field.t)
-    if axis == "r":
-        fixed = field.z_term(zero)
-
-        def rise_at(x: np.ndarray) -> np.ndarray:
-            return field.rise(field.r_term(x) - fixed)
-    else:
-        fixed = field.r_term(zero)
-
-        def rise_at(x: np.ndarray) -> np.ndarray:
-            return field.rise(fixed - field.z_term(x))
-
     # exponential bracket growth from the start
     hi = np.full_like(field.t, start)
     for _ in range(24):
-        hot = rise_at(hi) >= threshold_rise
+        hot = field.rise(exponent(hi)) >= threshold_rise
         if not hot.any():
             break
         hi = np.where(hot, hi * 2.0, hi)
-    lo = zero
-    above = rise_at(lo) >= threshold_rise  # melted at origin for these times
-    n_iter = int(math.ceil(math.log2(float(hi.max()) / tolerance))) + 1
+    lo = np.zeros_like(field.t)
+    n_iter = int(math.ceil(math.log2(float(hi.max()) / SEARCH_TOLERANCE))) + 1
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
-        hot = rise_at(mid) >= threshold_rise
+        hot = field.rise(exponent(mid)) >= threshold_rise
         lo = np.where(hot, mid, lo)
         hi = np.where(hot, hi, mid)
     extents = np.where(above, 0.5 * (lo + hi), 0.0)
     return float(extents.max())
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def evaluate_reduced(design: DesignVars, theta: CalibrationParams) -> MeltPoolSize:
     """Melt-pool length (surface diameter) and depth from the reduced model.
 
     The melting criterion is the effective threshold T_m + L/c_l; extents
     are the maxima over t in [t_p, 2 t_p] (during the pulse every point
-    only heats up, so earlier times never set the maximum).
+    only heats up, so earlier times never set the maximum).  The pool
+    melts if the origin does at t_p, the scan's first time, where the
+    rise peaks.
     """
     threshold_rise = melting_threshold(theta) - AMBIENT_TEMPERATURE
     t_p = design.pulse_duration
-    source = _Source.build(design, theta)
-    peak = _RiseField(source, t_p)(np.array(0.0), np.array(0.0))
-    if peak < threshold_rise:
+    field = _RiseField(design, theta, np.linspace(t_p, 2.0 * t_p, TIME_SAMPLES))
+    zero = np.zeros_like(field.t)
+    r_zero, z_zero = field.r_term(zero), field.z_term(zero)
+    above = field.rise(r_zero - z_zero) >= threshold_rise  # the origin melts
+    if not above[0]:
         return MeltPoolSize(length=0.0, depth=0.0, melted=False)
-    field = _RiseField(source, np.linspace(t_p, 2.0 * t_p, TIME_SAMPLES))
-    max_r, max_z = (_max_extent(field, design.beam_radius, SEARCH_TOLERANCE,
-                                threshold_rise, axis) for axis in ("r", "z"))
+    max_r = _max_extent(field, lambda r: field.r_term(r) - z_zero, above,
+                        design.beam_radius, threshold_rise)
+    max_z = _max_extent(field, lambda z: r_zero - field.z_term(z), above,
+                        design.beam_radius, threshold_rise)
     return MeltPoolSize(length=2.0 * max_r, depth=max_z, melted=True)

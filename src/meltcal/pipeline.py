@@ -12,9 +12,12 @@ numpy and scipy versions, the digest of each package module's source, and
 ``simulator.py`` under ``external``, else ``forward.py``.
 A stage's digest hashes its name, the values of its reads and its
 upstream digests, so a stage names only what its upstream stages do not
-cover; a meta file beside the artifacts stores it.  Every
-package module that a read module imports is read by the stage or by an
-upstream stage, so an edit to any code a stage runs changes its digest.
+cover; a meta file beside the artifacts stores it.  Each module a
+stage reads, ``pipeline.py`` aside, imports only package modules that the
+stage or an upstream stage reads, and ``blas.py``, whose BLAS thread pin
+changes no result; ``model`` counts as reading both forward models.  So
+an edit to any code a stage runs that can change its result changes its
+digest.
 The stage loads when the stored digest matches and every declared
 artifact exists; otherwise it fetches its upstream results, computes,
 deletes the meta file, saves, and writes the meta file anew, so a save

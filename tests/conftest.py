@@ -1,9 +1,10 @@
 """Bundled-data fixtures shared across the test modules.
 
 The bundled dataset, its training set at 10 rows per condition
-(``RandomStream(0)``) and the length and depth GPs fitted on that
-(``RandomStream(1)`` and ``RandomStream(2)``), each built once per test
-session.  Tests must not modify them.
+(``RandomStream(0)``), the length and depth GPs fitted on that
+(``RandomStream(1)`` and ``RandomStream(2)``) and the same design at 20
+rows per condition, each built once per test session.  Tests must not
+modify them.
 
 Every test must also leave no worker process running.
 """
@@ -30,6 +31,12 @@ def dataset():
 @pytest.fixture(scope="session")
 def training_set(dataset):
     return build_training_set(dataset, 10, evaluate_reduced, RandomStream(0))
+
+
+@pytest.fixture(scope="session")
+def dense_training_set(dataset):
+    """The 260-row design: 20 rows per condition, ``RandomStream(0)``."""
+    return build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from meltcal.domain import (
     ForwardModel,
     RandomStream,
 )
-from meltcal.forward import AMBIENT_TEMPERATURE, _RiseField, _Source
+from meltcal.forward import AMBIENT_TEMPERATURE, _RiseField
 
 
 def temperature_rise(design: DesignVars, theta: CalibrationParams,
@@ -35,7 +35,7 @@ def temperature_rise(design: DesignVars, theta: CalibrationParams,
     """Temperature (K) at radius r, depth z, time t for one spot weld."""
     if r < 0 or z < 0 or t < 0:
         raise ValueError("r, z, t must be non-negative")
-    field = _RiseField(_Source.build(design, theta), t)
+    field = _RiseField(design, theta, t)
     rise = field(np.asarray(r, float), np.asarray(z, float))
     return float(AMBIENT_TEMPERATURE + rise)
 

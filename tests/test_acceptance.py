@@ -14,7 +14,6 @@ import pytest
 
 from fd_oracle import solve_fd
 from helpers import synthetic_dataset, write_dataset
-from meltcal.doe import build_training_set
 from meltcal.domain import (
     CalibrationParams,
     PARAM_NAMES,
@@ -104,13 +103,12 @@ def test_criterion_2_mcmc_gaussian_oracle(capsys):
              f"acceptance {rate:.3f}, {elapsed:.1f} s")
 
 
-def test_criterion_3_gp_quality(capsys, dataset, bundled_run):
+def test_criterion_3_gp_quality(capsys, dense_training_set, bundled_run):
     _, report = bundled_run
     q2_10 = (report["surrogate_q2"]["q2_length"],
              report["surrogate_q2"]["q2_depth"])
-    ts20 = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
-    q2_20 = (loocv_q2(fit_gp(ts20, "length", RandomStream(1)))[0],
-             loocv_q2(fit_gp(ts20, "depth", RandomStream(2)))[0])
+    q2_20 = (loocv_q2(fit_gp(dense_training_set, "length", RandomStream(1)))[0],
+             loocv_q2(fit_gp(dense_training_set, "depth", RandomStream(2)))[0])
     ok = (min(q2_10) >= 0.90
           and all(b >= a - 0.02 for a, b in zip(q2_10, q2_20)))
     _verdict(capsys, 3, ok,

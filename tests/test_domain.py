@@ -1,6 +1,7 @@
 """Domain types, dataset I/O, the prior box, and random streams."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -199,6 +200,12 @@ class TestCalibrationParams:
     def test_positive_gamma_t_rejected(self):
         with pytest.raises(ValueError):
             dataclasses.replace(NOMINAL, gamma_t=4.3e-4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_non_finite_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            dataclasses.replace(NOMINAL, **{name: value})
 
 
 class TestMeltPoolSize:

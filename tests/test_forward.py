@@ -24,7 +24,6 @@ from meltcal.forward import (
     NumericsError,
     _max_extent,
     _RiseField,
-    _Source,
     effective_conductivity,
     evaluate_reduced,
     loss_fraction,
@@ -166,7 +165,7 @@ class TestAgainstReference:
             times = np.linspace(t_p, 2.0 * t_p, forward.TIME_SAMPLES)
             x = np.linspace(0.0, 4.0 * radius, forward.TIME_SAMPLES)
             zero = np.zeros_like(x)
-            field = _RiseField(_Source.build(row.design, NOMINAL), times)
+            field = _RiseField(row.design, NOMINAL, times)
             for r, z in ((x, zero), (zero, x)):
                 want = forward_reference._rise_grid(
                     row.design, NOMINAL, forward_reference.ReducedModelConfig(),
@@ -178,6 +177,30 @@ class TestAgainstReference:
         assert not evaluate_reduced(weak, NOMINAL).melted
         self.assert_same(weak, NOMINAL)
 
+    @pytest.mark.parametrize("row", [0, 6, 12])
+    def test_no_melt_decision_at_its_flip(self, dataset, row):
+        """The power bisected to adjacent floats where the model starts to
+        melt; on powers from one ulp to 1e-6 relative on both sides of that
+        flip, the same melted flags and sizes as the reference."""
+        design = dataset.rows[row].design
+
+        def at(power):
+            return dataclasses.replace(design, power=float(power))
+
+        lo, hi = 1e-6, design.power
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if evaluate_reduced(at(mid), NOMINAL).melted:
+                hi = mid
+            else:
+                lo = mid
+        powers = np.concatenate([hi + np.spacing(hi) * np.arange(-8, 9),
+                                 hi * (1.0 + np.linspace(-1e-6, 1e-6, 21))])
+        melted = set()
+        for power in powers:
+            self.assert_same(at(power), NOMINAL)
+            melted.add(evaluate_reduced(at(power), NOMINAL).melted)
+        assert melted == {False, True}
+
     @pytest.mark.parametrize("changes", [{"QUAD_POINTS": 128}, {"TIME_SAMPLES": 5},
                                          {"SEARCH_TOLERANCE": 1e-7}])
     def test_other_settings(self, dataset, changes, monkeypatch):
@@ -186,7 +209,7 @@ class TestAgainstReference:
         for row in dataset:
             self.assert_same(row.design, NOMINAL)
 
-    def test_non_finite_integrand_names_the_node(self):
+    def test_non_finite_integrand_names_the_node(self, monkeypatch):
         message = r"non-finite integrand at quadrature node \[0\]$"
         with pytest.raises(NumericsError, match=message):
             temperature_rise(COND1, NOMINAL, math.nan, 0.0, 1e-3)
@@ -194,11 +217,14 @@ class TestAgainstReference:
             forward_reference._rise_grid(
                 COND1, NOMINAL, forward_reference.ReducedModelConfig(),
                 np.array(math.nan), np.array(0.0), np.array(1e-3))
-        source = dataclasses.replace(_Source.build(COND1, NOMINAL), a=math.nan)
-        field = _RiseField(source, np.linspace(4e-3, 8e-3, 5))
-        for axis in ("r", "z"):
+        monkeypatch.setattr(forward, "effective_conductivity",
+                            lambda design, theta: math.nan)
+        field = _RiseField(COND1, NOMINAL, np.linspace(4e-3, 8e-3, 5))
+        zero, above = np.zeros(5), np.ones(5, bool)
+        for exponent in (lambda r: field.r_term(r) - field.z_term(zero),
+                         lambda z: field.r_term(zero) - field.z_term(z)):
             with pytest.raises(NumericsError, match=r"node \[0, 0\]$"):
-                _max_extent(field, COND1.beam_radius, 1e-6, 100.0, axis)
+                _max_extent(field, exponent, above, COND1.beam_radius, 100.0)
 
 
 class TestReducedModelConstants:

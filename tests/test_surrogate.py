@@ -315,10 +315,10 @@ class TestPackedNlml:
     copy of its dense (N, N, d) form, on bundled training sets."""
 
     @pytest.fixture(scope="class", params=["N130", "N260"])
-    def training(self, request, dataset):
+    def training(self, request):
         """The session training set, and the same design at 20 per condition."""
-        ts = (request.getfixturevalue("training_set") if request.param == "N130"
-              else build_training_set(dataset, 20, evaluate_reduced, RandomStream(0)))
+        ts = request.getfixturevalue("training_set" if request.param == "N130"
+                                     else "dense_training_set")
         x = ts.inputs_std()
         y = ts.outputs[:, 0]
         return x, (y - y.mean()) / y.std()
@@ -433,10 +433,10 @@ class TestLapackNlml:
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
 
-    def test_bitwise_equal_to_packed_reference_above_the_split(self, dataset):
+    def test_bitwise_equal_to_packed_reference_above_the_split(self, dense_training_set):
         """At N=260 the inverse is split: the reference splits it the same
         way through the f2py wrappers."""
-        ts = build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))
+        ts = dense_training_set
         x = ts.inputs_std()
         y = (ts.outputs[:, 0] - ts.outputs[:, 0].mean()) / ts.outputs[:, 0].std()
         pairs = _PairDistances.build(x)
@@ -622,6 +622,8 @@ class TestFitWorkers:
 
     @pytest.fixture(scope="class", params=[2, 12, 20], ids=["N26", "N156", "N260"])
     def ts(self, request, dataset):
+        if request.param == 20:
+            return request.getfixturevalue("dense_training_set")
         return build_training_set(dataset, request.param, evaluate_reduced,
                                   RandomStream(0))
 
@@ -711,11 +713,10 @@ class TestJitterInPlace:
                 jitter = min(jitter * 10.0, JITTER_CEILING)
 
     @pytest.fixture(scope="class")
-    def designs(self, dataset, training_set):
+    def designs(self, dataset, training_set, dense_training_set):
         """The bundled design at 2, 10 and 20 per condition, by row count."""
         return {26: build_training_set(dataset, 2, evaluate_reduced, RandomStream(0)),
-                130: training_set,
-                260: build_training_set(dataset, 20, evaluate_reduced, RandomStream(0))}
+                130: training_set, 260: dense_training_set}
 
     @staticmethod
     def factored(x, ts, sf2, ell, sn2):
